@@ -54,8 +54,7 @@ FORMATS = ("csv", "json", "plot")
 _TOL_FLAGS = ("res", "norm", "match", "orth", "trunc", "sign", "margin")
 
 _CONFIG_KEYS = {
-    "potential", "a", "t", "t-range", "N", "h-t", "out-dir", "format",
-    "threads", "n-t",
+    "potential", "a", "t", "t-range", "N", "h-t", "out-dir", "format", "n-t",
 } | {f"tol-{k}" for k in _TOL_FLAGS}
 
 
@@ -73,7 +72,6 @@ class RunConfig:
     tols: Tolerances = DEFAULT_TOLS
     out_dir: Path = field(default_factory=Path)
     formats: tuple = ("csv", "json")
-    threads: int = 1
 
 
 def _parse_extended_real(text: str, flag: str) -> float:
@@ -130,7 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--N", default=None, help="interior grid nodes")
         p.add_argument("--out-dir", default=None)
         p.add_argument("--format", default=None, help="comma list of csv,json,plot")
-        p.add_argument("--threads", default=None)
         for k in _TOL_FLAGS:
             p.add_argument(f"--tol-{k}", default=None)
         if mode in ("solve", "sensitivity"):
@@ -168,7 +165,7 @@ def _merged(flag_value, config: dict, key: str):
 
 _VALUE_FLAGS = {
     "--config", "--potential", "--a", "--t", "--t-range", "--N", "--h-t",
-    "--out-dir", "--format", "--threads", "--n-t",
+    "--out-dir", "--format", "--n-t",
 } | {f"--tol-{k}" for k in _TOL_FLAGS}
 
 
@@ -279,15 +276,6 @@ def parse_config(argv: list) -> RunConfig:
     if fmt is not None:
         cfg.formats = _parse_formats(str(fmt))
 
-    threads = _merged(ns.threads, config, "threads")
-    if threads is not None:
-        try:
-            cfg.threads = int(threads)
-        except (TypeError, ValueError):
-            raise UsageError(f"--threads: expected an integer, got {threads!r}") from None
-        if cfg.threads < 1:
-            raise UsageError("--threads: need at least 1")
-
     _validate_mode_fields(cfg)
     return cfg
 
@@ -363,7 +351,7 @@ def _run_sweep(cfg: RunConfig) -> int:
 
 
 def _run_verify(cfg: RunConfig) -> int:
-    report = run_battery(N=cfg.N, n_t=cfg.n_t, tols=cfg.tols, threads=cfg.threads)
+    report = run_battery(N=cfg.N, n_t=cfg.n_t, tols=cfg.tols)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     text = report.render()
     (cfg.out_dir / "verify_report.txt").write_text(text)

@@ -22,7 +22,8 @@ class ConfinementError(EigenshiftError):
 
 
 class ConvergenceError(EigenshiftError):
-    """Eigenvalue bisection or inverse iteration failed to converge."""
+    """The eigensolve failed: LAPACK reported an error, or the computed pair
+    is not the ground state or misses its residual cap."""
 
 
 class TruncationError(EigenshiftError):

@@ -1,8 +1,8 @@
 """Dirichlet ground states of -u'' + V u on (a, t).
 
 The operator is discretized by second-order central differences on a uniform
-grid; the smallest eigenvalue is found by Sturm bisection plus inverse
-iteration (see tridiag).  A left endpoint at -infinity is realized by a
+grid; the lowest eigenpair of the resulting tridiagonal matrix comes from
+LAPACK (see tridiag).  A left endpoint at -infinity is realized by a
 truncation wall placed deep in the classically forbidden region and validated
 by a doubling convergence check.
 
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .potentials import PotentialSpec, eval_V, validate_confinement
 from .tolerances import DEFAULT_TOLS, Tolerances
-from .tridiag import TridiagOperator, bisect_smallest, inverse_iteration
+from .tridiag import TridiagOperator, smallest_eigenpair
 
 MIN_INTERIOR = 16
 
@@ -135,24 +135,14 @@ def _operator_on(spec: PotentialSpec, grid: Grid) -> TridiagOperator:
     return TridiagOperator(d=d, e=e)
 
 
-def _start_profile(grid: Grid) -> np.ndarray:
-    xi = (grid.interior - grid.x[0]) / (grid.x[-1] - grid.x[0])
-    return np.sin(np.pi * xi)
-
-
-def _solve_on_grid(spec: PotentialSpec, grid: Grid, tols: Tolerances,
-                   warm_vector=None, warm_bracket=None):
+def _solve_on_grid(spec: PotentialSpec, grid: Grid, tols: Tolerances):
     op = _operator_on(spec, grid)
-    lo, hi = bisect_smallest(op, rtol=tols.bisect, bracket=warm_bracket)
-    sigma = 0.5 * (lo + hi)
-    x0 = warm_vector if warm_vector is not None else _start_profile(grid)
-    lam, vec, resid = inverse_iteration(op, sigma, x0=x0)
+    lam, vec, resid = smallest_eigenpair(op)
 
     # confirm we hold the smallest eigenvalue: no spectrum below lam - eps.
     # eps must clear the Sturm count's own resolution, a few ulps of ||T||.
     scale = float(np.max(np.abs(op.d))) + 2.0 * (float(np.max(np.abs(op.e))) if op.n > 1 else 0.0)
-    eps_gap = max(4.0 * (hi - lo) + 1e-10 * (1.0 + abs(lam)),
-                  256.0 * np.finfo(float).eps * scale)
+    eps_gap = max(1e-10 * (1.0 + abs(lam)), 256.0 * np.finfo(float).eps * scale)
     if op.count_below(lam - eps_gap) != 0:
         raise ConvergenceError("converged to an excited state, not the ground state")
 
@@ -165,18 +155,15 @@ def _solve_on_grid(spec: PotentialSpec, grid: Grid, tols: Tolerances,
     vmax = float(vec.max())
     if vmax <= 0 or float(vec.min()) < -tols.pos * vmax:
         raise StructureError("ground-state vector is not positive on the interior")
-    return op, lam, vec, resid
+    return lam, vec, resid
 
 
 def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
-                       tols: Tolerances = DEFAULT_TOLS,
-                       warm_vector=None, warm_bracket=None) -> GroundState:
+                       tols: Tolerances = DEFAULT_TOLS) -> GroundState:
     """Compute the positive L2-normalized Dirichlet ground state.
 
     For a = -inf the wall is resolved by truncate_domain (unless the Domain
-    already carries one).  ``warm_vector``/``warm_bracket`` optionally seed the
-    eigensolve; they affect speed only, never the result beyond solver
-    tolerance.
+    already carries one).
 
     Raises ConfinementError when a = -inf and V does not grow on the left,
     ConvergenceError when the eigensolve fails its own checks.
@@ -193,9 +180,7 @@ def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
         domain = domain.with_wall(truncate_domain(spec, domain.t, probe, tols=tols))
 
     grid = Grid.build(domain.a_eff, domain.t, N)
-    op, lam, vec, resid = _solve_on_grid(spec, grid, tols,
-                                         warm_vector=warm_vector,
-                                         warm_bracket=warm_bracket)
+    lam, vec, resid = _solve_on_grid(spec, grid, tols)
     h = grid.h
     u = np.zeros(N + 2)
     u[1:-1] = vec / math.sqrt(h)
@@ -210,15 +195,13 @@ def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
 
 def _probe_lambda(spec: PotentialSpec, t: float, width: float = 4.0,
                   n: int = 200) -> float:
-    """Cheap over-estimate of lambda(t): solve on the clipped domain (t-width, t).
+    """Ground energy on the clipped domain (t-width, t) with n interior nodes.
 
     Restricting the domain can only raise the ground energy, so the probe is a
     safe input for the wall-placement threshold.
     """
     grid = Grid.build(t - width, t, n)
-    op = _operator_on(spec, grid)
-    lo, hi = bisect_smallest(op, rtol=1e-10)
-    return 0.5 * (lo + hi)
+    return smallest_eigenpair(_operator_on(spec, grid))[0]
 
 
 def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float,
@@ -240,25 +223,16 @@ def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float,
         raise TruncationError("no wall with V >= lambda + margin within search cap")
 
     for _ in range(max_doublings):
-        lam_1 = _wall_lambda(spec, t, dist, n_check, tols)
-        # 2n+1 interior nodes keep h identical, so the h^2 error cancels
-        lam_2 = _wall_lambda(spec, t, 2.0 * dist, 2 * n_check + 1, tols)
+        # 2n+1 interior nodes keep h identical at both wall distances, so the
+        # h^2 discretization error cancels in the check
+        lam_1 = _probe_lambda(spec, t, dist, n_check)
+        lam_2 = _probe_lambda(spec, t, 2.0 * dist, 2 * n_check + 1)
         if abs(lam_1 - lam_2) < tols.trunc:
             return t - dist
         dist *= 2.0
         if eval_V(spec, t - dist) < threshold:
             raise TruncationError("potential dips below threshold while doubling")
     raise TruncationError("doubling convergence check did not stabilize")
-
-
-def _wall_lambda(spec: PotentialSpec, t: float, dist: float, n: int,
-                 tols: Tolerances) -> float:
-    # same h at both wall distances so discretization error cancels in the check
-    grid = Grid.build(t - dist, t, n)
-    op = _operator_on(spec, grid)
-    lo, hi = bisect_smallest(op, rtol=tols.bisect)
-    lam, _, _ = inverse_iteration(op, 0.5 * (lo + hi), x0=_start_profile(grid))
-    return lam
 
 
 def rayleigh_energy(gs: GroundState, spec: PotentialSpec) -> float:

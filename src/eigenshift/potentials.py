@@ -269,17 +269,9 @@ def eval_V(spec: PotentialSpec, x):
     return float(out) if scalar else out
 
 
-def eval_Vprime(spec: PotentialSpec, x):
-    """Evaluate V'(x) with the left-derivative convention at kinks."""
-    return _eval_vprime(spec, x, side="left")
-
-
-def eval_Vprime_sided(spec: PotentialSpec, x, side: str):
-    """One-sided V' (``side`` in {'left','right'}); used by kink-split quadrature."""
-    return _eval_vprime(spec, x, side=side)
-
-
-def _eval_vprime(spec: PotentialSpec, x, side: str):
+def eval_Vprime(spec: PotentialSpec, x, side: str = "left"):
+    """Evaluate V'(x), taking the one-sided limit from ``side`` ('left' or
+    'right') at kinks; the left-derivative convention is the default."""
     xs, scalar = _as_array(x)
     p = spec.params
     if spec.family == "affine":

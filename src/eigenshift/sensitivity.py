@@ -28,7 +28,7 @@ from .ground_state import (
     _write_columns_csv,
     solve_ground_state,
 )
-from .potentials import PotentialSpec, eval_Vprime, eval_Vprime_sided, vprime_kinks
+from .potentials import PotentialSpec, eval_Vprime, vprime_kinks
 from .tolerances import DEFAULT_TOLS, Tolerances
 from .tridiag import solve_bordered
 
@@ -48,8 +48,6 @@ class Sensitivity:
     lambda_ddot_fd: float
     orth_residual: float
     fd_step: float
-    fd_err_dot: float    # Richardson estimate of the FD truncation error
-    fd_err_ddot: float
 
 
 def lambda_dot_flux(gs: GroundState) -> float:
@@ -76,8 +74,8 @@ def integrate_vprime_weighted(spec: PotentialSpec, grid: Grid, w: np.ndarray,
     this is the plain trapezoid rule.
     """
     x, h = grid.x, grid.h
-    vp_left_end = np.asarray(eval_Vprime_sided(spec, x[:-1], "right")) - shift
-    vp_right_end = np.asarray(eval_Vprime_sided(spec, x[1:], "left")) - shift
+    vp_left_end = np.asarray(eval_Vprime(spec, x[:-1], "right")) - shift
+    vp_right_end = np.asarray(eval_Vprime(spec, x[1:], "left")) - shift
     cells = 0.5 * h * (vp_left_end * w[:-1] + vp_right_end * w[1:])
     total = float(np.sum(cells))
 
@@ -89,8 +87,8 @@ def integrate_vprime_weighted(spec: PotentialSpec, grid: Grid, w: np.ndarray,
             continue  # kink sits on a node: the sided limits above are exact
         frac = (xi - x[i]) / h
         w_xi = w[i] + frac * (w[i + 1] - w[i])
-        vm = eval_Vprime_sided(spec, xi, "left") - shift
-        vp = eval_Vprime_sided(spec, xi, "right") - shift
+        vm = eval_Vprime(spec, xi, "left") - shift
+        vp = eval_Vprime(spec, xi, "right") - shift
         left = 0.5 * (xi - x[i]) * (vp_left_end[i] * w[i] + vm * w_xi)
         right = 0.5 * (x[i + 1] - xi) * (vp * w_xi + vp_right_end[i] * w[i + 1])
         total += left + right - float(cells[i])
@@ -205,9 +203,7 @@ def compute_sensitivity(gs: GroundState, spec: PotentialSpec,
     """Full derivative bundle for one solved ground state.
 
     The u_dot solve takes its source term from the flux formula (the coupled
-    system), never from the FD estimate, which stays a pure cross-check.  The
-    FD pass is repeated at half the step; the Richardson combination of the
-    two gives the stored truncation-error estimates.
+    system), never from the FD estimate, which stays a pure cross-check.
     """
     ld_flux = lambda_dot_flux(gs)
     ld_int = lambda_dot_integral(gs, spec)
@@ -216,7 +212,7 @@ def compute_sensitivity(gs: GroundState, spec: PotentialSpec,
     t0 = find_nodal_point(u_dot, gs.grid, tols=tols)
     ldd = lambda_ddot(gs, u_dot, t0, spec)
 
-    ld_fd = ldd_fd = err_dot = err_ddot = math.nan
+    ld_fd = ldd_fd = math.nan
     step = math.nan
     if with_fd:
         step = h_t if h_t is not None else tols.h_t_factor * (gs.t - gs.domain.a_eff)
@@ -224,10 +220,6 @@ def compute_sensitivity(gs: GroundState, spec: PotentialSpec,
         a_eff = gs.domain.a_eff if gs.domain.unbounded_left else None
         ld_fd, ldd_fd = fd_derivatives(spec, gs.domain.a, gs.t, step, n_fd,
                                        tols=tols, a_eff=a_eff)
-        ld_half, ldd_half = fd_derivatives(spec, gs.domain.a, gs.t, 0.5 * step,
-                                           n_fd, tols=tols, a_eff=a_eff)
-        err_dot = abs(ld_half - ld_fd) * 4.0 / 3.0
-        err_ddot = abs(ldd_half - ldd_fd) * 4.0 / 3.0
 
     return Sensitivity(
         t=gs.t, lam=gs.lam,
@@ -235,7 +227,6 @@ def compute_sensitivity(gs: GroundState, spec: PotentialSpec,
         u_dot=u_dot, t0=t0, lambda_ddot=ldd,
         lambda_dot_fd=ld_fd, lambda_ddot_fd=ldd_fd,
         orth_residual=orth, fd_step=step,
-        fd_err_dot=err_dot, fd_err_ddot=err_ddot,
     )
 
 

@@ -2,7 +2,7 @@
 
 The sweep reuses a single truncation wall (chosen at the smallest t, where the
 energy is largest) so that second differences in t are not polluted by
-truncation jitter, and warm-starts each eigensolve from the previous endpoint.
+truncation jitter.
 Verdicts render the global claims -- strict decrease, convexity for convex
 potentials, concavity for concave potentials on half-infinite domains, and the
 blow-up rate at the left endpoint -- as machine-checkable booleans.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfinementError, DomainError, EigenshiftError
-from .ground_state import Domain, GroundState, _probe_lambda, solve_ground_state, truncate_domain
+from .ground_state import Domain, _probe_lambda, solve_ground_state, truncate_domain
 from .potentials import ConvexityClass, PotentialSpec, validate_confinement
 from .sensitivity import lambda_dot_flux
 from .tolerances import DEFAULT_TOLS, Tolerances
@@ -47,14 +47,6 @@ class SweepResult:
     @property
     def concave_in_t(self) -> bool:
         return bool(np.all(self.second_diffs <= self.tol_thm))
-
-    @property
-    def verdict(self) -> dict:
-        return {
-            "monotone_decreasing": self.monotone_decreasing,
-            "convex_in_t": self.convex_in_t,
-            "concave_in_t": self.concave_in_t,
-        }
 
 
 @dataclass(frozen=True)
@@ -90,14 +82,11 @@ class TheoremVerdict:
 
 def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
           n_t: int, N: int, tols: Tolerances = DEFAULT_TOLS,
-          warm_start: bool = True, a_eff: float = None) -> SweepResult:
+          a_eff: float = None) -> SweepResult:
     """Compute lambda(t) on a uniform endpoint grid.
 
     One wall ``a_eff`` serves the whole sweep (resolved at t_min unless
-    supplied).  With ``warm_start`` each solve is seeded with the previous
-    eigenvector interpolated onto the new grid and a bracket predicted from
-    the flux derivative; cold starts give the same curve within solver
-    tolerance.  Solver failures propagate with the failing t attached.
+    supplied).  Solver failures propagate with the failing t attached.
     """
     if n_t < 5:
         raise DomainError("sweep needs at least 5 endpoint samples")
@@ -113,24 +102,14 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
     dt = float(ts[1] - ts[0])
     lambdas = np.empty(n_t)
     lambda_dots = np.empty(n_t)
-    prev: GroundState = None
     for i, t in enumerate(ts):
         domain = Domain(a, float(t), a_eff if unbounded else None)
-        warm_vec = warm_bracket = None
-        if warm_start and prev is not None:
-            grid_x = np.linspace(domain.a_eff, t, N + 2)[1:-1]
-            warm_vec = np.interp(grid_x, prev.grid.x, prev.u)
-            predicted = prev.lam + lambda_dots[i - 1] * dt
-            pad = 4.0 * abs(lambda_dots[i - 1]) * dt + 1e-6 * (1.0 + abs(predicted))
-            warm_bracket = (predicted - pad, predicted + pad)
         try:
-            gs = solve_ground_state(spec, domain, N, tols=tols,
-                                    warm_vector=warm_vec, warm_bracket=warm_bracket)
+            gs = solve_ground_state(spec, domain, N, tols=tols)
         except EigenshiftError as exc:
             raise type(exc)(f"sweep failed at t={t}: {exc}") from exc
         lambdas[i] = gs.lam
         lambda_dots[i] = lambda_dot_flux(gs)
-        prev = gs
 
     second = (lambdas[:-2] - 2.0 * lambdas[1:-1] + lambdas[2:]) / (dt * dt)
     h_max = (t_max - (a_eff if unbounded else a)) / (N + 1)
@@ -215,8 +194,8 @@ def write_sweep_csv(result: SweepResult, path) -> None:
             fh.write(f"{t:.16e},{lam:.16e},{ld:.16e},{tail}\n")
 
 
-def write_verdict_json(result: SweepResult, path, verdict: TheoremVerdict = None) -> None:
-    payload = dict(verdict.as_dict() if verdict is not None else result.verdict)
+def write_verdict_json(result: SweepResult, path, verdict: TheoremVerdict) -> None:
+    payload = verdict.as_dict()
     payload.update({
         "a": ("-inf" if not math.isfinite(result.a) else result.a),
         "a_eff": result.a_eff,

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 class Tolerances:
     norm: float = 1e-12        # | ||u|| - 1 |
     res: float = 1e-8          # eigen-residual, times (1 + |lambda|)
-    bisect: float = 1e-12      # bisection width, times (1 + |lambda|)
     match: float = 1e-5        # flux vs integral first derivative, times (1 + |ld|)
     orth: float = 1e-10        # |integral of u * u_dot|
     sign: float = 1e-9         # sign-change dead band, times max |field|

@@ -1,11 +1,11 @@
 """Symmetric tridiagonal eigen-machinery.
 
-The smallest eigenvalue is located by bisection on the Sturm-sequence count
-(number of eigenvalues below a shift, read off the signs of the LDL^T pivots),
-then polished by inverse iteration with banded LU solves.  A bordered (saddle)
-solver handles the singular shifted system that arises when differentiating an
-eigenpair: the matrix is augmented with the eigenvector as constraint row and
-column, which keeps the O(N) banded structure.
+The smallest eigenpair comes from LAPACK: bisection on the Sturm-sequence
+count (``stebz``) locates the eigenvalue, inverse iteration (``stein``) its
+vector.  A bordered (saddle) solver handles the singular shifted system that
+arises when differentiating an eigenpair: the matrix is augmented with the
+eigenvector as constraint row and column, which keeps the O(N) banded
+structure.
 """
 
 from __future__ import annotations
@@ -18,35 +18,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConditioningError, ConvergenceError
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard dep, guard anyway
-    njit = None
-
-_SAFMIN = np.finfo(float).tiny / np.finfo(float).eps
-
-
-def _sturm_count_impl(d, e2, sigma, pivmin):
-    count = 0
-    q = d[0] - sigma
-    if abs(q) < pivmin:
-        q = -pivmin
-    if q < 0.0:
-        count += 1
-    for i in range(1, d.shape[0]):
-        q = d[i] - sigma - e2[i - 1] / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
-            count += 1
-    return count
-
-
-if njit is not None:
-    _sturm_count_jit = njit(cache=True)(_sturm_count_impl)
-else:  # pragma: no cover
-    _sturm_count_jit = _sturm_count_impl
 
 
 @dataclass(frozen=True)
@@ -72,115 +43,27 @@ class TridiagOperator:
 
     def count_below(self, sigma: float) -> int:
         """Number of eigenvalues strictly below ``sigma`` (Sturm count)."""
-        e2 = self.e * self.e
-        pivmin = _SAFMIN * max(1.0, float(e2.max()) if len(e2) else 1.0)
-        return int(_sturm_count_jit(self.d, e2, float(sigma), pivmin))
-
-    def gershgorin(self) -> tuple:
-        """Interval guaranteed to contain the whole spectrum."""
-        r = np.zeros_like(self.d)
-        ae = np.abs(self.e)
-        r[:-1] += ae
-        r[1:] += ae
-        lo = float(np.min(self.d - r))
-        hi = float(np.max(self.d + r))
-        pad = 1e-12 * (abs(lo) + abs(hi) + 1.0)
-        return lo - pad, hi + pad
+        return len(scipy.linalg.eigvalsh_tridiagonal(
+            self.d, self.e, select="v", select_range=(-np.inf, float(sigma))))
 
 
-def bisect_smallest(op: TridiagOperator, rtol: float = 1e-12,
-                    bracket: tuple = None, max_iter: int = 200) -> tuple:
-    """Bracket the smallest eigenvalue to width ``rtol*(1+|lambda|)``.
-
-    ``bracket`` optionally seeds (lo, hi); it is expanded geometrically until
-    it straddles the eigenvalue, so a warm guess never breaks correctness.
-    Returns the final (lo, hi).
-    """
-    glo, ghi = op.gershgorin()
-    if bracket is None:
-        lo, hi = glo, ghi
-    else:
-        lo, hi = max(bracket[0], glo), min(bracket[1], ghi)
-        if not lo < hi:
-            lo, hi = glo, ghi
-        width = hi - lo
-        while op.count_below(lo) > 0:
-            lo = max(lo - width, glo)
-            width *= 2
-            if lo <= glo:
-                lo = glo
-                break
-        width = hi - lo
-        while op.count_below(hi) < 1:
-            hi = min(hi + width, ghi)
-            width *= 2
-            if hi >= ghi:
-                hi = ghi
-                break
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rtol * (1.0 + abs(mid)) or mid in (lo, hi):
-            return lo, hi
-        if op.count_below(mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    raise ConvergenceError("eigenvalue bisection did not reach the requested width")
-
-
-def _banded(op: TridiagOperator, sigma: float) -> np.ndarray:
-    ab = np.zeros((3, op.n))
-    ab[0, 1:] = op.e
-    ab[1, :] = op.d - sigma
-    ab[2, :-1] = op.e
-    return ab
-
-
-def inverse_iteration(op: TridiagOperator, sigma: float, x0: np.ndarray = None,
-                      max_iter: int = 30) -> tuple:
-    """Inverse iteration at shift ``sigma``; returns (lam, vec, residual).
+def smallest_eigenpair(op: TridiagOperator) -> tuple:
+    """Lowest eigenpair of ``op``; returns (lam, vec, residual).
 
     ``vec`` has unit euclidean norm; ``lam`` is its Rayleigh quotient and
-    ``residual`` the euclidean norm of (T - lam) vec.  Iterates until the
-    residual hits its backward-error floor (a few ulps of the matrix norm) or
-    stops improving, and returns the best iterate seen; the caller judges
-    whether that residual is acceptable.  The shift is nudged by a few ulps
-    if the factorization hits an exactly singular pivot.
+    ``residual`` the euclidean norm of (T - lam) vec.  The caller judges
+    whether that residual is acceptable.  Raises ConvergenceError when LAPACK
+    reports a failure.
     """
-    n = op.n
-    x = np.ones(n) / np.sqrt(n) if x0 is None else x0 / np.linalg.norm(x0)
-    scale = float(np.max(np.abs(op.d))) + 2.0 * (float(np.max(np.abs(op.e))) if n > 1 else 0.0)
-    floor = 32.0 * np.finfo(float).eps * max(scale, 1.0)
-    best = None
-    stalled = 0
-    for _ in range(max_iter):
-        shift = sigma
-        for attempt in range(4):
-            ab = _banded(op, shift)
-            with np.errstate(all="ignore"):
-                try:
-                    y = scipy.linalg.solve_banded((1, 1), ab, x, check_finite=False)
-                except np.linalg.LinAlgError:
-                    y = None
-            if y is not None and np.all(np.isfinite(y)):
-                break
-            shift = sigma + (attempt + 1) * 4.0 * np.finfo(float).eps * max(scale, 1.0)
-        else:
-            raise ConvergenceError("inverse iteration: singular shifted solve")
-        ny = np.linalg.norm(y)
-        if ny == 0.0 or not np.isfinite(ny):
-            raise ConvergenceError("inverse iteration produced a zero/overflowed vector")
-        x = y / ny
-        lam = float(x @ op.matvec(x))
-        resid = float(np.linalg.norm(op.matvec(x) - lam * x))
-        if best is None or resid < best[2]:
-            best = (lam, x, resid)
-            stalled = 0
-        else:
-            stalled += 1
-        if resid <= floor or stalled >= 2:
-            break
-    return best
+    try:
+        _, vecs = scipy.linalg.eigh_tridiagonal(op.d, op.e, select="i",
+                                                select_range=(0, 0))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"smallest eigenpair: {exc}") from exc
+    vec = vecs[:, 0]
+    tvec = op.matvec(vec)
+    lam = float(vec @ tvec)
+    return lam, vec, float(np.linalg.norm(tvec - lam * vec))
 
 
 def solve_bordered(op: TridiagOperator, lam: float, border: np.ndarray,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -343,16 +342,11 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int,
 
 
 def run_battery(N: int = 2001, n_t: int = 31, tols: Tolerances = DEFAULT_TOLS,
-                threads: int = 1, battery: list = None) -> VerifyReport:
+                battery: list = None) -> VerifyReport:
     """Run every battery entry and collect the report (exit gate for verify)."""
     entries = battery if battery is not None else default_battery()
     start = time.time()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_entry = list(pool.map(
-                lambda e: verify_entry(e, N, n_t, tols), entries))
-    else:
-        per_entry = [verify_entry(e, N, n_t, tols) for e in entries]
+    per_entry = [verify_entry(e, N, n_t, tols) for e in entries]
     report = VerifyReport(N=N, n_t=n_t, elapsed=time.time() - start)
     for lines in per_entry:
         report.lines.extend(lines)

@@ -232,15 +232,6 @@ class TestSolverValidation:
         assert op.count_below(gs.lam - eps) == 0
         assert op.count_below(gs.lam + eps) == 1
 
-    def test_warm_start_matches_cold(self):
-        spec = make_potential("quadratic", c2=1.0)
-        cold = solve_ground_state(spec, Domain(-2.0, 1.0), 801)
-        warm = solve_ground_state(spec, Domain(-2.0, 1.0), 801,
-                                  warm_vector=cold.u[1:-1].copy(),
-                                  warm_bracket=(cold.lam - 0.1, cold.lam + 0.1))
-        assert warm.lam == pytest.approx(cold.lam, abs=1e-11 * (1 + abs(cold.lam)))
-        np.testing.assert_allclose(warm.u, cold.u, atol=1e-10)
-
 
 class TestTabulatedPotentialSolve:
     def test_table_reproduces_kinked_family_exactly(self):

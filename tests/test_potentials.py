@@ -10,7 +10,6 @@ from eigenshift.potentials import (
     classify_convexity,
     eval_V,
     eval_Vprime,
-    eval_Vprime_sided,
     make_potential,
     make_tabulated,
     parse_potential,
@@ -66,12 +65,12 @@ class TestEvalVprime:
     def test_abs_left_convention_at_kink(self):
         spec = make_potential("abs_shift")
         assert eval_Vprime(spec, 0.0) == -1.0
-        assert eval_Vprime_sided(spec, 0.0, "right") == 1.0
+        assert eval_Vprime(spec, 0.0, "right") == 1.0
 
     def test_neg_abs_sided(self):
         spec = make_potential("neg_abs", slope=2.0, amp=1.0)
-        assert eval_Vprime_sided(spec, 0.0, "left") == -1.0
-        assert eval_Vprime_sided(spec, 0.0, "right") == -3.0
+        assert eval_Vprime(spec, 0.0, "left") == -1.0
+        assert eval_Vprime(spec, 0.0, "right") == -3.0
 
     @pytest.mark.parametrize("family,params", [
         ("quadratic", dict(c0=1.0, c1=-2.0, c2=0.7)),
@@ -188,7 +187,7 @@ class TestTabulated:
         assert eval_V(spec, 0.5) == 1.0
         assert eval_Vprime(spec, 0.5) == 2.0
         assert eval_Vprime(spec, 1.0) == 2.0       # left convention
-        assert eval_Vprime_sided(spec, 1.0, "right") == 0.0
+        assert eval_Vprime(spec, 1.0, "right") == 0.0
         np.testing.assert_allclose(vprime_kinks(spec), [1.0])
 
     def test_out_of_range(self):

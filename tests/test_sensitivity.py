@@ -225,7 +225,6 @@ class TestFiniteDifferences:
             max(1e-4 * abs(sens.lambda_dot_fd), 10 * sens.fd_step**2)
         assert abs(sens.lambda_ddot - sens.lambda_ddot_fd) <= \
             max(1e-2 * abs(sens.lambda_ddot_fd), 1e-4 * (1 + abs(sens.lam)))
-        assert sens.fd_err_dot < 1e-3 and sens.fd_err_ddot < 1e-2
 
 
 class TestSensitivityBundle:

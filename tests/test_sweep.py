@@ -45,13 +45,6 @@ class TestFreeSweep:
     def test_slopes_between_chords(self, free_sweep):
         assert chord_tangent_violation(free_sweep, "convex") == 0.0
 
-    def test_warm_matches_cold(self):
-        spec = make_potential("affine")
-        warm = sweep(spec, 0.0, 0.5, 2.0, 11, 501)
-        cold = sweep(spec, 0.0, 0.5, 2.0, 11, 501, warm_start=False)
-        np.testing.assert_allclose(warm.lambdas, cold.lambdas,
-                                   atol=1e-10 * np.max(np.abs(cold.lambdas)))
-
     def test_rows_align(self, free_sweep):
         rows = sweep_rows(free_sweep)
         assert len(rows) == 31

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -8,8 +7,7 @@ from hypothesis.extra import numpy as hnp
 from eigenshift.errors import ConditioningError
 from eigenshift.tridiag import (
     TridiagOperator,
-    bisect_smallest,
-    inverse_iteration,
+    smallest_eigenpair,
     solve_bordered,
 )
 
@@ -36,41 +34,24 @@ def test_sturm_count_matches_dense_eigenvalues(d, data, sigma):
     assert op.count_below(sigma) == int(np.sum(eigs < sigma))
 
 
-def test_gershgorin_contains_spectrum():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        n = rng.integers(2, 40)
-        op = TridiagOperator(d=rng.normal(size=n) * 10, e=rng.normal(size=n - 1) * 10)
-        lo, hi = op.gershgorin()
-        eigs = scipy.linalg.eigvalsh_tridiagonal(op.d, op.e)
-        assert lo <= eigs.min() and eigs.max() <= hi
-
-
-def test_bisect_plus_inverse_iteration_matches_lapack():
+def test_smallest_eigenpair_matches_dense_eigh():
     rng = np.random.default_rng(42)
     for n in (8, 100, 500):
         op = TridiagOperator(d=rng.normal(size=n) * 5 + 10, e=-np.abs(rng.normal(size=n - 1)) * 3)
-        lo, hi = bisect_smallest(op, rtol=1e-13)
-        lam, vec, resid = inverse_iteration(op, 0.5 * (lo + hi))
-        ref = scipy.linalg.eigvalsh_tridiagonal(op.d, op.e)[0]
-        assert lam == pytest.approx(ref, rel=1e-12, abs=1e-10)
+        lam, vec, resid = smallest_eigenpair(op)
+        # dense eigh runs a different LAPACK routine than stebz + stein
+        ref = np.linalg.eigh(dense(op))[0][0]
+        assert lam == pytest.approx(ref, rel=1e-12)
         assert resid <= 1e-10 * (np.max(np.abs(op.d)) + 1)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_warm_bracket_is_corrected_when_wrong():
-    op = TridiagOperator(d=np.array([4.0, 5.0, 6.0]), e=np.array([-1.0, -1.0]))
-    ref = scipy.linalg.eigvalsh_tridiagonal(op.d, op.e)[0]
-    for bracket in [(100.0, 200.0), (-500.0, -400.0), (ref - 0.1, ref + 0.1)]:
-        lo, hi = bisect_smallest(op, rtol=1e-13, bracket=bracket)
-        assert lo <= ref <= hi or abs(0.5 * (lo + hi) - ref) < 1e-10
+        assert lam == vec @ op.matvec(vec)
 
 
 def test_bordered_solve_enforces_constraint_and_equations():
     rng = np.random.default_rng(3)
     n = 200
     op = TridiagOperator(d=rng.normal(size=n) + 5.0, e=-np.ones(n - 1))
-    lam, vec, _ = inverse_iteration(op, bisect_smallest(op)[0])
+    lam, vec, _ = smallest_eigenpair(op)
     rhs = rng.normal(size=n)
     x, mu = solve_bordered(op, lam, vec, rhs)
     assert abs(vec @ x) <= 1e-9 * np.linalg.norm(x)
