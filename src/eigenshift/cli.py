@@ -3,7 +3,10 @@
 Configuration comes from flags, optionally seeded by a flat JSON config file
 whose keys mirror the flag names; explicit flags win.  All file output uses
 fixed 17-digit scientific notation (CSV / plot data) or shortest round-trip
-floats (JSON), so identical configs produce byte-identical artifacts.
+floats (JSON), so identical configs produce byte-identical artifacts.  Column
+data is formatted once per call by ``ground_state._format_rows`` and written
+by ``write_columns``; a CSV file and its plot file share that one formatting
+pass.
 
 Exit codes: 0 success, 1 numerical/convergence failure, 2 usage error.
 """
@@ -22,9 +25,10 @@ from pathlib import Path
 from .errors import EigenshiftError, UsageError
 from .ground_state import (
     Domain,
+    _format_rows,
     ground_state_metadata,
     solve_ground_state,
-    write_ground_state_csv,
+    write_columns,
     write_ground_state_json,
 )
 from .potentials import (
@@ -37,12 +41,10 @@ from .sensitivity import (
     compute_sensitivity,
     sensitivity_metadata,
     write_sensitivity_json,
-    write_u_dot_csv,
 )
 from .sweep import (
     check_theorem,
     sweep,
-    write_plot_columns,
     write_sweep_csv,
     write_verdict_json,
 )
@@ -85,6 +87,16 @@ def _parse_extended_real(text: str, flag: str) -> float:
     if math.isnan(value) or value == float("inf"):
         raise UsageError(f"{flag}: {text!r} is not a finite value or -inf")
     return value
+
+
+def _parse_int(value, flag: str) -> int:
+    # a JSON config hands over bools and floats, which int() would truncate
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise UsageError(f"{flag}: expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{flag}: expected an integer, got {value!r}") from None
 
 
 def _parse_t_range(text: str) -> tuple:
@@ -211,6 +223,8 @@ def parse_config(argv: list) -> RunConfig:
 
     a = _merged(ns.a, config, "a")
     if a is not None:
+        if isinstance(a, bool):
+            raise UsageError(f"--a: expected a real number or -inf, got {a!r}")
         if isinstance(a, (int, float)):
             cfg.a = float(a)
             if math.isnan(cfg.a) or cfg.a == float("inf"):
@@ -231,19 +245,13 @@ def parse_config(argv: list) -> RunConfig:
 
     n = _merged(ns.N, config, "N")
     if n is not None:
-        try:
-            cfg.N = int(n)
-        except (TypeError, ValueError):
-            raise UsageError(f"--N: expected an integer, got {n!r}") from None
+        cfg.N = _parse_int(n, "--N")
         if cfg.N < 16:
             raise UsageError(f"--N: need at least 16 interior nodes, got {cfg.N}")
 
     n_t = _merged(getattr(ns, "n_t", None), config, "n-t")
     if n_t is not None:
-        try:
-            cfg.n_t = int(n_t)
-        except (TypeError, ValueError):
-            raise UsageError(f"--n-t: expected an integer, got {n_t!r}") from None
+        cfg.n_t = _parse_int(n_t, "--n-t")
         if cfg.n_t < 5:
             raise UsageError("--n-t: need at least 5 sweep samples")
 
@@ -298,15 +306,26 @@ def _validate_mode_fields(cfg: RunConfig) -> None:
             raise UsageError(f"sweep: need a < t_min, got a={cfg.a}, t_min={cfg.t_range[0]}")
 
 
+def _write_profile(cfg: RunConfig, csv_name: str, plot_name: str, header: str,
+                   x, y) -> None:
+    """Write (x, y) as a CSV file and/or a plot file, formatting the rows once."""
+    want_csv, want_plot = "csv" in cfg.formats, "plot" in cfg.formats
+    if not (want_csv or want_plot):
+        return
+    rows = _format_rows(x, y)
+    if want_csv:
+        write_columns(cfg.out_dir / csv_name, rows, header=header)
+    if want_plot:
+        # %.16e never emits a comma, so the plot rows are the CSV rows re-separated
+        write_columns(cfg.out_dir / plot_name, rows.replace(",", " "))
+
+
 def _run_solve(cfg: RunConfig) -> int:
     gs = solve_ground_state(cfg.spec, Domain(cfg.a, cfg.t), cfg.N, tols=cfg.tols)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    if "csv" in cfg.formats:
-        write_ground_state_csv(gs, cfg.out_dir / "ground_state.csv")
+    _write_profile(cfg, "ground_state.csv", "u_vs_x.dat", "x,u", gs.grid.x, gs.u)
     if "json" in cfg.formats:
         write_ground_state_json(gs, cfg.out_dir / "ground_state.json")
-    if "plot" in cfg.formats:
-        write_plot_columns(cfg.out_dir / "u_vs_x.dat", gs.grid.x, gs.u)
     meta = ground_state_metadata(gs)
     print(f"lambda = {meta['lambda']!r}")
     print(f"flux_a = {meta['flux_a']!r}, flux_t = {meta['flux_t']!r}")
@@ -320,10 +339,7 @@ def _run_sensitivity(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if "json" in cfg.formats:
         write_sensitivity_json(sens, cfg.out_dir / "sensitivity.json")
-    if "csv" in cfg.formats:
-        write_u_dot_csv(sens, gs.grid, cfg.out_dir / "u_dot.csv")
-    if "plot" in cfg.formats:
-        write_plot_columns(cfg.out_dir / "u_dot_vs_x.dat", gs.grid.x, sens.u_dot)
+    _write_profile(cfg, "u_dot.csv", "u_dot_vs_x.dat", "x,u_dot", gs.grid.x, sens.u_dot)
     for key, val in sensitivity_metadata(sens).items():
         print(f"{key} = {val!r}")
     return 0
@@ -340,10 +356,10 @@ def _run_sweep(cfg: RunConfig) -> int:
     if "json" in cfg.formats:
         write_verdict_json(result, cfg.out_dir / "verdict.json", verdict)
     if "plot" in cfg.formats:
-        write_plot_columns(cfg.out_dir / "lambda_vs_t.dat", result.ts, result.lambdas)
-        write_plot_columns(cfg.out_dir / "lambda_dot_vs_t.dat", result.ts, result.lambda_dots)
-        write_plot_columns(cfg.out_dir / "second_diff_vs_t.dat",
-                           result.ts[1:-1], result.second_diffs)
+        for name, ts, ys in (("lambda_vs_t.dat", result.ts, result.lambdas),
+                             ("lambda_dot_vs_t.dat", result.ts, result.lambda_dots),
+                             ("second_diff_vs_t.dat", result.ts[1:-1], result.second_diffs)):
+            write_columns(cfg.out_dir / name, _format_rows(ts, ys, sep=" "))
     print(f"swept {count} endpoints in [{lo}, {hi}] (V class: {cls.value})")
     for key, val in verdict.as_dict().items():
         print(f"{key} = {val}")

@@ -273,18 +273,27 @@ def ground_state_metadata(gs: GroundState) -> dict:
     }
 
 
-def write_ground_state_csv(gs: GroundState, path) -> None:
-    _write_columns_csv(path, "x,u", gs.grid.x, gs.u)
-
-
 def write_ground_state_json(gs: GroundState, path) -> None:
     with open(path, "w") as fh:
         json.dump(ground_state_metadata(gs), fh, indent=2)
         fh.write("\n")
 
 
-def _write_columns_csv(path, header: str, *cols) -> None:
+def _format_rows(*cols, sep: str = ",") -> str:
+    """Equal-length columns as text rows: each value in %.16e, ``sep`` between
+    values, a newline after every row.
+
+    One line template filled by a single ``%`` call; ``"%.16e" % v`` gives the
+    same characters as ``f"{v:.16e}"``, nan and infinities included.
+    """
+    table = np.column_stack(cols)
+    n, k = table.shape
+    return ((sep.join(["%.16e"] * k) + "\n") * n) % tuple(table.ravel().tolist())
+
+
+def write_columns(path, rows: str, header: str = None) -> None:
+    """Write rows from ``_format_rows`` under an optional header line."""
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.16e}" for v in row) + "\n")
+        if header is not None:
+            fh.write(header + "\n")
+        fh.write(rows)

@@ -25,7 +25,6 @@ from .ground_state import (
     Grid,
     GroundState,
     _operator_on,
-    _write_columns_csv,
     solve_ground_state,
 )
 from .potentials import PotentialSpec, eval_Vprime, vprime_kinks
@@ -170,11 +169,14 @@ def u_dot_flux_left(u_dot: np.ndarray, grid: Grid) -> float:
 
 
 def fd_derivatives(spec: PotentialSpec, a: float, t: float, h_t: float, N: int,
-                   tols: Tolerances = DEFAULT_TOLS, a_eff: float = None) -> tuple:
+                   tols: Tolerances = DEFAULT_TOLS, a_eff: float = None,
+                   lam_t: float = None) -> tuple:
     """Central finite differences of lambda in t: independent derivative oracle.
 
     Three ground-state solves at t - h_t, t, t + h_t share a single left wall
-    (resolved here for a = -inf unless ``a_eff`` is supplied).
+    (resolved here for a = -inf unless ``a_eff`` is supplied).  ``lam_t``, the
+    ground energy already solved at t on that wall with the same N, stands in
+    for the centre solve.
     """
     if a_eff is None:
         if math.isfinite(a):
@@ -186,13 +188,14 @@ def fd_derivatives(spec: PotentialSpec, a: float, t: float, h_t: float, N: int,
     if not t - h_t > a_eff:
         raise DomainError("FD step reaches past the left wall")
 
-    lams = [
-        solve_ground_state(spec, Domain(a, ti, a_eff) if not math.isfinite(a)
-                           else Domain(a, ti), N, tols=tols).lam
-        for ti in (t - h_t, t, t + h_t)
-    ]
-    ld = (lams[2] - lams[0]) / (2.0 * h_t)
-    ldd = (lams[2] - 2.0 * lams[1] + lams[0]) / (h_t * h_t)
+    def lam_at(ti):
+        domain = Domain(a, ti, a_eff) if not math.isfinite(a) else Domain(a, ti)
+        return solve_ground_state(spec, domain, N, tols=tols).lam
+
+    lam_lo, lam_hi = lam_at(t - h_t), lam_at(t + h_t)
+    lam_mid = lam_at(t) if lam_t is None else lam_t
+    ld = (lam_hi - lam_lo) / (2.0 * h_t)
+    ldd = (lam_hi - 2.0 * lam_mid + lam_lo) / (h_t * h_t)
     return ld, ldd
 
 
@@ -218,8 +221,10 @@ def compute_sensitivity(gs: GroundState, spec: PotentialSpec,
         step = h_t if h_t is not None else tols.h_t_factor * (gs.t - gs.domain.a_eff)
         n_fd = fd_N if fd_N is not None else gs.grid.n_interior
         a_eff = gs.domain.a_eff if gs.domain.unbounded_left else None
+        # on gs's own grid the centre solve would repeat gs's eigensolve
+        lam_t = gs.lam if n_fd == gs.grid.n_interior else None
         ld_fd, ldd_fd = fd_derivatives(spec, gs.domain.a, gs.t, step, n_fd,
-                                       tols=tols, a_eff=a_eff)
+                                       tols=tols, a_eff=a_eff, lam_t=lam_t)
 
     return Sensitivity(
         t=gs.t, lam=gs.lam,
@@ -248,7 +253,3 @@ def write_sensitivity_json(sens: Sensitivity, path) -> None:
     with open(path, "w") as fh:
         json.dump(sensitivity_metadata(sens), fh, indent=2)
         fh.write("\n")
-
-
-def write_u_dot_csv(sens: Sensitivity, grid: Grid, path) -> None:
-    _write_columns_csv(path, "x,u_dot", grid.x, sens.u_dot)

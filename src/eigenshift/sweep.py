@@ -208,10 +208,3 @@ def write_verdict_json(result: SweepResult, path, verdict: TheoremVerdict) -> No
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-def write_plot_columns(path, xs, ys) -> None:
-    """Two-column whitespace-separated plot data (gnuplot-compatible)."""
-    with open(path, "w") as fh:
-        for x, y in zip(xs, ys):
-            fh.write(f"{x:.16e} {y:.16e}\n")

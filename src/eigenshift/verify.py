@@ -345,9 +345,9 @@ def run_battery(N: int = 2001, n_t: int = 31, tols: Tolerances = DEFAULT_TOLS,
                 battery: list = None) -> VerifyReport:
     """Run every battery entry and collect the report (exit gate for verify)."""
     entries = battery if battery is not None else default_battery()
-    start = time.time()
+    start = time.perf_counter()
     per_entry = [verify_entry(e, N, n_t, tols) for e in entries]
-    report = VerifyReport(N=N, n_t=n_t, elapsed=time.time() - start)
+    report = VerifyReport(N=N, n_t=n_t, elapsed=time.perf_counter() - start)
     for lines in per_entry:
         report.lines.extend(lines)
     return report

@@ -72,6 +72,27 @@ class TestConfigFile:
         with pytest.raises(UsageError, match="grid"):
             parse_config(["solve", "--config", str(cfile), "--a", "0", "--t", "1"])
 
+    @pytest.mark.parametrize("key, value, flag", [
+        ("N", 2001.9, "--N"),
+        ("N", True, "--N"),
+        ("n-t", 7.8, "--n-t"),
+        ("n-t", False, "--n-t"),
+        ("a", True, "--a"),
+    ])
+    def test_non_integral_or_boolean_value_rejected(self, tmp_path, key, value, flag):
+        cfile = tmp_path / "run.json"
+        cfile.write_text(json.dumps({"potential": "affine:", "a": 0.0, "t": 1.0,
+                                     key: value}))
+        # named as a malformed value, not as a truncated one that is too small
+        with pytest.raises(UsageError, match=f"{flag}: expected"):
+            parse_config(["verify", "--config", str(cfile)])
+
+    def test_integral_float_accepted(self, tmp_path):
+        cfile = tmp_path / "run.json"
+        cfile.write_text(json.dumps({"N": 2001.0, "n-t": 7.0}))
+        cfg = parse_config(["verify", "--config", str(cfile)])
+        assert (cfg.N, cfg.n_t) == (2001, 7)
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EIGENSHIFT_OUT_DIR", str(tmp_path / "envdir"))
         cfg = parse_config(["solve", "--potential", "affine:", "--a", "0", "--t", "1"])

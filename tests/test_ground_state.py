@@ -11,13 +11,14 @@ from eigenshift.errors import ConfinementError, DomainError
 from eigenshift.ground_state import (
     Domain,
     Grid,
+    _format_rows,
     discretize,
     ground_state_metadata,
     rayleigh_energy,
     richardson_lambda,
     solve_ground_state,
     truncate_domain,
-    write_ground_state_csv,
+    write_columns,
     write_ground_state_json,
 )
 from eigenshift.potentials import eval_V, make_potential
@@ -257,7 +258,7 @@ class TestExport:
         gs = solve_ground_state(free(), Domain(0.0, 1.0), 64)
         csv_path = tmp_path / "gs.csv"
         json_path = tmp_path / "gs.json"
-        write_ground_state_csv(gs, csv_path)
+        write_columns(csv_path, _format_rows(gs.grid.x, gs.u), header="x,u")
         write_ground_state_json(gs, json_path)
 
         lines = csv_path.read_text().splitlines()

@@ -219,6 +219,34 @@ class TestFiniteDifferences:
         with pytest.raises(DomainError):
             fd_derivatives(spec, 0.0, 1.0, 1.5, 301)
 
+    @pytest.mark.parametrize("bundle", ["free_bundle", "airy_bundle"])
+    def test_bundle_fd_equals_three_solves(self, bundle, request):
+        # the bundle takes gs as its centre solve; the FD values must not move
+        spec, gs, sens = request.getfixturevalue(bundle)
+        a_eff = gs.domain.a_eff if gs.domain.unbounded_left else None
+        direct = fd_derivatives(spec, gs.domain.a, gs.t, sens.fd_step,
+                                gs.grid.n_interior, a_eff=a_eff)
+        assert (sens.lambda_dot_fd, sens.lambda_ddot_fd) == direct
+
+    def test_bundle_solves_the_centre_only_on_another_grid(self, monkeypatch):
+        import eigenshift.sensitivity as sensitivity
+
+        spec = make_potential("affine")
+        gs = solve_ground_state(spec, Domain(0.0, 1.0), 301)
+        solved_at = []
+        real = sensitivity.solve_ground_state
+
+        def counting(spec, domain, N, **kw):
+            solved_at.append(domain.t)
+            return real(spec, domain, N, **kw)
+
+        monkeypatch.setattr(sensitivity, "solve_ground_state", counting)
+        compute_sensitivity(gs, spec)
+        assert len(solved_at) == 2 and gs.t not in solved_at
+        solved_at.clear()
+        compute_sensitivity(gs, spec, fd_N=401)
+        assert len(solved_at) == 3 and gs.t in solved_at
+
     def test_oracle_agreement_bundle(self, free_bundle):
         _, _, sens = free_bundle
         assert abs(sens.lambda_dot_flux - sens.lambda_dot_fd) <= \
