@@ -8,13 +8,15 @@ data is formatted once per call by ``ground_state._format_rows`` and written
 by ``write_columns``; a CSV file and its plot file share that one formatting
 pass.
 
+The numerical tolerances are the package's stated ones (``tolerances.py``);
+no flag or config key changes them.
+
 Exit codes: 0 success, 1 numerical/convergence failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -31,12 +33,7 @@ from .ground_state import (
     write_columns,
     write_ground_state_json,
 )
-from .potentials import (
-    PotentialSpec,
-    canonical_string,
-    classify_convexity,
-    parse_potential,
-)
+from .potentials import PotentialSpec, canonical_string, parse_potential
 from .sensitivity import (
     compute_sensitivity,
     sensitivity_metadata,
@@ -45,19 +42,18 @@ from .sensitivity import (
 from .sweep import (
     check_theorem,
     sweep,
+    sweep_convexity,
     write_sweep_csv,
     write_verdict_json,
 )
-from .tolerances import DEFAULT_TOLS, Tolerances
 from .verify import run_battery
 
 MODES = ("solve", "sensitivity", "sweep", "verify")
 FORMATS = ("csv", "json", "plot")
-_TOL_FLAGS = ("res", "norm", "match", "orth", "trunc", "sign", "margin")
 
 _CONFIG_KEYS = {
     "potential", "a", "t", "t-range", "N", "h-t", "out-dir", "format", "n-t",
-} | {f"tol-{k}" for k in _TOL_FLAGS}
+}
 
 
 @dataclass
@@ -71,22 +67,22 @@ class RunConfig:
     N: int = 2001
     n_t: int = 31
     h_t: float = None
-    tols: Tolerances = DEFAULT_TOLS
     out_dir: Path = field(default_factory=Path)
     formats: tuple = ("csv", "json")
 
 
-def _parse_extended_real(text: str, flag: str) -> float:
-    token = text.strip().lower()
-    if token in ("-inf", "-infinity"):
-        return float("-inf")
+def _parse_real(value, flag: str, neg_inf: bool = False) -> float:
+    """A finite real from a flag string or a config value; ``neg_inf`` also
+    admits -inf (the half-infinite left endpoint)."""
+    want = "a real number or -inf" if neg_inf else "a finite real number"
     try:
-        value = float(token)
-    except ValueError:
-        raise UsageError(f"{flag}: expected a real number or -inf, got {text!r}") from None
-    if math.isnan(value) or value == float("inf"):
-        raise UsageError(f"{flag}: {text!r} is not a finite value or -inf")
-    return value
+        # a JSON config hands over bools, which float() would read as 0 or 1
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) or (neg_inf and x == -math.inf)):
+        raise UsageError(f"{flag}: expected {want}, got {value!r}")
+    return x
 
 
 def _parse_int(value, flag: str) -> int:
@@ -140,8 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--N", default=None, help="interior grid nodes")
         p.add_argument("--out-dir", default=None)
         p.add_argument("--format", default=None, help="comma list of csv,json,plot")
-        for k in _TOL_FLAGS:
-            p.add_argument(f"--tol-{k}", default=None)
         if mode in ("solve", "sensitivity"):
             p.add_argument("--t", default=None, help="right endpoint")
         if mode == "sensitivity":
@@ -178,7 +172,7 @@ def _merged(flag_value, config: dict, key: str):
 _VALUE_FLAGS = {
     "--config", "--potential", "--a", "--t", "--t-range", "--N", "--h-t",
     "--out-dir", "--format", "--n-t",
-} | {f"--tol-{k}" for k in _TOL_FLAGS}
+}
 
 
 def _join_values(argv: list) -> list:
@@ -223,21 +217,11 @@ def parse_config(argv: list) -> RunConfig:
 
     a = _merged(ns.a, config, "a")
     if a is not None:
-        if isinstance(a, bool):
-            raise UsageError(f"--a: expected a real number or -inf, got {a!r}")
-        if isinstance(a, (int, float)):
-            cfg.a = float(a)
-            if math.isnan(cfg.a) or cfg.a == float("inf"):
-                raise UsageError(f"--a: expected a finite value or -inf, got {a!r}")
-        else:
-            cfg.a = _parse_extended_real(str(a), "--a")
+        cfg.a = _parse_real(a, "--a", neg_inf=True)
 
     t = _merged(getattr(ns, "t", None), config, "t")
     if t is not None:
-        try:
-            cfg.t = float(t)
-        except (TypeError, ValueError):
-            raise UsageError(f"--t: expected a real number, got {t!r}") from None
+        cfg.t = _parse_real(t, "--t")
 
     t_range = _merged(getattr(ns, "t_range", None), config, "t-range")
     if t_range is not None:
@@ -257,23 +241,9 @@ def parse_config(argv: list) -> RunConfig:
 
     h_t = _merged(getattr(ns, "h_t", None), config, "h-t")
     if h_t is not None:
-        try:
-            cfg.h_t = float(h_t)
-        except (TypeError, ValueError):
-            raise UsageError(f"--h-t: expected a real number, got {h_t!r}") from None
+        cfg.h_t = _parse_real(h_t, "--h-t")
         if cfg.h_t <= 0:
             raise UsageError("--h-t: the FD step must be positive")
-
-    overrides = {}
-    for k in _TOL_FLAGS:
-        raw = _merged(getattr(ns, f"tol_{k}"), config, f"tol-{k}")
-        if raw is not None:
-            try:
-                overrides[k] = float(raw)
-            except (TypeError, ValueError):
-                raise UsageError(f"--tol-{k}: expected a real number, got {raw!r}") from None
-    if overrides:
-        cfg.tols = DEFAULT_TOLS.override(**overrides)
 
     out_dir = _merged(ns.out_dir, config, "out-dir")
     if out_dir is None:
@@ -321,7 +291,7 @@ def _write_profile(cfg: RunConfig, csv_name: str, plot_name: str, header: str,
 
 
 def _run_solve(cfg: RunConfig) -> int:
-    gs = solve_ground_state(cfg.spec, Domain(cfg.a, cfg.t), cfg.N, tols=cfg.tols)
+    gs = solve_ground_state(cfg.spec, Domain(cfg.a, cfg.t), cfg.N)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_profile(cfg, "ground_state.csv", "u_vs_x.dat", "x,u", gs.grid.x, gs.u)
     if "json" in cfg.formats:
@@ -334,8 +304,8 @@ def _run_solve(cfg: RunConfig) -> int:
 
 
 def _run_sensitivity(cfg: RunConfig) -> int:
-    gs = solve_ground_state(cfg.spec, Domain(cfg.a, cfg.t), cfg.N, tols=cfg.tols)
-    sens = compute_sensitivity(gs, cfg.spec, tols=cfg.tols, h_t=cfg.h_t)
+    gs = solve_ground_state(cfg.spec, Domain(cfg.a, cfg.t), cfg.N)
+    sens = compute_sensitivity(gs, cfg.spec, h_t=cfg.h_t)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if "json" in cfg.formats:
         write_sensitivity_json(sens, cfg.out_dir / "sensitivity.json")
@@ -347,8 +317,8 @@ def _run_sensitivity(cfg: RunConfig) -> int:
 
 def _run_sweep(cfg: RunConfig) -> int:
     lo, hi, count = cfg.t_range
-    result = sweep(cfg.spec, cfg.a, lo, hi, count, cfg.N, tols=cfg.tols)
-    cls = classify_convexity(cfg.spec, (min(-5.0, lo - 2.0), max(5.0, hi + 1.0)), 201)
+    result = sweep(cfg.spec, cfg.a, lo, hi, count, cfg.N)
+    cls = sweep_convexity(cfg.spec, lo, hi)
     verdict = check_theorem(result, cls)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if "csv" in cfg.formats:
@@ -367,7 +337,7 @@ def _run_sweep(cfg: RunConfig) -> int:
 
 
 def _run_verify(cfg: RunConfig) -> int:
-    report = run_battery(N=cfg.N, n_t=cfg.n_t, tols=cfg.tols)
+    report = run_battery(N=cfg.N, n_t=cfg.n_t)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     text = report.render()
     (cfg.out_dir / "verify_report.txt").write_text(text)

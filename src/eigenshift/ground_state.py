@@ -26,7 +26,7 @@ from .errors import (
     TruncationError,
 )
 from .potentials import PotentialSpec, eval_V, validate_confinement
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS
 from .tridiag import TridiagOperator, smallest_eigenpair
 
 MIN_INTERIOR = 16
@@ -135,7 +135,7 @@ def _operator_on(spec: PotentialSpec, grid: Grid) -> TridiagOperator:
     return TridiagOperator(d=d, e=e)
 
 
-def _solve_on_grid(spec: PotentialSpec, grid: Grid, tols: Tolerances):
+def _solve_on_grid(spec: PotentialSpec, grid: Grid):
     op = _operator_on(spec, grid)
     lam, vec, resid = smallest_eigenpair(op)
 
@@ -146,20 +146,19 @@ def _solve_on_grid(spec: PotentialSpec, grid: Grid, tols: Tolerances):
     if op.count_below(lam - eps_gap) != 0:
         raise ConvergenceError("converged to an excited state, not the ground state")
 
-    cap = max(tols.res * (1.0 + abs(lam)), 64.0 * np.finfo(float).eps * scale)
+    cap = max(DEFAULT_TOLS.res * (1.0 + abs(lam)), 64.0 * np.finfo(float).eps * scale)
     if resid > cap:
         raise ConvergenceError(f"eigen-residual {resid:.3e} above cap {cap:.3e}")
 
     if vec[int(np.argmax(np.abs(vec)))] < 0:
         vec = -vec
     vmax = float(vec.max())
-    if vmax <= 0 or float(vec.min()) < -tols.pos * vmax:
+    if vmax <= 0 or float(vec.min()) < -DEFAULT_TOLS.pos * vmax:
         raise StructureError("ground-state vector is not positive on the interior")
     return lam, vec, resid
 
 
-def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
-                       tols: Tolerances = DEFAULT_TOLS) -> GroundState:
+def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int) -> GroundState:
     """Compute the positive L2-normalized Dirichlet ground state.
 
     For a = -inf the wall is resolved by truncate_domain (unless the Domain
@@ -170,17 +169,9 @@ def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
     """
     if N < MIN_INTERIOR:
         raise DomainError(f"N must be at least {MIN_INTERIOR}")
-    if domain.unbounded_left and not domain.resolved:
-        if not validate_confinement(spec, domain.a):
-            raise ConfinementError(
-                "V does not tend to +infinity as x -> -infinity; "
-                "no ground state on a half-infinite domain"
-            )
-        probe = _probe_lambda(spec, domain.t)
-        domain = domain.with_wall(truncate_domain(spec, domain.t, probe, tols=tols))
-
+    domain = _resolve_wall(spec, domain)
     grid = Grid.build(domain.a_eff, domain.t, N)
-    lam, vec, resid = _solve_on_grid(spec, grid, tols)
+    lam, vec, resid = _solve_on_grid(spec, grid)
     h = grid.h
     u = np.zeros(N + 2)
     u[1:-1] = vec / math.sqrt(h)
@@ -191,6 +182,23 @@ def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
     return GroundState(domain=domain, grid=grid, lam=lam, u=u,
                        flux_a=float(flux_a), flux_t=float(flux_t),
                        residual=resid, quad_norm=quad_norm)
+
+
+def _resolve_wall(spec: PotentialSpec, domain: Domain) -> Domain:
+    """``domain`` with its left wall placed: unchanged when already resolved,
+    else (a = -inf) the truncate_domain wall for the probe energy at t.
+
+    Raises ConfinementError when V does not grow on the left.
+    """
+    if domain.resolved:
+        return domain
+    if not validate_confinement(spec, domain.a):
+        raise ConfinementError(
+            "V does not tend to +infinity as x -> -infinity; "
+            "no ground state on a half-infinite domain"
+        )
+    probe = _probe_lambda(spec, domain.t)
+    return domain.with_wall(truncate_domain(spec, domain.t, probe))
 
 
 def _probe_lambda(spec: PotentialSpec, t: float, width: float = 4.0,
@@ -204,16 +212,15 @@ def _probe_lambda(spec: PotentialSpec, t: float, width: float = 4.0,
     return smallest_eigenpair(_operator_on(spec, grid))[0]
 
 
-def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float,
-                    tols: Tolerances = DEFAULT_TOLS, n_check: int = 800,
-                    max_doublings: int = 40) -> float:
+def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float) -> float:
     """Place the artificial wall for a = -inf.
 
     Returns a_eff with V(a_eff) >= lambda_probe + margin such that doubling
     the wall distance moves the computed ground energy by less than the
     truncation tolerance.  Found by leftward geometric search.
     """
-    threshold = lambda_probe + tols.margin
+    n_check, max_doublings = 800, 40
+    threshold = lambda_probe + DEFAULT_TOLS.margin
     dist = max(1.0, abs(t) * 0.5)
     for _ in range(max_doublings):
         if eval_V(spec, t - dist) >= threshold:
@@ -227,7 +234,7 @@ def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float,
         # h^2 discretization error cancels in the check
         lam_1 = _probe_lambda(spec, t, dist, n_check)
         lam_2 = _probe_lambda(spec, t, 2.0 * dist, 2 * n_check + 1)
-        if abs(lam_1 - lam_2) < tols.trunc:
+        if abs(lam_1 - lam_2) < DEFAULT_TOLS.trunc:
             return t - dist
         dist *= 2.0
         if eval_V(spec, t - dist) < threshold:
@@ -247,16 +254,15 @@ def rayleigh_energy(gs: GroundState, spec: PotentialSpec) -> float:
     return kinetic + potential
 
 
-def richardson_lambda(spec: PotentialSpec, domain: Domain, N: int,
-                      tols: Tolerances = DEFAULT_TOLS) -> tuple:
+def richardson_lambda(spec: PotentialSpec, domain: Domain, N: int) -> tuple:
     """Eliminate the O(h^2) eigenvalue error from solves at h and h/2.
 
     Returns (lambda_extrapolated, gs_coarse, gs_fine); 2N+1 interior nodes
     exactly halve the spacing.
     """
-    coarse = solve_ground_state(spec, domain, N, tols=tols)
+    coarse = solve_ground_state(spec, domain, N)
     fine_domain = coarse.domain  # reuse the resolved wall
-    fine = solve_ground_state(spec, fine_domain, 2 * N + 1, tols=tols)
+    fine = solve_ground_state(spec, fine_domain, 2 * N + 1)
     lam = (4.0 * fine.lam - coarse.lam) / 3.0
     return lam, coarse, fine
 

@@ -25,10 +25,11 @@ from .ground_state import (
     Grid,
     GroundState,
     _operator_on,
+    _resolve_wall,
     solve_ground_state,
 )
 from .potentials import PotentialSpec, eval_Vprime, vprime_kinks
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS
 from .tridiag import solve_bordered
 
 
@@ -94,8 +95,7 @@ def integrate_vprime_weighted(spec: PotentialSpec, grid: Grid, w: np.ndarray,
     return total
 
 
-def solve_u_dot(gs: GroundState, lambda_dot: float, spec: PotentialSpec,
-                tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def solve_u_dot(gs: GroundState, lambda_dot: float, spec: PotentialSpec) -> np.ndarray:
     """Derivative of the eigenfunction with respect to the right endpoint.
 
     Solves the shifted equation with source lambda_dot * u and boundary data
@@ -123,8 +123,7 @@ def orthogonality_residual(gs: GroundState, u_dot: np.ndarray) -> float:
     return abs(float(np.trapezoid(gs.u * u_dot, gs.grid.x)))
 
 
-def find_nodal_point(u_dot: np.ndarray, grid: Grid,
-                     tols: Tolerances = DEFAULT_TOLS) -> float:
+def find_nodal_point(u_dot: np.ndarray, grid: Grid) -> float:
     """Locate the unique interior sign change of u_dot.
 
     Values within the dead band tol_sign * max|u_dot| are ignored as roundoff
@@ -133,7 +132,7 @@ def find_nodal_point(u_dot: np.ndarray, grid: Grid,
     zero times or more than once, which signals a numerical fault.
     """
     interior = u_dot[1:-1]
-    band = tols.sign * float(np.max(np.abs(u_dot)))
+    band = DEFAULT_TOLS.sign * float(np.max(np.abs(u_dot)))
     idx = np.nonzero(np.abs(interior) > band)[0]
     if len(idx) == 0:
         raise StructureError("u_dot vanishes on the whole interior")
@@ -169,8 +168,7 @@ def u_dot_flux_left(u_dot: np.ndarray, grid: Grid) -> float:
 
 
 def fd_derivatives(spec: PotentialSpec, a: float, t: float, h_t: float, N: int,
-                   tols: Tolerances = DEFAULT_TOLS, a_eff: float = None,
-                   lam_t: float = None) -> tuple:
+                   a_eff: float = None, lam_t: float = None) -> tuple:
     """Central finite differences of lambda in t: independent derivative oracle.
 
     Three ground-state solves at t - h_t, t, t + h_t share a single left wall
@@ -179,18 +177,14 @@ def fd_derivatives(spec: PotentialSpec, a: float, t: float, h_t: float, N: int,
     for the centre solve.
     """
     if a_eff is None:
-        if math.isfinite(a):
-            a_eff = a
-        else:
-            # resolve the wall at t - h_t, where lambda is largest
-            gs0 = solve_ground_state(spec, Domain(a, t - h_t), N, tols=tols)
-            a_eff = gs0.domain.a_eff
+        # for a = -inf, the wall of t - h_t, where lambda is largest
+        a_eff = a if math.isfinite(a) else _resolve_wall(spec, Domain(a, t - h_t)).a_eff
     if not t - h_t > a_eff:
         raise DomainError("FD step reaches past the left wall")
 
     def lam_at(ti):
         domain = Domain(a, ti, a_eff) if not math.isfinite(a) else Domain(a, ti)
-        return solve_ground_state(spec, domain, N, tols=tols).lam
+        return solve_ground_state(spec, domain, N).lam
 
     lam_lo, lam_hi = lam_at(t - h_t), lam_at(t + h_t)
     lam_mid = lam_at(t) if lam_t is None else lam_t
@@ -200,9 +194,7 @@ def fd_derivatives(spec: PotentialSpec, a: float, t: float, h_t: float, N: int,
 
 
 def compute_sensitivity(gs: GroundState, spec: PotentialSpec,
-                        tols: Tolerances = DEFAULT_TOLS,
-                        h_t: float = None, fd_N: int = None,
-                        with_fd: bool = True) -> Sensitivity:
+                        h_t: float = None, with_fd: bool = True) -> Sensitivity:
     """Full derivative bundle for one solved ground state.
 
     The u_dot solve takes its source term from the flux formula (the coupled
@@ -210,21 +202,19 @@ def compute_sensitivity(gs: GroundState, spec: PotentialSpec,
     """
     ld_flux = lambda_dot_flux(gs)
     ld_int = lambda_dot_integral(gs, spec)
-    u_dot = solve_u_dot(gs, ld_flux, spec, tols=tols)
+    u_dot = solve_u_dot(gs, ld_flux, spec)
     orth = orthogonality_residual(gs, u_dot)
-    t0 = find_nodal_point(u_dot, gs.grid, tols=tols)
+    t0 = find_nodal_point(u_dot, gs.grid)
     ldd = lambda_ddot(gs, u_dot, t0, spec)
 
     ld_fd = ldd_fd = math.nan
     step = math.nan
     if with_fd:
-        step = h_t if h_t is not None else tols.h_t_factor * (gs.t - gs.domain.a_eff)
-        n_fd = fd_N if fd_N is not None else gs.grid.n_interior
+        step = h_t if h_t is not None else DEFAULT_TOLS.h_t_factor * (gs.t - gs.domain.a_eff)
         a_eff = gs.domain.a_eff if gs.domain.unbounded_left else None
-        # on gs's own grid the centre solve would repeat gs's eigensolve
-        lam_t = gs.lam if n_fd == gs.grid.n_interior else None
-        ld_fd, ldd_fd = fd_derivatives(spec, gs.domain.a, gs.t, step, n_fd,
-                                       tols=tols, a_eff=a_eff, lam_t=lam_t)
+        # gs is the centre solve: same wall, same N
+        ld_fd, ldd_fd = fd_derivatives(spec, gs.domain.a, gs.t, step, gs.grid.n_interior,
+                                       a_eff=a_eff, lam_t=gs.lam)
 
     return Sensitivity(
         t=gs.t, lam=gs.lam,

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfinementError, DomainError, EigenshiftError
-from .ground_state import Domain, _probe_lambda, solve_ground_state, truncate_domain
-from .potentials import ConvexityClass, PotentialSpec, validate_confinement
+from .errors import DomainError, EigenshiftError
+from .ground_state import Domain, _resolve_wall, solve_ground_state
+from .potentials import ConvexityClass, PotentialSpec, classify_convexity
 from .sensitivity import lambda_dot_flux
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,7 @@ class TheoremVerdict:
 
 
 def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
-          n_t: int, N: int, tols: Tolerances = DEFAULT_TOLS,
-          a_eff: float = None) -> SweepResult:
+          n_t: int, N: int, a_eff: float = None) -> SweepResult:
     """Compute lambda(t) on a uniform endpoint grid.
 
     One wall ``a_eff`` serves the whole sweep (resolved at t_min unless
@@ -94,9 +93,7 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
         raise DomainError(f"need a < t_min < t_max, got {a}, {t_min}, {t_max}")
     unbounded = not math.isfinite(a)
     if unbounded and a_eff is None:
-        if not validate_confinement(spec, a):
-            raise ConfinementError("potential not confining at -infinity")
-        a_eff = truncate_domain(spec, t_min, _probe_lambda(spec, t_min), tols=tols)
+        a_eff = _resolve_wall(spec, Domain(a, t_min)).a_eff
 
     ts = np.linspace(t_min, t_max, n_t)
     dt = float(ts[1] - ts[0])
@@ -105,7 +102,7 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
     for i, t in enumerate(ts):
         domain = Domain(a, float(t), a_eff if unbounded else None)
         try:
-            gs = solve_ground_state(spec, domain, N, tols=tols)
+            gs = solve_ground_state(spec, domain, N)
         except EigenshiftError as exc:
             raise type(exc)(f"sweep failed at t={t}: {exc}") from exc
         lambdas[i] = gs.lam
@@ -113,10 +110,16 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
 
     second = (lambdas[:-2] - 2.0 * lambdas[1:-1] + lambdas[2:]) / (dt * dt)
     h_max = (t_max - (a_eff if unbounded else a)) / (N + 1)
-    tol_thm = tols.thm_factor * h_max * h_max * float(np.max(np.abs(lambdas)))
+    tol_thm = DEFAULT_TOLS.thm_factor * h_max * h_max * float(np.max(np.abs(lambdas)))
     return SweepResult(ts=ts, lambdas=lambdas, lambda_dots=lambda_dots,
                        second_diffs=second, a=a,
                        a_eff=(a_eff if unbounded else a), N=N, tol_thm=tol_thm)
+
+
+def sweep_convexity(spec: PotentialSpec, t_min: float, t_max: float) -> ConvexityClass:
+    """Sampled convexity class of V on the window a sweep over [t_min, t_max]
+    is judged by: [t_min - 2, t_max + 1], widened to cover at least [-5, 5]."""
+    return classify_convexity(spec, (min(-5.0, t_min - 2.0), max(5.0, t_max + 1.0)), 201)
 
 
 def check_theorem(result: SweepResult, cls: ConvexityClass) -> TheoremVerdict:
@@ -156,8 +159,7 @@ def chord_tangent_violation(result: SweepResult, orientation: str) -> float:
     return max(0.0, float(np.max(viol)))
 
 
-def blowup_profile(spec: PotentialSpec, a: float, epsilons, N: int,
-                   tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def blowup_profile(spec: PotentialSpec, a: float, epsilons, N: int) -> np.ndarray:
     """Scaled energies lambda(a + eps) * eps^2 for shrinking intervals.
 
     As eps -> 0 the values approach pi^2, the free small-interval limit: a
@@ -171,7 +173,7 @@ def blowup_profile(spec: PotentialSpec, a: float, epsilons, N: int,
         raise DomainError("epsilons must be positive and strictly decreasing")
     out = np.empty(len(eps))
     for i, e in enumerate(eps):
-        gs = solve_ground_state(spec, Domain(a, a + float(e)), N, tols=tols)
+        gs = solve_ground_state(spec, Domain(a, a + float(e)), N)
         out[i] = gs.lam * e * e
     return out
 

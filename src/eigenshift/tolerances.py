@@ -1,12 +1,15 @@
-"""Default numerical tolerances, collected in one place.
+"""The package's stated numerical tolerances, collected in one place.
 
-Scale-aware use is up to the consumer: residual-type checks multiply by
-(1 + |lambda|), sign dead-bands by the max of the field they filter.
+These values are what every returned number and every verify check is held
+to; they are fixed, not settings, and nothing in the package overrides them.
+Each consumer reads ``DEFAULT_TOLS.<field>`` directly.  Scale-aware use is up
+to the consumer: residual-type checks multiply by (1 + |lambda|), sign
+dead-bands by the max of the field they filter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -21,9 +24,6 @@ class Tolerances:
     thm_factor: float = 10.0   # tol_thm = thm_factor * h^2 * max|lambda|
     pos: float = 1e-9          # positivity dead band, times max u
     h_t_factor: float = 1e-3   # FD step: h_t = h_t_factor * (t - a_eff)
-
-    def override(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOLS = Tolerances()

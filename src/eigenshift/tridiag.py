@@ -67,15 +67,16 @@ def smallest_eigenpair(op: TridiagOperator) -> tuple:
 
 
 def solve_bordered(op: TridiagOperator, lam: float, border: np.ndarray,
-                   rhs: np.ndarray, resid_cap: float = 1e-6) -> tuple:
+                   rhs: np.ndarray) -> tuple:
     """Solve the saddle system [[T - lam, b], [b^T, 0]] [x, mu] = [rhs, 0].
 
     ``border`` spans the (near-)kernel of T - lam, so the augmented matrix is
     nonsingular and x is the unique solution orthogonal to ``border``.  The
     border is rescaled to the matrix norm for conditioning; mu is returned in
     the original scaling.  Raises ConditioningError when the solution fails a
-    backward-residual check of ``resid_cap``.
+    relative backward-residual check of 1e-6.
     """
+    resid_cap = 1e-6
     n = op.n
     scale = max(np.max(np.abs(op.d - lam)), np.max(np.abs(op.e)) if n > 1 else 0.0, 1.0)
     bnorm = np.linalg.norm(border)

@@ -22,16 +22,16 @@ import numpy as np
 
 from .errors import EigenshiftError
 from .ground_state import Domain, discretize, rayleigh_energy, solve_ground_state
-from .potentials import (
-    ConvexityClass,
-    PotentialSpec,
-    classify_convexity,
-    make_potential,
-    validate_confinement,
-)
+from .potentials import ConvexityClass, PotentialSpec, make_potential, validate_confinement
 from .sensitivity import compute_sensitivity, u_dot_flux_left
-from .sweep import blowup_profile, check_theorem, chord_tangent_violation, sweep
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .sweep import (
+    blowup_profile,
+    check_theorem,
+    chord_tangent_violation,
+    sweep,
+    sweep_convexity,
+)
+from .tolerances import DEFAULT_TOLS
 
 # h^2 prefactors for the widened (grid-limited) tolerances
 _WIDEN_MATCH = 20.0
@@ -182,8 +182,7 @@ class _Collector:
                                     measured=_fmt(measured), note=note))
 
 
-def verify_entry(entry: BatteryEntry, N: int, n_t: int,
-                 tols: Tolerances = DEFAULT_TOLS) -> list:
+def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
     col = _Collector(entry.key)
     confined = validate_confinement(entry.spec, entry.a)
     if not entry.expect_confined:
@@ -195,15 +194,13 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int,
     if not confined:
         return col.lines
 
-    probe_lo = min(-5.0, entry.sweep_lo - 2.0)
-    probe_hi = max(5.0, entry.sweep_hi + 1.0)
-    cls = classify_convexity(entry.spec, (probe_lo, probe_hi), 201)
+    cls = sweep_convexity(entry.spec, entry.sweep_lo, entry.sweep_hi)
     col.check("convexity class consistent", cls == entry.spec.convexity,
               measured=cls.value, note=f"declared {entry.spec.convexity.value}")
 
     try:
-        gs = solve_ground_state(entry.spec, Domain(entry.a, entry.t_ref), N, tols=tols)
-        sens = compute_sensitivity(gs, entry.spec, tols=tols)
+        gs = solve_ground_state(entry.spec, Domain(entry.a, entry.t_ref), N)
+        sens = compute_sensitivity(gs, entry.spec)
     except EigenshiftError as exc:
         col.lines.append(CheckLine(entry=entry.key, check="solve + sensitivity",
                                    status="FAIL", note=str(exc)))
@@ -215,18 +212,19 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int,
     # ground-state structure
     umax = float(np.max(gs.u))
     col.check("u > 0 on the interior",
-              float(np.min(gs.u[1:-1])) > -tols.pos * umax and umax > 0,
-              measured=float(np.min(gs.u[1:-1]) / umax), tol=-tols.pos,
+              float(np.min(gs.u[1:-1])) > -DEFAULT_TOLS.pos * umax and umax > 0,
+              measured=float(np.min(gs.u[1:-1]) / umax), tol=-DEFAULT_TOLS.pos,
               note="relative dead band")
-    col.check("|norm - 1|", abs(gs.quad_norm - 1.0) <= tols.norm,
-              measured=abs(gs.quad_norm - 1.0), tol=tols.norm)
-    res_cap = max(tols.res * lam_scale,
+    col.check("|norm - 1|", abs(gs.quad_norm - 1.0) <= DEFAULT_TOLS.norm,
+              measured=abs(gs.quad_norm - 1.0), tol=DEFAULT_TOLS.norm)
+    res_cap = max(DEFAULT_TOLS.res * lam_scale,
                   64.0 * np.finfo(float).eps * (2.0 / h2 + abs(gs.lam)))
     col.check("eigen-residual", gs.residual <= res_cap,
               measured=gs.residual, tol=res_cap)
     ray = rayleigh_energy(gs, entry.spec)
-    col.check("rayleigh = lambda", abs(ray - gs.lam) <= tols.res * lam_scale,
-              measured=abs(ray - gs.lam), tol=tols.res * lam_scale)
+    ray_tol = DEFAULT_TOLS.res * lam_scale
+    col.check("rayleigh = lambda", abs(ray - gs.lam) <= ray_tol,
+              measured=abs(ray - gs.lam), tol=ray_tol)
     col.check("flux_t < 0", gs.flux_t < 0, measured=gs.flux_t)
     if gs.domain.unbounded_left:
         # at a truncated wall the true flux is exponentially small; its
@@ -247,10 +245,10 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int,
     ld = sens.lambda_dot_flux
     ld_scale = 1.0 + abs(ld)
     col.check("lambda_dot < 0", ld < 0, measured=ld)
-    tol_match = max(tols.match, _WIDEN_MATCH * h2) * ld_scale
+    tol_match = max(DEFAULT_TOLS.match, _WIDEN_MATCH * h2) * ld_scale
     mis = abs(ld - sens.lambda_dot_integral)
     col.check("flux vs integral route", mis <= tol_match, measured=mis,
-              tol=tol_match, widened=_WIDEN_MATCH * h2 > tols.match)
+              tol=tol_match, widened=_WIDEN_MATCH * h2 > DEFAULT_TOLS.match)
     tol_fd = max(1e-4 * abs(sens.lambda_dot_fd), 10.0 * sens.fd_step ** 2,
                  _WIDEN_FD * h2 * ld_scale)
     col.check("lambda_dot vs FD", abs(ld - sens.lambda_dot_fd) <= tol_fd,
@@ -258,8 +256,8 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int,
               widened=_WIDEN_FD * h2 * ld_scale > 1e-4 * abs(sens.lambda_dot_fd))
 
     # u_dot structure
-    col.check("orthogonality", sens.orth_residual <= tols.orth,
-              measured=sens.orth_residual, tol=tols.orth)
+    col.check("orthogonality", sens.orth_residual <= DEFAULT_TOLS.orth,
+              measured=sens.orth_residual, tol=DEFAULT_TOLS.orth)
     col.check("u_dot boundary datum",
               abs(sens.u_dot[-1] + gs.flux_t) <= 1e-14 * (1.0 + abs(gs.flux_t)),
               measured=abs(sens.u_dot[-1] + gs.flux_t))
@@ -295,8 +293,7 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int,
 
     # the sweep: monotone decrease plus the curvature clause over a t-range
     try:
-        sw = sweep(entry.spec, entry.a, entry.sweep_lo, entry.sweep_hi,
-                   n_t, N, tols=tols)
+        sw = sweep(entry.spec, entry.a, entry.sweep_lo, entry.sweep_hi, n_t, N)
     except EigenshiftError as exc:
         col.lines.append(CheckLine(entry=entry.key, check="sweep", status="FAIL",
                                    note=str(exc)))
@@ -304,18 +301,18 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int,
     verdict = check_theorem(sw, cls)
     col.check("sweep strictly decreasing", verdict.monotone_decreasing,
               measured=float(np.max(np.diff(sw.lambdas))), tol=0.0)
+    tol_chord = (10.0 * (DEFAULT_TOLS.match + _WIDEN_MATCH * h2)
+                 * (1.0 + float(np.max(np.abs(sw.lambda_dots)))))
     if verdict.expect_convex:
         col.check("sweep convex in t", verdict.convex_in_t,
                   measured=float(np.min(sw.second_diffs)), tol=-sw.tol_thm)
         viol = chord_tangent_violation(sw, "convex")
-        tol_chord = 10.0 * (tols.match + _WIDEN_MATCH * h2) * (1.0 + float(np.max(np.abs(sw.lambda_dots))))
         col.check("chord-tangent (convex)", viol <= tol_chord,
                   measured=viol, tol=tol_chord)
     if verdict.expect_concave:
         col.check("sweep concave in t", verdict.concave_in_t,
                   measured=float(np.max(sw.second_diffs)), tol=sw.tol_thm)
         viol = chord_tangent_violation(sw, "concave")
-        tol_chord = 10.0 * (tols.match + _WIDEN_MATCH * h2) * (1.0 + float(np.max(np.abs(sw.lambda_dots))))
         col.check("chord-tangent (concave)", viol <= tol_chord,
                   measured=viol, tol=tol_chord)
     if not (verdict.expect_convex or verdict.expect_concave):
@@ -331,7 +328,7 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int,
     # blow-up rate at a finite left endpoint
     if entry.blowup:
         eps = [0.04, 0.02, 0.01]
-        prof = blowup_profile(entry.spec, entry.a, eps, 801, tols=tols)
+        prof = blowup_profile(entry.spec, entry.a, eps, 801)
         pi2 = math.pi * math.pi
         rel = abs(prof[-1] - pi2) / pi2
         col.check("blow-up rate lambda*eps^2 -> pi^2", rel <= 1e-3,
@@ -341,12 +338,11 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int,
     return col.lines
 
 
-def run_battery(N: int = 2001, n_t: int = 31, tols: Tolerances = DEFAULT_TOLS,
-                battery: list = None) -> VerifyReport:
+def run_battery(N: int = 2001, n_t: int = 31, battery: list = None) -> VerifyReport:
     """Run every battery entry and collect the report (exit gate for verify)."""
     entries = battery if battery is not None else default_battery()
     start = time.perf_counter()
-    per_entry = [verify_entry(e, N, n_t, tols) for e in entries]
+    per_entry = [verify_entry(e, N, n_t) for e in entries]
     report = VerifyReport(N=N, n_t=n_t, elapsed=time.perf_counter() - start)
     for lines in per_entry:
         report.lines.extend(lines)

@@ -44,12 +44,6 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="format"):
             parse_config(["verify", "--format", "csv,xml"])
 
-    def test_tolerance_override(self):
-        cfg = parse_config(["solve", "--potential", "affine:", "--a", "0",
-                            "--t", "1", "--tol-res", "1e-6"])
-        assert cfg.tols.res == 1e-6
-        assert cfg.tols.norm == 1e-12    # untouched default
-
     def test_canonical_potential_string(self):
         cfg1 = parse_config(["solve", "--potential", "quadratic:c2=1,c0=0",
                              "--a", "0", "--t", "1"])
@@ -78,6 +72,15 @@ class TestConfigFile:
         ("n-t", 7.8, "--n-t"),
         ("n-t", False, "--n-t"),
         ("a", True, "--a"),
+        ("a", float("nan"), "--a"),
+        ("a", float("inf"), "--a"),
+        ("t", True, "--t"),
+        ("t", float("nan"), "--t"),
+        ("t", float("inf"), "--t"),
+        ("t", float("-inf"), "--t"),
+        ("h-t", True, "--h-t"),
+        ("h-t", float("nan"), "--h-t"),
+        ("h-t", float("inf"), "--h-t"),
     ])
     def test_non_integral_or_boolean_value_rejected(self, tmp_path, key, value, flag):
         cfile = tmp_path / "run.json"
@@ -106,6 +109,27 @@ class TestExitCodes:
 
     def test_unknown_flag_is_2(self, capsys):
         assert main(["solve", "--wibble", "3"]) == 2
+
+    def test_tolerance_flag_and_key_are_2(self, tmp_path, capsys):
+        # the stated tolerances are fixed: neither a flag nor a config key sets them
+        code = main(["solve", "--potential", "affine:", "--a", "0", "--t", "1",
+                     "--N", "64", "--tol-res", "1e-6", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "--tol-res" in capsys.readouterr().err
+        cfile = tmp_path / "run.json"
+        cfile.write_text(json.dumps({"tol-res": 1e-6}))
+        code = main(["verify", "--config", str(cfile), "--N", "64", "--n-t", "5",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "unknown config key 'tol-res'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, t, h_t", [("--t", "inf", "1e-3"),
+                                              ("--h-t", "1", "nan")])
+    def test_non_finite_value_is_2(self, tmp_path, capsys, flag, t, h_t):
+        code = main(["sensitivity", "--potential", "affine:", "--a", "0", "--t", t,
+                     "--h-t", h_t, "--N", "64", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"usage error: {flag}: expected" in capsys.readouterr().err
 
     def test_solver_failure_is_1(self, tmp_path, capsys):
         # unconfined potential on a half-infinite domain

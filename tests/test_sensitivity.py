@@ -214,6 +214,13 @@ class TestFiniteDifferences:
                                 a_eff=gs.domain.a_eff)
         assert abs(ldd) <= 1e-6
 
+    def test_wall_is_the_one_placed_at_t_minus_step(self):
+        # without a_eff the shared wall is the one a solve at t - h_t places
+        spec = make_potential("quadratic", c2=1.0)
+        wall = solve_ground_state(spec, Domain(NEG_INF, -1e-2), 301).domain.a_eff
+        assert fd_derivatives(spec, NEG_INF, 0.0, 1e-2, 301) == \
+            fd_derivatives(spec, NEG_INF, 0.0, 1e-2, 301, a_eff=wall)
+
     def test_step_reaching_the_wall_rejected(self):
         spec = make_potential("affine")
         with pytest.raises(DomainError):
@@ -243,9 +250,6 @@ class TestFiniteDifferences:
         monkeypatch.setattr(sensitivity, "solve_ground_state", counting)
         compute_sensitivity(gs, spec)
         assert len(solved_at) == 2 and gs.t not in solved_at
-        solved_at.clear()
-        compute_sensitivity(gs, spec, fd_N=401)
-        assert len(solved_at) == 3 and gs.t in solved_at
 
     def test_oracle_agreement_bundle(self, free_bundle):
         _, _, sens = free_bundle
