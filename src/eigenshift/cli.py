@@ -99,8 +99,9 @@ def _parse_t_range(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"--t-range: expected min:max:count, got {text!r}")
+    lo, hi = _parse_real(parts[0], "--t-range"), _parse_real(parts[1], "--t-range")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        count = int(parts[2])
     except ValueError:
         raise UsageError(f"--t-range: malformed component in {text!r}") from None
     if not lo < hi:

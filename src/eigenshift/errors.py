@@ -36,5 +36,6 @@ class StructureError(EigenshiftError):
 
 
 class ConditioningError(EigenshiftError):
-    """Bordered linear system produced an unreliable solution, which flags a
-    nearly degenerate eigenvalue and therefore a bad ground-state solve."""
+    """Bordered linear system produced an unreliable solution, or ``lam`` is
+    not the smallest eigenvalue (the lifted matrix is not positive definite);
+    either flags a degenerate eigenvalue or a bad ground-state solve."""

@@ -1,11 +1,9 @@
-"""Symmetric tridiagonal eigen-machinery.
+"""Symmetric tridiagonal eigen-machinery on direct LAPACK calls.
 
-The smallest eigenpair comes from LAPACK: bisection on the Sturm-sequence
-count (``stebz``) locates the eigenvalue, inverse iteration (``stein``) its
-vector.  A bordered (saddle) solver handles the singular shifted system that
-arises when differentiating an eigenpair: the matrix is augmented with the
-eigenvector as constraint row and column, which keeps the O(N) banded
-structure.
+The smallest eigenpair comes from ``stebz`` (Sturm-count bisection) and
+``stein`` (inverse iteration).  ``solve_bordered`` solves the singular shifted
+system of a differentiated eigenpair through a positive definite tridiagonal
+``pttrf``/``pttrs`` factor-and-solve and a 2x2 system, in O(N).
 """
 
 from __future__ import annotations
@@ -13,11 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
+from scipy.linalg import lapack
 
 from .errors import ConditioningError, ConvergenceError
+
+
+def _offdiag(e: np.ndarray) -> np.ndarray:
+    # the f2py wrappers want one off-diagonal entry even when n = 1, where
+    # LAPACK reads none
+    return e if len(e) else np.zeros(1)
 
 
 @dataclass(frozen=True)
@@ -42,9 +44,12 @@ class TridiagOperator:
         return y
 
     def count_below(self, sigma: float) -> int:
-        """Number of eigenvalues strictly below ``sigma`` (Sturm count)."""
-        return len(scipy.linalg.eigvalsh_tridiagonal(
-            self.d, self.e, select="v", select_range=(-np.inf, float(sigma))))
+        """Number of eigenvalues in (-inf, sigma] (a ``stebz`` Sturm count)."""
+        m, _, _, _, info = lapack.dstebz(self.d, _offdiag(self.e), 1, -np.inf,
+                                         float(sigma), 1, 1, 0.0, "E")
+        if info != 0:
+            raise ConvergenceError(f"Sturm count: LAPACK stebz info={info}")
+        return int(m)
 
 
 def smallest_eigenpair(op: TridiagOperator) -> tuple:
@@ -55,11 +60,13 @@ def smallest_eigenpair(op: TridiagOperator) -> tuple:
     whether that residual is acceptable.  Raises ConvergenceError when LAPACK
     reports a failure.
     """
-    try:
-        _, vecs = scipy.linalg.eigh_tridiagonal(op.d, op.e, select="i",
-                                                select_range=(0, 0))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"smallest eigenpair: {exc}") from exc
+    e = _offdiag(op.e)
+    # index range il = iu = 1, tol = 0 (stebz's own default), block order for stein
+    _, w, iblock, isplit, info = lapack.dstebz(op.d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        vecs, info = lapack.dstein(op.d, e, w[:1], iblock, isplit)
+    if info != 0:
+        raise ConvergenceError(f"smallest eigenpair: LAPACK stebz/stein info={info}")
     vec = vecs[:, 0]
     tvec = op.matvec(vec)
     lam = float(vec @ tvec)
@@ -72,51 +79,43 @@ def solve_bordered(op: TridiagOperator, lam: float, border: np.ndarray,
 
     ``border`` spans the (near-)kernel of T - lam, so the augmented matrix is
     nonsingular and x is the unique solution orthogonal to ``border``.  The
-    border is rescaled to the matrix norm for conditioning; mu is returned in
-    the original scaling.  Raises ConditioningError when the solution fails a
-    relative backward-residual check of 1e-6.
+    border b is rescaled to the matrix norm c; mu is returned in the original
+    scaling.  With k = argmax |b|, B = T - lam + c e_k e_k^T is tridiagonal and
+    positive definite when lam is the smallest eigenvalue (rank-one
+    interlacing); x = B^-1 (rhs - mu b + c xi e_k), where b.x = 0, x_k = xi.
+    Raises ConditioningError when B is not positive definite with a margin of
+    256 eps c (lam is not the smallest eigenvalue, or it is degenerate), or
+    when the relative backward residual exceeds 1e-6.
     """
     resid_cap = 1e-6
-    n = op.n
-    scale = max(np.max(np.abs(op.d - lam)), np.max(np.abs(op.e)) if n > 1 else 0.0, 1.0)
+    lifted = op.d - lam
+    scale = max(np.max(np.abs(lifted)), np.max(np.abs(op.e)) if op.n > 1 else 0.0, 1.0)
     bnorm = np.linalg.norm(border)
     if bnorm == 0.0:
         raise ConditioningError("bordered solve: zero border vector")
     b = border * (scale / bnorm)
-
-    rows = np.concatenate([np.arange(n), np.arange(n - 1), np.arange(1, n),
-                           np.arange(n), np.full(n, n), [n]])
-    cols = np.concatenate([np.arange(n), np.arange(1, n), np.arange(n - 1),
-                           np.full(n, n), np.arange(n), [n]])
-    vals = np.concatenate([op.d - lam, op.e, op.e, b, b, [0.0]])
-    mat = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
-
-    full_rhs = np.concatenate([rhs, [0.0]])
-
-    def attempt(**kw):
-        with np.errstate(all="ignore"):
-            try:
-                sol = scipy.sparse.linalg.splu(mat, **kw).solve(full_rhs)
-            except RuntimeError:
-                return None, np.inf
-        if not np.all(np.isfinite(sol)):
-            return None, np.inf
-        resid = mat @ sol - full_rhs
-        denom = scale * (np.linalg.norm(sol) + np.linalg.norm(full_rhs) / scale + 1.0)
-        return sol, float(np.linalg.norm(resid)) / denom
-
-    # diagonal-pivot natural ordering keeps the arrowhead fill O(N); the
-    # leading block has positive pivots (strict eigenvalue interlacing), so
-    # this is the normal path.  Fall back to full pivoting if the backward
-    # residual disagrees.
-    sol, rel = attempt(permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-    if rel > resid_cap:
-        sol, rel = attempt()
-    if rel > resid_cap:
-        raise ConditioningError(
-            f"bordered solve residual {rel:.3e} exceeds cap {resid_cap:.3e} "
-            "(eigenvalue nearly degenerate?)"
-        )
-    x, mu_scaled = sol[:n], sol[n]
-    return x, float(mu_scaled * scale / bnorm)
+    k = int(np.argmax(np.abs(b)))
+    lifted[k] += scale
+    # a second eigenvalue of T within the Sturm resolution delta = 256 eps c of
+    # lam (lam degenerate) leaves B - delta I indefinite, as does an excited lam
+    e = _offdiag(op.e)
+    info = lapack.dpttrf(lifted - 256.0 * np.finfo(float).eps * scale, e)[2]
+    dfac, efac, info_b = lapack.dpttrf(lifted, e, overwrite_d=1)
+    if info or info_b:
+        raise ConditioningError("bordered solve: lifted matrix not positive definite; "
+                                "lam is not a simple lowest eigenvalue")
+    cols = np.zeros((op.n, 3), order="F")
+    cols[:, 0], cols[:, 1], cols[k, 2] = rhs, b, 1.0
+    p, q, s = lapack.dpttrs(dfac, efac, cols)[0].T
+    with np.errstate(all="ignore"):
+        # unknowns (mu, xi = x_k): b.x = 0 and x_k = xi; b.s = q_k by symmetry
+        m11, m12, m21, m22 = b @ q, -scale * q[k], q[k], 1.0 - scale * s[k]
+        bp, det = b @ p, m11 * m22 - m12 * m21
+        mu, xi = (bp * m22 - m12 * p[k]) / det, (m11 * p[k] - m21 * bp) / det
+        x = p - mu * q + (scale * xi) * s
+        resid = np.hypot(np.linalg.norm(op.matvec(x) - lam * x + mu * b - rhs), b @ x)
+        rel = resid / (scale * (np.hypot(np.linalg.norm(x), mu) + np.linalg.norm(rhs) / scale + 1.0))
+    if not rel <= resid_cap:
+        raise ConditioningError(f"bordered solve residual {rel:.3e} exceeds cap "
+                                f"{resid_cap:.3e} (eigenvalue nearly degenerate?)")
+    return x, float(mu * scale / bnorm)

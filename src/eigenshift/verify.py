@@ -236,9 +236,9 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
         col.check("flux_a > 0", gs.flux_a > 0, measured=gs.flux_a)
     op = discretize(entry.spec, gs.domain, N)
     gap_eps = 1e-6 * lam_scale
-    col.check("ground-state index", op.count_below(gs.lam - gap_eps) == 0
-              and op.count_below(gs.lam + gap_eps) == 1,
-              measured=op.count_below(gs.lam - gap_eps),
+    below = op.count_below(gs.lam - gap_eps)
+    col.check("ground-state index", below == 0 and op.count_below(gs.lam + gap_eps) == 1,
+              measured=below,
               note="Sturm counts below lambda -/+ eps")
 
     # first derivative: two routes and the FD oracle

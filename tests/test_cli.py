@@ -131,6 +131,13 @@ class TestExitCodes:
         assert code == 2
         assert f"usage error: {flag}: expected" in capsys.readouterr().err
 
+    def test_non_finite_t_range_is_2(self, tmp_path, capsys):
+        # a usage error naming the flag, not a numerical failure of the sweep
+        code = main(["sweep", "--potential", "affine:", "--a", "0", "--t-range", "0.5:inf:5",
+                     "--N", "64", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "usage error: --t-range: expected" in capsys.readouterr().err
+
     def test_solver_failure_is_1(self, tmp_path, capsys):
         # unconfined potential on a half-infinite domain
         code = main(["solve", "--potential", "neg_quadratic:scale=1", "--a", "-inf",
