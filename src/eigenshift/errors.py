@@ -22,8 +22,9 @@ class ConfinementError(EigenshiftError):
 
 
 class ConvergenceError(EigenshiftError):
-    """The eigensolve failed: LAPACK reported an error, or the computed pair
-    is not the ground state or misses its residual cap."""
+    """The eigensolve failed: LAPACK reported an error, the inverse iteration
+    did not settle, or the computed pair is not the ground state or misses its
+    residual cap."""
 
 
 class TruncationError(EigenshiftError):

@@ -1,9 +1,12 @@
 """Symmetric tridiagonal eigen-machinery on direct LAPACK calls.
 
-The smallest eigenpair comes from ``stebz`` (Sturm-count bisection) and
-``stein`` (inverse iteration).  ``solve_bordered`` solves the singular shifted
-system of a differentiated eigenpair through a positive definite tridiagonal
-``pttrf``/``pttrs`` factor-and-solve and a 2x2 system, in O(N).
+The smallest eigenpair comes from shifted inverse iteration: each step is one
+positive definite ``ptsv`` factor-and-solve (``pttrf`` + ``pttrs``) of
+T - sigma, and a factorisation that succeeds certifies that sigma lies below
+the whole spectrum.  ``count_below`` is a ``stebz`` Sturm count.
+``solve_bordered`` solves the singular shifted system of a differentiated
+eigenpair through a positive definite tridiagonal ``pttrf``/``pttrs``
+factor-and-solve and a 2x2 system, in O(N).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import ConditioningError, ConvergenceError
 
@@ -44,9 +47,17 @@ class TridiagOperator:
         return y
 
     def count_below(self, sigma: float) -> int:
-        """Number of eigenvalues in (-inf, sigma] (a ``stebz`` Sturm count)."""
+        """Number of eigenvalues in (-inf, sigma] (a ``stebz`` Sturm count).
+
+        ``sigma = -inf`` counts 0; a nan ``sigma`` raises ValueError.
+        """
+        sigma = float(sigma)
+        if np.isnan(sigma):
+            raise ValueError("Sturm count: shift is nan")
+        if sigma == -np.inf:
+            return 0  # stebz rejects the empty value range vl = vu = -inf
         m, _, _, _, info = lapack.dstebz(self.d, _offdiag(self.e), 1, -np.inf,
-                                         float(sigma), 1, 1, 0.0, "E")
+                                         sigma, 1, 1, 0.0, "E")
         if info != 0:
             raise ConvergenceError(f"Sturm count: LAPACK stebz info={info}")
         return int(m)
@@ -57,20 +68,72 @@ def smallest_eigenpair(op: TridiagOperator) -> tuple:
 
     ``vec`` has unit euclidean norm; ``lam`` is its Rayleigh quotient and
     ``residual`` the euclidean norm of (T - lam) vec.  The caller judges
-    whether that residual is acceptable.  Raises ConvergenceError when LAPACK
-    reports a failure.
+    whether that residual is acceptable.
+
+    Shifted inverse iteration from the Gershgorin lower bound.  A shift sigma
+    is used only when ``ptsv`` factors T - sigma as positive definite, which
+    certifies sigma below the spectrum; when it does not, sigma steps back
+    toward the last certified shift.  After each solve the shift moves up to
+    the Weinstein bound lam - residual, less a margin.  The start vector is
+    D 1, where D = diag(+-1) makes the off-diagonal of D T D equal to -|e|, so
+    it overlaps the ground state of every block, and for e < 0 every iterate
+    is positive.  Iteration stops once lam no longer falls by more than a
+    margin and the residual is within twice that margin.  The margin, 4 eps
+    ||(|T| 1) vec||, also keeps the shift below lam - residual; it is scaled
+    to the rows the vector occupies, because graded operators from the wall
+    probe carry diagonal entries near 1e266.  Raises ConvergenceError when
+    lam has not settled after a fixed number of factorisations.
     """
+    max_factorisations = 64
+    eps = np.finfo(float).eps
     e = _offdiag(op.e)
-    # index range il = iu = 1, tol = 0 (stebz's own default), block order for stein
-    _, w, iblock, isplit, info = lapack.dstebz(op.d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
-    if info == 0:
-        vecs, info = lapack.dstein(op.d, e, w[:1], iblock, isplit)
-    if info != 0:
-        raise ConvergenceError(f"smallest eigenpair: LAPACK stebz/stein info={info}")
-    vec = vecs[:, 0]
+    abs_e = np.abs(op.e)
+    radius = np.zeros(op.n)
+    radius[:-1] += abs_e
+    radius[1:] += abs_e
+    row_sum = np.abs(op.d) + radius
+    sigma, certified = float(np.min(op.d - radius)), None
+    # keeps every shift at least floor below the spectrum, so |w| <= 1/floor
+    floor = drop = np.finfo(float).tiny / eps
+    vec = np.full(op.n, op.n ** -0.5)
+    vec[1:][np.logical_xor.accumulate(op.e > 0)] *= -1.0
+    lam = np.inf
+    for _ in range(max_factorisations):
+        shifted = op.d - sigma
+        _, _, w, info = lapack.dptsv(shifted, e, vec)
+        if info and certified is None:
+            # T - sigma is singular at the Gershgorin bound (a tight block):
+            # step down by the scale of the row whose pivot failed, doubling
+            drop = max(2.0 * drop, 4.0 * eps * float(row_sum[info - 1]))
+            sigma -= drop
+            continue
+        if info:
+            sigma = 0.5 * (certified + sigma)
+            continue
+        certified = sigma
+        vec = w / blas.dnrm2(w)
+        # rho - sigma from (T - sigma) vec: near convergence its terms are
+        # small, so the dot product rounds far less than vec . T vec would
+        tvec = shifted * vec
+        tvec[:-1] += op.e * vec[1:]
+        tvec[1:] += op.e * vec[:-1]
+        above = float(vec @ tvec)
+        resid = blas.dnrm2(tvec - above * vec)
+        rho = sigma + above
+        margin = 4.0 * eps * blas.dnrm2(row_sum * vec) + floor
+        # below the spectrum each step lowers rho, so stop once it no longer
+        # falls (rounding makes it jitter) and the residual is rounding level:
+        # the second catches a stall on a shift far below a tight cluster
+        if rho > lam - margin and resid <= 2.0 * margin:
+            break
+        lam = rho
+        sigma = max(sigma, rho - resid - margin)
+    else:
+        raise ConvergenceError(f"smallest eigenpair: inverse iteration not settled after "
+                               f"{max_factorisations} factorisations")
     tvec = op.matvec(vec)
     lam = float(vec @ tvec)
-    return lam, vec, float(np.linalg.norm(tvec - lam * vec))
+    return lam, vec, blas.dnrm2(tvec - lam * vec)
 
 
 def solve_bordered(op: TridiagOperator, lam: float, border: np.ndarray,

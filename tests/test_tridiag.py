@@ -47,7 +47,7 @@ def test_smallest_eigenpair_matches_dense_eigh():
     for n in (8, 100, 500):
         op = TridiagOperator(d=rng.normal(size=n) * 5 + 10, e=-np.abs(rng.normal(size=n - 1)) * 3)
         lam, vec, resid = smallest_eigenpair(op)
-        # dense eigh runs a different LAPACK routine than stebz + stein
+        # dense eigh shares no code with the tridiagonal inverse iteration
         ref = np.linalg.eigh(dense(op))[0][0]
         assert lam == pytest.approx(ref, rel=1e-12)
         assert resid <= 1e-10 * (np.max(np.abs(op.d)) + 1)
@@ -122,20 +122,90 @@ def _lapack_cases():
     return cases
 
 
+def assert_lowest_pair(op, lam, vec, resid):
+    """``(lam, vec, resid)`` against dense ``eigh``: lam within 16 eps ||T||_F of
+    the lowest eigenvalue, a unit vector whose Rayleigh quotient is lam, and
+    its residual norm.  On a graded operator ||T||_F says nothing about the
+    lowest eigenvalue, so the residual is also held to the rows the vector
+    occupies, and a Sturm count puts no eigenvalue below lam - residual."""
+    # the Frobenius norm, scaled so that entries near 1e250 do not overflow
+    big = max(np.max(np.abs(op.d)), np.max(np.abs(op.e), initial=0.0), 1e-300)
+    fro = big * np.sqrt(np.sum((op.d / big) ** 2) + 2.0 * np.sum((op.e / big) ** 2))
+    ref = np.linalg.eigh(dense(op))[0][0]
+    assert abs(lam - ref) <= 16 * np.finfo(float).eps * fro
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-13)
+    tvec = op.matvec(vec)
+    assert lam == vec @ tvec
+    assert resid == pytest.approx(np.linalg.norm(tvec - lam * vec), rel=1e-12)
+    row_sum = np.abs(op.d)
+    row_sum[:-1] += np.abs(op.e)
+    row_sum[1:] += np.abs(op.e)
+    # the Rayleigh quotient's n-term dot product rounds by up to n eps
+    local = (16 + op.n) * np.finfo(float).eps * np.linalg.norm(row_sum * vec)
+    assert resid <= local
+    # stebz counts a pivot below its safe minimum as negative: stay clear of it
+    pivmin = np.finfo(float).tiny / np.finfo(float).eps
+    assert op.count_below(lam - resid - local - pivmin) == 0
+
+
 @pytest.mark.parametrize("op", _lapack_cases(), ids=lambda op: f"n{op.n}-{np.sum(op.e == 0)}splits")
 def test_direct_lapack_calls_match_scipy_wrappers(op):
+    # the eigenpair is an inverse iteration, so it is held to dense eigh; the
+    # Sturm count is one stebz call, the one scipy's wrapper makes
     lam, vec, resid = smallest_eigenpair(op)
-    ref_vec = scipy.linalg.eigh_tridiagonal(op.d, op.e, select="i", select_range=(0, 0))[1][:, 0]
-    tvec = op.matvec(ref_vec)
-    ref_lam = float(ref_vec @ tvec)
-    assert np.array_equal(vec, ref_vec)
-    assert lam == ref_lam
-    assert resid == float(np.linalg.norm(tvec - ref_lam * ref_vec))
+    assert_lowest_pair(op, lam, vec, resid)
+    assert resid <= 1e-10 * (np.max(np.abs(op.d)) + 1)
     eigs = np.linalg.eigvalsh(dense(op))
     for sigma in (eigs[0] - 1.0, lam, *((eigs[:-1] + eigs[1:]) / 2)[:5], eigs[-1] + 1.0):
         ref = scipy.linalg.eigvalsh_tridiagonal(op.d, op.e, select="v",
                                                 select_range=(-np.inf, sigma))
         assert op.count_below(sigma) == len(ref)
+
+
+def test_count_below_minus_inf_is_zero_and_nan_is_rejected():
+    op = TridiagOperator(d=np.array([1.0, -3.0, 2.0]), e=np.array([0.5, -1.0]))
+    assert op.count_below(-np.inf) == 0
+    assert op.count_below(np.inf) == 3
+    with pytest.raises(ValueError):
+        op.count_below(np.nan)
+
+
+@st.composite
+def lowest_pair_operators(draw):
+    """Tridiagonal operators, n = 1..300: mixed-sign off-diagonals with zeros
+    (independent blocks), optionally a doubled block (a double lowest
+    eigenvalue) and a graded diagonal rising to as much as 1e250 at one end."""
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 100), st.floats(-100, -1e-3))
+    n = draw(st.integers(1, 300))
+    d = draw(hnp.arrays(np.float64, n, elements=entry))
+    e = draw(hnp.arrays(np.float64, n - 1, elements=entry))
+    if n > 1 and draw(st.booleans()):
+        m = n // 2
+        d = np.concatenate([d[:m], d[:m][::-1]])
+        e = np.concatenate([e[:m - 1], [0.0], e[:m - 1][::-1]])
+    if draw(st.booleans()):
+        grade = np.logspace(0.0, draw(st.floats(0.0, 250.0)), len(d))
+        d = d + (grade if draw(st.booleans()) else grade[::-1])
+    return TridiagOperator(d=d, e=e)
+
+
+@given(op=lowest_pair_operators())
+@settings(max_examples=80, deadline=None)
+def test_smallest_eigenpair_property_matches_dense_eigh(op):
+    assert_lowest_pair(op, *smallest_eigenpair(op))
+
+
+@given(n=st.integers(1, 300),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_smallest_eigenpair_vector_is_positive_for_negative_off_diagonal(n, data):
+    # a central-difference Schrodinger operator on (0, 1): e = -1/h^2 < 0
+    h = 1.0 / (n + 1)
+    v = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-100, 100)))
+    op = TridiagOperator(d=2.0 / h**2 + v, e=np.full(n - 1, -1.0 / h**2))
+    lam, vec, resid = smallest_eigenpair(op)
+    assert_lowest_pair(op, lam, vec, resid)
+    assert np.all(vec > 0)
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
