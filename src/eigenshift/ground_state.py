@@ -135,15 +135,16 @@ def _operator_on(spec: PotentialSpec, grid: Grid) -> TridiagOperator:
     return TridiagOperator(d=d, e=e)
 
 
-def _solve_on_grid(spec: PotentialSpec, grid: Grid):
+def _solve_on_grid(spec: PotentialSpec, grid: Grid, start: np.ndarray = None):
     op = _operator_on(spec, grid)
-    lam, vec, resid = smallest_eigenpair(op)
+    lam, vec, resid = smallest_eigenpair(op, start=start)
 
-    # confirm we hold the smallest eigenvalue: no spectrum below lam - eps.
-    # eps must clear the Sturm count's own resolution, a few ulps of ||T||.
+    # confirm we hold the smallest eigenvalue: T - (lam - eps) positive
+    # definite, so no spectrum below lam - eps.  eps must clear the
+    # factorisation's own resolution, a few ulps of ||T||.
     scale = float(np.max(np.abs(op.d))) + 2.0 * (float(np.max(np.abs(op.e))) if op.n > 1 else 0.0)
     eps_gap = max(1e-10 * (1.0 + abs(lam)), 256.0 * np.finfo(float).eps * scale)
-    if op.count_below(lam - eps_gap) != 0:
+    if not op.spectrum_above(lam - eps_gap):
         raise ConvergenceError("converged to an excited state, not the ground state")
 
     cap = max(DEFAULT_TOLS.res * (1.0 + abs(lam)), 64.0 * np.finfo(float).eps * scale)
@@ -158,11 +159,14 @@ def _solve_on_grid(spec: PotentialSpec, grid: Grid):
     return lam, vec, resid
 
 
-def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int) -> GroundState:
+def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
+                       start: np.ndarray = None) -> GroundState:
     """Compute the positive L2-normalized Dirichlet ground state.
 
     For a = -inf the wall is resolved by truncate_domain (unless the Domain
-    already carries one).
+    already carries one).  ``start`` (N interior values, any scale), the
+    ground state of a nearby problem with the same N, starts the inverse
+    iteration in place of its cold vector; the result passes the same checks.
 
     Raises ConfinementError when a = -inf and V does not grow on the left,
     ConvergenceError when the eigensolve fails its own checks.
@@ -171,7 +175,7 @@ def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int) -> GroundSta
         raise DomainError(f"N must be at least {MIN_INTERIOR}")
     domain = _resolve_wall(spec, domain)
     grid = Grid.build(domain.a_eff, domain.t, N)
-    lam, vec, resid = _solve_on_grid(spec, grid)
+    lam, vec, resid = _solve_on_grid(spec, grid, start)
     h = grid.h
     u = np.zeros(N + 2)
     u[1:-1] = vec / math.sqrt(h)

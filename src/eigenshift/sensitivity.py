@@ -168,13 +168,14 @@ def u_dot_flux_left(u_dot: np.ndarray, grid: Grid) -> float:
 
 
 def fd_derivatives(spec: PotentialSpec, a: float, t: float, h_t: float, N: int,
-                   a_eff: float = None, lam_t: float = None) -> tuple:
+                   a_eff: float = None, centre: GroundState = None) -> tuple:
     """Central finite differences of lambda in t: independent derivative oracle.
 
     Three ground-state solves at t - h_t, t, t + h_t share a single left wall
-    (resolved here for a = -inf unless ``a_eff`` is supplied).  ``lam_t``, the
-    ground energy already solved at t on that wall with the same N, stands in
-    for the centre solve.
+    (resolved here for a = -inf unless ``a_eff`` is supplied).  ``centre``,
+    the ground state already solved at t on that wall with the same N, stands
+    in for the centre solve; without it the centre is solved here first.
+    Both outer solves start their inverse iteration from the centre's vector.
     """
     if a_eff is None:
         # for a = -inf, the wall of t - h_t, where lambda is largest
@@ -182,14 +183,16 @@ def fd_derivatives(spec: PotentialSpec, a: float, t: float, h_t: float, N: int,
     if not t - h_t > a_eff:
         raise DomainError("FD step reaches past the left wall")
 
-    def lam_at(ti):
+    def solve_at(ti, start=None):
         domain = Domain(a, ti, a_eff) if not math.isfinite(a) else Domain(a, ti)
-        return solve_ground_state(spec, domain, N).lam
+        return solve_ground_state(spec, domain, N, start=start)
 
-    lam_lo, lam_hi = lam_at(t - h_t), lam_at(t + h_t)
-    lam_mid = lam_at(t) if lam_t is None else lam_t
+    if centre is None:
+        centre = solve_at(t)
+    start = centre.u[1:-1]
+    lam_lo, lam_hi = solve_at(t - h_t, start).lam, solve_at(t + h_t, start).lam
     ld = (lam_hi - lam_lo) / (2.0 * h_t)
-    ldd = (lam_hi - 2.0 * lam_mid + lam_lo) / (h_t * h_t)
+    ldd = (lam_hi - 2.0 * centre.lam + lam_lo) / (h_t * h_t)
     return ld, ldd
 
 
@@ -214,7 +217,7 @@ def compute_sensitivity(gs: GroundState, spec: PotentialSpec,
         a_eff = gs.domain.a_eff if gs.domain.unbounded_left else None
         # gs is the centre solve: same wall, same N
         ld_fd, ldd_fd = fd_derivatives(spec, gs.domain.a, gs.t, step, gs.grid.n_interior,
-                                       a_eff=a_eff, lam_t=gs.lam)
+                                       a_eff=a_eff, centre=gs)
 
     return Sensitivity(
         t=gs.t, lam=gs.lam,

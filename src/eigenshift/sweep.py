@@ -85,7 +85,9 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
     """Compute lambda(t) on a uniform endpoint grid.
 
     One wall ``a_eff`` serves the whole sweep (resolved at t_min unless
-    supplied).  Solver failures propagate with the failing t attached.
+    supplied).  Every endpoint after the first starts its eigensolve from the
+    previous endpoint's ground state.  Solver failures propagate with the
+    failing t attached.
     """
     if n_t < 5:
         raise DomainError("sweep needs at least 5 endpoint samples")
@@ -99,14 +101,16 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
     dt = float(ts[1] - ts[0])
     lambdas = np.empty(n_t)
     lambda_dots = np.empty(n_t)
+    start = None
     for i, t in enumerate(ts):
         domain = Domain(a, float(t), a_eff if unbounded else None)
         try:
-            gs = solve_ground_state(spec, domain, N)
+            gs = solve_ground_state(spec, domain, N, start=start)
         except EigenshiftError as exc:
             raise type(exc)(f"sweep failed at t={t}: {exc}") from exc
         lambdas[i] = gs.lam
         lambda_dots[i] = lambda_dot_flux(gs)
+        start = gs.u[1:-1]
 
     second = (lambdas[:-2] - 2.0 * lambdas[1:-1] + lambdas[2:]) / (dt * dt)
     h_max = (t_max - (a_eff if unbounded else a)) / (N + 1)
@@ -164,7 +168,8 @@ def blowup_profile(spec: PotentialSpec, a: float, epsilons, N: int) -> np.ndarra
 
     As eps -> 0 the values approach pi^2, the free small-interval limit: a
     quantitative refinement of the bare blow-up of lambda near the left end.
-    Requires a finite left endpoint and V bounded near it.
+    Requires a finite left endpoint and V bounded near it.  Each eps after
+    the first starts its eigensolve from the previous eps's ground state.
     """
     eps = np.asarray(list(epsilons), dtype=float)
     if not math.isfinite(a):
@@ -172,9 +177,11 @@ def blowup_profile(spec: PotentialSpec, a: float, epsilons, N: int) -> np.ndarra
     if len(eps) == 0 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise DomainError("epsilons must be positive and strictly decreasing")
     out = np.empty(len(eps))
+    start = None
     for i, e in enumerate(eps):
-        gs = solve_ground_state(spec, Domain(a, a + float(e)), N)
+        gs = solve_ground_state(spec, Domain(a, a + float(e)), N, start=start)
         out[i] = gs.lam * e * e
+        start = gs.u[1:-1]
     return out
 
 

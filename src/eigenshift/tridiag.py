@@ -1,9 +1,11 @@
 """Symmetric tridiagonal eigen-machinery on direct LAPACK calls.
 
-The smallest eigenpair comes from shifted inverse iteration: each step is one
-positive definite ``ptsv`` factor-and-solve (``pttrf`` + ``pttrs``) of
-T - sigma, and a factorisation that succeeds certifies that sigma lies below
-the whole spectrum.  ``count_below`` is a ``stebz`` Sturm count.
+The smallest eigenpair comes from shifted inverse iteration, cold or from a
+caller's start vector: each step is one positive definite ``ptsv``
+factor-and-solve (``pttrf`` + ``pttrs``) of T - sigma, and a factorisation
+that succeeds certifies that sigma lies below the whole spectrum.
+``spectrum_above`` is that certificate on its own, one ``pttrf``;
+``count_below`` is a ``stebz`` Sturm count.
 ``solve_bordered`` solves the singular shifted system of a differentiated
 eigenpair through a positive definite tridiagonal ``pttrf``/``pttrs``
 factor-and-solve and a 2x2 system, in O(N).
@@ -62,8 +64,21 @@ class TridiagOperator:
             raise ConvergenceError(f"Sturm count: LAPACK stebz info={info}")
         return int(m)
 
+    def spectrum_above(self, sigma: float) -> bool:
+        """Whether every eigenvalue exceeds ``sigma``: one ``pttrf`` of T - sigma,
+        which succeeds exactly when T - sigma is positive definite (Sylvester's
+        inertia), so it agrees with ``count_below(sigma) == 0``.
 
-def smallest_eigenpair(op: TridiagOperator) -> tuple:
+        A nan ``sigma`` raises ValueError: d - nan would factor "successfully",
+        because no nan pivot compares <= 0.
+        """
+        sigma = float(sigma)
+        if np.isnan(sigma):
+            raise ValueError("definiteness test: shift is nan")
+        return lapack.dpttrf(self.d - sigma, _offdiag(self.e))[2] == 0
+
+
+def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     """Lowest eigenpair of ``op``; returns (lam, vec, residual).
 
     ``vec`` has unit euclidean norm; ``lam`` is its Rayleigh quotient and
@@ -74,15 +89,21 @@ def smallest_eigenpair(op: TridiagOperator) -> tuple:
     is used only when ``ptsv`` factors T - sigma as positive definite, which
     certifies sigma below the spectrum; when it does not, sigma steps back
     toward the last certified shift.  After each solve the shift moves up to
-    the Weinstein bound lam - residual, less a margin.  The start vector is
-    D 1, where D = diag(+-1) makes the off-diagonal of D T D equal to -|e|, so
-    it overlaps the ground state of every block, and for e < 0 every iterate
-    is positive.  Iteration stops once lam no longer falls by more than a
+    the Weinstein bound lam - residual, less a margin.  The cold start vector
+    is D 1, where D = diag(+-1) makes the off-diagonal of D T D equal to -|e|,
+    so it overlaps the ground state of every block, and for e < 0 every
+    iterate is positive.  ``start`` replaces that vector, nothing else: the
+    ground state of a nearby operator of the same size (the previous solve of
+    a chain) leaves a step or two to take.  A start with no weight on the
+    ground state can settle on an excited pair, which the caller's index
+    check rejects.  Iteration stops once lam no longer falls by more than a
     margin and the residual is within twice that margin.  The margin, 4 eps
     ||(|T| 1) vec||, also keeps the shift below lam - residual; it is scaled
     to the rows the vector occupies, because graded operators from the wall
-    probe carry diagonal entries near 1e266.  Raises ConvergenceError when
-    lam has not settled after a fixed number of factorisations.
+    probe carry diagonal entries near 1e266.  Raises ValueError unless
+    ``start`` is None or a finite vector of length n with a nonzero entry,
+    and ConvergenceError when lam has not settled after a fixed number of
+    factorisations.
     """
     max_factorisations = 64
     eps = np.finfo(float).eps
@@ -95,8 +116,20 @@ def smallest_eigenpair(op: TridiagOperator) -> tuple:
     sigma, certified = float(np.min(op.d - radius)), None
     # keeps every shift at least floor below the spectrum, so |w| <= 1/floor
     floor = drop = np.finfo(float).tiny / eps
-    vec = np.full(op.n, op.n ** -0.5)
-    vec[1:][np.logical_xor.accumulate(op.e > 0)] *= -1.0
+    if start is None:
+        vec = np.full(op.n, op.n ** -0.5)
+        vec[1:][np.logical_xor.accumulate(op.e > 0)] *= -1.0
+    else:
+        vec = np.array(start, dtype=float)
+        if vec.shape != (op.n,):
+            raise ValueError(f"start vector has shape {vec.shape}, expected ({op.n},)")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError("start vector is not finite")
+        big = float(np.max(np.abs(vec)))
+        if big == 0.0:
+            raise ValueError("start vector is zero")
+        vec /= big  # first to the unit max norm, so the 2-norm cannot overflow
+        vec /= blas.dnrm2(vec)
     lam = np.inf
     for _ in range(max_factorisations):
         shifted = op.d - sigma

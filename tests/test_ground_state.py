@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ai_zeros, airy
 
-from eigenshift.errors import ConfinementError, DomainError
+from eigenshift.errors import ConfinementError, ConvergenceError, DomainError
 from eigenshift.ground_state import (
     Domain,
     Grid,
@@ -232,6 +232,20 @@ class TestSolverValidation:
         eps = 1e-6 * (1 + abs(gs.lam))
         assert op.count_below(gs.lam - eps) == 0
         assert op.count_below(gs.lam + eps) == 1
+
+    def test_excited_eigenpair_is_rejected(self, monkeypatch):
+        # an eigensolve that settles on the second pair, residual and all,
+        # must fail the index certificate
+        import eigenshift.ground_state as ground_state
+
+        def second_pair(op, start=None):
+            lams, vecs = np.linalg.eigh(np.diag(op.d) + np.diag(op.e, 1) + np.diag(op.e, -1))
+            vec = vecs[:, 1]
+            return float(lams[1]), vec, float(np.linalg.norm(op.matvec(vec) - lams[1] * vec))
+
+        monkeypatch.setattr(ground_state, "smallest_eigenpair", second_pair)
+        with pytest.raises(ConvergenceError, match="excited"):
+            solve_ground_state(free(), Domain(0.0, 1.0), 64)
 
 
 class TestTabulatedPotentialSolve:

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from eigenshift.sweep import (
     check_theorem,
     chord_tangent_violation,
     sweep,
+    sweep_convexity,
     sweep_rows,
     write_sweep_csv,
     write_verdict_json,
@@ -100,6 +102,56 @@ class TestConcaveSweep:
         assert not verdict.expect_concave   # hypothesis a = -inf absent
         assert verdict.monotone_decreasing
         assert verdict.ok
+
+
+CHAINS = {
+    "free": (make_potential("affine"), 0.0, 0.5, 2.0, 31, 1001),
+    "quadratic": (make_potential("quadratic", c2=1.0), NEG_INF, -1.0, 2.0, 31, 2001),
+    "neg_abs": (make_potential("neg_abs", slope=2.0, amp=1.0), NEG_INF, 0.5, 2.5, 21, 2001),
+}
+
+
+def cold_sweep(monkeypatch, *args):
+    """``sweep`` with every endpoint solved from the cold start vector."""
+    # the package's ``sweep`` attribute is the function, not this module
+    sweep_module = importlib.import_module("eigenshift.sweep")
+    real = sweep_module.solve_ground_state
+    with monkeypatch.context() as m:
+        m.setattr(sweep_module, "solve_ground_state",
+                  lambda spec, domain, N, start=None: real(spec, domain, N))
+        return sweep(*args)
+
+
+class TestWarmStartChain:
+    @pytest.mark.parametrize("key", list(CHAINS))
+    def test_warm_sweep_matches_cold_solves(self, key, monkeypatch):
+        args = CHAINS[key]
+        warm, cold = sweep(*args), cold_sweep(monkeypatch, *args)
+        assert warm.a_eff == cold.a_eff
+        np.testing.assert_allclose(warm.lambdas, cold.lambdas, rtol=1e-11, atol=0.0)
+        cls = sweep_convexity(args[0], args[2], args[3])
+        assert check_theorem(warm, cls) == check_theorem(cold, cls)
+        assert check_theorem(warm, cls).ok
+
+    def test_warm_sweep_takes_fewer_factorisations(self, monkeypatch):
+        import eigenshift.tridiag as tridiag
+
+        calls = []
+
+        class Counting:
+            def __getattr__(self, name):
+                if name == "dptsv":
+                    calls.append(name)
+                return getattr(lapack, name)
+
+        lapack = tridiag.lapack
+        monkeypatch.setattr(tridiag, "lapack", Counting())
+        args = CHAINS["free"]
+        sweep(*args)
+        warm = len(calls)
+        calls.clear()
+        cold_sweep(monkeypatch, *args)
+        assert warm < len(calls)
 
 
 class TestSweepValidation:

@@ -170,6 +170,35 @@ def test_count_below_minus_inf_is_zero_and_nan_is_rejected():
         op.count_below(np.nan)
 
 
+def test_spectrum_above_rejects_nan_shift():
+    # d - nan factors without a pivot failure, so nan must be refused up front
+    op = TridiagOperator(d=np.array([1.0, -3.0, 2.0]), e=np.array([0.5, -1.0]))
+    assert op.spectrum_above(-np.inf) and not op.spectrum_above(np.inf)
+    with pytest.raises(ValueError):
+        op.spectrum_above(np.nan)
+
+
+@pytest.mark.parametrize("start", [np.ones(4), np.array([1.0, np.nan, 1.0, 1.0, 1.0]),
+                                   np.array([1.0, np.inf, 1.0, 1.0, 1.0]), np.zeros(5)],
+                         ids=["wrong-length", "nan", "inf", "zero"])
+def test_smallest_eigenpair_rejects_malformed_start(start):
+    op = TridiagOperator(d=np.full(5, 2.0), e=np.full(4, -1.0))
+    with pytest.raises(ValueError):
+        smallest_eigenpair(op, start=start)
+
+
+def test_smallest_eigenpair_from_a_nearby_ground_state():
+    # the ground state of a perturbed operator as start: same pair as cold
+    rng = np.random.default_rng(29)
+    n = 400
+    op = TridiagOperator(d=rng.normal(size=n) + 5.0, e=-np.ones(n - 1))
+    near = TridiagOperator(d=op.d + 1e-2 * rng.normal(size=n), e=op.e)
+    _, start, _ = smallest_eigenpair(near)
+    lam, vec, resid = smallest_eigenpair(op, start=1e3 * start)
+    assert_lowest_pair(op, lam, vec, resid)
+    assert lam == pytest.approx(smallest_eigenpair(op)[0], rel=1e-13)
+
+
 @st.composite
 def lowest_pair_operators(draw):
     """Tridiagonal operators, n = 1..300: mixed-sign off-diagonals with zeros
@@ -193,6 +222,16 @@ def lowest_pair_operators(draw):
 @settings(max_examples=80, deadline=None)
 def test_smallest_eigenpair_property_matches_dense_eigh(op):
     assert_lowest_pair(op, *smallest_eigenpair(op))
+
+
+@given(op=lowest_pair_operators(), above=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_spectrum_above_is_an_empty_sturm_count(op, above):
+    # one pttrf of T - sigma against the stebz count, clear of the spectrum
+    lam_min = np.linalg.eigvalsh(dense(op))[0]
+    sigma = lam_min + (1.0 if above else -1.0) * 1e-6 * (1.0 + abs(lam_min))
+    assert op.spectrum_above(sigma) == (op.count_below(sigma) == 0)
+    assert op.spectrum_above(sigma) != above
 
 
 @given(n=st.integers(1, 300),

@@ -5,7 +5,8 @@ from eigenshift.verify import BatteryEntry, default_battery, run_battery, verify
 
 @pytest.fixture(scope="module")
 def report():
-    return run_battery(N=301, n_t=7)
+    # the size of the benchmark's battery workload (verify --N 801 --n-t 11)
+    return run_battery(N=801, n_t=11)
 
 
 def test_battery_covers_theorem_hypotheses():
@@ -18,8 +19,8 @@ def test_battery_covers_theorem_hypotheses():
 
 def test_full_battery_passes_at_modest_grid(report):
     assert report.ok, report.render()
-    assert report.n_fail == 0
-    assert report.n_pass > 100
+    statuses = [c.status for c in report.lines]
+    assert (statuses.count("PASS"), statuses.count("FAIL"), statuses.count("SKIP")) == (148, 0, 2)
 
 
 def test_gated_entry_reports_skip(report):
