@@ -4,14 +4,17 @@ Configuration comes from flags, optionally seeded by a flat JSON config file
 whose keys mirror the flag names; explicit flags win.  All file output uses
 fixed 17-digit scientific notation (CSV / plot data) or shortest round-trip
 floats (JSON), so identical configs produce byte-identical artifacts.  Column
-data is formatted once per call by ``ground_state._format_rows`` and written
-by ``write_columns``; a CSV file and its plot file share that one formatting
-pass.
+data is formatted once per call by ``ground_state._format_rows``, a numpy
+kernel that writes the characters of ``"%.16e" % v`` and hands the values it
+cannot decide (zeros, non-finite values, extreme magnitudes, near-ties) to
+that exact per-value call.  ``write_columns`` writes the rows; a CSV file and
+its plot file share that one formatting pass.
 
 The numerical tolerances are the package's stated ones (``tolerances.py``);
 no flag or config key changes them.
 
-Exit codes: 0 success, 1 numerical/convergence failure, 2 usage error.
+Exit codes: 0 success, 1 numerical/convergence failure (for ``sweep``, also
+a verdict that is not ok), 2 usage error.
 """
 
 from __future__ import annotations
@@ -334,6 +337,10 @@ def _run_sweep(cfg: RunConfig) -> int:
     print(f"swept {count} endpoints in [{lo}, {hi}] (V class: {cls.value})")
     for key, val in verdict.as_dict().items():
         print(f"{key} = {val}")
+    if not verdict.ok:
+        print("error: sweep verdict is not ok: lambda(t) fails a check the "
+              "theorem expects it to pass", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -145,6 +145,28 @@ class TestExitCodes:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_failed_sweep_verdict_is_1(self, tmp_path, capsys):
+        # the endpoints span 300 decades at N = 64, so lambda(t) is not
+        # resolved as decreasing; the artifacts are written all the same
+        code = main(["sweep", "--potential", "affine:", "--a", "0",
+                     "--t-range", "0.5:1e308:5", "--N", "64", "--out-dir", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "ok = False"
+        assert "monotone_decreasing = False" in captured.out.splitlines()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "verdict.json"]
+        assert json.loads((tmp_path / "verdict.json").read_text())["ok"] is False
+
+    def test_readme_sweep_is_0(self, tmp_path, capsys):
+        code = main(["sweep", "--potential", "quadratic:c2=1", "--a", "-inf",
+                     "--t-range", "-1:2:31", "--N", "2001", "--out-dir", str(tmp_path)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "ok = True"
+        assert captured.err == ""
+
     def test_solve_success_is_0(self, tmp_path, capsys):
         code = main(["solve", "--potential", "affine:", "--a", "0", "--t", "1",
                      "--N", "301", "--out-dir", str(tmp_path)])

@@ -4,11 +4,25 @@ The reference is the per-value formatting loop the writers replaced, so a
 change of format fails here even when two runs of the new code agree.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eigenshift import ground_state
 from eigenshift.cli import main
-from eigenshift.ground_state import _format_rows, write_columns
+from eigenshift.ground_state import (
+    _TIE_BAND,
+    _VEC_MAX,
+    _VEC_MIN,
+    Domain,
+    _format_rows,
+    solve_ground_state,
+    write_columns,
+)
 from eigenshift.potentials import make_potential
 from eigenshift.sweep import sweep
 
@@ -40,6 +54,102 @@ def test_special_values_one_per_row():
     text = _format_rows(col)
     assert text.splitlines() == [f"{v:.16e}" for v in SPECIAL]
     assert text.splitlines()[:4] == ["nan", "inf", "-inf", "-0.0000000000000000e+00"]
+
+
+def ulp_neighbours(values):
+    v = np.asarray(values, dtype=float)
+    return np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+
+
+def powers_of_ten():
+    """Every power of ten a float64 holds, each correctly rounded."""
+    return [float(10 ** k) if k >= 0 else 1 / 10 ** -k for k in range(-323, 309)]
+
+
+def rounds_up_to_power_of_ten():
+    """Doubles just below 10^k whose 17-digit rounding is 10^k."""
+    out = []
+    for k, v in zip(range(-323, 309), powers_of_ten()):
+        num, den = v.as_integer_ratio()
+        if num * 10 ** max(-k, 0) < den * 10 ** max(k, 0) and f"{v:.16e}".startswith("1.0000"):
+            out.append(v)
+    return out
+
+
+def ties(n=2000, seed=3):
+    # m / 4 with 4e15 < m < 2^53 has 16 integer digits, so odd m puts the
+    # 17th significant digit exactly on a half
+    m = np.random.default_rng(seed).integers(4 * 10 ** 15 + 1, 2 ** 53, n)
+    return m * 0.25
+
+
+EXPLICIT = {
+    "ties": ties(),
+    "powers_of_ten": ulp_neighbours(powers_of_ten()),
+    "round_up_to_power_of_ten": np.array(rounds_up_to_power_of_ten()),
+    "range_ends": ulp_neighbours([_VEC_MIN, _VEC_MAX]),
+    "exponent_width": ulp_neighbours([1e99, 9.999999999999999e99, 1e100, 1e-99,
+                                      9.999999999999999e-100, 1e-100, 1e-101]),
+    "subnormal_zero_nonfinite": np.array([5e-324, 1e-310, 2.2250738585072009e-308,
+                                          2.2250738585072014e-308, 1.7976931348623157e308,
+                                          0.0, -0.0, np.nan, np.inf, -np.inf]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT))
+def test_format_rows_explicit_values(name):
+    v = np.concatenate([EXPLICIT[name], -EXPLICIT[name]])
+    assert _format_rows(v) == reference_rows(v)
+    cols = list(v[: len(v) // 3 * 3].reshape(3, -1))
+    assert _format_rows(*cols) == reference_rows(*cols)
+    assert _format_rows(*cols, sep=" ") == reference_rows(*cols, sep=" ")
+
+
+def test_round_half_even_ties_and_carries():
+    assert _format_rows(np.array([4000000000000001 * 0.25])) == "1.0000000000000002e+15\n"
+    assert _format_rows(np.array([4000000000000003 * 0.25])) == "1.0000000000000008e+15\n"
+    assert len(rounds_up_to_power_of_ten()) >= 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 4), sep=st.sampled_from([",", " "]),
+       bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=240))
+def test_format_rows_property_bit_patterns(k, sep, bits):
+    n = len(bits) // k
+    flat = np.array(bits[: n * k], dtype=np.uint64).view(np.float64)
+    cols = list(flat.reshape(k, n))
+    assert _format_rows(*cols, sep=sep) == reference_rows(*cols, sep=sep)
+
+
+def tie_distance(v):
+    """Exact distance of 10^(16 - e) |v| from its nearest half-integer,
+    e chosen so the scaled value has 17 integer digits."""
+    q = Fraction(abs(v)) * Fraction(10) ** (16 - math.floor(math.log10(abs(v))))
+    while q >= 10 ** 17:
+        q /= 10
+    while q < 10 ** 16:
+        q *= 10
+    return abs(q - math.floor(q) - Fraction(1, 2))
+
+
+def test_exact_arbiter_is_rare_on_the_oscillator_profile(monkeypatch):
+    gs = solve_ground_state(make_potential("quadratic", c2=1.0), Domain(-math.inf, 0.0), 32001)
+    x, u = gs.grid.x, gs.u
+    seen = []
+    exact_fields = ground_state._exact_fields
+
+    def spy(values):
+        seen.extend(values.tolist())
+        return exact_fields(values)
+
+    monkeypatch.setattr(ground_state, "_exact_fields", spy)
+    assert _format_rows(x, u) == reference_rows(x, u)
+    # the zeros are the Dirichlet values u(a_eff) = u(t) = 0 and the grid point x = t = 0
+    assert np.flatnonzero(u == 0.0).tolist() == [0, len(u) - 1]
+    assert np.flatnonzero(x == 0.0).tolist() == [len(x) - 1]
+    assert [v for v in seen if v == 0.0] == [0.0, 0.0, 0.0]
+    # anything else must be a near-tie; 1e-12 covers the kernel's own error
+    assert all(tie_distance(v) < _TIE_BAND + 1e-12 for v in seen if v != 0.0)
 
 
 def test_write_columns_header_then_rows(tmp_path):
