@@ -26,7 +26,7 @@ from .potentials import (
     ConvexityClass,
     PotentialSpec,
     canonical_string,
-    classify_convexity,
+    convexity_on,
     eval_V,
     eval_Vprime,
     make_potential,
@@ -61,7 +61,7 @@ __all__ = [
     "UsageError",
     "Domain", "Grid", "GroundState", "discretize", "rayleigh_energy",
     "richardson_lambda", "solve_ground_state", "truncate_domain",
-    "ConvexityClass", "PotentialSpec", "canonical_string", "classify_convexity",
+    "ConvexityClass", "PotentialSpec", "canonical_string", "convexity_on",
     "eval_V", "eval_Vprime", "make_potential", "make_tabulated",
     "parse_potential", "validate_confinement",
     "Sensitivity", "compute_sensitivity", "fd_derivatives", "find_nodal_point",

@@ -42,13 +42,7 @@ from .sensitivity import (
     sensitivity_metadata,
     write_sensitivity_json,
 )
-from .sweep import (
-    check_theorem,
-    sweep,
-    sweep_convexity,
-    write_sweep_csv,
-    write_verdict_json,
-)
+from .sweep import check_theorem, sweep, write_sweep_csv, write_verdict_json
 from .verify import run_battery
 
 MODES = ("solve", "sensitivity", "sweep", "verify")
@@ -173,10 +167,7 @@ def _merged(flag_value, config: dict, key: str):
     return config.get(key)
 
 
-_VALUE_FLAGS = {
-    "--config", "--potential", "--a", "--t", "--t-range", "--N", "--h-t",
-    "--out-dir", "--format", "--n-t",
-}
+_VALUE_FLAGS = {"--config"} | {"--" + k for k in _CONFIG_KEYS}
 
 
 def _join_values(argv: list) -> list:
@@ -322,8 +313,7 @@ def _run_sensitivity(cfg: RunConfig) -> int:
 def _run_sweep(cfg: RunConfig) -> int:
     lo, hi, count = cfg.t_range
     result = sweep(cfg.spec, cfg.a, lo, hi, count, cfg.N)
-    cls = sweep_convexity(cfg.spec, lo, hi)
-    verdict = check_theorem(result, cls)
+    verdict = check_theorem(result, cfg.spec)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if "csv" in cfg.formats:
         write_sweep_csv(result, cfg.out_dir / "sweep.csv")
@@ -334,7 +324,7 @@ def _run_sweep(cfg: RunConfig) -> int:
                              ("lambda_dot_vs_t.dat", result.ts, result.lambda_dots),
                              ("second_diff_vs_t.dat", result.ts[1:-1], result.second_diffs)):
             write_columns(cfg.out_dir / name, _format_rows(ts, ys, sep=" "))
-    print(f"swept {count} endpoints in [{lo}, {hi}] (V class: {cls.value})")
+    print(f"swept {count} endpoints in [{lo}, {hi}] (V class: {verdict.convexity.value})")
     for key, val in verdict.as_dict().items():
         print(f"{key} = {val}")
     if not verdict.ok:

@@ -1,4 +1,4 @@
-"""Evaluable potential families V with derivatives and convexity classification.
+"""Evaluable potential families V with derivatives and exact convexity classes.
 
 Each family is piecewise-C1 so that V' can be evaluated pointwise (left-derivative
 convention at kinks).  Supported families:
@@ -14,6 +14,10 @@ convention at kinks).  Supported families:
 The ``neg_abs`` family is the piecewise-linear concave potential; with
 slope > amp > 0 it grows at -infinity and is the standard concave test case on
 a half-infinite domain.
+
+``PotentialSpec.convexity`` is the declared class of V on the whole line (for
+a table, on the whole table); ``convexity_on`` gives the exact class on an
+interval, the hypothesis the theorem asks of the domain that is solved.
 """
 
 from __future__ import annotations
@@ -317,37 +321,24 @@ def vprime_kinks(spec: PotentialSpec) -> np.ndarray:
     return np.array([])
 
 
-def classify_convexity(
-    spec: PotentialSpec,
-    probe_range: tuple = (-5.0, 5.0),
-    n_probe: int = 41,
-) -> ConvexityClass:
-    """Classify convexity from sampled second differences.
+def convexity_on(spec: PotentialSpec, lo: float = -math.inf,
+                 hi: float = math.inf) -> ConvexityClass:
+    """Convexity class of V on [lo, hi], exact for every family.
 
-    Returns AFFINE when both the convex and the concave test pass within the
-    scale-aware tolerance, INDETERMINATE when neither does.  Tabulated specs
-    are classified from the table's own second differences.
+    A smooth family has its declared class on every interval.  A kinked
+    family (``abs_shift``, ``neg_abs``) is affine on an interval whose
+    interior misses the kink, and has its declared class otherwise.  A
+    tabulated potential is classified from the table segments that meet
+    [lo, hi].
     """
-    if n_probe < 3:
-        raise UsageError("n_probe must be at least 3")
     if spec.family == "tabulated":
-        return _table_convexity(*spec.table)
-    lo, hi = float(probe_range[0]), float(probe_range[1])
-    if not lo < hi:
-        raise UsageError("probe_range must be an increasing interval")
-    xs = np.linspace(lo, hi, n_probe)
-    vs = eval_V(spec, xs)
-    d2 = vs[:-2] - 2.0 * vs[1:-1] + vs[2:]
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(vs))))
-    convex_ok = bool(np.all(d2 >= -tol))
-    concave_ok = bool(np.all(d2 <= tol))
-    if convex_ok and concave_ok:
+        xs, vs = spec.table
+        first = max(int(np.searchsorted(xs, lo, side="right")) - 1, 0)
+        stop = int(np.searchsorted(xs, hi, side="left")) + 1
+        return _table_convexity(xs[first:stop], vs[first:stop])
+    if spec.family in ("abs_shift", "neg_abs") and not lo < spec.params["shift"] < hi:
         return ConvexityClass.AFFINE
-    if convex_ok:
-        return ConvexityClass.CONVEX
-    if concave_ok:
-        return ConvexityClass.CONCAVE
-    return ConvexityClass.INDETERMINATE
+    return spec.convexity
 
 
 def _eval_guarded(spec: PotentialSpec, x: float) -> float:

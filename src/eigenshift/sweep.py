@@ -5,7 +5,9 @@ energy is largest) so that second differences in t are not polluted by
 truncation jitter.
 Verdicts render the global claims -- strict decrease, convexity for convex
 potentials, concavity for concave potentials on half-infinite domains, and the
-blow-up rate at the left endpoint -- as machine-checkable booleans.
+blow-up rate at the left endpoint -- as machine-checkable booleans.  The
+convexity hypothesis is judged on the domain the sweep solved, [a_eff, t_max],
+by the exact ``potentials.convexity_on``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, EigenshiftError
 from .ground_state import Domain, _resolve_wall, solve_ground_state
-from .potentials import ConvexityClass, PotentialSpec, classify_convexity
+from .potentials import ConvexityClass, PotentialSpec, convexity_on
 from .sensitivity import lambda_dot_flux
 from .tolerances import DEFAULT_TOLS
 
@@ -51,8 +53,10 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class TheoremVerdict:
-    """Sweep verdicts next to the expectations raised by the convexity class."""
+    """Sweep verdicts next to the expectations raised by ``convexity``, the
+    class of V on the solved domain."""
 
+    convexity: ConvexityClass
     monotone_decreasing: bool
     convex_in_t: bool
     concave_in_t: bool
@@ -120,21 +124,18 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
                        a_eff=(a_eff if unbounded else a), N=N, tol_thm=tol_thm)
 
 
-def sweep_convexity(spec: PotentialSpec, t_min: float, t_max: float) -> ConvexityClass:
-    """Sampled convexity class of V on the window a sweep over [t_min, t_max]
-    is judged by: [t_min - 2, t_max + 1], widened to cover at least [-5, 5]."""
-    return classify_convexity(spec, (min(-5.0, t_min - 2.0), max(5.0, t_max + 1.0)), 201)
-
-
-def check_theorem(result: SweepResult, cls: ConvexityClass) -> TheoremVerdict:
-    """Raise the expectations the convexity class entitles us to and report.
+def check_theorem(result: SweepResult, spec: PotentialSpec) -> TheoremVerdict:
+    """Raise the expectations the convexity class of V on the solved domain
+    [a_eff, t_max] entitles us to and report.
 
     Convex V expects a convex curve; concave V expects a concave curve only on
     a half-infinite domain; affine V on a half-infinite domain expects both.
     Monotone decrease is always expected.
     """
+    cls = convexity_on(spec, result.a_eff, float(result.ts[-1]))
     unbounded = not math.isfinite(result.a)
     return TheoremVerdict(
+        convexity=cls,
         monotone_decreasing=result.monotone_decreasing,
         convex_in_t=result.convex_in_t,
         concave_in_t=result.concave_in_t,

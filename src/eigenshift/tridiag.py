@@ -78,6 +78,14 @@ class TridiagOperator:
         return lapack.dpttrf(self.d - sigma, _offdiag(self.e))[2] == 0
 
 
+def _cold_vector(op: TridiagOperator) -> np.ndarray:
+    """D 1 / sqrt(n), where D = diag(+-1) makes the off-diagonal of D T D
+    equal to -|e|."""
+    vec = np.full(op.n, op.n ** -0.5)
+    vec[1:][np.logical_xor.accumulate(op.e > 0)] *= -1.0
+    return vec
+
+
 def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     """Lowest eigenpair of ``op``; returns (lam, vec, residual).
 
@@ -94,13 +102,15 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     so it overlaps the ground state of every block, and for e < 0 every
     iterate is positive.  ``start`` replaces that vector, nothing else: the
     ground state of a nearby operator of the same size (the previous solve of
-    a chain) leaves a step or two to take.  A start with no weight on the
-    ground state can settle on an excited pair, which the caller's index
-    check rejects.  Iteration stops once lam no longer falls by more than a
-    margin and the residual is within twice that margin.  The margin, 4 eps
-    ||(|T| 1) vec||, also keeps the shift below lam - residual; it is scaled
-    to the rows the vector occupies, because graded operators from the wall
-    probe carry diagonal entries near 1e266.  Raises ValueError unless
+    a chain) leaves a step or two to take.  A start with almost no weight on
+    the ground state heads for an excited pair, whose Weinstein bound then
+    passes lambda_1; each factorisation that fails above a certified shift
+    adds the cold vector back into the iterate, which restores that weight.
+    Iteration stops once lam no longer falls by more than a margin and the
+    residual is within twice that margin.  The margin, 4 eps ||(|T| 1) vec||,
+    also keeps the shift below lam - residual; it is scaled to the rows the
+    vector occupies, because graded operators from the wall probe carry
+    diagonal entries near 1e266.  Raises ValueError unless
     ``start`` is None or a finite vector of length n with a nonzero entry,
     and ConvergenceError when lam has not settled after a fixed number of
     factorisations.
@@ -117,8 +127,7 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     # keeps every shift at least floor below the spectrum, so |w| <= 1/floor
     floor = drop = np.finfo(float).tiny / eps
     if start is None:
-        vec = np.full(op.n, op.n ** -0.5)
-        vec[1:][np.logical_xor.accumulate(op.e > 0)] *= -1.0
+        vec = _cold_vector(op)
     else:
         vec = np.array(start, dtype=float)
         if vec.shape != (op.n,):
@@ -142,6 +151,10 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
             continue
         if info:
             sigma = 0.5 * (certified + sigma)
+            # the shift passed lambda_1, which a vector with almost no weight
+            # on the ground state invites: give it the cold vector's weight
+            vec = vec + _cold_vector(op)
+            vec /= blas.dnrm2(vec)
             continue
         certified = sigma
         vec = w / blas.dnrm2(w)

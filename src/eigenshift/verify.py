@@ -15,22 +15,23 @@ as widened, so a deliberately coarse run completes and says so.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EigenshiftError
 from .ground_state import Domain, discretize, rayleigh_energy, solve_ground_state
-from .potentials import ConvexityClass, PotentialSpec, make_potential, validate_confinement
-from .sensitivity import compute_sensitivity, u_dot_flux_left
-from .sweep import (
-    blowup_profile,
-    check_theorem,
-    chord_tangent_violation,
-    sweep,
-    sweep_convexity,
+from .potentials import (
+    ConvexityClass,
+    PotentialSpec,
+    _table_convexity,
+    convexity_on,
+    eval_V,
+    make_potential,
+    validate_confinement,
 )
+from .sensitivity import compute_sensitivity, u_dot_flux_left
+from .sweep import blowup_profile, check_theorem, chord_tangent_violation, sweep
 from .tolerances import DEFAULT_TOLS
 
 # h^2 prefactors for the widened (grid-limited) tolerances
@@ -93,7 +94,6 @@ class CheckLine:
 @dataclass
 class VerifyReport:
     lines: list = field(default_factory=list)
-    elapsed: float = 0.0
     N: int = 0
     n_t: int = 0
 
@@ -129,8 +129,7 @@ class VerifyReport:
             out.append("  ".join(parts))
         out.append("-" * 78)
         out.append(f"{self.n_pass} passed, {self.n_fail} failed, "
-                   f"{sum(1 for c in self.lines if c.status == 'SKIP')} skipped, "
-                   f"elapsed {self.elapsed:.1f}s")
+                   f"{sum(1 for c in self.lines if c.status == 'SKIP')} skipped")
         return "\n".join(out) + "\n"
 
     def to_json(self) -> dict:
@@ -194,10 +193,6 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
     if not confined:
         return col.lines
 
-    cls = sweep_convexity(entry.spec, entry.sweep_lo, entry.sweep_hi)
-    col.check("convexity class consistent", cls == entry.spec.convexity,
-              measured=cls.value, note=f"declared {entry.spec.convexity.value}")
-
     try:
         gs = solve_ground_state(entry.spec, Domain(entry.a, entry.t_ref), N)
         sens = compute_sensitivity(gs, entry.spec)
@@ -205,6 +200,13 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
         col.lines.append(CheckLine(entry=entry.key, check="solve + sensitivity",
                                    status="FAIL", note=str(exc)))
         return col.lines
+
+    # the exact class on the solved domain must match V sampled on its grid
+    # and the class the family declares
+    cls = convexity_on(entry.spec, gs.domain.a_eff, entry.t_ref)
+    sampled = _table_convexity(gs.grid.x, eval_V(entry.spec, gs.grid.x))
+    col.check("convexity class consistent", cls == sampled == entry.spec.convexity,
+              measured=cls.value, note=f"declared {entry.spec.convexity.value}")
 
     h2 = gs.grid.h * gs.grid.h
     lam_scale = 1.0 + abs(gs.lam)
@@ -298,7 +300,7 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
         col.lines.append(CheckLine(entry=entry.key, check="sweep", status="FAIL",
                                    note=str(exc)))
         return col.lines
-    verdict = check_theorem(sw, cls)
+    verdict = check_theorem(sw, entry.spec)
     col.check("sweep strictly decreasing", verdict.monotone_decreasing,
               measured=float(np.max(np.diff(sw.lambdas))), tol=0.0)
     tol_chord = (10.0 * (DEFAULT_TOLS.match + _WIDEN_MATCH * h2)
@@ -317,10 +319,11 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
                   measured=viol, tol=tol_chord)
     if not (verdict.expect_convex or verdict.expect_concave):
         col.skip("curvature clause", "not asserted (hypothesis a=-inf absent)")
-    if cls in (ConvexityClass.CONVEX, ConvexityClass.CONCAVE):
+    if verdict.convexity in (ConvexityClass.CONVEX, ConvexityClass.CONCAVE):
         # strictness is reported, not hard-asserted: a pointwise-positivity
         # claim only resolves above the discretization floor
-        extreme = (float(np.min(sw.second_diffs)) if cls == ConvexityClass.CONVEX
+        extreme = (float(np.min(sw.second_diffs))
+                   if verdict.convexity == ConvexityClass.CONVEX
                    else float(np.max(sw.second_diffs)))
         col.info("strict curvature margin", extreme,
                  note=f"vs discretization floor {sw.tol_thm:.1e}")
@@ -341,9 +344,7 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
 def run_battery(N: int = 2001, n_t: int = 31, battery: list = None) -> VerifyReport:
     """Run every battery entry and collect the report (exit gate for verify)."""
     entries = battery if battery is not None else default_battery()
-    start = time.perf_counter()
-    per_entry = [verify_entry(e, N, n_t) for e in entries]
-    report = VerifyReport(N=N, n_t=n_t, elapsed=time.perf_counter() - start)
-    for lines in per_entry:
-        report.lines.extend(lines)
+    report = VerifyReport(N=N, n_t=n_t)
+    for e in entries:
+        report.lines.extend(verify_entry(e, N, n_t))
     return report

@@ -187,14 +187,21 @@ def test_criterion_09_blowup_rate():
 
 
 def test_criterion_10_determinism(tmp_path):
-    args = ["sweep", "--potential", "quadratic:c2=1", "--a", "-inf",
-            "--t-range", "-0.5:1.5:7", "--N", "301", "--format", "csv,json,plot"]
-    d1, d2 = tmp_path / "r1", tmp_path / "r2"
-    code1 = main(args + ["--out-dir", str(d1)])
-    code2 = main(args + ["--out-dir", str(d2)])
-    same = code1 == code2 == 0
-    names = sorted(p.name for p in d1.iterdir()) if same else []
-    for name in names:
-        same &= (d1 / name).read_bytes() == (d2 / name).read_bytes()
+    runs = {
+        "sweep": ["sweep", "--potential", "quadratic:c2=1", "--a", "-inf",
+                  "--t-range", "-0.5:1.5:7", "--N", "301", "--format", "csv,json,plot"],
+        # verify_report.txt holds verify's stdout
+        "verify": ["verify", "--N", "64", "--n-t", "5"],
+    }
+    same, names = True, []
+    for key, args in runs.items():
+        d1, d2 = tmp_path / key / "r1", tmp_path / key / "r2"
+        code1 = main(args + ["--out-dir", str(d1)])
+        code2 = main(args + ["--out-dir", str(d2)])
+        same &= code1 == code2 == 0
+        pair = sorted(p.name for p in d1.iterdir()) if same else []
+        for name in pair:
+            same &= (d1 / name).read_bytes() == (d2 / name).read_bytes()
+        names += pair
     report("criterion 10 (byte-identical reruns)", same,
            f"{len(names)} artifacts compared byte-for-byte across two runs")

@@ -167,6 +167,16 @@ class TestExitCodes:
         assert captured.out.splitlines()[-1] == "ok = True"
         assert captured.err == ""
 
+    def test_sweep_classifies_the_solved_domain(self, tmp_path, capsys):
+        # the wall lands at -15.5, so the kink at -8 lies in the solved domain
+        code = main(["sweep", "--potential", "neg_abs:slope=2,amp=1,shift=-8",
+                     "--a", "-inf", "--t-range", "0.5:2.5:11", "--out-dir", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith("(V class: concave)")
+        assert "expect_convex = False" in out and "expect_concave = True" in out
+        assert json.loads((tmp_path / "verdict.json").read_text())["a_eff"] < -8.0
+
     def test_solve_success_is_0(self, tmp_path, capsys):
         code = main(["solve", "--potential", "affine:", "--a", "0", "--t", "1",
                      "--N", "301", "--out-dir", str(tmp_path)])

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eigenshift.errors import RangeError, UsageError
 from eigenshift.potentials import (
+    _FAMILY_KEYS,
+    FAMILIES,
     ConvexityClass,
+    _table_convexity,
     canonical_string,
-    classify_convexity,
+    convexity_on,
     eval_V,
     eval_Vprime,
     make_potential,
@@ -89,32 +92,94 @@ class TestEvalVprime:
         assert len(vprime_kinks(make_potential("quadratic", c2=1.0))) == 0
 
 
+# magnitudes 0.1-10 of either sign
+MAGNITUDE = st.builds(lambda m, neg: -m if neg else m, st.floats(0.1, 10), st.booleans())
+
+
+@st.composite
+def spec_on_interval(draw):
+    """(spec, lo, hi): any family on a finite interval, kinks near or in it.
+
+    The interval stays near the origin, so exp_growth is of order one there:
+    the sampled class's absolute floor 1e-10 (1 + max|V|) reads the far tail
+    of an exponential as affine.
+    """
+    family = draw(st.sampled_from(FAMILIES))
+    lo = draw(st.floats(-1, 1))
+    hi = lo + draw(st.floats(0.5, 2))
+    if family == "tabulated":
+        inner = draw(st.lists(st.floats(lo - 1, hi + 1), max_size=6, unique=True))
+        xs = [lo - 2.0] + sorted(inner) + [hi + 2.0]
+        assume(np.min(np.diff(xs)) >= 1e-3)
+        return make_tabulated(xs, [draw(MAGNITUDE) for _ in xs]), lo, hi
+    params = {k: draw(MAGNITUDE) for k in _FAMILY_KEYS[family]}
+    if "shift" in params:
+        params["shift"] = draw(st.floats(lo - 5, hi + 5))
+    return make_potential(family, **params), lo, hi
+
+
 class TestClassify:
     def test_quadratic_convex(self):
         spec = make_potential("quadratic", c2=1.0)
-        assert classify_convexity(spec, (-5, 5)) is ConvexityClass.CONVEX
+        assert convexity_on(spec, -5, 5) is ConvexityClass.CONVEX
 
     def test_affine(self):
         spec = make_potential("affine", c0=1.0, c1=-1.0)
-        assert classify_convexity(spec, (-5, 5)) is ConvexityClass.AFFINE
+        assert convexity_on(spec, -5, 5) is ConvexityClass.AFFINE
 
     def test_neg_quadratic_concave(self):
         spec = make_potential("neg_quadratic", scale=1.0)
-        assert classify_convexity(spec, (-5, 5)) is ConvexityClass.CONCAVE
+        assert convexity_on(spec, -5, 5) is ConvexityClass.CONCAVE
 
     def test_tabulated_from_table(self):
         spec = make_tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 3.0, 6.0])
-        assert classify_convexity(spec) is ConvexityClass.CONVEX
+        assert convexity_on(spec) is ConvexityClass.CONVEX
 
     def test_indeterminate(self):
         spec = make_tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 2.5, 6.0])
-        assert classify_convexity(spec) is ConvexityClass.INDETERMINATE
+        assert convexity_on(spec) is ConvexityClass.INDETERMINATE
+
+    @pytest.mark.parametrize("spec, lo, hi, expected", [
+        # a kink counts only inside the open interval
+        (make_potential("abs_shift", shift=0.5), -1.0, 1.0, ConvexityClass.CONVEX),
+        (make_potential("abs_shift", shift=0.5), 1.0, 3.0, ConvexityClass.AFFINE),
+        (make_potential("abs_shift", shift=0.5), -3.0, 0.5, ConvexityClass.AFFINE),
+        (make_potential("abs_shift", shift=0.5), NEG_INF, 0.6, ConvexityClass.CONVEX),
+        # the sweep repro: the wall at -15.5 puts the kink at -8 in the domain
+        (make_potential("neg_abs", slope=2.0, amp=1.0, shift=-8.0), -15.5, 2.5,
+         ConvexityClass.CONCAVE),
+        (make_potential("neg_abs", slope=2.0, amp=1.0, shift=-8.0), -5.0, 5.0,
+         ConvexityClass.AFFINE),
+        # slopes 2, 0.5, 3.5: one segment, a segment exactly, across each kink
+        (make_tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 2.5, 6.0]), 0.2, 0.8,
+         ConvexityClass.AFFINE),
+        (make_tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 2.5, 6.0]), 1.0, 2.0,
+         ConvexityClass.AFFINE),
+        (make_tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 2.5, 6.0]), 0.5, 1.5,
+         ConvexityClass.CONCAVE),
+        (make_tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 2.5, 6.0]), 1.5, 2.5,
+         ConvexityClass.CONVEX),
+        (make_tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 2.5, 6.0]), 0.5, 2.5,
+         ConvexityClass.INDETERMINATE),
+    ])
+    def test_class_on_interval(self, spec, lo, hi, expected):
+        assert convexity_on(spec, lo, hi) is expected
 
     @given(c0=COEFF, c1=COEFF)
     @settings(max_examples=50, deadline=None)
     def test_affine_always_affine(self, c0, c1):
         spec = make_potential("affine", c0=c0, c1=c1)
-        assert classify_convexity(spec, (-5, 5)) is ConvexityClass.AFFINE
+        assert convexity_on(spec, -5, 5) is ConvexityClass.AFFINE
+
+    @given(case=spec_on_interval())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_class_matches_sampled_class(self, case):
+        spec, lo, hi = case
+        xs = np.linspace(lo, hi, 2001)
+        gap = 2.0 * (xs[1] - xs[0])
+        kinks = vprime_kinks(spec)
+        assume(np.all((np.abs(kinks - lo) >= gap) & (np.abs(kinks - hi) >= gap)))
+        assert convexity_on(spec, lo, hi) is _table_convexity(xs, eval_V(spec, xs))
 
     @given(x=st.floats(-10, 10), y=st.floats(-10, 10),
            c2=st.floats(0.01, 10), shift=st.floats(-5, 5))

@@ -13,7 +13,6 @@ from eigenshift.sweep import (
     check_theorem,
     chord_tangent_violation,
     sweep,
-    sweep_convexity,
     sweep_rows,
     write_sweep_csv,
     write_verdict_json,
@@ -65,7 +64,8 @@ class TestAirySweep:
     def test_theorem_verdict_expects_both(self):
         spec = make_potential("affine", c1=-1.0)
         sw = sweep(spec, NEG_INF, 0.0, 4.0, 7, 2001)
-        verdict = check_theorem(sw, ConvexityClass.AFFINE)
+        verdict = check_theorem(sw, spec)
+        assert verdict.convexity is ConvexityClass.AFFINE
         assert verdict.expect_convex and verdict.expect_concave
         assert verdict.ok
 
@@ -90,7 +90,8 @@ class TestConcaveSweep:
     def test_tilted_kink_concave(self):
         spec = make_potential("neg_abs", slope=2.0, amp=1.0)
         sw = sweep(spec, NEG_INF, 0.5, 2.5, 21, 2001)
-        verdict = check_theorem(sw, ConvexityClass.CONCAVE)
+        verdict = check_theorem(sw, spec)
+        assert verdict.convexity is ConvexityClass.CONCAVE
         assert verdict.expect_concave and verdict.concave_in_t and verdict.ok
         assert np.max(sw.second_diffs) < 0
         assert chord_tangent_violation(sw, "concave") <= 1e-3
@@ -98,7 +99,8 @@ class TestConcaveSweep:
     def test_concave_finite_interval_not_asserted(self):
         spec = make_potential("neg_quadratic")
         sw = sweep(spec, 0.0, 0.5, 1.5, 11, 501)
-        verdict = check_theorem(sw, ConvexityClass.CONCAVE)
+        verdict = check_theorem(sw, spec)
+        assert verdict.convexity is ConvexityClass.CONCAVE
         assert not verdict.expect_concave   # hypothesis a = -inf absent
         assert verdict.monotone_decreasing
         assert verdict.ok
@@ -108,6 +110,10 @@ CHAINS = {
     "free": (make_potential("affine"), 0.0, 0.5, 2.0, 31, 1001),
     "quadratic": (make_potential("quadratic", c2=1.0), NEG_INF, -1.0, 2.0, 31, 2001),
     "neg_abs": (make_potential("neg_abs", slope=2.0, amp=1.0), NEG_INF, 0.5, 2.5, 21, 2001),
+    # two wells of depth 50 at the ends of (-20, t); at t = -10 they are equally
+    # deep, and the previous ground state holds almost none of the new one
+    "tent": (make_potential("neg_abs", slope=0.0, amp=50.0, shift=-15.0),
+             -20.0, -14.0, -6.0, 11, 801),
 }
 
 
@@ -129,9 +135,9 @@ class TestWarmStartChain:
         warm, cold = sweep(*args), cold_sweep(monkeypatch, *args)
         assert warm.a_eff == cold.a_eff
         np.testing.assert_allclose(warm.lambdas, cold.lambdas, rtol=1e-11, atol=0.0)
-        cls = sweep_convexity(args[0], args[2], args[3])
-        assert check_theorem(warm, cls) == check_theorem(cold, cls)
-        assert check_theorem(warm, cls).ok
+        spec = args[0]
+        assert check_theorem(warm, spec) == check_theorem(cold, spec)
+        assert check_theorem(warm, spec).ok
 
     def test_warm_sweep_takes_fewer_factorisations(self, monkeypatch):
         import eigenshift.tridiag as tridiag
@@ -208,7 +214,7 @@ class TestSweepExport:
         assert len(lines) == 32
         assert lines[1].endswith(",")            # no curvature at the first row
 
-        verdict = check_theorem(free_sweep, ConvexityClass.AFFINE)
+        verdict = check_theorem(free_sweep, make_potential("affine"))
         json_path = tmp_path / "verdict.json"
         write_verdict_json(free_sweep, json_path, verdict)
         import json as _json
