@@ -1,14 +1,17 @@
 """Command-line front end: solve / sensitivity / sweep / verify.
 
 Configuration comes from flags, optionally seeded by a flat JSON config file
-whose keys mirror the flag names; explicit flags win.  All file output uses
-fixed 17-digit scientific notation (CSV / plot data) or shortest round-trip
-floats (JSON), so identical configs produce byte-identical artifacts.  Column
-data is formatted once per call by ``ground_state._format_rows``, a numpy
-kernel that writes the characters of ``"%.16e" % v`` and hands the values it
-cannot decide (zeros, non-finite values, extreme magnitudes, near-ties) to
-that exact per-value call.  ``write_columns`` writes the rows; a CSV file and
-its plot file share that one formatting pass.
+whose keys mirror the flag names; explicit flags win.
+
+This module owns every artifact; the numerical modules return values and
+payload dicts and write no file.  Column data (CSV / plot files) is fixed
+17-digit scientific notation, formatted once per file set by ``_format_rows``,
+a numpy kernel that writes the characters of ``"%.16e" % v`` and hands the
+values it cannot decide (zeros, non-finite values, extreme magnitudes,
+near-ties) to that exact per-value call; ``write_columns`` writes the rows,
+and a CSV file and its plot file share one formatting pass.  ``write_json``
+writes every JSON payload, with shortest round-trip floats.  So identical
+configs produce byte-identical artifacts.
 
 The numerical tolerances are the package's stated ones (``tolerances.py``);
 no flag or config key changes them.
@@ -20,6 +23,7 @@ a verdict that is not ok), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -27,22 +31,13 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import EigenshiftError, UsageError
-from .ground_state import (
-    Domain,
-    _format_rows,
-    ground_state_metadata,
-    solve_ground_state,
-    write_columns,
-    write_ground_state_json,
-)
+from .ground_state import Domain, ground_state_metadata, solve_ground_state
 from .potentials import PotentialSpec, canonical_string, parse_potential
-from .sensitivity import (
-    compute_sensitivity,
-    sensitivity_metadata,
-    write_sensitivity_json,
-)
-from .sweep import check_theorem, sweep, write_sweep_csv, write_verdict_json
+from .sensitivity import compute_sensitivity, sensitivity_metadata
+from .sweep import check_theorem, sweep, verdict_metadata
 from .verify import run_battery
 
 MODES = ("solve", "sensitivity", "sweep", "verify")
@@ -271,6 +266,158 @@ def _validate_mode_fields(cfg: RunConfig) -> None:
             raise UsageError(f"sweep: need a < t_min, got a={cfg.a}, t_min={cfg.t_range[0]}")
 
 
+# %.16e columns.  A value v with _VEC_MIN <= |v| <= _VEC_MAX is printed from
+# X = |v| * 10^(16 - e), e = floor(log10 |v|), formed as a double-double by
+# Dekker's error-free product (Numer. Math. 18, 1971) against 10^p stored as a
+# (hi, lo) pair: X is good to about 1e-14 absolute, so its nearest integer,
+# the 17 printed digits, is decided unless X lies within _TIE_BAND of a half.
+# Those values, zeros, non-finite values and |v| outside the range go to the
+# exact per-value "%.16e" % v (_exact_fields), as in Grisu3 (Loitsch, PLDI
+# 2010).  The range keeps every partial product of the split normal.
+_VEC_MIN, _VEC_MAX = 1e-280, 1e280
+_E_LO, _E_HI = -283, 282          # decimal exponents the kernel may try
+_TIE_BAND = 1e-9
+_SPLIT = 134217729.0              # 2^27 + 1
+_BLOCK = 8192                     # values per block, bounding the temporaries
+_FIELD = 24                       # longest %.16e field: -d.dddddddddddddddde-ddd
+_FILL = 0                         # filler byte, removed before decoding
+_D_LO, _D_HI = 10 ** 16, 10 ** 17
+
+
+@functools.cache
+def _pow10_table() -> tuple:
+    """hi, lo, and the Dekker halves of hi, for 10^p with p = 16 - e.
+
+    hi is 10^p correctly rounded and lo the rounded remainder, both from
+    exact integer arithmetic (int / int is correctly rounded).  Built on
+    first use.
+    """
+    his, los = [], []
+    for p in range(16 - _E_HI, 16 - _E_LO + 1):
+        if p >= 0:
+            hi = float(10 ** p)
+            lo = float(10 ** p - int(hi))
+        else:
+            den = 10 ** -p
+            hi = 1 / den
+            num, two = hi.as_integer_ratio()
+            lo = (two - num * den) / (den * two)
+        his.append(hi)
+        los.append(lo)
+    hi, lo = np.array(his), np.array(los)
+    c = _SPLIT * hi
+    hi_h = c - (c - hi)
+    return hi, lo, hi_h, hi - hi_h
+
+
+def _scaled(a, e) -> tuple:
+    """floor(a * 10^(16 - e)) as int64 and the fraction left over (a = |v|)."""
+    hi, lo, hi_h, hi_l = (col[_E_HI - e] for col in _pow10_table())
+    c = _SPLIT * a
+    a_h = c - (c - a)
+    a_l = a - a_h
+    p = a * hi
+    err = ((a_h * hi_h - p) + a_h * hi_l + a_l * hi_h) + a_l * hi_l
+    whole = np.floor(p)
+    r = (p - whole) + (err + a * lo)
+    r_whole = np.floor(r)
+    return whole.astype(np.int64) + r_whole.astype(np.int64), r - r_whole
+
+
+def _exact_fields(values) -> np.ndarray:
+    """``"%.16e" % v`` for each value, as rows of _FIELD bytes padded with
+    _FILL."""
+    text = "".join(("%.16e" % v).ljust(_FIELD, "\0") for v in values.tolist())
+    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _FIELD)
+
+
+def _format_block(v, ends) -> bytes:
+    """Rows of one block: ``v`` is the block's values row by row and ``ends``
+    the bytes after each field (separator or newline), one row per value."""
+    a = np.abs(v)
+    fast = (a >= _VEC_MIN) & (a <= _VEC_MAX)
+    a = np.where(fast, a, 1.0)   # a stand-in; the arbiter rewrites these rows
+    e = np.floor(np.log10(a)).astype(np.int64)
+    d, frac = _scaled(a, e)
+    off = np.flatnonzero((d < _D_LO) | (d >= _D_HI))
+    if off.size:   # log10 rounded across a power of ten
+        e[off] += np.where(d[off] >= _D_HI, 1, -1)
+        d[off], frac[off] = _scaled(a[off], e[off])
+    d += frac > 0.5
+    carry = d == _D_HI
+    d[carry] = _D_LO
+    e += carry
+
+    out = np.empty((v.size, _FIELD + ends.shape[1]), np.uint8)
+    out[:, _FIELD:] = ends
+    out[:, 0] = np.where(np.signbit(v), ord("-"), _FILL)
+    for col in range(18, 2, -1):
+        q = d // 10
+        out[:, col] = d - q * 10 + 48
+        d = q
+    out[:, 1] = d + 48
+    out[:, 2] = ord(".")
+    out[:, 19] = ord("e")
+    out[:, 20] = np.where(e < 0, ord("-"), ord("+"))
+    e = np.abs(e)
+    three = e >= 100
+    h, e = e // 100 + 48, e % 100
+    t, o = e // 10 + 48, e % 10 + 48
+    out[:, 21] = np.where(three, h, t)
+    out[:, 22] = np.where(three, t, o)
+    out[:, 23] = np.where(three, o, _FILL)
+
+    exact = np.flatnonzero(~fast | (np.abs(frac - 0.5) < _TIE_BAND))
+    if exact.size:
+        out[exact, :_FIELD] = _exact_fields(v[exact])
+    flat = out.ravel()
+    return flat[flat != _FILL].tobytes()
+
+
+def _format_rows(*cols, sep: str = ",") -> str:
+    """Equal-length columns as text rows: each value in %.16e, ``sep`` between
+    values, a newline after every row.
+
+    The characters are those of ``"%.16e" % v``, which equals
+    ``f"{v:.16e}"``, nan and infinities included.  Values are printed by a
+    numpy kernel, a block of about _BLOCK values at a time: every field is
+    laid out in a fixed-width uint8 row (sign, digit, '.', 16 digits, 'e',
+    exponent sign, 2-3 exponent digits, then ``sep`` or a newline) and the
+    filler bytes are removed once.  The few values the kernel cannot decide
+    (see the comment above _pow10_table) are formatted one by one by
+    _exact_fields, the exact arbiter.
+    """
+    sep = sep.encode()
+    if b"\0" in sep:
+        raise ValueError("sep must not contain NUL")
+    table = np.column_stack(cols).astype(np.float64, copy=False)
+    n, k = table.shape
+    ends = np.full((k, max(len(sep), 1)), _FILL, np.uint8)
+    ends[:-1, :len(sep)] = np.frombuffer(sep, np.uint8)
+    ends[-1, 0] = ord("\n")
+    rows = max(_BLOCK // k, 1)
+    ends = np.tile(ends, (rows, 1))
+    return b"".join(
+        _format_block(block.ravel(), ends[:block.size])
+        for block in (table[r:r + rows] for r in range(0, n, rows))
+    ).decode()
+
+
+def write_columns(path, rows: str, header: str = None) -> None:
+    """Write rows from ``_format_rows`` under an optional header line."""
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        fh.write(rows)
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as indented JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_profile(cfg: RunConfig, csv_name: str, plot_name: str, header: str,
                    x, y) -> None:
     """Write (x, y) as a CSV file and/or a plot file, formatting the rows once."""
@@ -289,9 +436,9 @@ def _run_solve(cfg: RunConfig) -> int:
     gs = solve_ground_state(cfg.spec, Domain(cfg.a, cfg.t), cfg.N)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_profile(cfg, "ground_state.csv", "u_vs_x.dat", "x,u", gs.grid.x, gs.u)
-    if "json" in cfg.formats:
-        write_ground_state_json(gs, cfg.out_dir / "ground_state.json")
     meta = ground_state_metadata(gs)
+    if "json" in cfg.formats:
+        write_json(cfg.out_dir / "ground_state.json", meta)
     print(f"lambda = {meta['lambda']!r}")
     print(f"flux_a = {meta['flux_a']!r}, flux_t = {meta['flux_t']!r}")
     print(f"residual = {meta['residual']:.3e}, a_eff = {meta['a_eff']!r}")
@@ -302,10 +449,11 @@ def _run_sensitivity(cfg: RunConfig) -> int:
     gs = solve_ground_state(cfg.spec, Domain(cfg.a, cfg.t), cfg.N)
     sens = compute_sensitivity(gs, cfg.spec, h_t=cfg.h_t)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    meta = sensitivity_metadata(sens)
     if "json" in cfg.formats:
-        write_sensitivity_json(sens, cfg.out_dir / "sensitivity.json")
+        write_json(cfg.out_dir / "sensitivity.json", meta)
     _write_profile(cfg, "u_dot.csv", "u_dot_vs_x.dat", "x,u_dot", gs.grid.x, sens.u_dot)
-    for key, val in sensitivity_metadata(sens).items():
+    for key, val in meta.items():
         print(f"{key} = {val!r}")
     return 0
 
@@ -316,9 +464,14 @@ def _run_sweep(cfg: RunConfig) -> int:
     verdict = check_theorem(result, cfg.spec)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if "csv" in cfg.formats:
-        write_sweep_csv(result, cfg.out_dir / "sweep.csv")
+        # a nan curvature cell is left blank, as on the end rows, which have no
+        # second difference
+        sd = np.concatenate(([math.nan], result.second_diffs, [math.nan]))
+        rows = _format_rows(result.ts, result.lambdas, result.lambda_dots, sd)
+        write_columns(cfg.out_dir / "sweep.csv", rows.replace(",nan\n", ",\n"),
+                      header="t,lambda,lambda_dot,second_diff")
     if "json" in cfg.formats:
-        write_verdict_json(result, cfg.out_dir / "verdict.json", verdict)
+        write_json(cfg.out_dir / "verdict.json", verdict_metadata(result, verdict))
     if "plot" in cfg.formats:
         for name, ts, ys in (("lambda_vs_t.dat", result.ts, result.lambdas),
                              ("lambda_dot_vs_t.dat", result.ts, result.lambda_dots),
@@ -340,9 +493,7 @@ def _run_verify(cfg: RunConfig) -> int:
     text = report.render()
     (cfg.out_dir / "verify_report.txt").write_text(text)
     if "json" in cfg.formats:
-        with open(cfg.out_dir / "verify.json", "w") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-            fh.write("\n")
+        write_json(cfg.out_dir / "verify.json", report.to_json())
     print(text, end="")
     return 0 if report.ok else 1
 

@@ -8,12 +8,13 @@ by a doubling convergence check.
 
 Grid convention: N counts interior nodes, so the grid has N+2 nodes including
 both Dirichlet endpoints and spacing h = (t - a_eff) / (N + 1).
+
+This module returns values and payload dicts (``ground_state_metadata``);
+the files the CLI writes from them are formatted and written in cli.
 """
 
 from __future__ import annotations
 
-import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -109,11 +110,15 @@ class GroundState:
     flux_a: float
     flux_t: float
     residual: float
-    quad_norm: float
 
     @property
     def t(self) -> float:
         return self.domain.t
+
+    @property
+    def quad_norm(self) -> float:
+        """Trapezoid L2 norm of u on the grid: 1 up to the quadrature error."""
+        return float(math.sqrt(np.trapezoid(self.u * self.u, self.grid.x)))
 
 
 def discretize(spec: PotentialSpec, domain: Domain, N: int) -> TridiagOperator:
@@ -181,12 +186,11 @@ def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
     u = np.zeros(N + 2)
     u[1:-1] = vec / math.sqrt(h)
 
-    quad_norm = float(math.sqrt(np.trapezoid(u * u, grid.x)))
     flux_a = (4.0 * u[1] - u[2]) / (2.0 * h)
     flux_t = (u[-3] - 4.0 * u[-2]) / (2.0 * h)
     return GroundState(domain=domain, grid=grid, lam=lam, u=u,
                        flux_a=float(flux_a), flux_t=float(flux_t),
-                       residual=resid, quad_norm=quad_norm)
+                       residual=resid)
 
 
 def _resolve_wall(spec: PotentialSpec, domain: Domain) -> Domain:
@@ -282,154 +286,3 @@ def ground_state_metadata(gs: GroundState) -> dict:
         "a_eff": gs.domain.a_eff,
         "t": gs.domain.t,
     }
-
-
-def write_ground_state_json(gs: GroundState, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(ground_state_metadata(gs), fh, indent=2)
-        fh.write("\n")
-
-
-# %.16e columns.  A value v with _VEC_MIN <= |v| <= _VEC_MAX is printed from
-# X = |v| * 10^(16 - e), e = floor(log10 |v|), formed as a double-double by
-# Dekker's error-free product (Numer. Math. 18, 1971) against 10^p stored as a
-# (hi, lo) pair: X is good to about 1e-14 absolute, so its nearest integer,
-# the 17 printed digits, is decided unless X lies within _TIE_BAND of a half.
-# Those values, zeros, non-finite values and |v| outside the range go to the
-# exact per-value "%.16e" % v (_exact_fields), as in Grisu3 (Loitsch, PLDI
-# 2010).  The range keeps every partial product of the split normal.
-_VEC_MIN, _VEC_MAX = 1e-280, 1e280
-_E_LO, _E_HI = -283, 282          # decimal exponents the kernel may try
-_TIE_BAND = 1e-9
-_SPLIT = 134217729.0              # 2^27 + 1
-_BLOCK = 8192                     # values per block, bounding the temporaries
-_FIELD = 24                       # longest %.16e field: -d.dddddddddddddddde-ddd
-_FILL = 0                         # filler byte, removed before decoding
-_D_LO, _D_HI = 10 ** 16, 10 ** 17
-
-
-@functools.cache
-def _pow10_table() -> tuple:
-    """hi, lo, and the Dekker halves of hi, for 10^p with p = 16 - e.
-
-    hi is 10^p correctly rounded and lo the rounded remainder, both from
-    exact integer arithmetic (int / int is correctly rounded).  Built on
-    first use.
-    """
-    his, los = [], []
-    for p in range(16 - _E_HI, 16 - _E_LO + 1):
-        if p >= 0:
-            hi = float(10 ** p)
-            lo = float(10 ** p - int(hi))
-        else:
-            den = 10 ** -p
-            hi = 1 / den
-            num, two = hi.as_integer_ratio()
-            lo = (two - num * den) / (den * two)
-        his.append(hi)
-        los.append(lo)
-    hi, lo = np.array(his), np.array(los)
-    c = _SPLIT * hi
-    hi_h = c - (c - hi)
-    return hi, lo, hi_h, hi - hi_h
-
-
-def _scaled(a, e) -> tuple:
-    """floor(a * 10^(16 - e)) as int64 and the fraction left over (a = |v|)."""
-    hi, lo, hi_h, hi_l = (col[_E_HI - e] for col in _pow10_table())
-    c = _SPLIT * a
-    a_h = c - (c - a)
-    a_l = a - a_h
-    p = a * hi
-    err = ((a_h * hi_h - p) + a_h * hi_l + a_l * hi_h) + a_l * hi_l
-    whole = np.floor(p)
-    r = (p - whole) + (err + a * lo)
-    r_whole = np.floor(r)
-    return whole.astype(np.int64) + r_whole.astype(np.int64), r - r_whole
-
-
-def _exact_fields(values) -> np.ndarray:
-    """``"%.16e" % v`` for each value, as rows of _FIELD bytes padded with
-    _FILL."""
-    text = "".join(("%.16e" % v).ljust(_FIELD, "\0") for v in values.tolist())
-    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _FIELD)
-
-
-def _format_block(v, ends) -> bytes:
-    """Rows of one block: ``v`` is the block's values row by row and ``ends``
-    the bytes after each field (separator or newline), one row per value."""
-    a = np.abs(v)
-    fast = (a >= _VEC_MIN) & (a <= _VEC_MAX)
-    a = np.where(fast, a, 1.0)   # a stand-in; the arbiter rewrites these rows
-    e = np.floor(np.log10(a)).astype(np.int64)
-    d, frac = _scaled(a, e)
-    off = np.flatnonzero((d < _D_LO) | (d >= _D_HI))
-    if off.size:   # log10 rounded across a power of ten
-        e[off] += np.where(d[off] >= _D_HI, 1, -1)
-        d[off], frac[off] = _scaled(a[off], e[off])
-    d += frac > 0.5
-    carry = d == _D_HI
-    d[carry] = _D_LO
-    e += carry
-
-    out = np.empty((v.size, _FIELD + ends.shape[1]), np.uint8)
-    out[:, _FIELD:] = ends
-    out[:, 0] = np.where(np.signbit(v), ord("-"), _FILL)
-    for col in range(18, 2, -1):
-        q = d // 10
-        out[:, col] = d - q * 10 + 48
-        d = q
-    out[:, 1] = d + 48
-    out[:, 2] = ord(".")
-    out[:, 19] = ord("e")
-    out[:, 20] = np.where(e < 0, ord("-"), ord("+"))
-    e = np.abs(e)
-    three = e >= 100
-    h, e = e // 100 + 48, e % 100
-    t, o = e // 10 + 48, e % 10 + 48
-    out[:, 21] = np.where(three, h, t)
-    out[:, 22] = np.where(three, t, o)
-    out[:, 23] = np.where(three, o, _FILL)
-
-    exact = np.flatnonzero(~fast | (np.abs(frac - 0.5) < _TIE_BAND))
-    if exact.size:
-        out[exact, :_FIELD] = _exact_fields(v[exact])
-    flat = out.ravel()
-    return flat[flat != _FILL].tobytes()
-
-
-def _format_rows(*cols, sep: str = ",") -> str:
-    """Equal-length columns as text rows: each value in %.16e, ``sep`` between
-    values, a newline after every row.
-
-    The characters are those of ``"%.16e" % v``, which equals
-    ``f"{v:.16e}"``, nan and infinities included.  Values are printed by a
-    numpy kernel, a block of about _BLOCK values at a time: every field is
-    laid out in a fixed-width uint8 row (sign, digit, '.', 16 digits, 'e',
-    exponent sign, 2-3 exponent digits, then ``sep`` or a newline) and the
-    filler bytes are removed once.  The few values the kernel cannot decide
-    (see the comment above _pow10_table) are formatted one by one by
-    _exact_fields, the exact arbiter.
-    """
-    sep = sep.encode()
-    if b"\0" in sep:
-        raise ValueError("sep must not contain NUL")
-    table = np.column_stack(cols).astype(np.float64, copy=False)
-    n, k = table.shape
-    ends = np.full((k, max(len(sep), 1)), _FILL, np.uint8)
-    ends[:-1, :len(sep)] = np.frombuffer(sep, np.uint8)
-    ends[-1, 0] = ord("\n")
-    rows = max(_BLOCK // k, 1)
-    ends = np.tile(ends, (rows, 1))
-    return b"".join(
-        _format_block(block.ravel(), ends[:block.size])
-        for block in (table[r:r + rows] for r in range(0, n, rows))
-    ).decode()
-
-
-def write_columns(path, rows: str, header: str = None) -> None:
-    """Write rows from ``_format_rows`` under an optional header line."""
-    with open(path, "w") as fh:
-        if header is not None:
-            fh.write(header + "\n")
-        fh.write(rows)

@@ -120,13 +120,14 @@ def _family_convexity(family: str, params: dict) -> ConvexityClass:
 
 
 def _table_convexity(xs: np.ndarray, vs: np.ndarray) -> ConvexityClass:
-    # Classified from discrete second differences of the table itself:
-    # the only information a tabulated potential carries.
-    slopes = np.diff(vs) / np.diff(xs)
-    if len(slopes) < 2:
-        return ConvexityClass.AFFINE
-    dslope = np.diff(slopes)
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(vs))))
+    # Classified from the slope jumps of the table itself: the only
+    # information a tabulated potential carries.  Jumps inside the rounding
+    # floor 64 eps max|V| / min dx, the slope noise of values rounded to
+    # eps |V|, count as zero; the floor scales with V, so V -> c V keeps the
+    # class.
+    with np.errstate(over="ignore"):   # past the double range a value reads as inf
+        dslope = np.diff(np.diff(vs) / np.diff(xs))
+        tol = 64.0 * np.finfo(float).eps * np.max(np.abs(vs)) / np.min(np.diff(xs))
     up = bool(np.all(dslope >= -tol))
     down = bool(np.all(dslope <= tol))
     if up and down:
@@ -168,6 +169,10 @@ def make_tabulated(xs, vs, label: Optional[str] = None) -> PotentialSpec:
         raise UsageError("tabulated abscissae must be strictly increasing")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
         raise UsageError("tabulated potential values must be finite")
+    with np.errstate(over="ignore"):
+        slopes = np.diff(vs) / np.diff(xs)
+    if not np.all(np.isfinite(slopes)):
+        raise UsageError("tabulated potential has a slope that overflows a double")
     return PotentialSpec(
         family="tabulated",
         params={},

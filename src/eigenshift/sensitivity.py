@@ -13,7 +13,6 @@ derivatives are cross-checked against central finite differences in t.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ from .ground_state import (
     Grid,
     GroundState,
     _operator_on,
-    _resolve_wall,
     solve_ground_state,
 )
 from .potentials import PotentialSpec, eval_Vprime, vprime_kinks
@@ -167,30 +165,22 @@ def u_dot_flux_left(u_dot: np.ndarray, grid: Grid) -> float:
     return float((-3.0 * u_dot[0] + 4.0 * u_dot[1] - u_dot[2]) / (2.0 * grid.h))
 
 
-def fd_derivatives(spec: PotentialSpec, a: float, t: float, h_t: float, N: int,
-                   a_eff: float = None, centre: GroundState = None) -> tuple:
+def fd_derivatives(spec: PotentialSpec, centre: GroundState, h_t: float) -> tuple:
     """Central finite differences of lambda in t: independent derivative oracle.
 
-    Three ground-state solves at t - h_t, t, t + h_t share a single left wall
-    (resolved here for a = -inf unless ``a_eff`` is supplied).  ``centre``,
-    the ground state already solved at t on that wall with the same N, stands
-    in for the centre solve; without it the centre is solved here first.
-    Both outer solves start their inverse iteration from the centre's vector.
+    ``centre`` is the ground state solved at t.  The solves at t - h_t and
+    t + h_t keep its left wall and its N, and start their inverse iteration
+    from its vector.
     """
-    if a_eff is None:
-        # for a = -inf, the wall of t - h_t, where lambda is largest
-        a_eff = a if math.isfinite(a) else _resolve_wall(spec, Domain(a, t - h_t)).a_eff
-    if not t - h_t > a_eff:
+    domain, N = centre.domain, centre.grid.n_interior
+    t = domain.t
+    if not t - h_t > domain.a_eff:
         raise DomainError("FD step reaches past the left wall")
-
-    def solve_at(ti, start=None):
-        domain = Domain(a, ti, a_eff) if not math.isfinite(a) else Domain(a, ti)
-        return solve_ground_state(spec, domain, N, start=start)
-
-    if centre is None:
-        centre = solve_at(t)
     start = centre.u[1:-1]
-    lam_lo, lam_hi = solve_at(t - h_t, start).lam, solve_at(t + h_t, start).lam
+    lam_lo, lam_hi = (
+        solve_ground_state(spec, Domain(domain.a, ti, domain.a_eff), N, start=start).lam
+        for ti in (t - h_t, t + h_t)
+    )
     ld = (lam_hi - lam_lo) / (2.0 * h_t)
     ldd = (lam_hi - 2.0 * centre.lam + lam_lo) / (h_t * h_t)
     return ld, ldd
@@ -214,10 +204,7 @@ def compute_sensitivity(gs: GroundState, spec: PotentialSpec,
     step = math.nan
     if with_fd:
         step = h_t if h_t is not None else DEFAULT_TOLS.h_t_factor * (gs.t - gs.domain.a_eff)
-        a_eff = gs.domain.a_eff if gs.domain.unbounded_left else None
-        # gs is the centre solve: same wall, same N
-        ld_fd, ldd_fd = fd_derivatives(spec, gs.domain.a, gs.t, step, gs.grid.n_interior,
-                                       a_eff=a_eff, centre=gs)
+        ld_fd, ldd_fd = fd_derivatives(spec, gs, step)
 
     return Sensitivity(
         t=gs.t, lam=gs.lam,
@@ -241,8 +228,3 @@ def sensitivity_metadata(sens: Sensitivity) -> dict:
         "orth_residual": sens.orth_residual,
     }
 
-
-def write_sensitivity_json(sens: Sensitivity, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(sensitivity_metadata(sens), fh, indent=2)
-        fh.write("\n")

@@ -12,7 +12,6 @@ by the exact ``potentials.convexity_on``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -85,21 +84,19 @@ class TheoremVerdict:
 
 
 def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
-          n_t: int, N: int, a_eff: float = None) -> SweepResult:
+          n_t: int, N: int) -> SweepResult:
     """Compute lambda(t) on a uniform endpoint grid.
 
-    One wall ``a_eff`` serves the whole sweep (resolved at t_min unless
-    supplied).  Every endpoint after the first starts its eigensolve from the
-    previous endpoint's ground state.  Solver failures propagate with the
-    failing t attached.
+    One wall ``a_eff``, resolved at t_min (``a`` itself when a is finite),
+    serves the whole sweep.  Every endpoint after the first starts its
+    eigensolve from the previous endpoint's ground state.  Solver failures
+    propagate with the failing t attached.
     """
     if n_t < 5:
         raise DomainError("sweep needs at least 5 endpoint samples")
     if not (a < t_min < t_max):
         raise DomainError(f"need a < t_min < t_max, got {a}, {t_min}, {t_max}")
-    unbounded = not math.isfinite(a)
-    if unbounded and a_eff is None:
-        a_eff = _resolve_wall(spec, Domain(a, t_min)).a_eff
+    a_eff = _resolve_wall(spec, Domain(a, t_min)).a_eff
 
     ts = np.linspace(t_min, t_max, n_t)
     dt = float(ts[1] - ts[0])
@@ -107,7 +104,7 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
     lambda_dots = np.empty(n_t)
     start = None
     for i, t in enumerate(ts):
-        domain = Domain(a, float(t), a_eff if unbounded else None)
+        domain = Domain(a, float(t), a_eff)
         try:
             gs = solve_ground_state(spec, domain, N, start=start)
         except EigenshiftError as exc:
@@ -117,11 +114,10 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
         start = gs.u[1:-1]
 
     second = (lambdas[:-2] - 2.0 * lambdas[1:-1] + lambdas[2:]) / (dt * dt)
-    h_max = (t_max - (a_eff if unbounded else a)) / (N + 1)
+    h_max = (t_max - a_eff) / (N + 1)
     tol_thm = DEFAULT_TOLS.thm_factor * h_max * h_max * float(np.max(np.abs(lambdas)))
     return SweepResult(ts=ts, lambdas=lambdas, lambda_dots=lambda_dots,
-                       second_diffs=second, a=a,
-                       a_eff=(a_eff if unbounded else a), N=N, tol_thm=tol_thm)
+                       second_diffs=second, a=a, a_eff=a_eff, N=N, tol_thm=tol_thm)
 
 
 def check_theorem(result: SweepResult, spec: PotentialSpec) -> TheoremVerdict:
@@ -142,6 +138,20 @@ def check_theorem(result: SweepResult, spec: PotentialSpec) -> TheoremVerdict:
         expect_convex=cls.is_convex(),
         expect_concave=cls.is_concave() and unbounded,
     )
+
+
+def verdict_metadata(result: SweepResult, verdict: TheoremVerdict) -> dict:
+    """The verdict with the sweep's domain and grid: the payload of verdict.json."""
+    return {
+        **verdict.as_dict(),
+        "a": ("-inf" if not math.isfinite(result.a) else result.a),
+        "a_eff": result.a_eff,
+        "t_min": float(result.ts[0]),
+        "t_max": float(result.ts[-1]),
+        "n_t": len(result.ts),
+        "N": result.N,
+        "tol_thm": result.tol_thm,
+    }
 
 
 def chord_tangent_violation(result: SweepResult, orientation: str) -> float:
@@ -184,37 +194,3 @@ def blowup_profile(spec: PotentialSpec, a: float, epsilons, N: int) -> np.ndarra
         out[i] = gs.lam * e * e
         start = gs.u[1:-1]
     return out
-
-
-def sweep_rows(result: SweepResult):
-    """Rows (t, lambda, lambda_dot, second_diff) with blank curvature at the ends."""
-    rows = []
-    n = len(result.ts)
-    for i in range(n):
-        sd = result.second_diffs[i - 1] if 0 < i < n - 1 else math.nan
-        rows.append((result.ts[i], result.lambdas[i], result.lambda_dots[i], sd))
-    return rows
-
-
-def write_sweep_csv(result: SweepResult, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,lambda,lambda_dot,second_diff\n")
-        for t, lam, ld, sd in sweep_rows(result):
-            tail = "" if math.isnan(sd) else f"{sd:.16e}"
-            fh.write(f"{t:.16e},{lam:.16e},{ld:.16e},{tail}\n")
-
-
-def write_verdict_json(result: SweepResult, path, verdict: TheoremVerdict) -> None:
-    payload = verdict.as_dict()
-    payload.update({
-        "a": ("-inf" if not math.isfinite(result.a) else result.a),
-        "a_eff": result.a_eff,
-        "t_min": float(result.ts[0]),
-        "t_max": float(result.ts[-1]),
-        "n_t": len(result.ts),
-        "N": result.N,
-        "tol_thm": result.tol_thm,
-    })
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

@@ -79,7 +79,8 @@ def test_criterion_01_free_particle_oracle():
 def test_criterion_02_flux_derivative(bundles):
     _, gs, sens = bundles["free"]
     rel = abs(sens.lambda_dot_flux + 2 * PI2) / (2 * PI2)
-    fd, _ = fd_derivatives(make_potential("affine"), 0.0, 1.0, 1e-3, 4001)
+    free = make_potential("affine")
+    fd, _ = fd_derivatives(free, solve_ground_state(free, Domain(0.0, 1.0), 4001), 1e-3)
     rel_fd = abs(sens.lambda_dot_flux - fd) / abs(fd)
     report("criterion 2 (boundary-flux first derivative)",
            rel <= 1e-4 and rel_fd <= 1e-4,

@@ -5,6 +5,8 @@ import pytest
 
 from eigenshift.cli import main, parse_config
 from eigenshift.errors import UsageError
+from eigenshift.potentials import make_potential
+from eigenshift.sweep import sweep
 
 
 class TestParseConfig:
@@ -217,6 +219,23 @@ class TestArtifacts:
         verdict = json.loads((tmp_path / "verdict.json").read_text())
         assert verdict["monotone_decreasing"] is True
         assert (tmp_path / "lambda_vs_t.dat").exists()
+
+    def test_sweep_csv_bytes(self, tmp_path):
+        # every value in "%.16e"; the curvature cell is blank on the first and
+        # last rows, where no second difference exists
+        code = main(["sweep", "--potential", "quadratic:c2=1", "--a", "-inf",
+                     "--t-range", "-0.5:1.5:7", "--N", "301", "--format", "csv",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        res = sweep(make_potential("quadratic", c2=1.0), float("-inf"), -0.5, 1.5, 7, 301)
+        sds = [None, *res.second_diffs, None]
+        rows = [["%.16e" % t, "%.16e" % lam, "%.16e" % ld, "" if sd is None else "%.16e" % sd]
+                for t, lam, ld, sd in zip(res.ts, res.lambdas, res.lambda_dots, sds)]
+        text = (tmp_path / "sweep.csv").read_text()
+        assert text == "t,lambda,lambda_dot,second_diff\n" + "".join(
+            ",".join(row) + "\n" for row in rows)
+        lines = text.splitlines()
+        assert len(lines) == 8 and lines[1].endswith(",") and lines[-1].endswith(",")
 
     def test_tabulated_potential_end_to_end(self, tmp_path):
         table = tmp_path / "well.csv"

@@ -7,19 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ai_zeros, airy
 
+from eigenshift.cli import _format_rows, write_columns, write_json
 from eigenshift.errors import ConfinementError, ConvergenceError, DomainError
 from eigenshift.ground_state import (
     Domain,
     Grid,
-    _format_rows,
     discretize,
     ground_state_metadata,
     rayleigh_energy,
     richardson_lambda,
     solve_ground_state,
     truncate_domain,
-    write_columns,
-    write_ground_state_json,
 )
 from eigenshift.potentials import eval_V, make_potential
 
@@ -273,7 +271,7 @@ class TestExport:
         csv_path = tmp_path / "gs.csv"
         json_path = tmp_path / "gs.json"
         write_columns(csv_path, _format_rows(gs.grid.x, gs.u), header="x,u")
-        write_ground_state_json(gs, json_path)
+        write_json(json_path, ground_state_metadata(gs))
 
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "x,u"

@@ -101,8 +101,8 @@ def spec_on_interval(draw):
     """(spec, lo, hi): any family on a finite interval, kinks near or in it.
 
     The interval stays near the origin, so exp_growth is of order one there:
-    the sampled class's absolute floor 1e-10 (1 + max|V|) reads the far tail
-    of an exponential as affine.
+    in the far tail of an exponential every slope jump of the 2001 samples
+    lies inside the sampled class's rounding floor, which reads it as affine.
     """
     family = draw(st.sampled_from(FAMILIES))
     lo = draw(st.floats(-1, 1))
@@ -192,6 +192,26 @@ class TestClassify:
             assert mid <= avg + 1e-12 * (1 + abs(avg))
 
 
+    @given(xs=st.lists(st.integers(-1000, 1000), min_size=2, max_size=8, unique=True),
+           vs=st.lists(st.integers(-1000, 1000), min_size=8, max_size=8),
+           c=st.floats(1e-12, 1e12))
+    @settings(max_examples=300, deadline=None)
+    def test_table_class_is_scale_free(self, xs, vs, c):
+        # integer tables: a slope jump is 0 or at least 1 / 2000^2, far outside
+        # the rounding floor
+        xs = sorted(xs)
+        vs = np.array(vs[:len(xs)], dtype=float)
+        expected = make_tabulated(xs, vs).convexity
+        assert make_tabulated(xs, c * vs).convexity is expected
+        assert convexity_on(make_tabulated(xs, c * vs), xs[0], xs[-1]) is expected
+
+    def test_small_kinked_table_is_convex(self):
+        # a dead band fixed in absolute units read this table as affine
+        for c in (1.0, 1e12):
+            spec = make_tabulated([0.0, 1.0, 2.0], [c * 1e-11, 0.0, c * 1e-11])
+            assert spec.convexity is ConvexityClass.CONVEX
+
+
 class TestConfinement:
     def test_downward_tilt_confines(self):
         assert validate_confinement(make_potential("affine", c1=-1.0), NEG_INF)
@@ -265,6 +285,14 @@ class TestTabulated:
     def test_requires_increasing_x(self):
         with pytest.raises(UsageError):
             make_tabulated([0.0, 0.0, 1.0], [0.0, 1.0, 2.0])
+
+    def test_overflowing_slope_rejected(self):
+        # knots a subnormal distance apart: 1 / 1e-310 overflows a double
+        with pytest.raises(UsageError, match="slope"):
+            make_tabulated([0.0, 1e-310, 1.0], [0.0, 1.0, 0.0])
+        # finite slopes whose jump passes the double range still classify
+        spec = make_tabulated([0.0, 1.0, 2.0], [0.0, 1.5e308, 0.0])
+        assert spec.convexity is ConvexityClass.CONCAVE
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

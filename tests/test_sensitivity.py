@@ -203,37 +203,33 @@ class TestLambdaDdot:
 class TestFiniteDifferences:
     def test_free_first_and_second(self):
         spec = make_potential("affine")
-        ld, ldd = fd_derivatives(spec, 0.0, 1.0, 1e-3, 2001)
+        centre = solve_ground_state(spec, Domain(0.0, 1.0), 2001)
+        ld, ldd = fd_derivatives(spec, centre, 1e-3)
         assert ld == pytest.approx(-2 * PI2, rel=1e-4)
         assert ldd == pytest.approx(6 * PI2, rel=1e-3)
 
     def test_airy_second_derivative_vanishes(self):
         spec = make_potential("affine", c1=-1.0)
         gs = solve_ground_state(spec, Domain(NEG_INF, 2.0), 4001)
-        _, ldd = fd_derivatives(spec, NEG_INF, 2.0, 0.03, 4001,
-                                a_eff=gs.domain.a_eff)
+        _, ldd = fd_derivatives(spec, gs, 0.03)
         assert abs(ldd) <= 1e-6
-
-    def test_wall_is_the_one_placed_at_t_minus_step(self):
-        # without a_eff the shared wall is the one a solve at t - h_t places
-        spec = make_potential("quadratic", c2=1.0)
-        wall = solve_ground_state(spec, Domain(NEG_INF, -1e-2), 301).domain.a_eff
-        assert fd_derivatives(spec, NEG_INF, 0.0, 1e-2, 301) == \
-            fd_derivatives(spec, NEG_INF, 0.0, 1e-2, 301, a_eff=wall)
 
     def test_step_reaching_the_wall_rejected(self):
         spec = make_potential("affine")
+        centre = solve_ground_state(spec, Domain(0.0, 1.0), 301)
         with pytest.raises(DomainError):
-            fd_derivatives(spec, 0.0, 1.0, 1.5, 301)
+            fd_derivatives(spec, centre, 1.5)
 
     @pytest.mark.parametrize("bundle", ["free_bundle", "airy_bundle"])
     def test_bundle_fd_equals_three_solves(self, bundle, request):
-        # the bundle takes gs as its centre solve; the FD values must not move
+        # the bundle takes gs as its centre solve: the outer solves share its
+        # wall and N and start from its vector
         spec, gs, sens = request.getfixturevalue(bundle)
-        a_eff = gs.domain.a_eff if gs.domain.unbounded_left else None
-        direct = fd_derivatives(spec, gs.domain.a, gs.t, sens.fd_step,
-                                gs.grid.n_interior, a_eff=a_eff)
-        assert (sens.lambda_dot_fd, sens.lambda_ddot_fd) == direct
+        h, N, start = sens.fd_step, gs.grid.n_interior, gs.u[1:-1]
+        lo, hi = (solve_ground_state(spec, Domain(gs.domain.a, ti, gs.domain.a_eff), N,
+                                     start=start).lam for ti in (gs.t - h, gs.t + h))
+        assert sens.lambda_dot_fd == (hi - lo) / (2.0 * h)
+        assert sens.lambda_ddot_fd == (hi - 2.0 * gs.lam + lo) / (h * h)
 
     def test_bundle_solves_the_centre_only_on_another_grid(self, monkeypatch):
         import eigenshift.sensitivity as sensitivity

@@ -1,10 +1,12 @@
 import importlib
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import ai_zeros
 
+from eigenshift.cli import main
 from eigenshift.errors import ConfinementError, DomainError
 from eigenshift.ground_state import Domain, solve_ground_state
 from eigenshift.potentials import ConvexityClass, make_potential
@@ -13,9 +15,7 @@ from eigenshift.sweep import (
     check_theorem,
     chord_tangent_violation,
     sweep,
-    sweep_rows,
-    write_sweep_csv,
-    write_verdict_json,
+    verdict_metadata,
 )
 
 NEG_INF = float("-inf")
@@ -45,12 +45,6 @@ class TestFreeSweep:
 
     def test_slopes_between_chords(self, free_sweep):
         assert chord_tangent_violation(free_sweep, "convex") == 0.0
-
-    def test_rows_align(self, free_sweep):
-        rows = sweep_rows(free_sweep)
-        assert len(rows) == 31
-        assert math.isnan(rows[0][3]) and math.isnan(rows[-1][3])
-        assert rows[1][3] == free_sweep.second_diffs[0]
 
 
 class TestAirySweep:
@@ -207,17 +201,16 @@ class TestBlowup:
 
 class TestSweepExport:
     def test_csv_and_verdict(self, tmp_path, free_sweep):
-        csv_path = tmp_path / "sweep.csv"
-        write_sweep_csv(free_sweep, csv_path)
-        lines = csv_path.read_text().splitlines()
+        # the free_sweep fixture, written by the CLI
+        assert main(["sweep", "--potential", "affine:", "--a", "0", "--t-range", "0.5:2:31",
+                     "--N", "1001", "--format", "csv,json", "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "t,lambda,lambda_dot,second_diff"
         assert len(lines) == 32
         assert lines[1].endswith(",")            # no curvature at the first row
 
         verdict = check_theorem(free_sweep, make_potential("affine"))
-        json_path = tmp_path / "verdict.json"
-        write_verdict_json(free_sweep, json_path, verdict)
-        import json as _json
-        payload = _json.loads(json_path.read_text())
+        payload = json.loads((tmp_path / "verdict.json").read_text())
+        assert payload == verdict_metadata(free_sweep, verdict)
         assert payload["monotone_decreasing"] is True
         assert payload["n_t"] == 31 and payload["a"] == 0.0

@@ -12,17 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenshift import ground_state
-from eigenshift.cli import main
-from eigenshift.ground_state import (
+from eigenshift import cli
+from eigenshift.cli import (
     _TIE_BAND,
     _VEC_MAX,
     _VEC_MIN,
-    Domain,
     _format_rows,
-    solve_ground_state,
+    main,
     write_columns,
 )
+from eigenshift.ground_state import Domain, solve_ground_state
 from eigenshift.potentials import make_potential
 from eigenshift.sweep import sweep
 
@@ -136,13 +135,13 @@ def test_exact_arbiter_is_rare_on_the_oscillator_profile(monkeypatch):
     gs = solve_ground_state(make_potential("quadratic", c2=1.0), Domain(-math.inf, 0.0), 32001)
     x, u = gs.grid.x, gs.u
     seen = []
-    exact_fields = ground_state._exact_fields
+    exact_fields = cli._exact_fields
 
     def spy(values):
         seen.extend(values.tolist())
         return exact_fields(values)
 
-    monkeypatch.setattr(ground_state, "_exact_fields", spy)
+    monkeypatch.setattr(cli, "_exact_fields", spy)
     assert _format_rows(x, u) == reference_rows(x, u)
     # the zeros are the Dirichlet values u(a_eff) = u(t) = 0 and the grid point x = t = 0
     assert np.flatnonzero(u == 0.0).tolist() == [0, len(u) - 1]
