@@ -132,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if mode in ("solve", "sensitivity"):
             p.add_argument("--t", default=None, help="right endpoint")
         if mode == "sensitivity":
-            p.add_argument("--h-t", default=None, help="FD step for the oracle")
+            p.add_argument("--h-t", default=None, help="FD oracle step, snapped to whole cells")
         if mode == "sweep":
             p.add_argument("--t-range", default=None, help="min:max:count")
         if mode == "verify":
@@ -404,7 +404,7 @@ def _format_rows(*cols, sep: str = ",") -> str:
 
 
 def write_columns(path, rows: str, header: str = None) -> None:
-    """Write rows from ``_format_rows`` under an optional header line."""
+    """Write rows from ``_format_rows``, or a report, under an optional header."""
     with open(path, "w") as fh:
         if header is not None:
             fh.write(header + "\n")
@@ -491,7 +491,7 @@ def _run_verify(cfg: RunConfig) -> int:
     report = run_battery(N=cfg.N, n_t=cfg.n_t)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     text = report.render()
-    (cfg.out_dir / "verify_report.txt").write_text(text)
+    write_columns(cfg.out_dir / "verify_report.txt", text)
     if "json" in cfg.formats:
         write_json(cfg.out_dir / "verify.json", report.to_json())
     print(text, end="")

@@ -28,7 +28,7 @@ class ConvergenceError(EigenshiftError):
 
 
 class TruncationError(EigenshiftError):
-    """Leftward search for a converged truncation wall exceeded its cap."""
+    """The leftward march found no point where the Agmon distance reaches K."""
 
 
 class StructureError(EigenshiftError):

@@ -3,8 +3,8 @@
 The operator is discretized by second-order central differences on a uniform
 grid; the lowest eigenpair of the resulting tridiagonal matrix comes from
 LAPACK (see tridiag).  A left endpoint at -infinity is realized by a
-truncation wall placed deep in the classically forbidden region and validated
-by a doubling convergence check.
+wall where the Agmon distance from the allowed region reaches a fixed K
+(truncate_domain), at the cost of one probe eigensolve.
 
 Grid convention: N counts interior nodes, so the grid has N+2 nodes including
 both Dirichlet endpoints and spacing h = (t - a_eff) / (N + 1).
@@ -32,6 +32,7 @@ from .tolerances import DEFAULT_TOLS
 from .tridiag import TridiagOperator, smallest_eigenpair
 
 MIN_INTERIOR = 16
+_PROBE_WIDTH, _MARCH_CELLS, _MARCH_CHUNKS = 4.0, 402, 80   # probe width, cells, cap
 
 
 @dataclass(frozen=True)
@@ -171,8 +172,8 @@ def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
 
     For a = -inf the wall is resolved by truncate_domain (unless the Domain
     already carries one).  ``start`` (N interior values, any scale), the
-    ground state of a nearby problem with the same N, starts the inverse
-    iteration in place of its cold vector; the result passes the same checks.
+    ground state of a nearby problem, starts the inverse iteration in place
+    of its cold vector; the result passes the same checks.
 
     Raises ConfinementError when a = -inf and V does not grow on the left,
     ConvergenceError when the eigensolve fails its own checks.
@@ -210,45 +211,41 @@ def _resolve_wall(spec: PotentialSpec, domain: Domain) -> Domain:
     return domain.with_wall(truncate_domain(spec, domain.t, probe))
 
 
-def _probe_lambda(spec: PotentialSpec, t: float, width: float = 4.0,
-                  n: int = 200) -> float:
-    """Ground energy on the clipped domain (t-width, t) with n interior nodes.
-
-    Restricting the domain can only raise the ground energy, so the probe is a
-    safe input for the wall-placement threshold.
-    """
-    grid = Grid.build(t - width, t, n)
-    return smallest_eigenpair(_operator_on(spec, grid))[0]
+def _probe_lambda(spec: PotentialSpec, t: float) -> float:
+    """Ground energy on (t - 4, t), 200 nodes: above the true one and min V there."""
+    return smallest_eigenpair(_operator_on(spec, Grid.build(t - _PROBE_WIDTH, t, 200)))[0]
 
 
 def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float) -> float:
-    """Place the artificial wall for a = -inf.
+    """The a = -inf wall: the first node left of t where the Agmon distance
+    ``int sqrt(max(V - lambda_probe, 0)) dx`` reaches K = ``DEFAULT_TOLS.agmon``.
 
-    Returns a_eff with V(a_eff) >= lambda_probe + margin such that doubling
-    the wall distance moves the computed ground energy by less than the
-    truncation tolerance.  Found by leftward geometric search.
+    The distance counts from the nearest point right of the wall where
+    V <= lambda_probe, never from t; u decays like exp(-distance), so the wall
+    is scale-free.  No eigensolve: the march sums 402 trapezoid cells per chunk
+    (the first, (t - 4, t), holds a node with V <= lambda_probe) on chunks
+    doubling from width 4, and a count that starts in a wider chunk restarts
+    there on finer ones.
     """
-    n_check, max_doublings = 800, 40
-    threshold = lambda_probe + DEFAULT_TOLS.margin
-    dist = max(1.0, abs(t) * 0.5)
-    for _ in range(max_doublings):
-        if eval_V(spec, t - dist) >= threshold:
-            break
-        dist *= 2.0
-    else:
-        raise TruncationError("no wall with V >= lambda + margin within search cap")
-
-    for _ in range(max_doublings):
-        # 2n+1 interior nodes keep h identical at both wall distances, so the
-        # h^2 discretization error cancels in the check
-        lam_1 = _probe_lambda(spec, t, dist, n_check)
-        lam_2 = _probe_lambda(spec, t, 2.0 * dist, 2 * n_check + 1)
-        if abs(lam_1 - lam_2) < DEFAULT_TOLS.trunc:
-            return t - dist
-        dist *= 2.0
-        if eval_V(spec, t - dist) < threshold:
-            raise TruncationError("potential dips below threshold while doubling")
-    raise TruncationError("doubling convergence check did not stabilize")
+    K, dist, width, carry = DEFAULT_TOLS.agmon, 0.0, _PROBE_WIDTH, -math.inf
+    for _ in range(_MARCH_CHUNKS):
+        d = np.linspace(dist, dist + width, _MARCH_CELLS + 1)
+        v = eval_V(spec, t - d)
+        g = np.sqrt(np.maximum(v - lambda_probe, 0.0))
+        run = np.concatenate(([0.0], np.cumsum((0.5 * width / _MARCH_CELLS) * (g[:-1] + g[1:]))))
+        # the count restarts at every node where V <= lambda_probe
+        last = np.maximum.accumulate(np.where(v <= lambda_probe, np.arange(d.size), -1))
+        with np.errstate(invalid="ignore"):   # inf - inf once V overflows
+            count = np.where(last >= 0, run - run[np.maximum(last, 0)], carry + run)
+        hit = np.flatnonzero(count >= K)
+        start = last[hit[0]] if hit.size else last[-1]
+        if width > _PROBE_WIDTH and 0 <= start < _MARCH_CELLS:
+            dist, width = float(d[start]), max(_PROBE_WIDTH, width / _MARCH_CELLS)
+        elif hit.size:
+            return t - float(d[hit[0]])
+        else:
+            dist, width, carry = dist + width, 2.0 * width, float(count[-1])
+    raise TruncationError(f"Agmon distance {K} not reached within {dist:.3e} left of t = {t}")
 
 
 def rayleigh_energy(gs: GroundState, spec: PotentialSpec) -> float:
@@ -270,8 +267,7 @@ def richardson_lambda(spec: PotentialSpec, domain: Domain, N: int) -> tuple:
     exactly halve the spacing.
     """
     coarse = solve_ground_state(spec, domain, N)
-    fine_domain = coarse.domain  # reuse the resolved wall
-    fine = solve_ground_state(spec, fine_domain, 2 * N + 1)
+    fine = solve_ground_state(spec, coarse.domain, 2 * N + 1)  # the same wall
     lam = (4.0 * fine.lam - coarse.lam) / 3.0
     return lam, coarse, fine
 

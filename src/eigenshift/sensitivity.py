@@ -13,7 +13,6 @@ derivatives are cross-checked against central finite differences in t.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .ground_state import (
     Domain,
     Grid,
     GroundState,
+    MIN_INTERIOR,
     _operator_on,
     solve_ground_state,
 )
@@ -165,33 +165,41 @@ def u_dot_flux_left(u_dot: np.ndarray, grid: Grid) -> float:
     return float((-3.0 * u_dot[0] + 4.0 * u_dot[1] - u_dot[2]) / (2.0 * grid.h))
 
 
+def fd_cells(centre: GroundState, h_t: float) -> int:
+    """The FD step h_t in whole cells of the centre grid, at least one."""
+    return max(1, round(h_t / centre.grid.h))
+
+
 def fd_derivatives(spec: PotentialSpec, centre: GroundState, h_t: float) -> tuple:
     """Central finite differences of lambda in t: independent derivative oracle.
 
-    ``centre`` is the ground state solved at t.  The solves at t - h_t and
-    t + h_t keep its left wall and its N, and start their inverse iteration
-    from its vector.
+    ``centre`` is the ground state solved at t on N nodes.  The step snaps to
+    m = fd_cells(centre, h_t) cells: the solves at t -+ m h keep the centre's
+    wall and spacing on N -+ m nodes, starting from its vector truncated or
+    zero-padded, so the three grids share their nodes and a kink of V keeps
+    its place in its cell.
     """
-    domain, N = centre.domain, centre.grid.n_interior
-    t = domain.t
-    if not t - h_t > domain.a_eff:
-        raise DomainError("FD step reaches past the left wall")
-    start = centre.u[1:-1]
+    domain, N, m = centre.domain, centre.grid.n_interior, fd_cells(centre, h_t)
+    if N - m < MIN_INTERIOR:
+        raise DomainError(f"FD step of {m} cells leaves under {MIN_INTERIOR} nodes at t - m h")
+    step, start = m * centre.grid.h, centre.u[1:-1]
     lam_lo, lam_hi = (
-        solve_ground_state(spec, Domain(domain.a, ti, domain.a_eff), N, start=start).lam
-        for ti in (t - h_t, t + h_t)
+        solve_ground_state(spec, Domain(domain.a, domain.t + sign * step, domain.a_eff),
+                           N + sign * m, start=vec).lam
+        for sign, vec in ((-1, start[:N - m]), (1, np.concatenate((start, np.zeros(m)))))
     )
-    ld = (lam_hi - lam_lo) / (2.0 * h_t)
-    ldd = (lam_hi - 2.0 * centre.lam + lam_lo) / (h_t * h_t)
+    ld = (lam_hi - lam_lo) / (2.0 * step)
+    ldd = (lam_hi - 2.0 * centre.lam + lam_lo) / (step * step)
     return ld, ldd
 
 
 def compute_sensitivity(gs: GroundState, spec: PotentialSpec,
-                        h_t: float = None, with_fd: bool = True) -> Sensitivity:
+                        h_t: float = None) -> Sensitivity:
     """Full derivative bundle for one solved ground state.
 
     The u_dot solve takes its source term from the flux formula (the coupled
     system), never from the FD estimate, which stays a pure cross-check.
+    ``fd_step`` is ``h_t`` (default ``h_t_factor * (t - a_eff)``) in whole cells.
     """
     ld_flux = lambda_dot_flux(gs)
     ld_int = lambda_dot_integral(gs, spec)
@@ -199,19 +207,15 @@ def compute_sensitivity(gs: GroundState, spec: PotentialSpec,
     orth = orthogonality_residual(gs, u_dot)
     t0 = find_nodal_point(u_dot, gs.grid)
     ldd = lambda_ddot(gs, u_dot, t0, spec)
-
-    ld_fd = ldd_fd = math.nan
-    step = math.nan
-    if with_fd:
-        step = h_t if h_t is not None else DEFAULT_TOLS.h_t_factor * (gs.t - gs.domain.a_eff)
-        ld_fd, ldd_fd = fd_derivatives(spec, gs, step)
-
+    if h_t is None:
+        h_t = DEFAULT_TOLS.h_t_factor * (gs.t - gs.domain.a_eff)
+    ld_fd, ldd_fd = fd_derivatives(spec, gs, h_t)
     return Sensitivity(
         t=gs.t, lam=gs.lam,
         lambda_dot_flux=ld_flux, lambda_dot_integral=ld_int,
         u_dot=u_dot, t0=t0, lambda_ddot=ldd,
         lambda_dot_fd=ld_fd, lambda_ddot_fd=ldd_fd,
-        orth_residual=orth, fd_step=step,
+        orth_residual=orth, fd_step=fd_cells(gs, h_t) * gs.grid.h,
     )
 
 

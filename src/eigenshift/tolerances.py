@@ -4,7 +4,7 @@ These values are what every returned number and every verify check is held
 to; they are fixed, not settings, and nothing in the package overrides them.
 Each consumer reads ``DEFAULT_TOLS.<field>`` directly.  Scale-aware use is up
 to the consumer: residual-type checks multiply by (1 + |lambda|), sign
-dead-bands by the max of the field they filter.
+dead-bands by the max of the field they filter; the wall's ``agmon`` is scale-free.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ class Tolerances:
     match: float = 1e-5        # flux vs integral first derivative, times (1 + |ld|)
     orth: float = 1e-10        # |integral of u * u_dot|
     sign: float = 1e-9         # sign-change dead band, times max |field|
-    trunc: float = 1e-9        # truncation doubling check on lambda
-    margin: float = 25.0       # V(wall) - lambda at the truncation wall
+    agmon: float = 25.0        # Agmon distance to the a = -inf wall: u ~ e^-25 there
     thm_factor: float = 10.0   # tol_thm = thm_factor * h^2 * max|lambda|
     pos: float = 1e-9          # positivity dead band, times max u
     h_t_factor: float = 1e-3   # FD step: h_t = h_t_factor * (t - a_eff)

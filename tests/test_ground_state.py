@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import ai_zeros, airy
 
 from eigenshift.cli import _format_rows, write_columns, write_json
@@ -12,6 +14,7 @@ from eigenshift.errors import ConfinementError, ConvergenceError, DomainError
 from eigenshift.ground_state import (
     Domain,
     Grid,
+    _probe_lambda,
     discretize,
     ground_state_metadata,
     rayleigh_energy,
@@ -20,6 +23,8 @@ from eigenshift.ground_state import (
     truncate_domain,
 )
 from eigenshift.potentials import eval_V, make_potential
+from eigenshift.sensitivity import lambda_dot_flux
+from eigenshift.tolerances import DEFAULT_TOLS
 
 NEG_INF = float("-inf")
 PI2 = math.pi * math.pi
@@ -194,16 +199,61 @@ class TestAiry:
 
 
 class TestTruncation:
-    def test_wall_clears_margin(self):
-        spec = make_potential("quadratic", c2=1.0)
-        a_eff = truncate_domain(spec, 0.0, 3.0)
-        assert a_eff <= -math.sqrt(28.0)
-        assert eval_V(spec, a_eff) >= 28.0
+    @pytest.mark.parametrize("family, params, t, inside", [
+        ("quadratic", {"c2": 1.0}, 0.0, 0.0),
+        ("affine", {"c1": -1.0}, 2.0, 2.0),
+        ("affine", {"c1": -1e-3}, 0.0, 0.0),
+        ("quadratic", {"c0": 2500.0, "c1": 100.0, "c2": 1.0}, 0.0, -50.0),
+        ("abs_shift", {}, 1.0, 0.0),
+        ("exp_growth", {"rate": -2.0}, 1.0, 1.0),
+        ("quadratic", {"c2": 1e-8}, 0.0, 0.0),
+    ], ids=["x2", "airy", "shallow_tilt", "far_vertex", "abs", "exp", "scaled_x2"])
+    def test_wall_at_agmon_distance(self, family, params, t, inside):
+        # the Agmon distance from the turning point right of the wall, where
+        # V meets the probe energy, to the wall is K up to the march's cells
+        spec = make_potential(family, **params)
+        lam = _probe_lambda(spec, t)
+        wall = truncate_domain(spec, t, lam)
+        turning = brentq(lambda x: eval_V(spec, x) - lam, wall, inside)
+        dist, _ = quad(lambda x: math.sqrt(max(eval_V(spec, x) - lam, 0.0)), wall, turning)
+        assert DEFAULT_TOLS.agmon <= dist <= DEFAULT_TOLS.agmon + 0.5
 
-    def test_tilt_wall(self):
-        spec = make_potential("affine", c1=-1.0)
-        a_eff = truncate_domain(spec, 0.0, 2.34)
-        assert a_eff <= -27.34
+    def test_march_passes_an_overflowing_potential(self):
+        # e^{3000 |x|} is inf over most of the first chunk; the march must
+        # place the wall without a RuntimeWarning
+        spec = make_potential("exp_growth", rate=-3000.0)
+        assert -4.0 < truncate_domain(spec, 1.0, 1.0) < 0.0
+
+    def test_wall_costs_one_eigensolve(self, monkeypatch):
+        import eigenshift.ground_state as ground_state
+
+        calls = []
+        real = ground_state.smallest_eigenpair
+
+        def counting(op, start=None):
+            calls.append(op.n)
+            return real(op, start=start)
+
+        monkeypatch.setattr(ground_state, "smallest_eigenpair", counting)
+        spec = make_potential("quadratic", c2=1.0)
+        truncate_domain(spec, 0.0, 3.0)
+        assert calls == []
+        solve_ground_state(spec, Domain(NEG_INF, 0.0), 301)
+        assert calls == [200, 301]   # the probe, then the solve itself
+
+    def test_shallow_tilt_is_resolved(self):
+        # V = -1e-3 x: lambda = -a_1 1e-3^(2/3), lambda_dot = -1e-3; an
+        # absolute V-margin put the wall at -32768 with h = 16 here
+        spec = make_potential("affine", c1=-1e-3)
+        gs = solve_ground_state(spec, Domain(NEG_INF, 0.0), 2001)
+        assert gs.lam == pytest.approx(2.338107410459767e-2, rel=1e-3)
+        assert lambda_dot_flux(gs) == pytest.approx(-1e-3, rel=1e-2)
+
+    def test_far_vertex_is_found(self):
+        # V = (x + 50)^2 on (-inf, 0]: the well lies 50 left of t
+        spec = make_potential("quadratic", c0=2500.0, c1=100.0, c2=1.0)
+        gs = solve_ground_state(spec, Domain(NEG_INF, 0.0), 2001)
+        assert gs.lam == pytest.approx(1.0, abs=1e-3)
 
     def test_doubling_agreement(self):
         # lambda from the chosen wall and from twice the distance agree

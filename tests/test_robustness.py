@@ -55,9 +55,8 @@ def test_invariants_hold_on_random_configurations():
     failures = []
     for trial in range(40):
         spec, a, t = random_case(rng)
-        with_fd = trial % 3 == 0
         gs = solve_ground_state(spec, Domain(a, t), 600)
-        sens = compute_sensitivity(gs, spec, with_fd=with_fd)
+        sens = compute_sensitivity(gs, spec)
         h2 = gs.grid.h ** 2
         ld = sens.lambda_dot_flux
         checks = {
@@ -71,11 +70,10 @@ def test_invariants_hold_on_random_configurations():
             "orthogonality": sens.orth_residual <= 1e-10,
             "boundary_datum": sens.u_dot[-1] == -gs.flux_t,
             "nodal_interior": gs.domain.a_eff < sens.t0 < t,
-        }
-        if with_fd:
-            checks["fd_match"] = abs(ld - sens.lambda_dot_fd) <= max(
+            "fd_match": abs(ld - sens.lambda_dot_fd) <= max(
                 1e-3 * abs(sens.lambda_dot_fd), 10 * sens.fd_step ** 2,
-                60 * h2 * (1 + abs(ld)))
+                60 * h2 * (1 + abs(ld))),
+        }
         bad = [name for name, ok in checks.items() if not ok]
         if bad:
             failures.append((trial, spec.label, a, t, bad))

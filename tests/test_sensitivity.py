@@ -184,13 +184,13 @@ class TestLambdaDdot:
     def test_convex_well_positive(self):
         spec = make_potential("quadratic", c2=1.0)
         gs = solve_ground_state(spec, Domain(NEG_INF, 0.0), 2001)
-        sens = compute_sensitivity(gs, spec, with_fd=False)
+        sens = compute_sensitivity(gs, spec)
         assert sens.lambda_ddot > 0.1
 
     def test_concave_tilt_negative(self):
         spec = make_potential("neg_abs", slope=2.0, amp=1.0)
         gs = solve_ground_state(spec, Domain(NEG_INF, 1.0), 2001)
-        sens = compute_sensitivity(gs, spec, with_fd=False)
+        sens = compute_sensitivity(gs, spec)
         assert sens.lambda_ddot < -0.1
 
     def test_boundary_term_sign_at_finite_a(self, free_bundle):
@@ -222,14 +222,35 @@ class TestFiniteDifferences:
 
     @pytest.mark.parametrize("bundle", ["free_bundle", "airy_bundle"])
     def test_bundle_fd_equals_three_solves(self, bundle, request):
-        # the bundle takes gs as its centre solve: the outer solves share its
-        # wall and N and start from its vector
+        # the bundle takes gs as its centre solve: the outer solves keep its
+        # wall and spacing on N -+ m nodes and start from its vector,
+        # truncated or padded with zeros
         spec, gs, sens = request.getfixturevalue(bundle)
-        h, N, start = sens.fd_step, gs.grid.n_interior, gs.u[1:-1]
-        lo, hi = (solve_ground_state(spec, Domain(gs.domain.a, ti, gs.domain.a_eff), N,
-                                     start=start).lam for ti in (gs.t - h, gs.t + h))
-        assert sens.lambda_dot_fd == (hi - lo) / (2.0 * h)
-        assert sens.lambda_ddot_fd == (hi - 2.0 * gs.lam + lo) / (h * h)
+        N, h, start = gs.grid.n_interior, gs.grid.h, gs.u[1:-1]
+        m = round(sens.fd_step / h)
+        assert m >= 1 and sens.fd_step == m * h
+        lo = solve_ground_state(spec, Domain(gs.domain.a, gs.t - m * h, gs.domain.a_eff),
+                                N - m, start=start[:N - m])
+        hi = solve_ground_state(spec, Domain(gs.domain.a, gs.t + m * h, gs.domain.a_eff),
+                                N + m, start=np.concatenate((start, np.zeros(m))))
+        for outer in (lo, hi):
+            assert outer.grid.h == pytest.approx(h, rel=1e-12)
+        step = m * h
+        assert sens.lambda_dot_fd == (hi.lam - lo.lam) / (2.0 * step)
+        assert sens.lambda_ddot_fd == (hi.lam - 2.0 * gs.lam + lo.lam) / (step * step)
+
+    @pytest.mark.parametrize("family, params", [("abs_shift", {}),
+                                                ("neg_abs", {"slope": 2.0, "amp": 1.0})])
+    def test_kinked_fd_curvature_is_wall_independent(self, family, params):
+        # with whole-cell steps the kink keeps its place within its cell at
+        # t - h_t, t and t + h_t; a fixed-N step moved it and missed by
+        # 4e-2 to 3e-1 at every one of these walls
+        spec = make_potential(family, **params)
+        for wall in np.linspace(-13.0, -12.0, 11):
+            gs = solve_ground_state(spec, Domain(NEG_INF, 1.0, float(wall)), 801)
+            sens = compute_sensitivity(gs, spec)
+            assert abs(sens.lambda_ddot - sens.lambda_ddot_fd) <= \
+                1e-2 * abs(sens.lambda_ddot_fd), wall
 
     def test_bundle_solves_the_centre_only_on_another_grid(self, monkeypatch):
         import eigenshift.sensitivity as sensitivity

@@ -107,7 +107,7 @@ def test_bordered_solve_rejects_degenerate_eigenvalue(m):
 def test_oscillator_u_dot_orthogonal_at_fine_grid():
     spec = make_potential("quadratic", c2=1.0)
     gs = solve_ground_state(spec, Domain(-np.inf, 0.0), 32001)
-    sens = compute_sensitivity(gs, spec, with_fd=False)
+    sens = compute_sensitivity(gs, spec)
     assert sens.orth_residual <= DEFAULT_TOLS.orth
 
 
