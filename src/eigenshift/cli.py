@@ -113,7 +113,10 @@ def _parse_formats(text: str) -> tuple:
     return items
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each ``parse_args`` call
+    fills a fresh namespace, so no call sees another's flags."""
     parser = argparse.ArgumentParser(
         prog="eigenshift",
         description="Dirichlet ground states on (a,t) and the energy curve "
@@ -412,10 +415,10 @@ def write_columns(path, rows: str, header: str = None) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    """Write ``payload`` as indented JSON with a trailing newline."""
+    """Write ``payload`` as indented JSON with a trailing newline, in one
+    write: ``json.dump`` would stream it in thousands of small chunks."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _write_profile(cfg: RunConfig, csv_name: str, plot_name: str, header: str,

@@ -32,7 +32,9 @@ from .tolerances import DEFAULT_TOLS
 from .tridiag import TridiagOperator, smallest_eigenpair
 
 MIN_INTERIOR = 16
-_PROBE_WIDTH, _MARCH_CELLS, _MARCH_CHUNKS = 4.0, 402, 80   # probe width, cells, cap
+_EPS = np.finfo(float).eps
+_PROBE_WIDTH, _PROBE_NODES, _PROBE_HALVINGS = 4.0, 200, 60   # widest probe, nodes, cap
+_MARCH_CELLS, _MARCH_CHUNKS = 402, 80                          # cells per chunk, cap
 
 
 @dataclass(frozen=True)
@@ -150,11 +152,11 @@ def _solve_on_grid(spec: PotentialSpec, grid: Grid, start: np.ndarray = None):
     # definite, so no spectrum below lam - eps.  eps must clear the
     # factorisation's own resolution, a few ulps of ||T||.
     scale = float(np.max(np.abs(op.d))) + 2.0 * (float(np.max(np.abs(op.e))) if op.n > 1 else 0.0)
-    eps_gap = max(1e-10 * (1.0 + abs(lam)), 256.0 * np.finfo(float).eps * scale)
+    eps_gap = max(1e-10 * (1.0 + abs(lam)), 256.0 * _EPS * scale)
     if not op.spectrum_above(lam - eps_gap):
         raise ConvergenceError("converged to an excited state, not the ground state")
 
-    cap = max(DEFAULT_TOLS.res * (1.0 + abs(lam)), 64.0 * np.finfo(float).eps * scale)
+    cap = max(DEFAULT_TOLS.res * (1.0 + abs(lam)), 64.0 * _EPS * scale)
     if resid > cap:
         raise ConvergenceError(f"eigen-residual {resid:.3e} above cap {cap:.3e}")
 
@@ -211,9 +213,23 @@ def _resolve_wall(spec: PotentialSpec, domain: Domain) -> Domain:
     return domain.with_wall(truncate_domain(spec, domain.t, probe))
 
 
+def _probe_width(spec: PotentialSpec, t: float) -> float:
+    """Width w of the probe interval (t - w, t): 4, halved until V is finite
+    at every one of its 200 interior nodes, so a V that overflows within 4 of
+    t still gets a probe."""
+    width = _PROBE_WIDTH
+    for _ in range(_PROBE_HALVINGS):
+        if np.all(np.isfinite(eval_V(spec, Grid.build(t - width, t, _PROBE_NODES).interior))):
+            break
+        width *= 0.5
+    return width
+
+
 def _probe_lambda(spec: PotentialSpec, t: float) -> float:
-    """Ground energy on (t - 4, t), 200 nodes: above the true one and min V there."""
-    return smallest_eigenpair(_operator_on(spec, Grid.build(t - _PROBE_WIDTH, t, 200)))[0]
+    """Ground energy on (t - w, t), 200 nodes, w from ``_probe_width``: above
+    the true one and min V there."""
+    grid = Grid.build(t - _probe_width(spec, t), t, _PROBE_NODES)
+    return smallest_eigenpair(_operator_on(spec, grid))[0]
 
 
 def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float) -> float:
@@ -223,11 +239,13 @@ def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float) -> float
     The distance counts from the nearest point right of the wall where
     V <= lambda_probe, never from t; u decays like exp(-distance), so the wall
     is scale-free.  No eigensolve: the march sums 402 trapezoid cells per chunk
-    (the first, (t - 4, t), holds a node with V <= lambda_probe) on chunks
-    doubling from width 4, and a count that starts in a wider chunk restarts
-    there on finer ones.
+    on chunks doubling from the probe's width w (4 unless V overflows within
+    4 of t; the first chunk, (t - w, t), holds a node with V <= lambda_probe),
+    and a count that starts in a wider chunk restarts there on chunks of at
+    least w.
     """
-    K, dist, width, carry = DEFAULT_TOLS.agmon, 0.0, _PROBE_WIDTH, -math.inf
+    w = _probe_width(spec, t)
+    K, dist, width, carry = DEFAULT_TOLS.agmon, 0.0, w, -math.inf
     for _ in range(_MARCH_CHUNKS):
         d = np.linspace(dist, dist + width, _MARCH_CELLS + 1)
         v = eval_V(spec, t - d)
@@ -239,8 +257,8 @@ def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float) -> float
             count = np.where(last >= 0, run - run[np.maximum(last, 0)], carry + run)
         hit = np.flatnonzero(count >= K)
         start = last[hit[0]] if hit.size else last[-1]
-        if width > _PROBE_WIDTH and 0 <= start < _MARCH_CELLS:
-            dist, width = float(d[start]), max(_PROBE_WIDTH, width / _MARCH_CELLS)
+        if width > w and 0 <= start < _MARCH_CELLS:
+            dist, width = float(d[start]), max(w, width / _MARCH_CELLS)
         elif hit.size:
             return t - float(d[hit[0]])
         else:

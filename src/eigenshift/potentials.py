@@ -265,7 +265,11 @@ def eval_V(spec: PotentialSpec, x):
     elif spec.family == "neg_quadratic":
         out = -p["scale"] * xs * xs
     elif spec.family == "neg_abs":
-        out = -p["slope"] * xs - p["amp"] * np.abs(xs - p["shift"])
+        # each side of the kink as its own line, so slope = amp gives an
+        # exactly constant V on the left instead of a cancellation
+        slope, amp, shift = p["slope"], p["amp"], p["shift"]
+        out = np.where(xs < shift, (amp - slope) * xs - amp * shift,
+                       amp * shift - (amp + slope) * xs)
     elif spec.family == "tabulated":
         tx, tv = spec.table
         if np.any(xs < tx[0]) or np.any(xs > tx[-1]):

@@ -228,6 +228,7 @@ def sensitivity_metadata(sens: Sensitivity) -> dict:
         "lambda_ddot": sens.lambda_ddot,
         "lambda_dot_fd": sens.lambda_dot_fd,
         "lambda_ddot_fd": sens.lambda_ddot_fd,
+        "fd_step": sens.fd_step,
         "t0": sens.t0,
         "orth_residual": sens.orth_residual,
     }

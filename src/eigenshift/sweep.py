@@ -88,9 +88,10 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
     """Compute lambda(t) on a uniform endpoint grid.
 
     One wall ``a_eff``, resolved at t_min (``a`` itself when a is finite),
-    serves the whole sweep.  Every endpoint after the first starts its
-    eigensolve from the previous endpoint's ground state.  Solver failures
-    propagate with the failing t attached.
+    serves the whole sweep.  The endpoints form one warm chain
+    (``_solve_chain``): from the third on, each eigensolve starts from
+    2 u(t_{k-1}) - u(t_{k-2}) and takes two or three factorisations.
+    Solver failures propagate with the failing t attached.
     """
     if n_t < 5:
         raise DomainError("sweep needs at least 5 endpoint samples")
@@ -102,16 +103,10 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
     dt = float(ts[1] - ts[0])
     lambdas = np.empty(n_t)
     lambda_dots = np.empty(n_t)
-    start = None
-    for i, t in enumerate(ts):
-        domain = Domain(a, float(t), a_eff)
-        try:
-            gs = solve_ground_state(spec, domain, N, start=start)
-        except EigenshiftError as exc:
-            raise type(exc)(f"sweep failed at t={t}: {exc}") from exc
+    for i, gs in enumerate(_solve_chain(spec, N, ts, lambda t: Domain(a, t, a_eff),
+                                          "sweep failed at t")):
         lambdas[i] = gs.lam
         lambda_dots[i] = lambda_dot_flux(gs)
-        start = gs.u[1:-1]
 
     second = (lambdas[:-2] - 2.0 * lambdas[1:-1] + lambdas[2:]) / (dt * dt)
     h_max = (t_max - a_eff) / (N + 1)
@@ -179,18 +174,38 @@ def blowup_profile(spec: PotentialSpec, a: float, epsilons, N: int) -> np.ndarra
 
     As eps -> 0 the values approach pi^2, the free small-interval limit: a
     quantitative refinement of the bare blow-up of lambda near the left end.
-    Requires a finite left endpoint and V bounded near it.  Each eps after
-    the first starts its eigensolve from the previous eps's ground state.
+    Requires a finite left endpoint and V bounded near it.  The intervals
+    form one warm chain in eps (``_solve_chain``).
     """
     eps = np.asarray(list(epsilons), dtype=float)
     if not math.isfinite(a):
         raise DomainError("blow-up profile needs a finite left endpoint")
     if len(eps) == 0 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
         raise DomainError("epsilons must be positive and strictly decreasing")
-    out = np.empty(len(eps))
-    start = None
-    for i, e in enumerate(eps):
-        gs = solve_ground_state(spec, Domain(a, a + float(e)), N, start=start)
-        out[i] = gs.lam * e * e
-        start = gs.u[1:-1]
-    return out
+    chain = _solve_chain(spec, N, eps, lambda e: Domain(a, a + e),
+                         "blow-up profile failed at eps")
+    return np.array([gs.lam * e * e for e, gs in zip(eps, chain)])
+
+
+def _solve_chain(spec: PotentialSpec, N: int, params: np.ndarray, domain_at,
+                 failure: str):
+    """Ground states on ``domain_at(p)`` for each p of ``params``, all on N
+    interior nodes, in order.
+
+    The first solve is cold, the second starts from the first ground state,
+    and each later one from the linear extrapolation in p of the two before
+    it, u_{k-1} + (p_k - p_{k-1}) / (p_{k-1} - p_{k-2}) (u_{k-1} - u_{k-2})
+    (2 u_{k-1} - u_{k-2} on a uniform grid).  A solver failure propagates
+    as ``f"{failure}={p}: ..."``.
+    """
+    prev = older = None
+    for k, p in enumerate(map(float, params)):
+        start = prev
+        if older is not None:
+            start = prev + (p - params[k - 1]) / (params[k - 1] - params[k - 2]) * (prev - older)
+        try:
+            gs = solve_ground_state(spec, domain_at(p), N, start=start)
+        except EigenshiftError as exc:
+            raise type(exc)(f"{failure}={p}: {exc}") from exc
+        yield gs
+        prev, older = gs.u[1:-1], prev

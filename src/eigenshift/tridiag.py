@@ -2,8 +2,11 @@
 
 The smallest eigenpair comes from shifted inverse iteration, cold or from a
 caller's start vector: each step is one positive definite ``ptsv``
-factor-and-solve (``pttrf`` + ``pttrs``) of T - sigma, and a factorisation
-that succeeds certifies that sigma lies below the whole spectrum.
+factor-and-solve (``pttrf`` + ``pttrs``) of T - sigma, a factorisation that
+succeeds certifies that sigma lies below the whole spectrum, and the solve
+itself gives the step's Rayleigh quotient and residual.  A cold start takes
+about five factorisations from the Gershgorin bound; a start near the ground
+state takes about two from its Weinstein bound.
 ``spectrum_above`` is that certificate on its own, one ``pttrf``;
 ``count_below`` is a ``stebz`` Sturm count.
 ``solve_bordered`` solves the singular shifted system of a differentiated
@@ -13,6 +16,7 @@ factor-and-solve and a 2x2 system, in O(N).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +82,10 @@ class TridiagOperator:
         return lapack.dpttrf(self.d - sigma, _offdiag(self.e))[2] == 0
 
 
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
 def _cold_vector(op: TridiagOperator) -> np.ndarray:
     """D 1 / sqrt(n), where D = diag(+-1) makes the off-diagonal of D T D
     equal to -|e|."""
@@ -90,96 +98,126 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     """Lowest eigenpair of ``op``; returns (lam, vec, residual).
 
     ``vec`` has unit euclidean norm; ``lam`` is its Rayleigh quotient and
-    ``residual`` the euclidean norm of (T - lam) vec.  The caller judges
-    whether that residual is acceptable.
+    ``residual`` the euclidean norm of (T - lam) vec, both from one matvec
+    at the end.  The caller judges whether that residual is acceptable.
 
-    Shifted inverse iteration from the Gershgorin lower bound.  A shift sigma
-    is used only when ``ptsv`` factors T - sigma as positive definite, which
-    certifies sigma below the spectrum; when it does not, sigma steps back
-    toward the last certified shift.  After each solve the shift moves up to
-    the Weinstein bound lam - residual, less a margin.  The cold start vector
-    is D 1, where D = diag(+-1) makes the off-diagonal of D T D equal to -|e|,
-    so it overlaps the ground state of every block, and for e < 0 every
-    iterate is positive.  ``start`` replaces that vector, nothing else: the
-    ground state of a nearby operator of the same size (the previous solve of
-    a chain) leaves a step or two to take.  A start with almost no weight on
-    the ground state heads for an excited pair, whose Weinstein bound then
-    passes lambda_1; each factorisation that fails above a certified shift
-    adds the cold vector back into the iterate, which restores that weight.
-    Iteration stops once lam no longer falls by more than a margin and the
-    residual is within twice that margin.  The margin, 4 eps ||(|T| 1) vec||,
-    also keeps the shift below lam - residual; it is scaled to the rows the
-    vector occupies, because graded operators from the wall probe carry
-    diagonal entries near 1e266.  Raises ValueError unless
+    Shifted inverse iteration.  A shift sigma is used only when ``ptsv``
+    factors T - sigma as positive definite, which certifies sigma below the
+    spectrum; when it does not, sigma steps back toward the last certified
+    shift, by a half, then a quarter, an eighth, ... of the distance while
+    failures run on.  Each step reads the Rayleigh quotient rho and the
+    residual of its new vector w / |w| off the solve (T - sigma) w = v itself
+    (Parlett, The Symmetric Eigenvalue Problem, 4.3): rho = sigma +
+    v.w / |w|^2 and residual |v - (v.w / |w|^2) w| / |w|, so a step costs no
+    matvec.  The shift then moves up to the Weinstein bound rho - residual,
+    less a margin.  Iteration stops once rho no longer falls by more than a
+    margin, the residual is within twice that margin, and the step's shift
+    was the Weinstein bound of its own input or lies within a few margins of
+    rho.  The margin, 4 eps ||(|T| 1) vec||, also keeps the shift below
+    rho - residual; it is scaled to the rows the vector occupies, because
+    graded operators from the wall probe carry diagonal entries near 1e266.
+
+    A cold start begins at the Gershgorin lower bound from D 1, where
+    D = diag(+-1) makes the off-diagonal of D T D equal to -|e|, so it
+    overlaps the ground state of every block, and for e < 0 every iterate is
+    positive.  ``start`` replaces that vector, and its Weinstein bound
+    (Weinstein, PNAS 20, 1934), from one matvec, replaces the Gershgorin
+    bound as the first shift when it is higher: the ground state of a nearby
+    operator of the same size (a solve chain) then leaves about two
+    factorisations.  That bound holds for some eigenvalue, not necessarily the
+    lowest; when its shift does not factor, the iteration drops to the
+    Gershgorin bound.  A start with almost no weight on the ground state heads
+    for an excited pair, whose Weinstein bound then passes lambda_1; each
+    factorisation that fails above a certified shift adds the cold vector back
+    into the iterate, which restores that weight.  Raises ValueError unless
     ``start`` is None or a finite vector of length n with a nonzero entry,
-    and ConvergenceError when lam has not settled after a fixed number of
+    and ConvergenceError when rho has not settled after a fixed number of
     factorisations.
     """
     max_factorisations = 64
-    eps = np.finfo(float).eps
     e = _offdiag(op.e)
     abs_e = np.abs(op.e)
     radius = np.zeros(op.n)
     radius[:-1] += abs_e
     radius[1:] += abs_e
     row_sum = np.abs(op.d) + radius
-    sigma, certified = float(np.min(op.d - radius)), None
+    gershgorin = sigma = float(np.min(op.d - radius))
     # keeps every shift at least floor below the spectrum, so |w| <= 1/floor
-    floor = drop = np.finfo(float).tiny / eps
+    floor = drop = _TINY / _EPS
+    # level-1 BLAS (ddot, and dscal and daxpy, which update in place) costs
+    # a fraction of a numpy ufunc call at these sizes
     if start is None:
         vec = _cold_vector(op)
     else:
-        vec = np.array(start, dtype=float)
+        vec = np.asarray(start, dtype=float)
         if vec.shape != (op.n,):
             raise ValueError(f"start vector has shape {vec.shape}, expected ({op.n},)")
-        if not np.all(np.isfinite(vec)):
+        big = float(np.max(np.abs(vec)))   # nan or inf when an entry is
+        if not math.isfinite(big):
             raise ValueError("start vector is not finite")
-        big = float(np.max(np.abs(vec)))
         if big == 0.0:
             raise ValueError("start vector is zero")
-        vec /= big  # first to the unit max norm, so the 2-norm cannot overflow
-        vec /= blas.dnrm2(vec)
-    lam = np.inf
+        vec = vec / big  # a copy at unit max norm, so the 2-norm cannot overflow
+        blas.dscal(1.0 / blas.dnrm2(vec), vec)
+        tvec = op.matvec(vec)
+        rho = blas.ddot(vec, tvec)
+        margin = 4.0 * _EPS * blas.dnrm2(row_sum * vec) + floor
+        sigma = max(sigma, rho - blas.dnrm2(blas.daxpy(vec, tvec, a=-rho)) - margin)
+    # tight: sigma is the Weinstein bound of the vector it is applied to
+    certified, lam, tight, failures = None, np.inf, False, 0
     for _ in range(max_factorisations):
-        shifted = op.d - sigma
-        _, _, w, info = lapack.dptsv(shifted, e, vec)
+        _, _, w, info = lapack.dptsv(op.d - sigma, e, vec, overwrite_d=1)
         if info and certified is None:
+            if sigma > gershgorin:
+                # the start's Weinstein bound belongs to an excited eigenvalue
+                sigma = gershgorin
+                continue
             # T - sigma is singular at the Gershgorin bound (a tight block):
             # step down by the scale of the row whose pivot failed, doubling
-            drop = max(2.0 * drop, 4.0 * eps * float(row_sum[info - 1]))
+            drop = max(2.0 * drop, 4.0 * _EPS * float(row_sum[info - 1]))
             sigma -= drop
             continue
         if info:
-            sigma = 0.5 * (certified + sigma)
-            # the shift passed lambda_1, which a vector with almost no weight
-            # on the ground state invites: give it the cold vector's weight
+            # the shift passed lambda_1: step back toward the last certified
+            # shift, by 1/2, then 1/4, 1/8, ... of the way while failures run
+            # on, so a certified shift just below lambda_1 is reached in a few
+            # steps.  A vector with almost no weight on the ground state
+            # invites the overshoot: give it the cold vector's weight
+            failures += 1
+            sigma, tight = certified + (sigma - certified) * 0.5 ** failures, False
             vec = vec + _cold_vector(op)
             vec /= blas.dnrm2(vec)
             continue
-        certified = sigma
-        vec = w / blas.dnrm2(w)
-        # rho - sigma from (T - sigma) vec: near convergence its terms are
-        # small, so the dot product rounds far less than vec . T vec would
-        tvec = shifted * vec
-        tvec[:-1] += op.e * vec[1:]
-        tvec[1:] += op.e * vec[:-1]
-        above = float(vec @ tvec)
-        resid = blas.dnrm2(tvec - above * vec)
-        rho = sigma + above
-        margin = 4.0 * eps * blas.dnrm2(row_sum * vec) + floor
+        certified, failures = sigma, 0
+        # (T - sigma) w = vec; for the new vector w / |w| the solve gives
+        # rho - sigma = vec.w / |w|^2, a small number near convergence, and
+        # the residual without a matvec
+        norm_w = blas.dnrm2(w)
+        blas.dscal(1.0 / norm_w, w)
+        proj = blas.ddot(vec, w)
+        resid = blas.dnrm2(blas.daxpy(w, vec, a=-proj)) / norm_w   # overwrites vec
+        rho = sigma + proj / norm_w
+        vec = w
+        margin = 4.0 * _EPS * blas.dnrm2(row_sum * vec) + floor
         # below the spectrum each step lowers rho, so stop once it no longer
         # falls (rounding makes it jitter) and the residual is rounding level:
-        # the second catches a stall on a shift far below a tight cluster
-        if rho > lam - margin and resid <= 2.0 * margin:
+        # the second catches a stall on a shift far below a tight cluster.
+        # The step's shift must also be tight, or within a few margins of rho:
+        # a shift stuck far below rho says nothing of the eigenvalues between
+        # them, where a vector with no weight on a decoupled block (e = 0)
+        # settles on an excited pair
+        if ((tight or rho - sigma <= 4.0 * margin)
+                and rho > lam - margin and resid <= 2.0 * margin):
             break
         lam = rho
+        tight = rho - resid - margin >= sigma
         sigma = max(sigma, rho - resid - margin)
     else:
         raise ConvergenceError(f"smallest eigenpair: inverse iteration not settled after "
                                f"{max_factorisations} factorisations")
     tvec = op.matvec(vec)
     lam = float(vec @ tvec)
-    return lam, vec, blas.dnrm2(tvec - lam * vec)
+    return lam, vec, blas.dnrm2(blas.daxpy(vec, tvec, a=-lam))
 
 
 def solve_bordered(op: TridiagOperator, lam: float, border: np.ndarray,
@@ -208,7 +246,7 @@ def solve_bordered(op: TridiagOperator, lam: float, border: np.ndarray,
     # a second eigenvalue of T within the Sturm resolution delta = 256 eps c of
     # lam (lam degenerate) leaves B - delta I indefinite, as does an excited lam
     e = _offdiag(op.e)
-    info = lapack.dpttrf(lifted - 256.0 * np.finfo(float).eps * scale, e)[2]
+    info = lapack.dpttrf(lifted - 256.0 * _EPS * scale, e)[2]
     dfac, efac, info_b = lapack.dpttrf(lifted, e, overwrite_d=1)
     if info or info_b:
         raise ConditioningError("bordered solve: lifted matrix not positive definite; "

@@ -5,6 +5,7 @@ import pytest
 
 from eigenshift.cli import main, parse_config
 from eigenshift.errors import UsageError
+from eigenshift.ground_state import Domain, solve_ground_state
 from eigenshift.potentials import make_potential
 from eigenshift.sweep import sweep
 
@@ -28,6 +29,21 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="t_min < t_max"):
             parse_config(["sweep", "--potential", "affine:", "--a", "0",
                           "--t-range", "2:1:5"])
+
+    def test_successive_calls_do_not_leak_flags(self):
+        # the parser is built once per process; each call starts from defaults
+        sens = parse_config(["sensitivity", "--potential", "affine:", "--a", "0",
+                             "--t", "1", "--h-t", "1e-3", "--N", "301", "--format", "json"])
+        assert (sens.t, sens.h_t, sens.N, sens.formats) == (1.0, 1e-3, 301, ("json",))
+        swept = parse_config(["sweep", "--potential", "affine:", "--a", "0",
+                              "--t-range", "0.5:2:5"])
+        assert swept.mode == "sweep" and swept.t_range == (0.5, 2.0, 5)
+        assert (swept.t, swept.h_t, swept.N, swept.formats) == (None, None, 2001, ("csv", "json"))
+        again = parse_config(["sensitivity", "--potential", "affine:", "--a", "0", "--t", "2"])
+        assert (again.t, again.h_t, again.t_range, again.N) == (2.0, None, None, 2001)
+        with pytest.raises(UsageError):
+            parse_config(["solve", "--potential", "affine:", "--a", "0", "--t", "1",
+                          "--t-range", "0.5:2:5"])
 
     def test_missing_potential(self):
         with pytest.raises(UsageError, match="potential"):
@@ -207,9 +223,20 @@ class TestArtifacts:
         sens = json.loads((tmp_path / "sensitivity.json").read_text())
         assert set(sens) == {"t", "lambda", "lambda_dot_flux", "lambda_dot_integral",
                              "lambda_ddot", "lambda_dot_fd", "lambda_ddot_fd",
-                             "t0", "orth_residual"}
+                             "fd_step", "t0", "orth_residual"}
         lines = (tmp_path / "u_dot.csv").read_text().splitlines()
         assert lines[0] == "x,u_dot"
+
+    def test_fd_step_is_recorded_in_whole_cells(self, tmp_path, capsys):
+        # a step far below the spacing snaps to one cell, and says so
+        code = main(["sensitivity", "--potential", "quadratic:c2=1", "--a", "-inf",
+                     "--t", "0", "--N", "2001", "--h-t", "1e-6", "--out-dir", str(tmp_path)])
+        assert code == 0
+        h = solve_ground_state(make_potential("quadratic", c2=1.0),
+                               Domain(float("-inf"), 0.0), 2001).grid.h
+        sens = json.loads((tmp_path / "sensitivity.json").read_text())
+        assert sens["fd_step"] == h
+        assert f"fd_step = {h!r}" in capsys.readouterr().out.splitlines()
 
     def test_sweep_artifacts(self, tmp_path):
         code = main(["sweep", "--potential", "affine:", "--a", "0",

@@ -15,6 +15,7 @@ from eigenshift.ground_state import (
     Domain,
     Grid,
     _probe_lambda,
+    _probe_width,
     discretize,
     ground_state_metadata,
     rayleigh_energy,
@@ -223,6 +224,23 @@ class TestTruncation:
         # place the wall without a RuntimeWarning
         spec = make_potential("exp_growth", rate=-3000.0)
         assert -4.0 < truncate_domain(spec, 1.0, 1.0) < 0.0
+
+    def test_probe_narrows_for_a_steep_potential(self):
+        # e^{-1000 x} overflows within 4 of t = 1; the probe halves its width
+        # to 1 and the solve matches one on an explicit wall at -0.05
+        spec = make_potential("exp_growth", rate=-1000.0)
+        gs = solve_ground_state(spec, Domain(NEG_INF, 1.0), 801)
+        walled = solve_ground_state(spec, Domain(-0.05, 1.0), 801)
+        assert -0.05 < gs.domain.a_eff < 0.0
+        assert gs.lam == pytest.approx(walled.lam, rel=1e-5)
+        assert gs.lam == pytest.approx(9.6239, rel=1e-4)
+
+    @pytest.mark.parametrize("family, params, t", [
+        ("quadratic", {"c2": 1.0}, 0.0), ("affine", {"c1": -1.0}, 2.0),
+        ("exp_growth", {"rate": -2.0}, 1.0), ("neg_abs", {"slope": 2.0}, 1.5),
+    ])
+    def test_probe_keeps_width_4_for_order_one_potentials(self, family, params, t):
+        assert _probe_width(make_potential(family, **params), t) == 4.0
 
     def test_wall_costs_one_eigensolve(self, monkeypatch):
         import eigenshift.ground_state as ground_state

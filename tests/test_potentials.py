@@ -49,6 +49,15 @@ class TestEvalV:
         assert eval_V(spec, -1.0) == 1.0   # -2*(-1) - |-1| = 2 - 1
         assert eval_V(spec, 1.0) == -3.0
 
+    def test_neg_abs_with_equal_slopes_is_constant_left_of_the_kink(self):
+        # -x - |x - s| is -s exactly for x < s; summing the two terms cancels
+        # and left a rounding wobble, which a sampled table reads as curvature
+        spec = make_potential("neg_abs", slope=1.0, amp=1.0, shift=0.015625)
+        xs = np.linspace(-1.0, 0.0, 2001)
+        vs = eval_V(spec, xs)
+        assert np.all(vs == -0.015625)
+        assert _table_convexity(xs, vs) is ConvexityClass.AFFINE
+
     def test_unknown_family_or_param(self):
         with pytest.raises(UsageError):
             make_potential("coulomb")

@@ -282,8 +282,8 @@ class TestSensitivityBundle:
         _, _, sens = free_bundle
         assert set(sensitivity_metadata(sens)) == {
             "t", "lambda", "lambda_dot_flux", "lambda_dot_integral",
-            "lambda_ddot", "lambda_dot_fd", "lambda_ddot_fd", "t0",
-            "orth_residual",
+            "lambda_ddot", "lambda_dot_fd", "lambda_ddot_fd", "fd_step",
+            "t0", "orth_residual",
         }
 
     def test_orthogonality_helper_matches(self, free_bundle):

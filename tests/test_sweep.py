@@ -133,25 +133,53 @@ class TestWarmStartChain:
         assert check_theorem(warm, spec) == check_theorem(cold, spec)
         assert check_theorem(warm, spec).ok
 
-    def test_warm_sweep_takes_fewer_factorisations(self, monkeypatch):
-        import eigenshift.tridiag as tridiag
-
-        calls = []
-
-        class Counting:
-            def __getattr__(self, name):
-                if name == "dptsv":
-                    calls.append(name)
-                return getattr(lapack, name)
-
-        lapack = tridiag.lapack
-        monkeypatch.setattr(tridiag, "lapack", Counting())
+    def test_warm_sweep_takes_fewer_factorisations(self, monkeypatch, ptsv_calls):
         args = CHAINS["free"]
         sweep(*args)
-        warm = len(calls)
-        calls.clear()
+        warm = len(ptsv_calls)
+        ptsv_calls.clear()
         cold_sweep(monkeypatch, *args)
-        assert warm < len(calls)
+        assert warm < len(ptsv_calls)
+
+    def test_extrapolated_chain_factorisation_count(self, ptsv_calls):
+        # 124 factorisations when every endpoint started from the previous
+        # ground state at the Gershgorin shift
+        sweep(*CHAINS["quadratic"])
+        assert len(ptsv_calls) <= 80
+
+    def test_dense_sweep_takes_two_factorisations_per_warm_endpoint(self, monkeypatch,
+                                                                     ptsv_calls):
+        sweep_module = importlib.import_module("eigenshift.sweep")
+        real, per_solve = sweep_module.solve_ground_state, []
+
+        def counting(spec, domain, N, start=None):
+            before = len(ptsv_calls)
+            gs = real(spec, domain, N, start=start)
+            per_solve.append((start is not None, len(ptsv_calls) - before))
+            return gs
+
+        monkeypatch.setattr(sweep_module, "solve_ground_state", counting)
+        sw = sweep(make_potential("quadratic", c2=1.0), NEG_INF, -1.0, 2.0, 151, 2001)
+        assert check_theorem(sw, make_potential("quadratic", c2=1.0)).ok
+        warm = [n for is_warm, n in per_solve if is_warm]
+        assert len(warm) == 150 and max(warm) <= 2
+
+
+@pytest.fixture
+def ptsv_calls(monkeypatch):
+    """The list of ``dptsv`` calls the eigensolve makes while the test runs."""
+    import eigenshift.tridiag as tridiag
+
+    calls, lapack = [], tridiag.lapack
+
+    class Counting:
+        def __getattr__(self, name):
+            if name == "dptsv":
+                calls.append(name)
+            return getattr(lapack, name)
+
+    monkeypatch.setattr(tridiag, "lapack", Counting())
+    return calls
 
 
 class TestSweepValidation:

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -222,6 +222,37 @@ def lowest_pair_operators(draw):
 @settings(max_examples=80, deadline=None)
 def test_smallest_eigenpair_property_matches_dense_eigh(op):
     assert_lowest_pair(op, *smallest_eigenpair(op))
+
+
+@given(op=lowest_pair_operators(), kind=st.sampled_from(["random", "near", "excited"]),
+       data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_smallest_eigenpair_from_any_start_returns_the_lowest_pair(op, kind, data):
+    # a start's Weinstein bound may belong to an excited eigenvalue: the exact
+    # first excited vector puts the first shift above lambda_1, where T - sigma
+    # does not factor, and the iteration must still end on the lowest pair
+    vecs = np.linalg.eigh(dense(op))[1]
+    if kind == "random":
+        start = data.draw(hnp.arrays(np.float64, op.n, elements=st.floats(-1, 1)))
+        assume(np.any(start != 0.0))
+    elif kind == "near":
+        noise = data.draw(hnp.arrays(np.float64, op.n, elements=st.floats(-1, 1)))
+        start = vecs[:, 0] + data.draw(st.sampled_from([1e-12, 1e-6, 1e-2])) * noise
+    else:
+        start = vecs[:, min(1, op.n - 1)]
+    assert_lowest_pair(op, *smallest_eigenpair(op, start=start))
+
+
+@pytest.mark.parametrize("d, start", [
+    ([1000.0, 1.0], [1.0, 0.0]),
+    (np.logspace(19.0, 0.0, 7), [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
+], ids=["excited-start", "two-excited-blocks"])
+def test_start_without_ground_weight_on_decoupled_blocks(d, start):
+    # e = 0 keeps every iterate off the ground block until the cold vector is
+    # mixed in: a certified shift just below lambda_1 must be found back
+    # within the cap, and no step may stop from a shift stuck far below rho
+    op = TridiagOperator(d=np.array(d), e=np.zeros(len(d) - 1))
+    assert_lowest_pair(op, *smallest_eigenpair(op, start=np.array(start)))
 
 
 @given(op=lowest_pair_operators(), above=st.booleans())
