@@ -46,9 +46,7 @@ from .sensitivity import (
 )
 from .sweep import (
     SweepResult,
-    TheoremVerdict,
     blowup_profile,
-    check_theorem,
     sweep,
 )
 from .tolerances import DEFAULT_TOLS, Tolerances
@@ -66,7 +64,7 @@ __all__ = [
     "parse_potential", "validate_confinement",
     "Sensitivity", "compute_sensitivity", "fd_derivatives", "find_nodal_point",
     "lambda_ddot", "lambda_dot_flux", "lambda_dot_integral", "solve_u_dot",
-    "SweepResult", "TheoremVerdict", "blowup_profile", "check_theorem", "sweep",
+    "SweepResult", "blowup_profile", "sweep",
     "DEFAULT_TOLS", "Tolerances",
     "__version__",
 ]

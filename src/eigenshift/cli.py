@@ -34,10 +34,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EigenshiftError, UsageError
-from .ground_state import Domain, ground_state_metadata, solve_ground_state
+from .ground_state import MIN_INTERIOR, Domain, ground_state_metadata, solve_ground_state
 from .potentials import PotentialSpec, canonical_string, parse_potential
 from .sensitivity import compute_sensitivity, sensitivity_metadata
-from .sweep import check_theorem, sweep, verdict_metadata
+from .sweep import MIN_ENDPOINTS, sweep, verdict_metadata
 from .verify import run_battery
 
 MODES = ("solve", "sensitivity", "sweep", "verify")
@@ -98,8 +98,8 @@ def _parse_t_range(text: str) -> tuple:
         raise UsageError(f"--t-range: malformed component in {text!r}") from None
     if not lo < hi:
         raise UsageError(f"--t-range: need t_min < t_max, got {text!r}")
-    if count < 5:
-        raise UsageError(f"--t-range: need at least 5 samples, got {count}")
+    if count < MIN_ENDPOINTS:
+        raise UsageError(f"--t-range: need at least {MIN_ENDPOINTS} samples, got {count}")
     return lo, hi, count
 
 
@@ -223,14 +223,14 @@ def parse_config(argv: list) -> RunConfig:
     n = _merged(ns.N, config, "N")
     if n is not None:
         cfg.N = _parse_int(n, "--N")
-        if cfg.N < 16:
-            raise UsageError(f"--N: need at least 16 interior nodes, got {cfg.N}")
+        if cfg.N < MIN_INTERIOR:
+            raise UsageError(f"--N: need at least {MIN_INTERIOR} interior nodes, got {cfg.N}")
 
     n_t = _merged(getattr(ns, "n_t", None), config, "n-t")
     if n_t is not None:
         cfg.n_t = _parse_int(n_t, "--n-t")
-        if cfg.n_t < 5:
-            raise UsageError("--n-t: need at least 5 sweep samples")
+        if cfg.n_t < MIN_ENDPOINTS:
+            raise UsageError(f"--n-t: need at least {MIN_ENDPOINTS} sweep samples")
 
     h_t = _merged(getattr(ns, "h_t", None), config, "h-t")
     if h_t is not None:
@@ -464,7 +464,6 @@ def _run_sensitivity(cfg: RunConfig) -> int:
 def _run_sweep(cfg: RunConfig) -> int:
     lo, hi, count = cfg.t_range
     result = sweep(cfg.spec, cfg.a, lo, hi, count, cfg.N)
-    verdict = check_theorem(result, cfg.spec)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if "csv" in cfg.formats:
         # a nan curvature cell is left blank, as on the end rows, which have no
@@ -474,16 +473,16 @@ def _run_sweep(cfg: RunConfig) -> int:
         write_columns(cfg.out_dir / "sweep.csv", rows.replace(",nan\n", ",\n"),
                       header="t,lambda,lambda_dot,second_diff")
     if "json" in cfg.formats:
-        write_json(cfg.out_dir / "verdict.json", verdict_metadata(result, verdict))
+        write_json(cfg.out_dir / "verdict.json", verdict_metadata(result))
     if "plot" in cfg.formats:
         for name, ts, ys in (("lambda_vs_t.dat", result.ts, result.lambdas),
                              ("lambda_dot_vs_t.dat", result.ts, result.lambda_dots),
                              ("second_diff_vs_t.dat", result.ts[1:-1], result.second_diffs)):
             write_columns(cfg.out_dir / name, _format_rows(ts, ys, sep=" "))
-    print(f"swept {count} endpoints in [{lo}, {hi}] (V class: {verdict.convexity.value})")
-    for key, val in verdict.as_dict().items():
+    print(f"swept {count} endpoints in [{lo}, {hi}] (V class: {result.convexity.value})")
+    for key, val in result.verdict().items():
         print(f"{key} = {val}")
-    if not verdict.ok:
+    if not result.ok:
         print("error: sweep verdict is not ok: lambda(t) fails a check the "
               "theorem expects it to pass", file=sys.stderr)
         return 1

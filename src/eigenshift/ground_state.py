@@ -35,6 +35,9 @@ MIN_INTERIOR = 16
 _EPS = np.finfo(float).eps
 _PROBE_WIDTH, _PROBE_NODES, _PROBE_HALVINGS = 4.0, 200, 60   # widest probe, nodes, cap
 _MARCH_CELLS, _MARCH_CHUNKS = 402, 80                          # cells per chunk, cap
+_STEEP = 1.1                            # g changes by more across a cell: log-mean
+_CELL_SHARE, _TURN_SHARE = 0.02, 1e-3   # shares of K that a cell, a turning-point
+                                        # cell, may add before it is re-marched
 
 
 @dataclass(frozen=True)
@@ -209,8 +212,9 @@ def _resolve_wall(spec: PotentialSpec, domain: Domain) -> Domain:
             "V does not tend to +infinity as x -> -infinity; "
             "no ground state on a half-infinite domain"
         )
-    probe = _probe_lambda(spec, domain.t)
-    return domain.with_wall(truncate_domain(spec, domain.t, probe))
+    w = _probe_width(spec, domain.t)
+    probe = _probe_lambda(spec, domain.t, w)
+    return domain.with_wall(truncate_domain(spec, domain.t, probe, w))
 
 
 def _probe_width(spec: PotentialSpec, t: float) -> float:
@@ -225,40 +229,64 @@ def _probe_width(spec: PotentialSpec, t: float) -> float:
     return width
 
 
-def _probe_lambda(spec: PotentialSpec, t: float) -> float:
+def _probe_lambda(spec: PotentialSpec, t: float, width: float) -> float:
     """Ground energy on (t - w, t), 200 nodes, w from ``_probe_width``: above
     the true one and min V there."""
-    grid = Grid.build(t - _probe_width(spec, t), t, _PROBE_NODES)
+    grid = Grid.build(t - width, t, _PROBE_NODES)
     return smallest_eigenpair(_operator_on(spec, grid))[0]
 
 
-def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float) -> float:
+def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float,
+                    w: float = None) -> float:
     """The a = -inf wall: the first node left of t where the Agmon distance
     ``int sqrt(max(V - lambda_probe, 0)) dx`` reaches K = ``DEFAULT_TOLS.agmon``.
 
     The distance counts from the nearest point right of the wall where
     V <= lambda_probe, never from t; u decays like exp(-distance), so the wall
-    is scale-free.  No eigensolve: the march sums 402 trapezoid cells per chunk
-    on chunks doubling from the probe's width w (4 unless V overflows within
-    4 of t; the first chunk, (t - w, t), holds a node with V <= lambda_probe),
-    and a count that starts in a wider chunk restarts there on chunks of at
-    least w.
+    is scale-free.  No eigensolve: the march sums 402 cells per chunk on
+    chunks doubling from the probe's width ``w`` (from ``_probe_width``
+    when not given: 4 unless V overflows within 4 of t; the
+    first chunk, (t - w, t), holds a node with V <= lambda_probe), and a
+    count that starts in a wider chunk restarts there on chunks of at least
+    w.  A cell's integral is the trapezoid, or the log-mean
+    h (g1 - g0) / ln(g1 / g0) of g = sqrt(V - lambda_probe) where g changes by
+    a factor above 1.1 across the cell.  The first cell that adds more than
+    2% of K, or a turning-point cell (g0 = 0) more than 0.1%, is marched
+    again in 402 cells of its own, so a steep V neither overshoots K by a
+    whole cell nor miscounts its turning point.
     """
-    w = _probe_width(spec, t)
+    w = _probe_width(spec, t) if w is None else w
     K, dist, width, carry = DEFAULT_TOLS.agmon, 0.0, w, -math.inf
     for _ in range(_MARCH_CHUNKS):
         d = np.linspace(dist, dist + width, _MARCH_CELLS + 1)
         v = eval_V(spec, t - d)
         g = np.sqrt(np.maximum(v - lambda_probe, 0.0))
-        run = np.concatenate(([0.0], np.cumsum((0.5 * width / _MARCH_CELLS) * (g[:-1] + g[1:]))))
-        # the count restarts at every node where V <= lambda_probe
+        half = 0.5 * width / _MARCH_CELLS
+        area = half * (g[:-1] + g[1:])
+        # a cell across which g changes by a factor above _STEEP: the
+        # log-mean, exact for an exponential, where the trapezoid overshoots
+        g0, g1 = np.minimum(g[:-1], g[1:]), np.maximum(g[:-1], g[1:])
+        steep = np.flatnonzero((g1 > _STEEP * g0) & (g0 > 0.0) & (g1 < math.inf))
+        area[steep] = 2.0 * half * (g1[steep] - g0[steep]) / (
+            np.log(g1[steep]) - np.log(g0[steep]))
+        # the count restarts at every node where V <= lambda_probe; before the
+        # first one it is -inf, and once V overflows it is inf
+        run = np.concatenate(([0.0], np.cumsum(area)))
         last = np.maximum.accumulate(np.where(v <= lambda_probe, np.arange(d.size), -1))
         with np.errstate(invalid="ignore"):   # inf - inf once V overflows
             count = np.where(last >= 0, run - run[np.maximum(last, 0)], carry + run)
         hit = np.flatnonzero(count >= K)
+        # too coarse: a cell that adds over 2% of K, or a turning-point cell
+        # (g0 = 0, where the trapezoid may be off by half its area) over 0.1%
+        coarse = np.flatnonzero(np.isfinite(count[1:])
+                                & (area > np.where(g0 > 0.0, _CELL_SHARE, _TURN_SHARE) * K))
         start = last[hit[0]] if hit.size else last[-1]
         if width > w and 0 <= start < _MARCH_CELLS:
             dist, width = float(d[start]), max(w, width / _MARCH_CELLS)
+        elif (coarse.size and (not hit.size or coarse[0] < hit[0])
+              and width * _MARCH_CELLS >= w):   # cells no finer than w / 402^3
+            c = coarse[0]   # march the first coarse cell in cells of its own
+            dist, width, carry = float(d[c]), float(d[c + 1] - d[c]), float(count[c])
         elif hit.size:
             return t - float(d[hit[0]])
         else:

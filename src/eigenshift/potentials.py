@@ -15,9 +15,8 @@ The ``neg_abs`` family is the piecewise-linear concave potential; with
 slope > amp > 0 it grows at -infinity and is the standard concave test case on
 a half-infinite domain.
 
-``PotentialSpec.convexity`` is the declared class of V on the whole line (for
-a table, on the whole table); ``convexity_on`` gives the exact class on an
-interval, the hypothesis the theorem asks of the domain that is solved.
+``convexity_on`` gives the exact convexity class of V on an interval, the
+hypothesis the theorem asks of the domain that is solved.
 """
 
 from __future__ import annotations
@@ -80,43 +79,20 @@ class PotentialSpec:
 
     family: str
     params: dict
-    convexity: ConvexityClass
     label: str
     table: Optional[tuple] = field(default=None, repr=False)
 
 
-def _family_convexity(family: str, params: dict) -> ConvexityClass:
-    if family == "affine":
-        return ConvexityClass.AFFINE
-    if family == "quadratic":
-        c2 = params["c2"]
-        if c2 > 0:
-            return ConvexityClass.CONVEX
-        if c2 < 0:
-            return ConvexityClass.CONCAVE
-        return ConvexityClass.AFFINE
-    if family == "abs_shift":
-        return ConvexityClass.CONVEX
-    if family == "exp_growth":
-        amp, rate = params["amp"], params["rate"]
-        if amp == 0 or rate == 0:
-            return ConvexityClass.AFFINE
-        return ConvexityClass.CONVEX if amp > 0 else ConvexityClass.CONCAVE
-    if family == "neg_quadratic":
-        s = params["scale"]
-        if s > 0:
-            return ConvexityClass.CONCAVE
-        if s < 0:
-            return ConvexityClass.CONVEX
-        return ConvexityClass.AFFINE
-    if family == "neg_abs":
-        amp = params["amp"]
-        if amp > 0:
-            return ConvexityClass.CONCAVE
-        if amp < 0:
-            return ConvexityClass.CONVEX
-        return ConvexityClass.AFFINE
-    raise UsageError(f"unknown potential family: {family!r}")
+# Sign of V'' for a smooth family, of the slope jump at the kink for a kinked
+# one: the family's convexity class wherever its curvature counts.
+_CURVATURE_SIGN = {
+    "affine": lambda p: 0.0,
+    "quadratic": lambda p: p["c2"],
+    "exp_growth": lambda p: p["amp"] if p["rate"] else 0.0,
+    "neg_quadratic": lambda p: -p["scale"],
+    "abs_shift": lambda p: 1.0,
+    "neg_abs": lambda p: -p["amp"],
+}
 
 
 def _table_convexity(xs: np.ndarray, vs: np.ndarray) -> ConvexityClass:
@@ -153,10 +129,8 @@ def make_potential(family: str, label: Optional[str] = None, **params) -> Potent
         if key not in full:
             raise UsageError(f"unknown parameter {key!r} for family {family!r}")
         full[key] = float(val)
-    spec = PotentialSpec(family, full, _family_convexity(family, full), label or "")
-    if not label:
-        spec = PotentialSpec(family, full, spec.convexity, canonical_string(spec))
-    return spec
+    spec = PotentialSpec(family, full, label or "")
+    return spec if label else PotentialSpec(family, full, canonical_string(spec))
 
 
 def make_tabulated(xs, vs, label: Optional[str] = None) -> PotentialSpec:
@@ -176,7 +150,6 @@ def make_tabulated(xs, vs, label: Optional[str] = None) -> PotentialSpec:
     return PotentialSpec(
         family="tabulated",
         params={},
-        convexity=_table_convexity(xs, vs),
         label=label or "tabulated",
         table=(xs, vs),
     )
@@ -332,11 +305,12 @@ def vprime_kinks(spec: PotentialSpec) -> np.ndarray:
 
 def convexity_on(spec: PotentialSpec, lo: float = -math.inf,
                  hi: float = math.inf) -> ConvexityClass:
-    """Convexity class of V on [lo, hi], exact for every family.
+    """Convexity class of V on [lo, hi], exact for every family; the whole
+    line (for a table, the whole table) by default.
 
-    A smooth family has its declared class on every interval.  A kinked
-    family (``abs_shift``, ``neg_abs``) is affine on an interval whose
-    interior misses the kink, and has its declared class otherwise.  A
+    A smooth family's class is the sign of V''.  A kinked family
+    (``abs_shift``, ``neg_abs``) is affine on an interval whose interior
+    misses the kink, and has the sign of its slope jump otherwise.  A
     tabulated potential is classified from the table segments that meet
     [lo, hi].
     """
@@ -347,7 +321,10 @@ def convexity_on(spec: PotentialSpec, lo: float = -math.inf,
         return _table_convexity(xs[first:stop], vs[first:stop])
     if spec.family in ("abs_shift", "neg_abs") and not lo < spec.params["shift"] < hi:
         return ConvexityClass.AFFINE
-    return spec.convexity
+    sign = _CURVATURE_SIGN[spec.family](spec.params)
+    if sign > 0:
+        return ConvexityClass.CONVEX
+    return ConvexityClass.CONCAVE if sign < 0 else ConvexityClass.AFFINE
 
 
 def _eval_guarded(spec: PotentialSpec, x: float) -> float:

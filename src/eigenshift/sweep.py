@@ -23,10 +23,16 @@ from .potentials import ConvexityClass, PotentialSpec, convexity_on
 from .sensitivity import lambda_dot_flux
 from .tolerances import DEFAULT_TOLS
 
+MIN_ENDPOINTS = 5   # fewest endpoints a sweep takes: three second differences
+_VERDICT_KEYS = ("monotone_decreasing", "convex_in_t", "concave_in_t",
+                 "expect_convex", "expect_concave", "ok")
+
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Sampled energy curve lambda(t) with derivative and curvature columns."""
+    """Sampled energy curve lambda(t) with derivative and curvature columns,
+    and the theorem's verdict on it: ``convexity``, the class of V on the
+    solved domain [a_eff, t_max], sets what the curve is expected to be."""
 
     ts: np.ndarray
     lambdas: np.ndarray
@@ -36,6 +42,7 @@ class SweepResult:
     a_eff: float
     N: int
     tol_thm: float
+    convexity: ConvexityClass
 
     @property
     def monotone_decreasing(self) -> bool:
@@ -49,52 +56,39 @@ class SweepResult:
     def concave_in_t(self) -> bool:
         return bool(np.all(self.second_diffs <= self.tol_thm))
 
+    @property
+    def expect_convex(self) -> bool:
+        return self.convexity.is_convex()
 
-@dataclass(frozen=True)
-class TheoremVerdict:
-    """Sweep verdicts next to the expectations raised by ``convexity``, the
-    class of V on the solved domain."""
-
-    convexity: ConvexityClass
-    monotone_decreasing: bool
-    convex_in_t: bool
-    concave_in_t: bool
-    expect_convex: bool
-    expect_concave: bool
+    @property
+    def expect_concave(self) -> bool:
+        # the concavity clause holds on half-infinite domains only
+        return self.convexity.is_concave() and not math.isfinite(self.a)
 
     @property
     def ok(self) -> bool:
-        if not self.monotone_decreasing:
-            return False
-        if self.expect_convex and not self.convex_in_t:
-            return False
-        if self.expect_concave and not self.concave_in_t:
-            return False
-        return True
+        return (self.monotone_decreasing
+                and (self.convex_in_t or not self.expect_convex)
+                and (self.concave_in_t or not self.expect_concave))
 
-    def as_dict(self) -> dict:
-        return {
-            "monotone_decreasing": self.monotone_decreasing,
-            "convex_in_t": self.convex_in_t,
-            "concave_in_t": self.concave_in_t,
-            "expect_convex": self.expect_convex,
-            "expect_concave": self.expect_concave,
-            "ok": self.ok,
-        }
+    def verdict(self) -> dict:
+        """The verdict's six booleans, in the order ``sweep`` prints them."""
+        return {key: getattr(self, key) for key in _VERDICT_KEYS}
 
 
 def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
           n_t: int, N: int) -> SweepResult:
-    """Compute lambda(t) on a uniform endpoint grid.
+    """Compute lambda(t) on a uniform endpoint grid, with its verdict.
 
     One wall ``a_eff``, resolved at t_min (``a`` itself when a is finite),
     serves the whole sweep.  The endpoints form one warm chain
     (``_solve_chain``): from the third on, each eigensolve starts from
     2 u(t_{k-1}) - u(t_{k-2}) and takes two or three factorisations.
+    The class of V on [a_eff, t_max] sets the verdict's expectations.
     Solver failures propagate with the failing t attached.
     """
-    if n_t < 5:
-        raise DomainError("sweep needs at least 5 endpoint samples")
+    if n_t < MIN_ENDPOINTS:
+        raise DomainError(f"sweep needs at least {MIN_ENDPOINTS} endpoint samples")
     if not (a < t_min < t_max):
         raise DomainError(f"need a < t_min < t_max, got {a}, {t_min}, {t_max}")
     a_eff = _resolve_wall(spec, Domain(a, t_min)).a_eff
@@ -112,33 +106,14 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
     h_max = (t_max - a_eff) / (N + 1)
     tol_thm = DEFAULT_TOLS.thm_factor * h_max * h_max * float(np.max(np.abs(lambdas)))
     return SweepResult(ts=ts, lambdas=lambdas, lambda_dots=lambda_dots,
-                       second_diffs=second, a=a, a_eff=a_eff, N=N, tol_thm=tol_thm)
+                       second_diffs=second, a=a, a_eff=a_eff, N=N, tol_thm=tol_thm,
+                       convexity=convexity_on(spec, a_eff, t_max))
 
 
-def check_theorem(result: SweepResult, spec: PotentialSpec) -> TheoremVerdict:
-    """Raise the expectations the convexity class of V on the solved domain
-    [a_eff, t_max] entitles us to and report.
-
-    Convex V expects a convex curve; concave V expects a concave curve only on
-    a half-infinite domain; affine V on a half-infinite domain expects both.
-    Monotone decrease is always expected.
-    """
-    cls = convexity_on(spec, result.a_eff, float(result.ts[-1]))
-    unbounded = not math.isfinite(result.a)
-    return TheoremVerdict(
-        convexity=cls,
-        monotone_decreasing=result.monotone_decreasing,
-        convex_in_t=result.convex_in_t,
-        concave_in_t=result.concave_in_t,
-        expect_convex=cls.is_convex(),
-        expect_concave=cls.is_concave() and unbounded,
-    )
-
-
-def verdict_metadata(result: SweepResult, verdict: TheoremVerdict) -> dict:
+def verdict_metadata(result: SweepResult) -> dict:
     """The verdict with the sweep's domain and grid: the payload of verdict.json."""
     return {
-        **verdict.as_dict(),
+        **result.verdict(),
         "a": ("-inf" if not math.isfinite(result.a) else result.a),
         "a_eff": result.a_eff,
         "t_min": float(result.ts[0]),

@@ -31,7 +31,7 @@ from .potentials import (
     validate_confinement,
 )
 from .sensitivity import compute_sensitivity, u_dot_flux_left
-from .sweep import blowup_profile, check_theorem, chord_tangent_violation, sweep
+from .sweep import blowup_profile, chord_tangent_violation, sweep
 from .tolerances import DEFAULT_TOLS
 
 # h^2 prefactors for the widened (grid-limited) tolerances
@@ -201,11 +201,12 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
         return col.lines
 
     # the exact class on the solved domain must match V sampled on its grid
-    # and the class the family declares
+    # and V's class on the whole line
     cls = convexity_on(entry.spec, gs.domain.a_eff, entry.t_ref)
     sampled = _table_convexity(gs.grid.x, eval_V(entry.spec, gs.grid.x))
-    col.check("convexity class consistent", cls == sampled == entry.spec.convexity,
-              measured=cls.value, note=f"declared {entry.spec.convexity.value}")
+    declared = convexity_on(entry.spec)
+    col.check("convexity class consistent", cls == sampled == declared,
+              measured=cls.value, note=f"declared {declared.value}")
 
     h2 = gs.grid.h * gs.grid.h
     lam_scale = 1.0 + abs(gs.lam)
@@ -299,30 +300,29 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
         col.lines.append(CheckLine(entry=entry.key, check="sweep", status="FAIL",
                                    note=str(exc)))
         return col.lines
-    verdict = check_theorem(sw, entry.spec)
-    col.check("sweep strictly decreasing", verdict.monotone_decreasing,
+    col.check("sweep strictly decreasing", sw.monotone_decreasing,
               measured=float(np.max(np.diff(sw.lambdas))), tol=0.0)
     tol_chord = (10.0 * (DEFAULT_TOLS.match + _WIDEN_MATCH * h2)
                  * (1.0 + float(np.max(np.abs(sw.lambda_dots)))))
-    if verdict.expect_convex:
-        col.check("sweep convex in t", verdict.convex_in_t,
+    if sw.expect_convex:
+        col.check("sweep convex in t", sw.convex_in_t,
                   measured=float(np.min(sw.second_diffs)), tol=-sw.tol_thm)
         viol = chord_tangent_violation(sw, "convex")
         col.check("chord-tangent (convex)", viol <= tol_chord,
                   measured=viol, tol=tol_chord)
-    if verdict.expect_concave:
-        col.check("sweep concave in t", verdict.concave_in_t,
+    if sw.expect_concave:
+        col.check("sweep concave in t", sw.concave_in_t,
                   measured=float(np.max(sw.second_diffs)), tol=sw.tol_thm)
         viol = chord_tangent_violation(sw, "concave")
         col.check("chord-tangent (concave)", viol <= tol_chord,
                   measured=viol, tol=tol_chord)
-    if not (verdict.expect_convex or verdict.expect_concave):
+    if not (sw.expect_convex or sw.expect_concave):
         col.skip("curvature clause", "not asserted (hypothesis a=-inf absent)")
-    if verdict.convexity in (ConvexityClass.CONVEX, ConvexityClass.CONCAVE):
+    if sw.convexity in (ConvexityClass.CONVEX, ConvexityClass.CONCAVE):
         # strictness is reported, not hard-asserted: a pointwise-positivity
         # claim only resolves above the discretization floor
         extreme = (float(np.min(sw.second_diffs))
-                   if verdict.convexity == ConvexityClass.CONVEX
+                   if sw.convexity == ConvexityClass.CONVEX
                    else float(np.max(sw.second_diffs)))
         col.info("strict curvature margin", extreme,
                  note=f"vs discretization floor {sw.tol_thm:.1e}")

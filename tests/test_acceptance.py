@@ -18,7 +18,7 @@ from eigenshift.ground_state import (
     richardson_lambda,
     solve_ground_state,
 )
-from eigenshift.potentials import make_potential
+from eigenshift.potentials import convexity_on, make_potential
 from eigenshift.sensitivity import compute_sensitivity, fd_derivatives
 from eigenshift.sweep import blowup_profile, sweep
 
@@ -164,7 +164,7 @@ def test_criterion_08_theorem_sweeps():
         sw = sweep(spec, a, lo, hi, 31, 4001)
         if not sw.monotone_decreasing:
             failures.append(f"{key}: not decreasing")
-        cls = spec.convexity
+        cls = convexity_on(spec)
         if cls.is_convex() and not sw.convex_in_t:
             failures.append(f"{key}: convexity clause")
         if cls.is_concave() and not math.isfinite(a) and not sw.concave_in_t:

@@ -156,6 +156,25 @@ class TestExitCodes:
         assert code == 2
         assert "usage error: --t-range: expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["solve", "--potential", "affine:", "--a", "0", "--t", "1", "--N", "15"],
+         "--N: need at least 16 interior nodes, got 15"),
+        (["verify", "--N", "64", "--n-t", "4"], "--n-t: need at least 5 sweep samples"),
+        (["sweep", "--potential", "affine:", "--a", "0", "--t-range", "0.5:2:4"],
+         "--t-range: need at least 5 samples, got 4"),
+    ])
+    def test_input_below_its_limit_is_2(self, tmp_path, capsys, args, message):
+        # the limits are the solver's own: MIN_INTERIOR nodes, MIN_ENDPOINTS samples
+        assert main(args + ["--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_input_at_its_limit_parses(self):
+        cfg = parse_config(["sweep", "--potential", "affine:", "--a", "0",
+                            "--t-range", "0.5:2:5", "--N", "16"])
+        assert cfg.N == 16 and cfg.t_range[2] == 5
+        assert parse_config(["verify", "--n-t", "5"]).n_t == 5
+
     def test_solver_failure_is_1(self, tmp_path, capsys):
         # unconfined potential on a half-infinite domain
         code = main(["solve", "--potential", "neg_quadratic:scale=1", "--a", "-inf",

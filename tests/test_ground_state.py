@@ -208,12 +208,22 @@ class TestTruncation:
         ("abs_shift", {}, 1.0, 0.0),
         ("exp_growth", {"rate": -2.0}, 1.0, 1.0),
         ("quadratic", {"c2": 1e-8}, 0.0, 0.0),
-    ], ids=["x2", "airy", "shallow_tilt", "far_vertex", "abs", "exp", "scaled_x2"])
+        ("exp_growth", {"rate": -1.0}, 1.0, 1.0),
+        # steep: whole trapezoid cells put these walls at 27.85, 24.46 and 41.9
+        ("exp_growth", {"rate": -30.0}, 1.0, 1.0),
+        ("exp_growth", {"rate": -300.0}, 1.0, 1.0),
+        ("exp_growth", {"rate": -1000.0}, 1.0, 1.0),
+        # 24.99 with trapezoid cells only: the log-mean cells count it right
+        ("exp_growth", {"rate": -1500.0}, 1.0, 1.0),
+        # 24.69 with a turning-point cell read as one trapezoid
+        ("exp_growth", {"rate": -4800.0}, 1.0, 1.0),
+    ], ids=["x2", "airy", "shallow_tilt", "far_vertex", "abs", "exp", "scaled_x2",
+            "exp_1", "exp_30", "exp_300", "exp_1000", "exp_1500", "exp_4800"])
     def test_wall_at_agmon_distance(self, family, params, t, inside):
         # the Agmon distance from the turning point right of the wall, where
-        # V meets the probe energy, to the wall is K up to the march's cells
+        # V meets the probe energy, to the wall is K up to 2%
         spec = make_potential(family, **params)
-        lam = _probe_lambda(spec, t)
+        lam = _probe_lambda(spec, t, _probe_width(spec, t))
         wall = truncate_domain(spec, t, lam)
         turning = brentq(lambda x: eval_V(spec, x) - lam, wall, inside)
         dist, _ = quad(lambda x: math.sqrt(max(eval_V(spec, x) - lam, 0.0)), wall, turning)
@@ -224,6 +234,17 @@ class TestTruncation:
         # place the wall without a RuntimeWarning
         spec = make_potential("exp_growth", rate=-3000.0)
         assert -4.0 < truncate_domain(spec, 1.0, 1.0) < 0.0
+
+    def test_march_refines_a_bounded_number_of_times(self):
+        # V(t) = e^360: any cell past the turning point adds ~1e75 to the
+        # distance, so refining it without end ran out of chunks; the wall
+        # belongs just past the turning point
+        spec = make_potential("exp_growth", rate=-90.0)
+        w = _probe_width(spec, -4.0)
+        lam = _probe_lambda(spec, -4.0, w)
+        wall = truncate_domain(spec, -4.0, lam, w)
+        turning = -4.0 - math.log(lam / eval_V(spec, -4.0)) / 90.0
+        assert 0.0 < turning - wall < 1e-6
 
     def test_probe_narrows_for_a_steep_potential(self):
         # e^{-1000 x} overflows within 4 of t = 1; the probe halves its width

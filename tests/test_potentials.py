@@ -210,15 +210,15 @@ class TestClassify:
         # the rounding floor
         xs = sorted(xs)
         vs = np.array(vs[:len(xs)], dtype=float)
-        expected = make_tabulated(xs, vs).convexity
-        assert make_tabulated(xs, c * vs).convexity is expected
+        expected = convexity_on(make_tabulated(xs, vs))
+        assert convexity_on(make_tabulated(xs, c * vs)) is expected
         assert convexity_on(make_tabulated(xs, c * vs), xs[0], xs[-1]) is expected
 
     def test_small_kinked_table_is_convex(self):
         # a dead band fixed in absolute units read this table as affine
         for c in (1.0, 1e12):
             spec = make_tabulated([0.0, 1.0, 2.0], [c * 1e-11, 0.0, c * 1e-11])
-            assert spec.convexity is ConvexityClass.CONVEX
+            assert convexity_on(spec) is ConvexityClass.CONVEX
 
 
 class TestConfinement:
@@ -301,7 +301,7 @@ class TestTabulated:
             make_tabulated([0.0, 1e-310, 1.0], [0.0, 1.0, 0.0])
         # finite slopes whose jump passes the double range still classify
         spec = make_tabulated([0.0, 1.0, 2.0], [0.0, 1.5e308, 0.0])
-        assert spec.convexity is ConvexityClass.CONCAVE
+        assert convexity_on(spec) is ConvexityClass.CONCAVE
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -9,10 +9,10 @@ from scipy.special import ai_zeros
 from eigenshift.cli import main
 from eigenshift.errors import ConfinementError, DomainError
 from eigenshift.ground_state import Domain, solve_ground_state
-from eigenshift.potentials import ConvexityClass, make_potential
+from eigenshift.potentials import ConvexityClass, make_potential, make_tabulated
 from eigenshift.sweep import (
+    SweepResult,
     blowup_profile,
-    check_theorem,
     chord_tangent_violation,
     sweep,
     verdict_metadata,
@@ -58,10 +58,9 @@ class TestAirySweep:
     def test_theorem_verdict_expects_both(self):
         spec = make_potential("affine", c1=-1.0)
         sw = sweep(spec, NEG_INF, 0.0, 4.0, 7, 2001)
-        verdict = check_theorem(sw, spec)
-        assert verdict.convexity is ConvexityClass.AFFINE
-        assert verdict.expect_convex and verdict.expect_concave
-        assert verdict.ok
+        assert sw.convexity is ConvexityClass.AFFINE
+        assert sw.expect_convex and sw.expect_concave
+        assert sw.ok
 
 
 class TestQuadraticSweep:
@@ -84,20 +83,61 @@ class TestConcaveSweep:
     def test_tilted_kink_concave(self):
         spec = make_potential("neg_abs", slope=2.0, amp=1.0)
         sw = sweep(spec, NEG_INF, 0.5, 2.5, 21, 2001)
-        verdict = check_theorem(sw, spec)
-        assert verdict.convexity is ConvexityClass.CONCAVE
-        assert verdict.expect_concave and verdict.concave_in_t and verdict.ok
+        assert sw.convexity is ConvexityClass.CONCAVE
+        assert sw.expect_concave and sw.concave_in_t and sw.ok
         assert np.max(sw.second_diffs) < 0
         assert chord_tangent_violation(sw, "concave") <= 1e-3
 
     def test_concave_finite_interval_not_asserted(self):
         spec = make_potential("neg_quadratic")
         sw = sweep(spec, 0.0, 0.5, 1.5, 11, 501)
-        verdict = check_theorem(sw, spec)
-        assert verdict.convexity is ConvexityClass.CONCAVE
-        assert not verdict.expect_concave   # hypothesis a = -inf absent
-        assert verdict.monotone_decreasing
-        assert verdict.ok
+        assert sw.convexity is ConvexityClass.CONCAVE
+        assert not sw.expect_concave   # hypothesis a = -inf absent
+        assert sw.monotone_decreasing
+        assert sw.ok
+
+
+class TestNegativeControls:
+    """Verdicts that must come out False: a check that always passed fails here."""
+
+    def test_double_well_is_neither_convex_nor_concave(self):
+        # V is not convex on (-3, 3): no curvature is expected, and the curve
+        # bends both ways far beyond tol_thm (min second difference -2.88)
+        spec = make_tabulated([-3, -1.5, -0.5, 0.5, 1.5, 4], [40, 0, 6, 6, 0, 40])
+        sw = sweep(spec, -3.0, -0.2, 3.0, 81, 2001)
+        assert sw.convexity is ConvexityClass.INDETERMINATE
+        assert not sw.convex_in_t and not sw.concave_in_t
+        assert np.min(sw.second_diffs) < -1000 * sw.tol_thm
+        assert np.max(sw.second_diffs) > 1000 * sw.tol_thm
+        assert not (sw.expect_convex or sw.expect_concave)
+        assert sw.ok
+
+    @staticmethod
+    def built(convexity, second_diffs, a=NEG_INF, lambdas=(5.0, 4.0, 3.0, 2.0, 1.0)):
+        return SweepResult(ts=np.linspace(0.0, 1.0, 5), lambdas=np.array(lambdas),
+                           lambda_dots=np.full(5, -1.0), second_diffs=np.array(second_diffs),
+                           a=a, a_eff=-10.0 if a == NEG_INF else a, N=64, tol_thm=1e-3,
+                           convexity=convexity)
+
+    def test_convex_class_with_one_dip_fails(self):
+        assert self.built(ConvexityClass.CONVEX, [0.5, -0.9e-3, 0.5]).ok
+        sw = self.built(ConvexityClass.CONVEX, [0.5, -1.1e-3, 0.5])
+        assert sw.expect_convex and not sw.convex_in_t
+        assert not sw.ok
+        assert sw.verdict()["ok"] is False
+
+    def test_concave_class_on_a_half_line_with_one_bump_fails(self):
+        sw = self.built(ConvexityClass.CONCAVE, [-0.5, 1.1e-3, -0.5])
+        assert sw.expect_concave and not sw.concave_in_t
+        assert not sw.ok
+        # on a finite interval concavity is not expected, so the bump passes
+        assert self.built(ConvexityClass.CONCAVE, [-0.5, 1.1e-3, -0.5], a=-10.0).ok
+
+    def test_non_monotone_curve_fails(self):
+        sw = self.built(ConvexityClass.AFFINE, [0.0, 0.0, 0.0],
+                        lambdas=(5.0, 4.0, 4.5, 2.0, 1.0))
+        assert sw.convex_in_t and sw.concave_in_t
+        assert not sw.monotone_decreasing and not sw.ok
 
 
 CHAINS = {
@@ -129,9 +169,9 @@ class TestWarmStartChain:
         warm, cold = sweep(*args), cold_sweep(monkeypatch, *args)
         assert warm.a_eff == cold.a_eff
         np.testing.assert_allclose(warm.lambdas, cold.lambdas, rtol=1e-11, atol=0.0)
-        spec = args[0]
-        assert check_theorem(warm, spec) == check_theorem(cold, spec)
-        assert check_theorem(warm, spec).ok
+        assert warm.verdict() == cold.verdict()
+        assert warm.convexity is cold.convexity
+        assert warm.ok
 
     def test_warm_sweep_takes_fewer_factorisations(self, monkeypatch, ptsv_calls):
         args = CHAINS["free"]
@@ -160,7 +200,7 @@ class TestWarmStartChain:
 
         monkeypatch.setattr(sweep_module, "solve_ground_state", counting)
         sw = sweep(make_potential("quadratic", c2=1.0), NEG_INF, -1.0, 2.0, 151, 2001)
-        assert check_theorem(sw, make_potential("quadratic", c2=1.0)).ok
+        assert sw.ok
         warm = [n for is_warm, n in per_solve if is_warm]
         assert len(warm) == 150 and max(warm) <= 2
 
@@ -237,8 +277,7 @@ class TestSweepExport:
         assert len(lines) == 32
         assert lines[1].endswith(",")            # no curvature at the first row
 
-        verdict = check_theorem(free_sweep, make_potential("affine"))
         payload = json.loads((tmp_path / "verdict.json").read_text())
-        assert payload == verdict_metadata(free_sweep, verdict)
+        assert payload == verdict_metadata(free_sweep)
         assert payload["monotone_decreasing"] is True
         assert payload["n_t"] == 31 and payload["a"] == 0.0
