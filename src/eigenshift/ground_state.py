@@ -1,10 +1,12 @@
 """Dirichlet ground states of -u'' + V u on (a, t).
 
 The operator is discretized by second-order central differences on a uniform
-grid; the lowest eigenpair of the resulting tridiagonal matrix comes from
-LAPACK (see tridiag).  A left endpoint at -infinity is realized by a
-wall where the Agmon distance from the allowed region reaches a fixed K
-(truncate_domain), at the cost of one probe eigensolve.
+grid; the lowest eigenpair of the resulting tridiagonal matrix, with its
+ground-state index certified, comes from LAPACK (see tridiag), and this
+module holds it to a residual cap and a positive vector.  A left endpoint at
+-infinity is realized by a wall where the Agmon distance from the allowed
+region reaches a fixed K (truncate_domain), at the cost of one probe
+eigensolve.
 
 Grid convention: N counts interior nodes, so the grid has N+2 nodes including
 both Dirichlet endpoints and spacing h = (t - a_eff) / (N + 1).
@@ -149,24 +151,19 @@ def _operator_on(spec: PotentialSpec, grid: Grid) -> TridiagOperator:
 
 def _solve_on_grid(spec: PotentialSpec, grid: Grid, start: np.ndarray = None):
     op = _operator_on(spec, grid)
+    # the pair comes with its index certificate: no spectrum below it
     lam, vec, resid = smallest_eigenpair(op, start=start)
 
-    # confirm we hold the smallest eigenvalue: T - (lam - eps) positive
-    # definite, so no spectrum below lam - eps.  eps must clear the
-    # factorisation's own resolution, a few ulps of ||T||.
-    scale = float(np.max(np.abs(op.d))) + 2.0 * (float(np.max(np.abs(op.e))) if op.n > 1 else 0.0)
-    eps_gap = max(1e-10 * (1.0 + abs(lam)), 256.0 * _EPS * scale)
-    if not op.spectrum_above(lam - eps_gap):
-        raise ConvergenceError("converged to an excited state, not the ground state")
-
-    cap = max(DEFAULT_TOLS.res * (1.0 + abs(lam)), 64.0 * _EPS * scale)
+    cap = max(DEFAULT_TOLS.res * (1.0 + abs(lam)), 64.0 * _EPS * op.scale)
     if resid > cap:
         raise ConvergenceError(f"eigen-residual {resid:.3e} above cap {cap:.3e}")
 
-    if vec[int(np.argmax(np.abs(vec)))] < 0:
-        vec = -vec
-    vmax = float(vec.max())
-    if vmax <= 0 or float(vec.min()) < -DEFAULT_TOLS.pos * vmax:
+    # orient by the entry of largest magnitude; a tie between +m and -m
+    # fails the positivity check either way
+    lo, hi = float(vec.min()), float(vec.max())
+    if -lo > hi:
+        vec, lo, hi = -vec, -hi, -lo
+    if hi <= 0 or lo < -DEFAULT_TOLS.pos * hi:
         raise StructureError("ground-state vector is not positive on the interior")
     return lam, vec, resid
 
@@ -220,13 +217,18 @@ def _resolve_wall(spec: PotentialSpec, domain: Domain) -> Domain:
 def _probe_width(spec: PotentialSpec, t: float) -> float:
     """Width w of the probe interval (t - w, t): 4, halved until V is finite
     at every one of its 200 interior nodes, so a V that overflows within 4 of
-    t still gets a probe."""
+    t still gets a probe.
+
+    Raises DomainError when no such w is found before 60 halvings or before
+    t - w rounds to t, where the probe grid would have no width."""
     width = _PROBE_WIDTH
     for _ in range(_PROBE_HALVINGS):
-        if np.all(np.isfinite(eval_V(spec, Grid.build(t - width, t, _PROBE_NODES).interior))):
+        if not t - width < t:
             break
+        if np.all(np.isfinite(eval_V(spec, Grid.build(t - width, t, _PROBE_NODES).interior))):
+            return width
         width *= 0.5
-    return width
+    raise DomainError(f"V is not finite on any probe left of t = {t}")
 
 
 def _probe_lambda(spec: PotentialSpec, t: float, width: float) -> float:

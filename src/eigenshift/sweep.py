@@ -174,10 +174,13 @@ def _solve_chain(spec: PotentialSpec, N: int, params: np.ndarray, domain_at,
     as ``f"{failure}={p}: ..."``.
     """
     prev = older = None
+    buf = np.empty(N)   # the extrapolated start, rebuilt in place for each p
     for k, p in enumerate(map(float, params)):
         start = prev
         if older is not None:
-            start = prev + (p - params[k - 1]) / (params[k - 1] - params[k - 2]) * (prev - older)
+            start = np.subtract(prev, older, out=buf)
+            start *= (p - params[k - 1]) / (params[k - 1] - params[k - 2])
+            start += prev
         try:
             gs = solve_ground_state(spec, domain_at(p), N, start=start)
         except EigenshiftError as exc:

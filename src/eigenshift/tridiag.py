@@ -6,8 +6,12 @@ factor-and-solve (``pttrf`` + ``pttrs``) of T - sigma, a factorisation that
 succeeds certifies that sigma lies below the whole spectrum, and the solve
 itself gives the step's Rayleigh quotient and residual.  A cold start takes
 about five factorisations from the Gershgorin bound; a start near the ground
-state takes about two from its Weinstein bound.
-``spectrum_above`` is that certificate on its own, one ``pttrf``;
+state takes about two from its Weinstein bound.  The returned pair carries
+its own index certificate: T - (lam - eps_gap) is positive definite, which
+the highest certified shift usually implies already (``pttrf`` pivots do not
+fall as the shift falls), so the extra ``pttrf`` runs only when that shift
+lies below lam - eps_gap.
+``spectrum_above`` is that definiteness test on its own, one ``pttrf``;
 ``count_below`` is a ``stebz`` Sturm count.
 ``solve_bordered`` solves the singular shifted system of a differentiated
 eigenpair through a positive definite tridiagonal ``pttrf``/``pttrs``
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -45,6 +50,12 @@ class TridiagOperator:
     @property
     def n(self) -> int:
         return len(self.d)
+
+    @cached_property
+    def scale(self) -> float:
+        """max |d| + 2 max |e|, a bound on ||T||: the size of the rounding a
+        factorisation of T makes, a few ulps of it."""
+        return float(np.abs(self.d).max()) + 2.0 * float(np.abs(self.e).max(initial=0.0))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.d * x
@@ -132,16 +143,30 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     into the iterate, which restores that weight.  Raises ValueError unless
     ``start`` is None or a finite vector of length n with a nonzero entry,
     and ConvergenceError when rho has not settled after a fixed number of
-    factorisations.
+    factorisations, or when the pair fails its index certificate.
+
+    The certificate: T - (lam - eps_gap) is positive definite, so no
+    eigenvalue lies below lam - eps_gap, where eps_gap = max(1e-10 (1 + |lam|),
+    256 eps ``op.scale``) clears the factorisation's own resolution.  Every
+    ``pttrf`` pivot of T - sigma is a chain of monotone rounded operations in
+    sigma, so none falls as sigma falls, in floating point as in exact
+    arithmetic: the highest shift sigma_c whose ``ptsv`` factored proves the
+    certificate whenever sigma_c >= lam - eps_gap (Parlett, 4.3).  Only below
+    that does one more ``pttrf`` (``spectrum_above``) run.
     """
     max_factorisations = 64
     e = _offdiag(op.e)
+    # Gershgorin radii |e_{i-1}| + |e_i| and row sums |d_i| + radius_i
     abs_e = np.abs(op.e)
     radius = np.zeros(op.n)
-    radius[:-1] += abs_e
+    radius[:-1] = abs_e
     radius[1:] += abs_e
-    row_sum = np.abs(op.d) + radius
-    gershgorin = sigma = float(np.min(op.d - radius))
+    row_sum = np.abs(op.d)
+    row_sum += radius
+    # then one O(n) buffer serves every step: d - sigma for ptsv, which
+    # overwrites it, and row_sum * vec for the margin
+    work = np.subtract(op.d, radius, out=radius)
+    gershgorin = sigma = float(np.min(work))
     # keeps every shift at least floor below the spectrum, so |w| <= 1/floor
     floor = drop = _TINY / _EPS
     # level-1 BLAS (ddot, and dscal and daxpy, which update in place) costs
@@ -161,12 +186,15 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
         blas.dscal(1.0 / blas.dnrm2(vec), vec)
         tvec = op.matvec(vec)
         rho = blas.ddot(vec, tvec)
-        margin = 4.0 * _EPS * blas.dnrm2(row_sum * vec) + floor
+        margin = 4.0 * _EPS * blas.dnrm2(np.multiply(row_sum, vec, out=work)) + floor
         sigma = max(sigma, rho - blas.dnrm2(blas.daxpy(vec, tvec, a=-rho)) - margin)
-    # tight: sigma is the Weinstein bound of the vector it is applied to
+    # tight: sigma is the Weinstein bound of the vector it is applied to.
+    # certified, the last shift that factored, is also the highest: a shift
+    # only fails above it, and the next one lies between the two
     certified, lam, tight, failures = None, np.inf, False, 0
     for _ in range(max_factorisations):
-        _, _, w, info = lapack.dptsv(op.d - sigma, e, vec, overwrite_d=1)
+        _, _, w, info = lapack.dptsv(np.subtract(op.d, sigma, out=work), e, vec,
+                                     overwrite_d=1)
         if info and certified is None:
             if sigma > gershgorin:
                 # the start's Weinstein bound belongs to an excited eigenvalue
@@ -198,7 +226,7 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
         resid = blas.dnrm2(blas.daxpy(w, vec, a=-proj)) / norm_w   # overwrites vec
         rho = sigma + proj / norm_w
         vec = w
-        margin = 4.0 * _EPS * blas.dnrm2(row_sum * vec) + floor
+        margin = 4.0 * _EPS * blas.dnrm2(np.multiply(row_sum, vec, out=work)) + floor
         # below the spectrum each step lowers rho, so stop once it no longer
         # falls (rounding makes it jitter) and the residual is rounding level:
         # the second catches a stall on a shift far below a tight cluster.
@@ -217,7 +245,18 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
                                f"{max_factorisations} factorisations")
     tvec = op.matvec(vec)
     lam = float(vec @ tvec)
+    _certify_lowest(op, lam, certified)
     return lam, vec, blas.dnrm2(blas.daxpy(vec, tvec, a=-lam))
+
+
+def _certify_lowest(op: TridiagOperator, lam: float, certified: float) -> None:
+    """The index certificate of ``smallest_eigenpair``: raises ConvergenceError
+    unless T - (lam - eps_gap) is positive definite.  ``certified`` is the
+    highest shift whose factorisation of T - sigma succeeded; at or above
+    lam - eps_gap it already proves the certificate, with no ``pttrf``."""
+    floor = lam - max(1e-10 * (1.0 + abs(lam)), 256.0 * _EPS * op.scale)
+    if certified < floor and not op.spectrum_above(floor):
+        raise ConvergenceError("converged to an excited state, not the ground state")
 
 
 def solve_bordered(op: TridiagOperator, lam: float, border: np.ndarray,

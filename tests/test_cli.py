@@ -175,6 +175,14 @@ class TestExitCodes:
         assert cfg.N == 16 and cfg.t_range[2] == 5
         assert parse_config(["verify", "--n-t", "5"]).n_t == 5
 
+    def test_potential_infinite_left_of_t_is_1(self, tmp_path, capsys):
+        # e^{-5000 x} overflows on every probe left of t = -4.2
+        code = main(["solve", "--potential", "exp_growth:rate=-5000", "--a", "-inf",
+                     "--t", "-4.2", "--N", "64", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: V is not finite on any probe left of t = -4.2"]
+
     def test_solver_failure_is_1(self, tmp_path, capsys):
         # unconfined potential on a half-infinite domain
         code = main(["solve", "--potential", "neg_quadratic:scale=1", "--a", "-inf",

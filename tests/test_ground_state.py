@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from scipy.special import ai_zeros, airy
 
 from eigenshift.cli import _format_rows, write_columns, write_json
-from eigenshift.errors import ConfinementError, ConvergenceError, DomainError
+from eigenshift.errors import ConfinementError, DomainError
 from eigenshift.ground_state import (
     Domain,
     Grid,
@@ -256,6 +256,19 @@ class TestTruncation:
         assert gs.lam == pytest.approx(walled.lam, rel=1e-5)
         assert gs.lam == pytest.approx(9.6239, rel=1e-4)
 
+    @pytest.mark.parametrize("params, t", [
+        ({"rate": -5000.0}, -4.2), ({"amp": 1e308, "rate": -5000.0}, -1e-3),
+        ({"rate": -5000.0}, -0.1419565425786768),
+    ], ids=["infinite-at-t", "sixty-halvings", "finite-only-at-t"])
+    def test_probe_rejects_a_potential_infinite_left_of_t(self, params, t):
+        # V overflows at every probe node.  The halving once ran on until
+        # t - w rounded to t and the operator divided by h^2 = 0; in the
+        # last case V(t) = 1.8e308 is finite, so the collapsed probe grid,
+        # every node at t, would pass the finiteness check
+        spec = make_potential("exp_growth", **params)
+        with pytest.raises(DomainError, match="not finite on any probe left of t"):
+            solve_ground_state(spec, Domain(NEG_INF, t), 64)
+
     @pytest.mark.parametrize("family, params, t", [
         ("quadratic", {"c2": 1.0}, 0.0), ("affine", {"c1": -1.0}, 2.0),
         ("exp_growth", {"rate": -2.0}, 1.0), ("neg_abs", {"slope": 2.0}, 1.5),
@@ -319,20 +332,6 @@ class TestSolverValidation:
         eps = 1e-6 * (1 + abs(gs.lam))
         assert op.count_below(gs.lam - eps) == 0
         assert op.count_below(gs.lam + eps) == 1
-
-    def test_excited_eigenpair_is_rejected(self, monkeypatch):
-        # an eigensolve that settles on the second pair, residual and all,
-        # must fail the index certificate
-        import eigenshift.ground_state as ground_state
-
-        def second_pair(op, start=None):
-            lams, vecs = np.linalg.eigh(np.diag(op.d) + np.diag(op.e, 1) + np.diag(op.e, -1))
-            vec = vecs[:, 1]
-            return float(lams[1]), vec, float(np.linalg.norm(op.matvec(vec) - lams[1] * vec))
-
-        monkeypatch.setattr(ground_state, "smallest_eigenpair", second_pair)
-        with pytest.raises(ConvergenceError, match="excited"):
-            solve_ground_state(free(), Domain(0.0, 1.0), 64)
 
 
 class TestTabulatedPotentialSolve:

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ai_zeros
 
 from eigenshift.errors import DomainError, StructureError
 from eigenshift.ground_state import Domain, Grid, solve_ground_state
-from eigenshift.potentials import make_potential
+from eigenshift.potentials import make_potential, make_tabulated
 from eigenshift.sensitivity import (
     compute_sensitivity,
     fd_derivatives,
@@ -193,6 +195,18 @@ class TestLambdaDdot:
         sens = compute_sensitivity(gs, spec)
         assert sens.lambda_ddot < -0.1
 
+    @pytest.mark.parametrize("N", [201, 801])
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_free_matches_closed_form_at_its_h2_tolerance(self, t, N):
+        # d^2/dt^2 (pi^2/t^2) = 6 pi^2 / t^4 on (0, t) comes wholly from the
+        # finite-end term -2 u_x(a) u_dot_x(a); the one-sided stencils leave a
+        # relative error of (4 pi^2 / 3)(h/t)^2, here held to 16 (h/t)^2
+        spec = make_potential("affine")
+        gs = solve_ground_state(spec, Domain(0.0, t), N)
+        exact = 6.0 * PI2 / t**4
+        err = compute_sensitivity(gs, spec).lambda_ddot - exact
+        assert abs(err) <= 16.0 * (gs.grid.h / t) ** 2 * exact
+
     def test_boundary_term_sign_at_finite_a(self, free_bundle):
         spec, gs, sens = free_bundle
         udxa = u_dot_flux_left(sens.u_dot, gs.grid)
@@ -289,3 +303,39 @@ class TestSensitivityBundle:
     def test_orthogonality_helper_matches(self, free_bundle):
         _, gs, sens = free_bundle
         assert orthogonality_residual(gs, sens.u_dot) == sens.orth_residual
+
+
+@st.composite
+def shifted_pairs(draw):
+    """(V, V + c, c, a, t): a finite-a quadratic, or |x - s| beside the table
+    of |x - s| + c, which reproduces it exactly; |c| <= 1e3."""
+    a = draw(st.floats(-2.0, 1.0))
+    t = a + draw(st.floats(0.5, 3.0))
+    c = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        c1, c2 = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.0, 2.0))
+        return (make_potential("quadratic", c1=c1, c2=c2),
+                make_potential("quadratic", c0=c, c1=c1, c2=c2), c, a, t)
+    s = draw(st.floats(a - 1.0, t + 1.0))
+    # the table reaches past t, where the FD oracle's solve at t + m h looks
+    xs = sorted({a, t + 1.0} | ({s} if a < s < t + 1.0 else set()))
+    return (make_potential("abs_shift", shift=s),
+            make_tabulated(xs, [abs(x - s) + c for x in xs]), c, a, t)
+
+
+@seed(1502)
+@given(pair=shifted_pairs())
+@settings(max_examples=10, deadline=None)
+def test_constant_shift_moves_lambda_and_keeps_its_derivatives(pair):
+    # V + c has the eigenvectors of V and every eigenvalue moved by c: the
+    # solve's margins and Gershgorin bound scale with |d| ~ 2/h^2 + |c|, so
+    # they must not move the pair by more than rounding of that size
+    base, shifted, c, a, t = pair
+    gs0 = solve_ground_state(base, Domain(a, t), 401)
+    gs1 = solve_ground_state(shifted, Domain(a, t), 401)
+    scale = 2.0 / gs0.grid.h ** 2 + abs(c)
+    assert abs(gs1.lam - (gs0.lam + c)) <= 64 * np.finfo(float).eps * scale
+    s0, s1 = compute_sensitivity(gs0, base), compute_sensitivity(gs1, shifted)
+    assert s1.lambda_dot_flux == pytest.approx(s0.lambda_dot_flux, rel=1e-10)
+    assert s1.lambda_dot_integral == pytest.approx(s0.lambda_dot_integral, rel=1e-10)
+    assert abs(s1.lambda_ddot - s0.lambda_ddot) <= 1e-9 * (1.0 + abs(s0.lambda_ddot))

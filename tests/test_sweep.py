@@ -1,3 +1,4 @@
+import collections
 import importlib
 import json
 import math
@@ -173,49 +174,52 @@ class TestWarmStartChain:
         assert warm.convexity is cold.convexity
         assert warm.ok
 
-    def test_warm_sweep_takes_fewer_factorisations(self, monkeypatch, ptsv_calls):
+    def test_warm_sweep_takes_fewer_factorisations(self, monkeypatch, lapack_calls):
         args = CHAINS["free"]
         sweep(*args)
-        warm = len(ptsv_calls)
-        ptsv_calls.clear()
+        warm = lapack_calls["dptsv"]
+        lapack_calls.clear()
         cold_sweep(monkeypatch, *args)
-        assert warm < len(ptsv_calls)
+        assert warm < lapack_calls["dptsv"]
 
-    def test_extrapolated_chain_factorisation_count(self, ptsv_calls):
+    def test_extrapolated_chain_factorisation_count(self, lapack_calls):
         # 124 factorisations when every endpoint started from the previous
         # ground state at the Gershgorin shift
         sweep(*CHAINS["quadratic"])
-        assert len(ptsv_calls) <= 80
+        assert lapack_calls["dptsv"] <= 80
 
     def test_dense_sweep_takes_two_factorisations_per_warm_endpoint(self, monkeypatch,
-                                                                     ptsv_calls):
+                                                                     lapack_calls):
         sweep_module = importlib.import_module("eigenshift.sweep")
         real, per_solve = sweep_module.solve_ground_state, []
 
         def counting(spec, domain, N, start=None):
-            before = len(ptsv_calls)
+            before = lapack_calls["dptsv"]
             gs = real(spec, domain, N, start=start)
-            per_solve.append((start is not None, len(ptsv_calls) - before))
+            per_solve.append((start is not None, lapack_calls["dptsv"] - before))
             return gs
 
         monkeypatch.setattr(sweep_module, "solve_ground_state", counting)
         sw = sweep(make_potential("quadratic", c2=1.0), NEG_INF, -1.0, 2.0, 151, 2001)
         assert sw.ok
         warm = [n for is_warm, n in per_solve if is_warm]
-        assert len(warm) == 150 and max(warm) <= 2
+        assert len(warm) == 150 and set(warm) == {2}
+        # the index certificate took one pttrf per endpoint, 151, when every
+        # solve ran its own; it now runs only where the highest factored
+        # shift lies below lambda - eps_gap (the wall probe's solve included)
+        assert lapack_calls["dpttrf"] == 74
 
 
 @pytest.fixture
-def ptsv_calls(monkeypatch):
-    """The list of ``dptsv`` calls the eigensolve makes while the test runs."""
+def lapack_calls(monkeypatch):
+    """How often the eigensolve calls each LAPACK routine while the test runs."""
     import eigenshift.tridiag as tridiag
 
-    calls, lapack = [], tridiag.lapack
+    calls, lapack = collections.Counter(), tridiag.lapack
 
     class Counting:
         def __getattr__(self, name):
-            if name == "dptsv":
-                calls.append(name)
+            calls[name] += 1
             return getattr(lapack, name)
 
     monkeypatch.setattr(tridiag, "lapack", Counting())

@@ -4,17 +4,18 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eigenshift.errors import ConditioningError
+from eigenshift.errors import ConditioningError, ConvergenceError
 from eigenshift.ground_state import Domain, solve_ground_state
 from eigenshift.potentials import make_potential
 from eigenshift.sensitivity import compute_sensitivity
 from eigenshift.tolerances import DEFAULT_TOLS
 from eigenshift.tridiag import (
     TridiagOperator,
+    _certify_lowest,
     smallest_eigenpair,
     solve_bordered,
 )
@@ -224,23 +225,58 @@ def test_smallest_eigenpair_property_matches_dense_eigh(op):
     assert_lowest_pair(op, *smallest_eigenpair(op))
 
 
-@given(op=lowest_pair_operators(), kind=st.sampled_from(["random", "near", "excited"]),
-       data=st.data())
+def draw_start(op, kind, data):
+    """A start vector for ``op``: random, near the ground state, or the exact
+    first excited vector."""
+    vecs = np.linalg.eigh(dense(op))[1]
+    if kind == "random":
+        start = data.draw(hnp.arrays(np.float64, op.n, elements=st.floats(-1, 1)))
+        assume(np.any(start != 0.0))
+        return start
+    if kind == "near":
+        noise = data.draw(hnp.arrays(np.float64, op.n, elements=st.floats(-1, 1)))
+        return vecs[:, 0] + data.draw(st.sampled_from([1e-12, 1e-6, 1e-2])) * noise
+    return vecs[:, min(1, op.n - 1)]
+
+
+START_KINDS = st.sampled_from(["random", "near", "excited"])
+
+
+@given(op=lowest_pair_operators(), kind=START_KINDS, data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_smallest_eigenpair_from_any_start_returns_the_lowest_pair(op, kind, data):
     # a start's Weinstein bound may belong to an excited eigenvalue: the exact
     # first excited vector puts the first shift above lambda_1, where T - sigma
     # does not factor, and the iteration must still end on the lowest pair
-    vecs = np.linalg.eigh(dense(op))[1]
-    if kind == "random":
-        start = data.draw(hnp.arrays(np.float64, op.n, elements=st.floats(-1, 1)))
-        assume(np.any(start != 0.0))
-    elif kind == "near":
-        noise = data.draw(hnp.arrays(np.float64, op.n, elements=st.floats(-1, 1)))
-        start = vecs[:, 0] + data.draw(st.sampled_from([1e-12, 1e-6, 1e-2])) * noise
-    else:
-        start = vecs[:, min(1, op.n - 1)]
-    assert_lowest_pair(op, *smallest_eigenpair(op, start=start))
+    assert_lowest_pair(op, *smallest_eigenpair(op, start=draw_start(op, kind, data)))
+
+
+@seed(1502)
+@given(op=lowest_pair_operators(), kind=START_KINDS, data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_returned_pair_passes_an_independent_index_count(op, kind, data):
+    # the certificate usually rests on the last shift the iteration factored,
+    # with no pttrf of its own: a stebz Sturm count, which shares no code with
+    # it, must find no eigenvalue below lam - eps_gap whenever a pair returns
+    lam, _, _ = smallest_eigenpair(op, start=draw_start(op, kind, data))
+    scale = np.max(np.abs(op.d)) + 2.0 * np.max(np.abs(op.e), initial=0.0)
+    eps_gap = max(1e-10 * (1.0 + abs(lam)), 256.0 * np.finfo(float).eps * scale)
+    assert op.count_below(lam - eps_gap) == 0
+
+
+def test_excited_eigenpair_is_rejected():
+    # an eigensolve that settles on the second pair, residual and all, with
+    # its highest factored shift below lambda_1, must fail the certificate;
+    # the lowest pair passes it with that shift low (one pttrf) or within
+    # eps_gap of lambda_1 (none)
+    n = 64
+    h2 = 1.0 / (n + 1) ** 2
+    op = TridiagOperator(d=np.full(n, 2.0 / h2), e=np.full(n - 1, -1.0 / h2))
+    lams = np.linalg.eigvalsh(dense(op))
+    with pytest.raises(ConvergenceError, match="excited"):
+        _certify_lowest(op, float(lams[1]), float(lams[0]) - 1.0)
+    _certify_lowest(op, float(lams[0]), float(lams[0]) - 1.0)
+    _certify_lowest(op, float(lams[0]), float(lams[0]) * (1.0 - 1e-12))
 
 
 @pytest.mark.parametrize("d, start", [
