@@ -16,7 +16,6 @@ from .ground_state import (
     Domain,
     Grid,
     GroundState,
-    discretize,
     rayleigh_energy,
     richardson_lambda,
     solve_ground_state,
@@ -57,7 +56,7 @@ __all__ = [
     "ConditioningError", "ConfinementError", "ConvergenceError", "DomainError",
     "EigenshiftError", "RangeError", "StructureError", "TruncationError",
     "UsageError",
-    "Domain", "Grid", "GroundState", "discretize", "rayleigh_energy",
+    "Domain", "Grid", "GroundState", "rayleigh_energy",
     "richardson_lambda", "solve_ground_state", "truncate_domain",
     "ConvexityClass", "PotentialSpec", "canonical_string", "convexity_on",
     "eval_V", "eval_Vprime", "make_potential", "make_tabulated",

@@ -1,12 +1,12 @@
 """Dirichlet ground states of -u'' + V u on (a, t).
 
 The operator is discretized by second-order central differences on a uniform
-grid; the lowest eigenpair of the resulting tridiagonal matrix, with its
-ground-state index certified, comes from LAPACK (see tridiag), and this
-module holds it to a residual cap and a positive vector.  A left endpoint at
--infinity is realized by a wall where the Agmon distance from the allowed
-region reaches a fixed K (truncate_domain), at the cost of one probe
-eigensolve.
+grid; the lowest eigenpair of the resulting tridiagonal matrix, held to its
+residual cap and with its ground-state index certified, comes from LAPACK
+(see tridiag), and this module holds it to a positive vector.  The ground
+state keeps the operator it was solved from.  A left endpoint at -infinity
+is realized by a wall where the Agmon distance from the allowed region
+reaches a fixed K (truncate_domain), at the cost of one probe eigensolve.
 
 Grid convention: N counts interior nodes, so the grid has N+2 nodes including
 both Dirichlet endpoints and spacing h = (t - a_eff) / (N + 1).
@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     ConfinementError,
-    ConvergenceError,
     DomainError,
     StructureError,
     TruncationError,
@@ -34,7 +33,6 @@ from .tolerances import DEFAULT_TOLS
 from .tridiag import TridiagOperator, smallest_eigenpair
 
 MIN_INTERIOR = 16
-_EPS = np.finfo(float).eps
 _PROBE_WIDTH, _PROBE_NODES, _PROBE_HALVINGS = 4.0, 200, 60   # widest probe, nodes, cap
 _MARCH_CELLS, _MARCH_CHUNKS = 402, 80                          # cells per chunk, cap
 _STEEP = 1.1                            # g changes by more across a cell: log-mean
@@ -108,7 +106,9 @@ class GroundState:
 
     ``u`` lives on the full grid, extended by 0 at both Dirichlet endpoints.
     ``flux_a``/``flux_t`` are one-sided three-point derivatives at the ends,
-    ``residual`` the discrete L2 norm of (-D2 + V - lambda) u.
+    ``residual`` the euclidean norm of (T - lambda) v for the unit interior
+    vector v, and ``op`` the operator T on the interior nodes that the pair
+    was solved from.
     """
 
     domain: Domain
@@ -118,6 +118,7 @@ class GroundState:
     flux_a: float
     flux_t: float
     residual: float
+    op: TridiagOperator
 
     @property
     def t(self) -> float:
@@ -129,17 +130,6 @@ class GroundState:
         return float(math.sqrt(np.trapezoid(self.u * self.u, self.grid.x)))
 
 
-def discretize(spec: PotentialSpec, domain: Domain, N: int) -> TridiagOperator:
-    """Central-difference Dirichlet discretization on N interior nodes.
-
-    Diagonal 2/h^2 + V(x_i), off-diagonal -1/h^2; symmetric tridiagonal.
-    """
-    if not domain.resolved:
-        raise DomainError("domain has no resolved left wall; truncate first")
-    grid = Grid.build(domain.a_eff, domain.t, N)
-    return _operator_on(spec, grid)
-
-
 def _operator_on(spec: PotentialSpec, grid: Grid) -> TridiagOperator:
     h2 = grid.h * grid.h
     d = 2.0 / h2 + np.asarray(eval_V(spec, grid.interior), dtype=float)
@@ -147,25 +137,6 @@ def _operator_on(spec: PotentialSpec, grid: Grid) -> TridiagOperator:
         raise DomainError("potential is not finite on the working grid")
     e = np.full(grid.n_interior - 1, -1.0 / h2)
     return TridiagOperator(d=d, e=e)
-
-
-def _solve_on_grid(spec: PotentialSpec, grid: Grid, start: np.ndarray = None):
-    op = _operator_on(spec, grid)
-    # the pair comes with its index certificate: no spectrum below it
-    lam, vec, resid = smallest_eigenpair(op, start=start)
-
-    cap = max(DEFAULT_TOLS.res * (1.0 + abs(lam)), 64.0 * _EPS * op.scale)
-    if resid > cap:
-        raise ConvergenceError(f"eigen-residual {resid:.3e} above cap {cap:.3e}")
-
-    # orient by the entry of largest magnitude; a tie between +m and -m
-    # fails the positivity check either way
-    lo, hi = float(vec.min()), float(vec.max())
-    if -lo > hi:
-        vec, lo, hi = -vec, -hi, -lo
-    if hi <= 0 or lo < -DEFAULT_TOLS.pos * hi:
-        raise StructureError("ground-state vector is not positive on the interior")
-    return lam, vec, resid
 
 
 def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
@@ -178,13 +149,23 @@ def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
     of its cold vector; the result passes the same checks.
 
     Raises ConfinementError when a = -inf and V does not grow on the left,
-    ConvergenceError when the eigensolve fails its own checks.
+    ConvergenceError when the eigensolve fails its own checks, StructureError
+    when the vector is not positive.
     """
     if N < MIN_INTERIOR:
         raise DomainError(f"N must be at least {MIN_INTERIOR}")
     domain = _resolve_wall(spec, domain)
     grid = Grid.build(domain.a_eff, domain.t, N)
-    lam, vec, resid = _solve_on_grid(spec, grid, start)
+    op = _operator_on(spec, grid)
+    # the pair comes held to its residual cap and with its index certificate
+    lam, vec, resid = smallest_eigenpair(op, start=start)
+    # orient by the entry of largest magnitude; a tie between +m and -m
+    # fails the positivity check either way
+    lo, hi = float(vec.min()), float(vec.max())
+    if -lo > hi:
+        vec, lo, hi = -vec, -hi, -lo
+    if hi <= 0 or lo < -DEFAULT_TOLS.pos * hi:
+        raise StructureError("ground-state vector is not positive on the interior")
     h = grid.h
     u = np.zeros(N + 2)
     u[1:-1] = vec / math.sqrt(h)
@@ -193,7 +174,7 @@ def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
     flux_t = (u[-3] - 4.0 * u[-2]) / (2.0 * h)
     return GroundState(domain=domain, grid=grid, lam=lam, u=u,
                        flux_a=float(flux_a), flux_t=float(flux_t),
-                       residual=resid)
+                       residual=resid, op=op)
 
 
 def _resolve_wall(spec: PotentialSpec, domain: Domain) -> Domain:
@@ -209,15 +190,16 @@ def _resolve_wall(spec: PotentialSpec, domain: Domain) -> Domain:
             "V does not tend to +infinity as x -> -infinity; "
             "no ground state on a half-infinite domain"
         )
-    w = _probe_width(spec, domain.t)
-    probe = _probe_lambda(spec, domain.t, w)
+    w, probe = _probe_lambda(spec, domain.t)
     return domain.with_wall(truncate_domain(spec, domain.t, probe, w))
 
 
-def _probe_width(spec: PotentialSpec, t: float) -> float:
-    """Width w of the probe interval (t - w, t): 4, halved until V is finite
-    at every one of its 200 interior nodes, so a V that overflows within 4 of
-    t still gets a probe.
+def _probe_lambda(spec: PotentialSpec, t: float) -> tuple:
+    """(w, lambda_probe): the ground energy on the probe interval (t - w, t),
+    200 nodes, above the true one and min V there.  w is 4, halved until V
+    is finite at every interior node of the probe grid, so a V that
+    overflows within 4 of t still gets a probe; V is evaluated once per
+    probe grid, and the operator that passes is the one solved.
 
     Raises DomainError when no such w is found before 60 halvings or before
     t - w rounds to t, where the probe grid would have no width."""
@@ -225,29 +207,25 @@ def _probe_width(spec: PotentialSpec, t: float) -> float:
     for _ in range(_PROBE_HALVINGS):
         if not t - width < t:
             break
-        if np.all(np.isfinite(eval_V(spec, Grid.build(t - width, t, _PROBE_NODES).interior))):
-            return width
-        width *= 0.5
+        try:
+            op = _operator_on(spec, Grid.build(t - width, t, _PROBE_NODES))
+        except DomainError:
+            width *= 0.5
+            continue
+        return width, smallest_eigenpair(op)[0]
     raise DomainError(f"V is not finite on any probe left of t = {t}")
 
 
-def _probe_lambda(spec: PotentialSpec, t: float, width: float) -> float:
-    """Ground energy on (t - w, t), 200 nodes, w from ``_probe_width``: above
-    the true one and min V there."""
-    grid = Grid.build(t - width, t, _PROBE_NODES)
-    return smallest_eigenpair(_operator_on(spec, grid))[0]
-
-
 def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float,
-                    w: float = None) -> float:
+                    w: float) -> float:
     """The a = -inf wall: the first node left of t where the Agmon distance
     ``int sqrt(max(V - lambda_probe, 0)) dx`` reaches K = ``DEFAULT_TOLS.agmon``.
 
     The distance counts from the nearest point right of the wall where
     V <= lambda_probe, never from t; u decays like exp(-distance), so the wall
     is scale-free.  No eigensolve: the march sums 402 cells per chunk on
-    chunks doubling from the probe's width ``w`` (from ``_probe_width``
-    when not given: 4 unless V overflows within 4 of t; the
+    chunks doubling from the probe's width ``w`` (from ``_probe_lambda``:
+    4 unless V overflows within 4 of t; the
     first chunk, (t - w, t), holds a node with V <= lambda_probe), and a
     count that starts in a wider chunk restarts there on chunks of at least
     w.  A cell's integral is the trapezoid, or the log-mean
@@ -257,7 +235,6 @@ def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float,
     again in 402 cells of its own, so a steep V neither overshoots K by a
     whole cell nor miscounts its turning point.
     """
-    w = _probe_width(spec, t) if w is None else w
     K, dist, width, carry = DEFAULT_TOLS.agmon, 0.0, w, -math.inf
     for _ in range(_MARCH_CHUNKS):
         d = np.linspace(dist, dist + width, _MARCH_CELLS + 1)

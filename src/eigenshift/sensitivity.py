@@ -23,7 +23,6 @@ from .ground_state import (
     Grid,
     GroundState,
     MIN_INTERIOR,
-    _operator_on,
     solve_ground_state,
 )
 from .potentials import PotentialSpec, eval_Vprime, vprime_kinks
@@ -93,22 +92,22 @@ def integrate_vprime_weighted(spec: PotentialSpec, grid: Grid, w: np.ndarray,
     return total
 
 
-def solve_u_dot(gs: GroundState, lambda_dot: float, spec: PotentialSpec) -> np.ndarray:
+def solve_u_dot(gs: GroundState, lambda_dot: float) -> np.ndarray:
     """Derivative of the eigenfunction with respect to the right endpoint.
 
-    Solves the shifted equation with source lambda_dot * u and boundary data
-    0 at the left end and -u_x(t) at t (lifted into the right-hand side).
+    Solves the shifted equation, on the operator ``gs.op`` the ground state
+    was solved from, with source lambda_dot * u and boundary data 0 at the
+    left end and -u_x(t) at t (lifted into the right-hand side).
     The singular system is augmented with u as constraint row/column, so the
     returned field satisfies the discrete orthogonality to u exactly.
     Returns u_dot on all grid nodes including the endpoint values.
     """
-    grid, h = gs.grid, gs.grid.h
-    op = _operator_on(spec, grid)
+    h = gs.grid.h
     u_int = gs.u[1:-1]
     beta = -gs.flux_t
     rhs = lambda_dot * u_int
     rhs[-1] += beta / (h * h)
-    interior, _mu = solve_bordered(op, gs.lam, u_int, rhs)
+    interior, _mu = solve_bordered(gs.op, gs.lam, u_int, rhs)
     # remove the roundoff left on the constraint row; the correction runs
     # along the kernel of the shifted operator, so the other equations keep
     # their residual
@@ -203,7 +202,7 @@ def compute_sensitivity(gs: GroundState, spec: PotentialSpec,
     """
     ld_flux = lambda_dot_flux(gs)
     ld_int = lambda_dot_integral(gs, spec)
-    u_dot = solve_u_dot(gs, ld_flux, spec)
+    u_dot = solve_u_dot(gs, ld_flux)
     orth = orthogonality_residual(gs, u_dot)
     t0 = find_nodal_point(u_dot, gs.grid)
     ldd = lambda_ddot(gs, u_dot, t0, spec)

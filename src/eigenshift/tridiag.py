@@ -6,8 +6,10 @@ factor-and-solve (``pttrf`` + ``pttrs``) of T - sigma, a factorisation that
 succeeds certifies that sigma lies below the whole spectrum, and the solve
 itself gives the step's Rayleigh quotient and residual.  A cold start takes
 about five factorisations from the Gershgorin bound; a start near the ground
-state takes about two from its Weinstein bound.  The returned pair carries
-its own index certificate: T - (lam - eps_gap) is positive definite, which
+state takes about two from its Weinstein bound.  The returned pair is held
+to a residual cap and carries its own index certificate, both on the local
+scale ||(|T| 1) vec|| of the rows it occupies: T - (lam - eps_gap) is
+positive definite, which
 the highest certified shift usually implies already (``pttrf`` pivots do not
 fall as the shift falls), so the extra ``pttrf`` runs only when that shift
 lies below lam - eps_gap.
@@ -22,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import ConditioningError, ConvergenceError
+from .tolerances import DEFAULT_TOLS
 
 
 def _offdiag(e: np.ndarray) -> np.ndarray:
@@ -50,12 +52,6 @@ class TridiagOperator:
     @property
     def n(self) -> int:
         return len(self.d)
-
-    @cached_property
-    def scale(self) -> float:
-        """max |d| + 2 max |e|, a bound on ||T||: the size of the rounding a
-        factorisation of T makes, a few ulps of it."""
-        return float(np.abs(self.d).max()) + 2.0 * float(np.abs(self.e).max(initial=0.0))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.d * x
@@ -110,7 +106,10 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
 
     ``vec`` has unit euclidean norm; ``lam`` is its Rayleigh quotient and
     ``residual`` the euclidean norm of (T - lam) vec, both from one matvec
-    at the end.  The caller judges whether that residual is acceptable.
+    at the end.  The pair is judged here, on the one local scale
+    ``local = ||(|T| 1) vec||`` of the rows the vector occupies: the residual
+    must lie within max(``DEFAULT_TOLS.res`` (1 + |lam|), 64 eps local), and
+    the index certificate below must hold.
 
     Shifted inverse iteration.  A shift sigma is used only when ``ptsv``
     factors T - sigma as positive definite, which certifies sigma below the
@@ -124,7 +123,7 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     less a margin.  Iteration stops once rho no longer falls by more than a
     margin, the residual is within twice that margin, and the step's shift
     was the Weinstein bound of its own input or lies within a few margins of
-    rho.  The margin, 4 eps ||(|T| 1) vec||, also keeps the shift below
+    rho.  The margin, 4 eps local, also keeps the shift below
     rho - residual; it is scaled to the rows the vector occupies, because
     graded operators from the wall probe carry diagonal entries near 1e266.
 
@@ -143,11 +142,14 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     into the iterate, which restores that weight.  Raises ValueError unless
     ``start`` is None or a finite vector of length n with a nonzero entry,
     and ConvergenceError when rho has not settled after a fixed number of
-    factorisations, or when the pair fails its index certificate.
+    factorisations, or when the pair fails its residual cap or its index
+    certificate.
 
     The certificate: T - (lam - eps_gap) is positive definite, so no
     eigenvalue lies below lam - eps_gap, where eps_gap = max(1e-10 (1 + |lam|),
-    256 eps ``op.scale``) clears the factorisation's own resolution.  Every
+    256 eps local) clears the factorisation's own resolution on those rows; a
+    global scale such as max |d| + 2 max |e| would exceed every gap of a
+    graded operator and pass an excited pair.  Every
     ``pttrf`` pivot of T - sigma is a chain of monotone rounded operations in
     sigma, so none falls as sigma falls, in floating point as in exact
     arithmetic: the highest shift sigma_c whose ``ptsv`` factored proves the
@@ -186,7 +188,8 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
         blas.dscal(1.0 / blas.dnrm2(vec), vec)
         tvec = op.matvec(vec)
         rho = blas.ddot(vec, tvec)
-        margin = 4.0 * _EPS * blas.dnrm2(np.multiply(row_sum, vec, out=work)) + floor
+        local = blas.dnrm2(np.multiply(row_sum, vec, out=work))
+        margin = 4.0 * _EPS * local + floor
         sigma = max(sigma, rho - blas.dnrm2(blas.daxpy(vec, tvec, a=-rho)) - margin)
     # tight: sigma is the Weinstein bound of the vector it is applied to.
     # certified, the last shift that factored, is also the highest: a shift
@@ -226,7 +229,8 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
         resid = blas.dnrm2(blas.daxpy(w, vec, a=-proj)) / norm_w   # overwrites vec
         rho = sigma + proj / norm_w
         vec = w
-        margin = 4.0 * _EPS * blas.dnrm2(np.multiply(row_sum, vec, out=work)) + floor
+        local = blas.dnrm2(np.multiply(row_sum, vec, out=work))
+        margin = 4.0 * _EPS * local + floor
         # below the spectrum each step lowers rho, so stop once it no longer
         # falls (rounding makes it jitter) and the residual is rounding level:
         # the second catches a stall on a shift far below a tight cluster.
@@ -245,16 +249,22 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
                                f"{max_factorisations} factorisations")
     tvec = op.matvec(vec)
     lam = float(vec @ tvec)
-    _certify_lowest(op, lam, certified)
-    return lam, vec, blas.dnrm2(blas.daxpy(vec, tvec, a=-lam))
+    _certify_lowest(op, lam, certified, local)
+    resid = blas.dnrm2(blas.daxpy(vec, tvec, a=-lam))
+    cap = max(DEFAULT_TOLS.res * (1.0 + abs(lam)), 64.0 * _EPS * local)
+    if resid > cap:
+        raise ConvergenceError(f"eigen-residual {resid:.3e} above cap {cap:.3e}")
+    return lam, vec, resid
 
 
-def _certify_lowest(op: TridiagOperator, lam: float, certified: float) -> None:
+def _certify_lowest(op: TridiagOperator, lam: float, certified: float,
+                    local: float) -> None:
     """The index certificate of ``smallest_eigenpair``: raises ConvergenceError
-    unless T - (lam - eps_gap) is positive definite.  ``certified`` is the
-    highest shift whose factorisation of T - sigma succeeded; at or above
-    lam - eps_gap it already proves the certificate, with no ``pttrf``."""
-    floor = lam - max(1e-10 * (1.0 + abs(lam)), 256.0 * _EPS * op.scale)
+    unless T - (lam - eps_gap) is positive definite, eps_gap resolving the
+    pair's local scale ``local``.  ``certified`` is the highest shift whose
+    factorisation of T - sigma succeeded; at or above lam - eps_gap it already
+    proves the certificate, with no ``pttrf``."""
+    floor = lam - max(1e-10 * (1.0 + abs(lam)), 256.0 * _EPS * local)
     if certified < floor and not op.spectrum_above(floor):
         raise ConvergenceError("converged to an excited state, not the ground state")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigenshiftError
-from .ground_state import Domain, discretize, rayleigh_energy, solve_ground_state
+from .ground_state import Domain, rayleigh_energy, solve_ground_state
 from .potentials import (
     ConvexityClass,
     PotentialSpec,
@@ -236,10 +236,9 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
                   measured=abs(gs.flux_a), tol=1e-8 * (1.0 + abs(gs.flux_t)))
     else:
         col.check("flux_a > 0", gs.flux_a > 0, measured=gs.flux_a)
-    op = discretize(entry.spec, gs.domain, N)
     gap_eps = 1e-6 * lam_scale
-    below = op.count_below(gs.lam - gap_eps)
-    col.check("ground-state index", below == 0 and op.count_below(gs.lam + gap_eps) == 1,
+    below = gs.op.count_below(gs.lam - gap_eps)
+    col.check("ground-state index", below == 0 and gs.op.count_below(gs.lam + gap_eps) == 1,
               measured=below,
               note="Sturm counts below lambda -/+ eps")
 
@@ -340,10 +339,9 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
     return col.lines
 
 
-def run_battery(N: int = 2001, n_t: int = 31, battery: list = None) -> VerifyReport:
+def run_battery(N: int = 2001, n_t: int = 31) -> VerifyReport:
     """Run every battery entry and collect the report (exit gate for verify)."""
-    entries = battery if battery is not None else default_battery()
     report = VerifyReport(N=N, n_t=n_t)
-    for e in entries:
+    for e in default_battery():
         report.lines.extend(verify_entry(e, N, n_t))
     return report

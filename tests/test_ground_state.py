@@ -14,9 +14,8 @@ from eigenshift.errors import ConfinementError, DomainError
 from eigenshift.ground_state import (
     Domain,
     Grid,
+    _operator_on,
     _probe_lambda,
-    _probe_width,
-    discretize,
     ground_state_metadata,
     rayleigh_energy,
     richardson_lambda,
@@ -68,20 +67,17 @@ class TestDomainAndGrid:
 
 class TestDiscretize:
     def test_two_interior_nodes_free(self):
-        op = discretize(free(), Domain(0.0, 1.0), 2)
+        op = _operator_on(free(), Grid.build(0.0, 1.0, 2))
         np.testing.assert_allclose(op.d, [18.0, 18.0])
         np.testing.assert_allclose(op.e, [-9.0])
 
     def test_constant_potential_shifts_diagonal(self):
         spec = make_potential("affine", c0=7.0)
-        op0 = discretize(free(), Domain(0.0, 2.0), 31)
-        op7 = discretize(spec, Domain(0.0, 2.0), 31)
+        # the operator each ground state carries is the one it was solved from
+        op0 = solve_ground_state(free(), Domain(0.0, 2.0), 31).op
+        op7 = solve_ground_state(spec, Domain(0.0, 2.0), 31).op
         np.testing.assert_allclose(op7.d - op0.d, 7.0)
         np.testing.assert_allclose(op7.e, op0.e)
-
-    def test_unresolved_domain_rejected(self):
-        with pytest.raises(DomainError):
-            discretize(free(), Domain(NEG_INF, 1.0), 50)
 
     def test_discrete_eigenvalue_tends_to_pi_squared(self):
         # smallest eigenvalue of the free Dirichlet matrix is (4/h^2) sin^2(pi h/2)
@@ -223,8 +219,8 @@ class TestTruncation:
         # the Agmon distance from the turning point right of the wall, where
         # V meets the probe energy, to the wall is K up to 2%
         spec = make_potential(family, **params)
-        lam = _probe_lambda(spec, t, _probe_width(spec, t))
-        wall = truncate_domain(spec, t, lam)
+        w, lam = _probe_lambda(spec, t)
+        wall = truncate_domain(spec, t, lam, w)
         turning = brentq(lambda x: eval_V(spec, x) - lam, wall, inside)
         dist, _ = quad(lambda x: math.sqrt(max(eval_V(spec, x) - lam, 0.0)), wall, turning)
         assert DEFAULT_TOLS.agmon <= dist <= DEFAULT_TOLS.agmon + 0.5
@@ -233,15 +229,15 @@ class TestTruncation:
         # e^{3000 |x|} is inf over most of the first chunk; the march must
         # place the wall without a RuntimeWarning
         spec = make_potential("exp_growth", rate=-3000.0)
-        assert -4.0 < truncate_domain(spec, 1.0, 1.0) < 0.0
+        w, _ = _probe_lambda(spec, 1.0)
+        assert -4.0 < truncate_domain(spec, 1.0, 1.0, w) < 0.0
 
     def test_march_refines_a_bounded_number_of_times(self):
         # V(t) = e^360: any cell past the turning point adds ~1e75 to the
         # distance, so refining it without end ran out of chunks; the wall
         # belongs just past the turning point
         spec = make_potential("exp_growth", rate=-90.0)
-        w = _probe_width(spec, -4.0)
-        lam = _probe_lambda(spec, -4.0, w)
+        w, lam = _probe_lambda(spec, -4.0)
         wall = truncate_domain(spec, -4.0, lam, w)
         turning = -4.0 - math.log(lam / eval_V(spec, -4.0)) / 90.0
         assert 0.0 < turning - wall < 1e-6
@@ -274,7 +270,7 @@ class TestTruncation:
         ("exp_growth", {"rate": -2.0}, 1.0), ("neg_abs", {"slope": 2.0}, 1.5),
     ])
     def test_probe_keeps_width_4_for_order_one_potentials(self, family, params, t):
-        assert _probe_width(make_potential(family, **params), t) == 4.0
+        assert _probe_lambda(make_potential(family, **params), t)[0] == 4.0
 
     def test_wall_costs_one_eigensolve(self, monkeypatch):
         import eigenshift.ground_state as ground_state
@@ -288,7 +284,7 @@ class TestTruncation:
 
         monkeypatch.setattr(ground_state, "smallest_eigenpair", counting)
         spec = make_potential("quadratic", c2=1.0)
-        truncate_domain(spec, 0.0, 3.0)
+        truncate_domain(spec, 0.0, 3.0, 4.0)
         assert calls == []
         solve_ground_state(spec, Domain(NEG_INF, 0.0), 301)
         assert calls == [200, 301]   # the probe, then the solve itself
@@ -328,10 +324,9 @@ class TestSolverValidation:
 
     def test_second_eigenvalue_strictly_larger(self):
         gs = solve_ground_state(free(), Domain(0.0, 1.0), 301)
-        op = discretize(free(), gs.domain, 301)
         eps = 1e-6 * (1 + abs(gs.lam))
-        assert op.count_below(gs.lam - eps) == 0
-        assert op.count_below(gs.lam + eps) == 1
+        assert gs.op.count_below(gs.lam - eps) == 0
+        assert gs.op.count_below(gs.lam + eps) == 1
 
 
 class TestTabulatedPotentialSolve:

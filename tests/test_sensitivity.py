@@ -136,7 +136,7 @@ class TestUDot:
         errs = []
         for N in (250, 500, 1000):
             gs = solve_ground_state(spec, Domain(0.0, 1.0), N)
-            ud = solve_u_dot(gs, lambda_dot_flux(gs), spec)
+            ud = solve_u_dot(gs, lambda_dot_flux(gs))
             errs.append(np.max(np.abs(ud - closed_form_u_dot(gs.grid.x))))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.25)
@@ -339,3 +339,63 @@ def test_constant_shift_moves_lambda_and_keeps_its_derivatives(pair):
     assert s1.lambda_dot_flux == pytest.approx(s0.lambda_dot_flux, rel=1e-10)
     assert s1.lambda_dot_integral == pytest.approx(s0.lambda_dot_integral, rel=1e-10)
     assert abs(s1.lambda_ddot - s0.lambda_ddot) <= 1e-9 * (1.0 + abs(s0.lambda_ddot))
+
+
+@st.composite
+def scaled_pairs(draw):
+    """(V, W, s, a, t) with W(x) = s^2 V(s x), s in [1e-2, 1e2], a finite:
+    quadratic, exp_growth, neg_abs, affine or a piecewise-linear table, whose
+    nodes scale by 1/s and values by s^2, so W reproduces it exactly."""
+    a = draw(st.floats(-2.0, 1.0))
+    t = a + draw(st.floats(0.5, 3.0))
+    s = 10.0 ** draw(st.floats(-2.0, 2.0))
+    coef = st.floats(-2.0, 2.0)
+    family = draw(st.sampled_from(["quadratic", "exp_growth", "neg_abs", "affine",
+                                   "tabulated"]))
+    if family == "quadratic":
+        c0, c1, c2 = draw(coef), draw(coef), draw(st.floats(0.0, 2.0))
+        return (make_potential("quadratic", c0=c0, c1=c1, c2=c2),
+                make_potential("quadratic", c0=s**2 * c0, c1=s**3 * c1, c2=s**4 * c2),
+                s, a, t)
+    if family == "exp_growth":
+        amp, rate = draw(st.floats(0.1, 2.0)), draw(st.floats(-1.0, 1.0))
+        return (make_potential("exp_growth", amp=amp, rate=rate),
+                make_potential("exp_growth", amp=s**2 * amp, rate=s * rate), s, a, t)
+    if family == "neg_abs":
+        slope, amp = draw(coef), draw(st.floats(0.0, 2.0))
+        shift = draw(st.floats(a - 1.0, t + 1.0))
+        return (make_potential("neg_abs", slope=slope, amp=amp, shift=shift),
+                make_potential("neg_abs", slope=s**3 * slope, amp=s**3 * amp,
+                               shift=shift / s), s, a, t)
+    if family == "affine":
+        c0, c1 = draw(coef), draw(coef)
+        return (make_potential("affine", c0=c0, c1=c1),
+                make_potential("affine", c0=s**2 * c0, c1=s**3 * c1), s, a, t)
+    # the table reaches past t, where the FD oracle's solve at t + m h looks
+    xs = np.linspace(a, t + 1.0, draw(st.integers(2, 5)))
+    vs = np.array([draw(st.floats(-3.0, 3.0)) for _ in xs])
+    return make_tabulated(xs, vs), make_tabulated(xs / s, s**2 * vs), s, a, t
+
+
+@seed(1502)
+@given(pair=scaled_pairs())
+@settings(max_examples=30, deadline=None)
+def test_scale_law_maps_lambda_and_its_derivatives(pair):
+    # u(x) solves -u'' + V u = lambda u on (a, t) exactly when u(s x) solves
+    # -u'' + W u = s^2 lambda u on (a/s, t/s), W(x) = s^2 V(s x); at the same N
+    # the two operators differ by the factor s^2 and rounding, so lambda maps
+    # to s^2 lambda, lambda_dot to s^3 lambda_dot and lambda_ddot to s^4
+    # lambda_ddot.  a = -inf is left out: the wall march starts from a fixed
+    # width-4 probe, so its wall is covariant only to within one march cell
+    base, scaled, s, a, t = pair
+    gs0 = solve_ground_state(base, Domain(a, t), 801)
+    gs1 = solve_ground_state(scaled, Domain(a / s, t / s), 801)
+    assert abs(gs1.lam - s**2 * gs0.lam) <= 64 * np.finfo(float).eps * 2.0 / gs1.grid.h ** 2
+    s0, s1 = compute_sensitivity(gs0, base), compute_sensitivity(gs1, scaled)
+    assert s1.lambda_dot_flux == pytest.approx(s**3 * s0.lambda_dot_flux, rel=1e-10)
+    # the integral route is int V' u^2 less u_x(a)^2, two terms of up to 1e4
+    # times their difference here: it is held to 1e-10 of their size
+    terms = abs(s0.lambda_dot_integral) + gs0.flux_a ** 2
+    assert abs(s1.lambda_dot_integral - s**3 * s0.lambda_dot_integral) <= 1e-10 * s**3 * terms
+    ldd = s**4 * s0.lambda_ddot
+    assert abs(s1.lambda_ddot - ldd) <= 1e-9 * (1.0 + abs(ldd))

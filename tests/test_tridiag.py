@@ -123,6 +123,14 @@ def _lapack_cases():
     return cases
 
 
+def local_scale(op, vec):
+    """||(|T| 1) vec||: the rounding scale of the rows ``vec`` occupies."""
+    row_sum = np.abs(op.d)
+    row_sum[:-1] += np.abs(op.e)
+    row_sum[1:] += np.abs(op.e)
+    return np.linalg.norm(row_sum * vec)
+
+
 def assert_lowest_pair(op, lam, vec, resid):
     """``(lam, vec, resid)`` against dense ``eigh``: lam within 16 eps ||T||_F of
     the lowest eigenvalue, a unit vector whose Rayleigh quotient is lam, and
@@ -138,11 +146,8 @@ def assert_lowest_pair(op, lam, vec, resid):
     tvec = op.matvec(vec)
     assert lam == vec @ tvec
     assert resid == pytest.approx(np.linalg.norm(tvec - lam * vec), rel=1e-12)
-    row_sum = np.abs(op.d)
-    row_sum[:-1] += np.abs(op.e)
-    row_sum[1:] += np.abs(op.e)
     # the Rayleigh quotient's n-term dot product rounds by up to n eps
-    local = (16 + op.n) * np.finfo(float).eps * np.linalg.norm(row_sum * vec)
+    local = (16 + op.n) * np.finfo(float).eps * local_scale(op, vec)
     assert resid <= local
     # stebz counts a pivot below its safe minimum as negative: stay clear of it
     pivmin = np.finfo(float).tiny / np.finfo(float).eps
@@ -257,10 +262,10 @@ def test_smallest_eigenpair_from_any_start_returns_the_lowest_pair(op, kind, dat
 def test_returned_pair_passes_an_independent_index_count(op, kind, data):
     # the certificate usually rests on the last shift the iteration factored,
     # with no pttrf of its own: a stebz Sturm count, which shares no code with
-    # it, must find no eigenvalue below lam - eps_gap whenever a pair returns
-    lam, _, _ = smallest_eigenpair(op, start=draw_start(op, kind, data))
-    scale = np.max(np.abs(op.d)) + 2.0 * np.max(np.abs(op.e), initial=0.0)
-    eps_gap = max(1e-10 * (1.0 + abs(lam)), 256.0 * np.finfo(float).eps * scale)
+    # it, must find no eigenvalue below lam - eps_gap whenever a pair returns,
+    # eps_gap on the pair's local scale, as certified
+    lam, vec, _ = smallest_eigenpair(op, start=draw_start(op, kind, data))
+    eps_gap = max(1e-10 * (1.0 + abs(lam)), 256.0 * np.finfo(float).eps * local_scale(op, vec))
     assert op.count_below(lam - eps_gap) == 0
 
 
@@ -272,11 +277,22 @@ def test_excited_eigenpair_is_rejected():
     n = 64
     h2 = 1.0 / (n + 1) ** 2
     op = TridiagOperator(d=np.full(n, 2.0 / h2), e=np.full(n - 1, -1.0 / h2))
-    lams = np.linalg.eigvalsh(dense(op))
+    lams, vecs = np.linalg.eigh(dense(op))
+    local0, local1 = local_scale(op, vecs[:, 0]), local_scale(op, vecs[:, 1])
     with pytest.raises(ConvergenceError, match="excited"):
-        _certify_lowest(op, float(lams[1]), float(lams[0]) - 1.0)
-    _certify_lowest(op, float(lams[0]), float(lams[0]) - 1.0)
-    _certify_lowest(op, float(lams[0]), float(lams[0]) * (1.0 - 1e-12))
+        _certify_lowest(op, float(lams[1]), float(lams[0]) - 1.0, local1)
+    _certify_lowest(op, float(lams[0]), float(lams[0]) - 1.0, local0)
+    _certify_lowest(op, float(lams[0]), float(lams[0]) * (1.0 - 1e-12), local0)
+
+
+def test_excited_pair_of_a_graded_operator_is_rejected():
+    # lambda = 1 on e_2 of diag(0, 1, 1e19) is an exact eigenpair, but not the
+    # lowest.  eps_gap on the global scale max|d| + 2 max|e| = 1e19 was 5.7e5,
+    # wider than every gap, so it passed; on the pair's own rows it is 1e-10
+    op = TridiagOperator(d=np.array([0.0, 1.0, 1e19]), e=np.zeros(2))
+    vec = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(ConvergenceError, match="excited"):
+        _certify_lowest(op, 1.0, -1.0, local_scale(op, vec))
 
 
 @pytest.mark.parametrize("d, start", [
