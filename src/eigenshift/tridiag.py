@@ -18,18 +18,57 @@ lies below lam - eps_gap.
 ``solve_bordered`` solves the singular shifted system of a differentiated
 eigenpair through a positive definite tridiagonal ``pttrf``/``pttrs``
 factor-and-solve and a 2x2 system, in O(N).
+
+The routines come from scipy's f2py extension modules ``scipy.linalg._flapack``
+and ``_fblas``, loaded on their own: ``scipy.linalg/__init__`` pulls in scipy's
+array-API layer, which clones the numpy namespace and takes longer to import
+than every solve of a typical CLI call.  The wrappers are the objects
+``scipy.linalg.lapack`` and ``scipy.linalg.blas`` hand out.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
+import scipy
 
 from .errors import ConditioningError, ConvergenceError
 from .tolerances import DEFAULT_TOLS
+
+
+def _scipy_linalg_extension(name: str):
+    """The extension module ``scipy.linalg.<name>``, loaded without running
+    ``scipy.linalg/__init__``.
+
+    ``import scipy`` above runs scipy's distributor init, which sets the
+    library paths the extensions need on some platforms.  The module is
+    registered in ``sys.modules`` under its own name, and an entry already
+    there is reused, so a process that also imports ``scipy.linalg``, before
+    or after, holds one module object.
+    """
+    fullname = f"scipy.linalg.{name}"
+    module = sys.modules.get(fullname)
+    if module is not None:
+        return module
+    spec = importlib.machinery.PathFinder.find_spec(
+        fullname, [os.path.join(path, "linalg") for path in scipy.__path__])
+    if spec is None:
+        raise ImportError(f"no module named {fullname!r} in scipy {scipy.__version__}",
+                          name=fullname)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _scipy_linalg_extension("_flapack")
+blas = _scipy_linalg_extension("_fblas")
 
 
 def _offdiag(e: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import importlib.machinery
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from eigenshift.tolerances import DEFAULT_TOLS
 from eigenshift.tridiag import (
     TridiagOperator,
     _certify_lowest,
+    _scipy_linalg_extension,
     smallest_eigenpair,
     solve_bordered,
 )
@@ -330,11 +332,67 @@ def test_smallest_eigenpair_vector_is_positive_for_negative_off_diagonal(n, data
     assert np.all(vec > 0)
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    code = "import sys, eigenshift.cli; print('scipy.sparse' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
+# scipy.linalg/__init__ imports scipy's array-API layer, which takes longer
+# than all the solving of a one-shot CLI call; tridiag loads only the two
+# extension modules it calls
+HEAVY = "[m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules]"
+
+
+def run_python(code, *args):
+    """The last line a fresh interpreter running ``code`` prints."""
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_linalg_and_sparse_unloaded():
+    assert run_python(f"import sys, eigenshift.cli; print({HEAVY})") == "[]"
+
+
+def test_cli_commands_leave_scipy_linalg_unloaded(tmp_path):
+    code = f"""
+import sys
+from eigenshift.cli import main
+quadratic = ["--potential", "quadratic:c2=1", "--a", "-inf"]
+for argv in (["solve", *quadratic, "--t", "0", "--N", "64"],
+             ["sensitivity", *quadratic, "--t", "0", "--N", "64"],
+             ["sweep", *quadratic, "--t-range", "-1:2:5", "--N", "64"],
+             ["verify", "--N", "64", "--n-t", "5"]):
+    assert main(argv + ["--out-dir", sys.argv[1]]) == 0, argv
+print({HEAVY})
+"""
+    assert run_python(code, str(tmp_path)) == "[]"
+
+
+@pytest.mark.parametrize("first, then", [("scipy.linalg", "eigenshift.tridiag"),
+                                         ("eigenshift.tridiag", "scipy.linalg")])
+def test_tridiag_holds_the_scipy_linalg_wrappers(first, then):
+    # either import order leaves one module object per extension, so both
+    # sides call the same f2py wrappers
+    code = f"""
+import sys
+import {first}
+import {then}
+from eigenshift import tridiag
+for ours, name, public, routines in (
+        (tridiag.lapack, "_flapack", scipy.linalg.lapack, "dptsv dpttrf dpttrs dstebz"),
+        (tridiag.blas, "_fblas", scipy.linalg.blas, "ddot dscal daxpy dnrm2")):
+    assert ours is sys.modules["scipy.linalg." + name], name
+    for routine in routines.split():
+        assert getattr(ours, routine) is getattr(public, routine), routine
+print("same")
+"""
+    assert run_python(code) == "same"
+
+
+def test_missing_extension_module_raises_import_error(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        lambda *args, **kwargs: None)
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as info:
+        _scipy_linalg_extension("_flapack")
+    assert info.value.name == "scipy.linalg._flapack"
 
 
 def test_bordered_solve_rejects_zero_border():
