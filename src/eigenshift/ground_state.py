@@ -6,7 +6,8 @@ residual cap and with its ground-state index certified, comes from LAPACK
 (see tridiag), and this module holds it to a positive vector.  The ground
 state keeps the operator it was solved from.  A left endpoint at -infinity
 is realized by a wall where the Agmon distance from the allowed region
-reaches a fixed K (truncate_domain), at the cost of one probe eigensolve.
+reaches a fixed K (truncate_domain), at the cost of one probe eigensolve,
+one more per doubling of the probe where V's length scale exceeds 4.
 
 Grid convention: N counts interior nodes, so the grid has N+2 nodes including
 both Dirichlet endpoints and spacing h = (t - a_eff) / (N + 1).
@@ -33,7 +34,7 @@ from .tolerances import DEFAULT_TOLS
 from .tridiag import TridiagOperator, smallest_eigenpair
 
 MIN_INTERIOR = 16
-_PROBE_WIDTH, _PROBE_NODES, _PROBE_HALVINGS = 4.0, 200, 60   # widest probe, nodes, cap
+_PROBE_WIDTH, _PROBE_NODES, _PROBE_STEPS = 4.0, 200, 60     # first width, nodes, cap
 _MARCH_CELLS, _MARCH_CHUNKS = 402, 80                          # cells per chunk, cap
 _STEEP = 1.1                            # g changes by more across a cell: log-mean
 _CELL_SHARE, _TURN_SHARE = 0.02, 1e-3   # shares of K that a cell, a turning-point
@@ -96,8 +97,14 @@ class Grid:
     def build(cls, a_eff: float, t: float, N: int) -> "Grid":
         if N < 1:
             raise DomainError("need at least one interior node")
-        x, h = np.linspace(a_eff, t, N + 2, retstep=True)
-        return cls(x=x, h=float(h))
+        # np.linspace(a_eff, t, N + 2, retstep=True) bit for bit wherever
+        # h != 0, in one array and without linspace's argument handling
+        h = (t - a_eff) / (N + 1)
+        x = np.arange(N + 2, dtype=float)
+        x *= h
+        x += a_eff
+        x[-1] = t
+        return cls(x=x, h=h)
 
 
 @dataclass(frozen=True)
@@ -133,7 +140,7 @@ class GroundState:
 def _operator_on(spec: PotentialSpec, grid: Grid) -> TridiagOperator:
     h2 = grid.h * grid.h
     d = 2.0 / h2 + np.asarray(eval_V(spec, grid.interior), dtype=float)
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise DomainError("potential is not finite on the working grid")
     e = np.full(grid.n_interior - 1, -1.0 / h2)
     return TridiagOperator(d=d, e=e)
@@ -196,15 +203,20 @@ def _resolve_wall(spec: PotentialSpec, domain: Domain) -> Domain:
 
 def _probe_lambda(spec: PotentialSpec, t: float) -> tuple:
     """(w, lambda_probe): the ground energy on the probe interval (t - w, t),
-    200 nodes, above the true one and min V there.  w is 4, halved until V
-    is finite at every interior node of the probe grid, so a V that
+    200 nodes, above the true one and min V there.  w starts at 4, halved
+    until V is finite at every interior node of the probe grid, so a V that
     overflows within 4 of t still gets a probe; V is evaluated once per
-    probe grid, and the operator that passes is the one solved.
+    probe grid, and the operator that passes is the one solved.  Then w
+    doubles, with a new probe each time, while V(t - w) <= lambda_probe: a
+    probe that does not hold its turning point lies in a V too flat for its
+    width, and its energy, near pi^2 / w^2, says nothing of lambda.  Each
+    loop stops after 60 steps, and the widening also where V overflows on
+    the wider grid.
 
-    Raises DomainError when no such w is found before 60 halvings or before
-    t - w rounds to t, where the probe grid would have no width."""
+    Raises DomainError when no finite probe is found before 60 halvings or
+    before t - w rounds to t, where the probe grid would have no width."""
     width = _PROBE_WIDTH
-    for _ in range(_PROBE_HALVINGS):
+    for _ in range(_PROBE_STEPS):
         if not t - width < t:
             break
         try:
@@ -212,7 +224,16 @@ def _probe_lambda(spec: PotentialSpec, t: float) -> tuple:
         except DomainError:
             width *= 0.5
             continue
-        return width, smallest_eigenpair(op)[0]
+        lam = smallest_eigenpair(op)[0]
+        for _ in range(_PROBE_STEPS):
+            if not eval_V(spec, t - width) <= lam:
+                break
+            try:
+                op = _operator_on(spec, Grid.build(t - 2.0 * width, t, _PROBE_NODES))
+            except DomainError:
+                break
+            width, lam = 2.0 * width, smallest_eigenpair(op)[0]
+        return width, lam
     raise DomainError(f"V is not finite on any probe left of t = {t}")
 
 
@@ -225,7 +246,8 @@ def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float,
     V <= lambda_probe, never from t; u decays like exp(-distance), so the wall
     is scale-free.  No eigensolve: the march sums 402 cells per chunk on
     chunks doubling from the probe's width ``w`` (from ``_probe_lambda``:
-    4 unless V overflows within 4 of t; the
+    4, halved where V overflows within 4 of t, doubled until the probe holds
+    its turning point; the
     first chunk, (t - w, t), holds a node with V <= lambda_probe), and a
     count that starts in a wider chunk restarts there on chunks of at least
     w.  A cell's integral is the trapezoid, or the log-mean

@@ -12,6 +12,7 @@ by the exact ``potentials.convexity_on``.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -22,8 +23,10 @@ from .ground_state import Domain, _resolve_wall, solve_ground_state
 from .potentials import ConvexityClass, PotentialSpec, convexity_on
 from .sensitivity import lambda_dot_flux
 from .tolerances import DEFAULT_TOLS
+from .tridiag import blas
 
 MIN_ENDPOINTS = 5   # fewest endpoints a sweep takes: three second differences
+_CHAIN_DEPTH = 6    # ground states a chain extrapolates its next start through
 _VERDICT_KEYS = ("monotone_decreasing", "convex_in_t", "concave_in_t",
                  "expect_convex", "expect_concave", "ok")
 
@@ -82,8 +85,9 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
 
     One wall ``a_eff``, resolved at t_min (``a`` itself when a is finite),
     serves the whole sweep.  The endpoints form one warm chain
-    (``_solve_chain``): from the third on, each eigensolve starts from
-    2 u(t_{k-1}) - u(t_{k-2}) and takes two or three factorisations.
+    (``_solve_chain``): from the seventh on, each eigensolve starts from the
+    degree-5 extrapolation 6 u_{k-1} - 15 u_{k-2} + 20 u_{k-3} - 15 u_{k-4}
+    + 6 u_{k-5} - u_{k-6} and usually takes one factorisation.
     The class of V on [a_eff, t_max] sets the verdict's expectations.
     Solver failures propagate with the failing t attached.
     """
@@ -168,22 +172,30 @@ def _solve_chain(spec: PotentialSpec, N: int, params: np.ndarray, domain_at,
     interior nodes, in order.
 
     The first solve is cold, the second starts from the first ground state,
-    and each later one from the linear extrapolation in p of the two before
-    it, u_{k-1} + (p_k - p_{k-1}) / (p_{k-1} - p_{k-2}) (u_{k-1} - u_{k-2})
-    (2 u_{k-1} - u_{k-2} on a uniform grid).  A solver failure propagates
-    as ``f"{failure}={p}: ..."``.
+    and each later one from the Lagrange extrapolation in p of the (up to)
+    ``_CHAIN_DEPTH`` ground states before it: degree 5 once the chain is
+    six long, sum_i w_i u_i with w_i = prod_{j != i} (p - p_j) / (p_i - p_j).
+    Each weight is a product of ratios, which stay finite where a quotient of
+    two products of distances would overflow.  On a uniform grid the degree-5
+    weights are 6, -15, 20, -15, 6, -1; their magnitudes sum to 63, so the
+    start's rounding stays well below the eigensolve's index margin of
+    256 eps, and its Weinstein bound usually leaves one factorisation.  A
+    solver failure propagates as ``f"{failure}={p}: ..."``.
     """
-    prev = older = None
+    history = collections.deque(maxlen=_CHAIN_DEPTH)   # (p_i, u_i), newest last
     buf = np.empty(N)   # the extrapolated start, rebuilt in place for each p
-    for k, p in enumerate(map(float, params)):
-        start = prev
-        if older is not None:
-            start = np.subtract(prev, older, out=buf)
-            start *= (p - params[k - 1]) / (params[k - 1] - params[k - 2])
-            start += prev
+    for p in map(float, params):
+        start = history[-1][1] if history else None
+        if len(history) > 1:
+            buf.fill(0.0)
+            for i, (p_i, u_i) in enumerate(history):
+                w = math.prod((p - p_j) / (p_i - p_j)
+                              for j, (p_j, _) in enumerate(history) if j != i)
+                blas.daxpy(u_i, buf, a=w)   # in place
+            start = buf
         try:
             gs = solve_ground_state(spec, domain_at(p), N, start=start)
         except EigenshiftError as exc:
             raise type(exc)(f"{failure}={p}: {exc}") from exc
         yield gs
-        prev, older = gs.u[1:-1], prev
+        history.append((p, gs.u[1:-1]))

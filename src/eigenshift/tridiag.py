@@ -5,14 +5,14 @@ caller's start vector: each step is one positive definite ``ptsv``
 factor-and-solve (``pttrf`` + ``pttrs``) of T - sigma, a factorisation that
 succeeds certifies that sigma lies below the whole spectrum, and the solve
 itself gives the step's Rayleigh quotient and residual.  A cold start takes
-about five factorisations from the Gershgorin bound; a start near the ground
-state takes about two from its Weinstein bound.  The returned pair is held
-to a residual cap and carries its own index certificate, both on the local
-scale ||(|T| 1) vec|| of the rows it occupies: T - (lam - eps_gap) is
-positive definite, which
-the highest certified shift usually implies already (``pttrf`` pivots do not
-fall as the shift falls), so the extra ``pttrf`` runs only when that shift
-lies below lam - eps_gap.
+about five factorisations from the Gershgorin bound.  A start is iterate 0:
+its Weinstein bound is the first shift, and from a start already at the
+ground state one factorisation there ends the iteration.  The returned pair
+is held to a residual cap and carries its own index certificate, both on the
+local scale ||(|T| 1) vec|| of the rows it occupies: T - (lam - eps_gap) is
+positive definite, which the highest certified shift usually implies
+already (``pttrf`` pivots do not fall as the shift falls), so the extra
+``pttrf`` runs only when that shift lies below lam - eps_gap.
 ``spectrum_above`` is that definiteness test on its own, one ``pttrf``;
 ``count_below`` is a ``stebz`` Sturm count.
 ``solve_bordered`` solves the singular shifted system of a differentiated
@@ -171,18 +171,20 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     overlaps the ground state of every block, and for e < 0 every iterate is
     positive.  ``start`` replaces that vector, and its Weinstein bound
     (Weinstein, PNAS 20, 1934), from one matvec, replaces the Gershgorin
-    bound as the first shift when it is higher: the ground state of a nearby
-    operator of the same size (a solve chain) then leaves about two
-    factorisations.  That bound holds for some eigenvalue, not necessarily the
-    lowest; when its shift does not factor, the iteration drops to the
-    Gershgorin bound.  A start with almost no weight on the ground state heads
-    for an excited pair, whose Weinstein bound then passes lambda_1; each
-    factorisation that fails above a certified shift adds the cold vector back
-    into the iterate, which restores that weight.  Raises ValueError unless
-    ``start`` is None or a finite vector of length n with a nonzero entry,
-    and ConvergenceError when rho has not settled after a fixed number of
-    factorisations, or when the pair fails its residual cap or its index
-    certificate.
+    bound as the first shift when it is higher.  The start is then iterate
+    0, with rho and that tight shift, so the stop rule can end the iteration
+    after one factorisation: the well-extrapolated starts of a solve chain
+    usually take one, a start whose residual is not yet at rounding level
+    two.  That bound holds for some eigenvalue, not necessarily the lowest;
+    when its shift does not factor, the iteration drops to the Gershgorin
+    bound and starts over with no iterate 0.  A start with almost no weight
+    on the ground state heads for an excited pair, whose Weinstein bound then
+    passes lambda_1; each factorisation that fails above a certified shift
+    adds the cold vector back into the iterate, which restores that weight.
+    Raises ValueError unless ``start`` is None or a finite vector of length
+    n with a nonzero entry, and ConvergenceError when rho has not settled
+    after a fixed number of factorisations, or when the pair fails its
+    residual cap or its index certificate.
 
     The certificate: T - (lam - eps_gap) is positive definite, so no
     eigenvalue lies below lam - eps_gap, where eps_gap = max(1e-10 (1 + |lam|),
@@ -210,6 +212,10 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     gershgorin = sigma = float(np.min(work))
     # keeps every shift at least floor below the spectrum, so |w| <= 1/floor
     floor = drop = _TINY / _EPS
+    # tight: sigma is the Weinstein bound of the vector it is applied to.
+    # certified, the last shift that factored, is also the highest: a shift
+    # only fails above it, and the next one lies between the two
+    certified, lam, tight, failures = None, np.inf, False, 0
     # level-1 BLAS (ddot, and dscal and daxpy, which update in place) costs
     # a fraction of a numpy ufunc call at these sizes
     if start is None:
@@ -229,18 +235,19 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
         rho = blas.ddot(vec, tvec)
         local = blas.dnrm2(np.multiply(row_sum, vec, out=work))
         margin = 4.0 * _EPS * local + floor
-        sigma = max(sigma, rho - blas.dnrm2(blas.daxpy(vec, tvec, a=-rho)) - margin)
-    # tight: sigma is the Weinstein bound of the vector it is applied to.
-    # certified, the last shift that factored, is also the highest: a shift
-    # only fails above it, and the next one lies between the two
-    certified, lam, tight, failures = None, np.inf, False, 0
+        weinstein = rho - blas.dnrm2(blas.daxpy(vec, tvec, a=-rho)) - margin
+        if weinstein > sigma:
+            # the start is iterate 0, so one solve from a converged start
+            # can already stop
+            sigma, lam, tight = weinstein, rho, True
     for _ in range(max_factorisations):
         _, _, w, info = lapack.dptsv(np.subtract(op.d, sigma, out=work), e, vec,
                                      overwrite_d=1)
         if info and certified is None:
             if sigma > gershgorin:
-                # the start's Weinstein bound belongs to an excited eigenvalue
-                sigma = gershgorin
+                # the start's Weinstein bound belongs to an excited eigenvalue:
+                # start over from the Gershgorin bound, with no iterate 0
+                sigma, lam, tight = gershgorin, np.inf, False
                 continue
             # T - sigma is singular at the Gershgorin bound (a tight block):
             # step down by the scale of the row whose pivot failed, doubling

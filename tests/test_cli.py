@@ -222,6 +222,17 @@ class TestExitCodes:
         assert "expect_convex = False" in out and "expect_concave = True" in out
         assert json.loads((tmp_path / "verdict.json").read_text())["a_eff"] < -8.0
 
+    def test_half_line_with_a_long_length_scale(self, tmp_path):
+        # V = -1e-6 x has an Airy length of 100: lambda = 1e-4 (-a_1 - 2).
+        # A width-4 probe saturated near pi^2/16 and put the wall at -617761,
+        # so h = 309 and lambda came out 1.293e-4; the probe now widens until
+        # it holds its turning point
+        code = main(["solve", "--potential", "affine:c1=-1e-6", "--a", "-inf",
+                     "--t", "200", "--N", "2001", "--out-dir", str(tmp_path)])
+        assert code == 0
+        meta = json.loads((tmp_path / "ground_state.json").read_text())
+        assert meta["lambda"] == pytest.approx(1e-4 * (2.338107410459767 - 2.0), rel=1e-4)
+
     def test_solve_success_is_0(self, tmp_path, capsys):
         code = main(["solve", "--potential", "affine:", "--a", "0", "--t", "1",
                      "--N", "301", "--out-dir", str(tmp_path)])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -63,6 +63,18 @@ class TestDomainAndGrid:
         assert g.n_interior == 99
         assert g.h == pytest.approx(0.01)
         np.testing.assert_allclose(np.diff(g.x), g.h, rtol=1e-13)
+
+    @given(ends=st.lists(st.floats(-1e12, 1e12), min_size=2, max_size=2, unique=True),
+           N=st.integers(1, 5000))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_is_linspace_bit_for_bit(self, ends, N):
+        # linspace takes another route when the step underflows to 0; such a
+        # grid makes 2/h^2 infinite, which _operator_on rejects either way
+        a_eff, t = sorted(ends)
+        x, h = np.linspace(a_eff, t, N + 2, retstep=True)
+        assume(h != 0.0)
+        g = Grid.build(a_eff, t, N)
+        assert np.array_equal(g.x, x) and g.h == h
 
 
 class TestDiscretize:
@@ -271,6 +283,20 @@ class TestTruncation:
     ])
     def test_probe_keeps_width_4_for_order_one_potentials(self, family, params, t):
         assert _probe_lambda(make_potential(family, **params), t)[0] == 4.0
+
+    @pytest.mark.parametrize("s", [0.3, 0.1, 0.03, 0.01, 0.001])
+    def test_scaled_airy_error_matches_the_unscaled_one(self, s):
+        # V = -s^3 x on (-inf, 2/s) is V = -x on (-inf, 2) on the length
+        # scale 1/s, so at the same N its lambda, s^2 (-a_1 - 2), carries the
+        # same relative O(h^2) error.  A probe fixed at width 4 lost its
+        # turning point for s < 1: the error grew to -2.2e-3 at s = 0.1 and
+        # +2.3e3 at s = 0.001
+        def rel_err(s):
+            spec = make_potential("affine", c1=-s**3)
+            gs = solve_ground_state(spec, Domain(NEG_INF, 2.0 / s), 801)
+            exact = s * s * (-AIRY_ZERO - 2.0)
+            return (gs.lam - exact) / exact
+        assert rel_err(s) == pytest.approx(rel_err(1.0), rel=0.05)
 
     def test_wall_costs_one_eigensolve(self, monkeypatch):
         import eigenshift.ground_state as ground_state

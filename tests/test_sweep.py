@@ -1,4 +1,3 @@
-import collections
 import importlib
 import json
 import math
@@ -188,8 +187,8 @@ class TestWarmStartChain:
         sweep(*CHAINS["quadratic"])
         assert lapack_calls["dptsv"] <= 80
 
-    def test_dense_sweep_takes_two_factorisations_per_warm_endpoint(self, monkeypatch,
-                                                                     lapack_calls):
+    def test_dense_sweep_takes_one_factorisation_per_warm_endpoint(self, monkeypatch,
+                                                                    lapack_calls):
         sweep_module = importlib.import_module("eigenshift.sweep")
         real, per_solve = sweep_module.solve_ground_state, []
 
@@ -202,30 +201,16 @@ class TestWarmStartChain:
         monkeypatch.setattr(sweep_module, "solve_ground_state", counting)
         sw = sweep(make_potential("quadratic", c2=1.0), NEG_INF, -1.0, 2.0, 151, 2001)
         assert sw.ok
+        # the start is iterate 0, so a converged start stops after one ptsv;
+        # only the second and third endpoints, which start from degree 0 and
+        # degree 1 extrapolations, take two
         warm = [n for is_warm, n in per_solve if is_warm]
-        assert len(warm) == 150 and set(warm) == {2}
-        # the index certificate took one pttrf per endpoint, 151, when every
-        # solve ran its own; it now runs only where the highest factored
-        # shift lies below lambda - eps_gap: 74 of the 2001-node solves and
-        # the wall probe's.  eps_gap on the pair's own rows is tighter than
-        # the global 256 eps (max|d| + 2 max|e|), which let one more through
-        assert lapack_calls["dpttrf"] == 75
-
-
-@pytest.fixture
-def lapack_calls(monkeypatch):
-    """How often the eigensolve calls each LAPACK routine while the test runs."""
-    import eigenshift.tridiag as tridiag
-
-    calls, lapack = collections.Counter(), tridiag.lapack
-
-    class Counting:
-        def __getattr__(self, name):
-            calls[name] += 1
-            return getattr(lapack, name)
-
-    monkeypatch.setattr(tridiag, "lapack", Counting())
-    return calls
+        assert warm == [2, 2] + [1] * 148
+        # 312 ptsv and 75 pttrf when every warm endpoint took two ptsv from a
+        # linear extrapolation; the index certificate's pttrf now runs at the
+        # cold first endpoint, at three warm ones and in the wall probe
+        assert lapack_calls["dptsv"] == 164
+        assert lapack_calls["dpttrf"] == 5
 
 
 class TestSweepValidation:

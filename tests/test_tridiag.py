@@ -207,6 +207,22 @@ def test_smallest_eigenpair_from_a_nearby_ground_state():
     assert lam == pytest.approx(smallest_eigenpair(op)[0], rel=1e-13)
 
 
+def test_converged_start_takes_one_solve_and_no_certificate(lapack_calls):
+    # the start is iterate 0: from the operator's own ground state, one ptsv
+    # at its Weinstein bound finds rho no lower and the residual at rounding
+    # level, and that shift lies within eps_gap of lambda, so it proves the
+    # index with no pttrf of its own
+    rng = np.random.default_rng(29)
+    n = 400
+    op = TridiagOperator(d=rng.normal(size=n) + 5.0, e=-np.ones(n - 1))
+    lam0, vec0, _ = smallest_eigenpair(op)
+    lapack_calls.clear()
+    lam, vec, resid = smallest_eigenpair(op, start=vec0)
+    assert lapack_calls == {"dptsv": 1}
+    assert_lowest_pair(op, lam, vec, resid)
+    assert lam == pytest.approx(lam0, rel=1e-14)
+
+
 @st.composite
 def lowest_pair_operators(draw):
     """Tridiagonal operators, n = 1..300: mixed-sign off-diagonals with zeros
