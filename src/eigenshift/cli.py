@@ -1,7 +1,9 @@
 """Command-line front end: solve / sensitivity / sweep / verify.
 
 Configuration comes from flags, optionally seeded by a flat JSON config file
-whose keys mirror the flag names; explicit flags win.
+whose keys mirror the flag names; explicit flags win.  Each value flag is
+declared once, as a row of the ``_FLAGS`` table, which drives the parser,
+the config keys, the value readers and the required checks.
 
 This module owns every artifact; the numerical modules return values and
 payload dicts and write no file.  Column data (CSV / plot files) is fixed
@@ -30,28 +32,26 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import EigenshiftError, UsageError
 from .ground_state import MIN_INTERIOR, Domain, ground_state_metadata, solve_ground_state
-from .potentials import PotentialSpec, canonical_string, parse_potential
+from .potentials import PotentialSpec, parse_potential
 from .sensitivity import compute_sensitivity, sensitivity_metadata
 from .sweep import MIN_ENDPOINTS, sweep, verdict_metadata
 from .verify import run_battery
 
 MODES = ("solve", "sensitivity", "sweep", "verify")
 FORMATS = ("csv", "json", "plot")
-
-_CONFIG_KEYS = {
-    "potential", "a", "t", "t-range", "N", "h-t", "out-dir", "format", "n-t",
-}
+_SOLVED = ("solve", "sensitivity", "sweep")    # the modes that solve one V
+_AT_T = ("solve", "sensitivity")
 
 
 @dataclass
 class RunConfig:
     mode: str
-    potential: str = ""
     spec: PotentialSpec = None
     a: float = None
     t: float = None
@@ -59,7 +59,7 @@ class RunConfig:
     N: int = 2001
     n_t: int = 31
     h_t: float = None
-    out_dir: Path = field(default_factory=Path)
+    out_dir: Path = field(default_factory=lambda: Path(os.environ.get("EIGENSHIFT_OUT_DIR", ".")))
     formats: tuple = ("csv", "json")
 
 
@@ -87,30 +87,70 @@ def _parse_int(value, flag: str) -> int:
         raise UsageError(f"{flag}: expected an integer, got {value!r}") from None
 
 
-def _parse_t_range(text: str) -> tuple:
+def _parse_t_range(value, flag: str) -> tuple:
+    text = str(value)
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"--t-range: expected min:max:count, got {text!r}")
-    lo, hi = _parse_real(parts[0], "--t-range"), _parse_real(parts[1], "--t-range")
+        raise UsageError(f"{flag}: expected min:max:count, got {text!r}")
+    lo, hi = _parse_real(parts[0], flag), _parse_real(parts[1], flag)
     try:
         count = int(parts[2])
     except ValueError:
-        raise UsageError(f"--t-range: malformed component in {text!r}") from None
+        raise UsageError(f"{flag}: malformed component in {text!r}") from None
     if not lo < hi:
-        raise UsageError(f"--t-range: need t_min < t_max, got {text!r}")
+        raise UsageError(f"{flag}: need t_min < t_max, got {text!r}")
     if count < MIN_ENDPOINTS:
-        raise UsageError(f"--t-range: need at least {MIN_ENDPOINTS} samples, got {count}")
+        raise UsageError(f"{flag}: need at least {MIN_ENDPOINTS} samples, got {count}")
     return lo, hi, count
 
 
-def _parse_formats(text: str) -> tuple:
-    items = tuple(s.strip() for s in text.split(",") if s.strip())
+def _parse_formats(value, flag: str) -> tuple:
+    items = tuple(s.strip() for s in str(value).split(",") if s.strip())
     for item in items:
         if item not in FORMATS:
-            raise UsageError(f"--format: unknown format {item!r} (choose from {','.join(FORMATS)})")
+            raise UsageError(f"{flag}: unknown format {item!r} (choose from {','.join(FORMATS)})")
     if not items:
-        raise UsageError("--format: empty format list")
+        raise UsageError(f"{flag}: empty format list")
     return items
+
+
+def _checked(read, ok, message: str):
+    """``read``, then a bound: a value x failing ``ok`` is the usage error
+    ``{flag}: message.format(x)``."""
+    def reader(value, flag: str):
+        x = read(value, flag)
+        if not ok(x):
+            raise UsageError(f"{flag}: " + message.format(x))
+        return x
+    return reader
+
+
+class _Flag(NamedTuple):
+    name: str           # the flag without its dashes, and the config key
+    modes: tuple        # the modes that take the flag
+    required: tuple     # the modes that fail without it
+    field: str          # the RunConfig field it sets
+    read: Callable      # (value, "--name") -> the field's value
+    help: str = None
+
+
+# Every value flag, declared once, in reading order: the first bad value is reported.
+_FLAGS = (
+    _Flag("potential", MODES, _SOLVED, "spec", lambda v, flag: parse_potential(str(v)),
+          "family:key=value,... e.g. quadratic:c2=1"),
+    _Flag("a", MODES, _SOLVED, "a", functools.partial(_parse_real, neg_inf=True),
+          "left endpoint (number or -inf)"),
+    _Flag("t", _AT_T, _AT_T, "t", _parse_real, "right endpoint"),
+    _Flag("t-range", ("sweep",), ("sweep",), "t_range", _parse_t_range, "min:max:count"),
+    _Flag("N", MODES, (), "N", _checked(_parse_int, lambda n: n >= MIN_INTERIOR,
+          f"need at least {MIN_INTERIOR} interior nodes, got {{}}"), "interior grid nodes"),
+    _Flag("n-t", ("verify",), (), "n_t", _checked(_parse_int, lambda n: n >= MIN_ENDPOINTS,
+          f"need at least {MIN_ENDPOINTS} sweep samples"), "sweep samples per battery entry"),
+    _Flag("h-t", ("sensitivity",), (), "h_t", _checked(_parse_real, lambda h: h > 0,
+          "the FD step must be positive"), "FD oracle step, snapped to whole cells"),
+    _Flag("out-dir", MODES, (), "out_dir", lambda v, flag: Path(v)),
+    _Flag("format", MODES, (), "formats", _parse_formats, "comma list of csv,json,plot"),
+)
 
 
 @functools.cache
@@ -125,21 +165,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode")
     for mode in MODES:
         p = sub.add_parser(mode)
-        p.add_argument("--config", default=None, help="flat JSON config file; flags override")
-        p.add_argument("--potential", default=None,
-                       help="family:key=value,... e.g. quadratic:c2=1")
-        p.add_argument("--a", default=None, help="left endpoint (number or -inf)")
-        p.add_argument("--N", default=None, help="interior grid nodes")
-        p.add_argument("--out-dir", default=None)
-        p.add_argument("--format", default=None, help="comma list of csv,json,plot")
-        if mode in ("solve", "sensitivity"):
-            p.add_argument("--t", default=None, help="right endpoint")
-        if mode == "sensitivity":
-            p.add_argument("--h-t", default=None, help="FD oracle step, snapped to whole cells")
-        if mode == "sweep":
-            p.add_argument("--t-range", default=None, help="min:max:count")
-        if mode == "verify":
-            p.add_argument("--n-t", default=None, help="sweep samples per battery entry")
+        p.add_argument("--config", help="flat JSON config file; flags override")
+        # --help lists the flags every mode takes first (the sort is stable)
+        for flag in sorted(_FLAGS, key=lambda f: f.modes != MODES):
+            if mode in flag.modes:
+                p.add_argument("--" + flag.name, help=flag.help)
     return parser
 
 
@@ -154,18 +184,12 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(data, dict):
         raise UsageError("config file must hold a flat JSON object")
     for key in data:
-        if key not in _CONFIG_KEYS:
+        if not any(flag.name == key for flag in _FLAGS):
             raise UsageError(f"unknown config key {key!r}")
     return data
 
 
-def _merged(flag_value, config: dict, key: str):
-    if flag_value is not None:
-        return flag_value
-    return config.get(key)
-
-
-_VALUE_FLAGS = {"--config"} | {"--" + k for k in _CONFIG_KEYS}
+_VALUE_FLAGS = {"--config"} | {"--" + flag.name for flag in _FLAGS}
 
 
 def _join_values(argv: list) -> list:
@@ -186,7 +210,8 @@ def parse_config(argv: list) -> RunConfig:
     """Parse CLI arguments (and an optional config file) into a RunConfig.
 
     Flags override config-file keys; unknown keys and malformed values raise
-    UsageError naming the offending token.
+    UsageError naming the offending token.  A config key is read and checked
+    even in a mode whose command line does not take its flag.
     """
     parser = _build_parser()
     try:
@@ -202,71 +227,20 @@ def parse_config(argv: list) -> RunConfig:
 
     config = _load_config_file(ns.config) if ns.config else {}
     cfg = RunConfig(mode=ns.mode)
-
-    pot = _merged(ns.potential, config, "potential")
-    if pot is not None:
-        cfg.spec = parse_potential(str(pot))
-        cfg.potential = canonical_string(cfg.spec)
-
-    a = _merged(ns.a, config, "a")
-    if a is not None:
-        cfg.a = _parse_real(a, "--a", neg_inf=True)
-
-    t = _merged(getattr(ns, "t", None), config, "t")
-    if t is not None:
-        cfg.t = _parse_real(t, "--t")
-
-    t_range = _merged(getattr(ns, "t_range", None), config, "t-range")
-    if t_range is not None:
-        cfg.t_range = _parse_t_range(str(t_range))
-
-    n = _merged(ns.N, config, "N")
-    if n is not None:
-        cfg.N = _parse_int(n, "--N")
-        if cfg.N < MIN_INTERIOR:
-            raise UsageError(f"--N: need at least {MIN_INTERIOR} interior nodes, got {cfg.N}")
-
-    n_t = _merged(getattr(ns, "n_t", None), config, "n-t")
-    if n_t is not None:
-        cfg.n_t = _parse_int(n_t, "--n-t")
-        if cfg.n_t < MIN_ENDPOINTS:
-            raise UsageError(f"--n-t: need at least {MIN_ENDPOINTS} sweep samples")
-
-    h_t = _merged(getattr(ns, "h_t", None), config, "h-t")
-    if h_t is not None:
-        cfg.h_t = _parse_real(h_t, "--h-t")
-        if cfg.h_t <= 0:
-            raise UsageError("--h-t: the FD step must be positive")
-
-    out_dir = _merged(ns.out_dir, config, "out-dir")
-    if out_dir is None:
-        out_dir = os.environ.get("EIGENSHIFT_OUT_DIR", ".")
-    cfg.out_dir = Path(out_dir)
-
-    fmt = _merged(ns.format, config, "format")
-    if fmt is not None:
-        cfg.formats = _parse_formats(str(fmt))
-
-    _validate_mode_fields(cfg)
+    for flag in _FLAGS:
+        value = getattr(ns, flag.name.replace("-", "_"), None)   # argparse's dest
+        if value is None:
+            value = config.get(flag.name)
+        if value is not None:
+            setattr(cfg, flag.field, flag.read(value, "--" + flag.name))
+    for flag in _FLAGS:
+        if cfg.mode in flag.required and getattr(cfg, flag.field) is None:
+            raise UsageError(f"{cfg.mode}: --{flag.name} is required")
+    if cfg.mode in _AT_T and not cfg.a < cfg.t:
+        raise UsageError(f"{cfg.mode}: need a < t, got a={cfg.a}, t={cfg.t}")
+    if cfg.mode == "sweep" and not cfg.a < cfg.t_range[0]:
+        raise UsageError(f"sweep: need a < t_min, got a={cfg.a}, t_min={cfg.t_range[0]}")
     return cfg
-
-
-def _validate_mode_fields(cfg: RunConfig) -> None:
-    if cfg.mode in ("solve", "sensitivity", "sweep"):
-        if cfg.spec is None:
-            raise UsageError(f"{cfg.mode}: --potential is required")
-        if cfg.a is None:
-            raise UsageError(f"{cfg.mode}: --a is required")
-    if cfg.mode in ("solve", "sensitivity"):
-        if cfg.t is None:
-            raise UsageError(f"{cfg.mode}: --t is required")
-        if not cfg.a < cfg.t:
-            raise UsageError(f"{cfg.mode}: need a < t, got a={cfg.a}, t={cfg.t}")
-    if cfg.mode == "sweep":
-        if cfg.t_range is None:
-            raise UsageError("sweep: --t-range is required")
-        if not cfg.a < cfg.t_range[0]:
-            raise UsageError(f"sweep: need a < t_min, got a={cfg.a}, t_min={cfg.t_range[0]}")
 
 
 # %.16e columns.  A value v with _VEC_MIN <= |v| <= _VEC_MAX is printed from
@@ -512,13 +486,9 @@ def main(argv: list = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         cfg = parse_config(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        return _RUNNERS[cfg.mode](cfg)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return _RUNNERS[cfg.mode](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

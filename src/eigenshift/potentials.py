@@ -308,9 +308,9 @@ def convexity_on(spec: PotentialSpec, lo: float = -math.inf,
     """Convexity class of V on [lo, hi], exact for every family; the whole
     line (for a table, the whole table) by default.
 
-    A smooth family's class is the sign of V''.  A kinked family
-    (``abs_shift``, ``neg_abs``) is affine on an interval whose interior
-    misses the kink, and has the sign of its slope jump otherwise.  A
+    A smooth family's class is the sign of V''.  A kinked family (one with
+    a ``vprime_kinks`` entry) is affine on an interval whose interior misses
+    the kink, and has the sign of its slope jump otherwise.  A
     tabulated potential is classified from the table segments that meet
     [lo, hi].
     """
@@ -319,7 +319,8 @@ def convexity_on(spec: PotentialSpec, lo: float = -math.inf,
         first = max(int(np.searchsorted(xs, lo, side="right")) - 1, 0)
         stop = int(np.searchsorted(xs, hi, side="left")) + 1
         return _table_convexity(xs[first:stop], vs[first:stop])
-    if spec.family in ("abs_shift", "neg_abs") and not lo < spec.params["shift"] < hi:
+    kinks = vprime_kinks(spec)
+    if kinks.size and not np.any((lo < kinks) & (kinks < hi)):
         return ConvexityClass.AFFINE
     sign = _CURVATURE_SIGN[spec.family](spec.params)
     if sign > 0:

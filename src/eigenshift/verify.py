@@ -180,6 +180,12 @@ class _Collector:
                                     measured=_fmt(measured), note=note))
 
 
+def _widened(floor: float, *bases: float) -> tuple:
+    """The tolerance max(floor, *bases) and whether the h^2 ``floor`` sets it."""
+    base = max(bases)
+    return max(floor, base), floor > base
+
+
 def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
     col = _Collector(entry.key)
     confined = validate_confinement(entry.spec, entry.a)
@@ -246,15 +252,13 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
     ld = sens.lambda_dot_flux
     ld_scale = 1.0 + abs(ld)
     col.check("lambda_dot < 0", ld < 0, measured=ld)
-    tol_match = max(DEFAULT_TOLS.match, _WIDEN_MATCH * h2) * ld_scale
+    tol, wid = _widened(_WIDEN_MATCH * h2 * ld_scale, DEFAULT_TOLS.match * ld_scale)
     mis = abs(ld - sens.lambda_dot_integral)
-    col.check("flux vs integral route", mis <= tol_match, measured=mis,
-              tol=tol_match, widened=_WIDEN_MATCH * h2 > DEFAULT_TOLS.match)
-    tol_fd = max(1e-4 * abs(sens.lambda_dot_fd), 10.0 * sens.fd_step ** 2,
-                 _WIDEN_FD * h2 * ld_scale)
-    col.check("lambda_dot vs FD", abs(ld - sens.lambda_dot_fd) <= tol_fd,
-              measured=abs(ld - sens.lambda_dot_fd), tol=tol_fd,
-              widened=_WIDEN_FD * h2 * ld_scale > 1e-4 * abs(sens.lambda_dot_fd))
+    col.check("flux vs integral route", mis <= tol, measured=mis, tol=tol, widened=wid)
+    tol, wid = _widened(_WIDEN_FD * h2 * ld_scale, 1e-4 * abs(sens.lambda_dot_fd),
+                        10.0 * sens.fd_step ** 2)
+    mis = abs(ld - sens.lambda_dot_fd)
+    col.check("lambda_dot vs FD", mis <= tol, measured=mis, tol=tol, widened=wid)
 
     # u_dot structure
     col.check("orthogonality", sens.orth_residual <= DEFAULT_TOLS.orth,
@@ -271,17 +275,14 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
                   note="boundary term of the curvature is then nonnegative")
 
     # second derivative: FD oracle and the curvature sign of the theorem
-    tol_dd = max(1e-2 * abs(sens.lambda_ddot_fd), 1e-4 * lam_scale,
-                 _WIDEN_FD * h2 * lam_scale)
-    col.check("lambda_ddot vs FD", abs(sens.lambda_ddot - sens.lambda_ddot_fd) <= tol_dd,
-              measured=abs(sens.lambda_ddot - sens.lambda_ddot_fd), tol=tol_dd,
-              widened=_WIDEN_FD * h2 * lam_scale > 1e-2 * abs(sens.lambda_ddot_fd))
-    affine_band = max(1e-5, _WIDEN_SIGN * h2 * lam_scale)
+    tol, wid = _widened(_WIDEN_FD * h2 * lam_scale, 1e-2 * abs(sens.lambda_ddot_fd),
+                        1e-4 * lam_scale)
+    mis = abs(sens.lambda_ddot - sens.lambda_ddot_fd)
+    col.check("lambda_ddot vs FD", mis <= tol, measured=mis, tol=tol, widened=wid)
     if cls == ConvexityClass.AFFINE and gs.domain.unbounded_left:
-        col.check("lambda_ddot ~ 0 (affine case)",
-                  abs(sens.lambda_ddot) <= affine_band,
-                  measured=sens.lambda_ddot, tol=affine_band,
-                  widened=_WIDEN_SIGN * h2 * lam_scale > 1e-5)
+        tol, wid = _widened(_WIDEN_SIGN * h2 * lam_scale, 1e-5)
+        col.check("lambda_ddot ~ 0 (affine case)", abs(sens.lambda_ddot) <= tol,
+                  measured=sens.lambda_ddot, tol=tol, widened=wid)
     elif cls == ConvexityClass.CONVEX:
         col.check("lambda_ddot > 0 (strict convexity)", sens.lambda_ddot > 0,
                   measured=sens.lambda_ddot)

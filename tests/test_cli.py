@@ -1,13 +1,29 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eigenshift.cli import main, parse_config
+from eigenshift.cli import _FLAGS, main, parse_config
 from eigenshift.errors import UsageError
 from eigenshift.ground_state import Domain, solve_ground_state
-from eigenshift.potentials import make_potential
+from eigenshift.potentials import canonical_string, make_potential
 from eigenshift.sweep import sweep
+
+
+# (mode, config key, a JSON value, the same value as flag text)
+KEY_CASES = [
+    ("solve", "potential", "quadratic:c0=0,c2=1", "quadratic:c0=0,c2=1"),
+    ("solve", "a", "-inf", "-inf"),
+    ("solve", "t", 2.0, "2"),
+    ("sweep", "t-range", "-1:2:31", "-1:2:31"),
+    ("solve", "N", 64, "64"),
+    ("verify", "n-t", 7, "7"),
+    ("sensitivity", "h-t", 1e-3, "1e-3"),
+    ("solve", "out-dir", "runs/one", "runs/one"),
+    ("solve", "format", "json,plot", "json,plot"),
+]
 
 
 class TestParseConfig:
@@ -67,7 +83,7 @@ class TestParseConfig:
                              "--a", "0", "--t", "1"])
         cfg2 = parse_config(["solve", "--potential", "quadratic:c0=0,c2=1",
                              "--a", "0", "--t", "1"])
-        assert cfg1.potential == cfg2.potential
+        assert canonical_string(cfg1.spec) == canonical_string(cfg2.spec)
 
 
 class TestConfigFile:
@@ -114,10 +130,66 @@ class TestConfigFile:
         cfg = parse_config(["verify", "--config", str(cfile)])
         assert (cfg.N, cfg.n_t) == (2001, 7)
 
+    @pytest.mark.parametrize("mode, key, value, flag_text", KEY_CASES)
+    def test_config_key_equals_its_flag(self, tmp_path, mode, key, value, flag_text):
+        # the other values a mode needs, and a different value for the key
+        needs = {"solve": {"potential": "affine:", "a": "-5", "t": "1"},
+                 "sensitivity": {"potential": "affine:", "a": "-5", "t": "1"},
+                 "sweep": {"potential": "affine:", "a": "-5", "t-range": "0.5:2:5"},
+                 "verify": {}}[mode]
+        rest = [tok for k, v in needs.items() if k != key for tok in (f"--{k}", v)]
+        cfile = tmp_path / "run.json"
+        cfile.write_text(json.dumps({key: value}))
+        from_file = parse_config([mode, "--config", str(cfile)] + rest)
+        from_flag = parse_config([mode, f"--{key}", flag_text] + rest)
+        assert from_file == from_flag
+        without = [tok for k, v in needs.items() for tok in (f"--{k}", v)]
+        assert from_flag != parse_config([mode] + without)
+
+    def test_every_config_key_has_a_case(self):
+        assert sorted(key for _, key, _, _ in KEY_CASES) == sorted(f.name for f in _FLAGS)
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EIGENSHIFT_OUT_DIR", str(tmp_path / "envdir"))
         cfg = parse_config(["solve", "--potential", "affine:", "--a", "0", "--t", "1"])
         assert cfg.out_dir == tmp_path / "envdir"
+
+
+class TestFlags:
+    # a value that begins with '-' and is not a plain negative number is read
+    # by argparse as a flag unless the CLI joins it to its flag first
+    @pytest.mark.parametrize("args, field, expected", [
+        (["solve", "--potential", "-x"], None, "unknown potential family"),
+        (["solve", "--potential", "affine:", "--a", "-inf", "--t", "1"], "a", float("-inf")),
+        (["solve", "--potential", "affine:", "--a", "-inf", "--t", "-1e0"], "t", -1.0),
+        (["sweep", "--potential", "affine:", "--a", "-inf", "--t-range", "-1:2:5"],
+         "t_range", (-1.0, 2.0, 5)),
+        (["verify", "--N", "-0x10"], None, "--N: expected an integer"),
+        (["verify", "--n-t", "-0x10"], None, "--n-t: expected an integer"),
+        (["sensitivity", "--potential", "affine:", "--a", "0", "--t", "1", "--h-t", "-1e-3"],
+         None, "--h-t: the FD step must be positive"),
+        (["verify", "--out-dir", "-out"], "out_dir", Path("-out")),
+        (["verify", "--format", "-csv"], None, "--format: unknown format '-csv'"),
+        (["verify", "--config", "-missing.json"], None, "cannot read config file"),
+    ])
+    def test_value_may_begin_with_a_dash(self, args, field, expected):
+        if field is None:
+            with pytest.raises(UsageError, match=re.escape(expected)):
+                parse_config(args)
+        else:
+            assert getattr(parse_config(args), field) == expected
+
+    @pytest.mark.parametrize("mode, own", [
+        ("solve", ["--t"]),
+        ("sensitivity", ["--t", "--h-t"]),
+        ("sweep", ["--t-range"]),
+        ("verify", ["--n-t"]),
+    ])
+    def test_help_lists_the_flags_of_its_mode(self, capsys, mode, own):
+        assert main([mode, "--help"]) == 0
+        listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+        assert listed == ["--config", "--potential", "--a", "--N", "--out-dir",
+                          "--format", *own]
 
 
 class TestExitCodes:

@@ -55,3 +55,18 @@ def test_single_entry_failure_is_reported_not_raised():
                        1.0, 0.5, 1.5, expect_confined=True)
     lines = verify_entry(bad, 301, 7)
     assert any(c.status == "FAIL" for c in lines)
+
+
+@pytest.mark.parametrize("N, marks", [
+    # the FD-step term 10 h_t^2 (1.846e-3) sets lambda_dot's tolerance
+    (4001, {"flux vs integral route": True, "lambda_dot vs FD": False,
+            "lambda_ddot vs FD": True, "lambda_ddot ~ 0 (affine case)": True}),
+    # the base term 1e-4 (1 + |lambda|) (1.338e-4) sets lambda_ddot's tolerance,
+    # above its h^2 floor of 4.8e-5
+    (16001, {"flux vs integral route": True, "lambda_dot vs FD": False,
+             "lambda_ddot vs FD": False, "lambda_ddot ~ 0 (affine case)": True}),
+])
+def test_widened_mark_only_where_the_h2_floor_sets_the_tolerance(N, marks):
+    airy = next(e for e in default_battery() if e.key == "airy")
+    lines = {c.check: c.widened for c in verify_entry(airy, N, 5)}
+    assert {check: lines[check] for check in marks} == marks
