@@ -114,6 +114,13 @@ def _parse_formats(value, flag: str) -> tuple:
     return items
 
 
+def _parse_path(value, flag: str) -> Path:
+    # a JSON config may hand over a number, which Path() would not take
+    if not isinstance(value, str):
+        raise UsageError(f"{flag}: expected a path, got {value!r}")
+    return Path(value)
+
+
 def _checked(read, ok, message: str):
     """``read``, then a bound: a value x failing ``ok`` is the usage error
     ``{flag}: message.format(x)``."""
@@ -148,7 +155,7 @@ _FLAGS = (
           f"need at least {MIN_ENDPOINTS} sweep samples"), "sweep samples per battery entry"),
     _Flag("h-t", ("sensitivity",), (), "h_t", _checked(_parse_real, lambda h: h > 0,
           "the FD step must be positive"), "FD oracle step, snapped to whole cells"),
-    _Flag("out-dir", MODES, (), "out_dir", lambda v, flag: Path(v)),
+    _Flag("out-dir", MODES, (), "out_dir", _parse_path),
     _Flag("format", MODES, (), "formats", _parse_formats, "comma list of csv,json,plot"),
 )
 

@@ -188,7 +188,8 @@ def _resolve_wall(spec: PotentialSpec, domain: Domain) -> Domain:
     """``domain`` with its left wall placed: unchanged when already resolved,
     else (a = -inf) the truncate_domain wall for the probe energy at t.
 
-    Raises ConfinementError when V does not grow on the left.
+    Raises ConfinementError when V does not grow on the left, and
+    TruncationError when it grows on a scale the probe cannot reach.
     """
     if domain.resolved:
         return domain
@@ -214,7 +215,9 @@ def _probe_lambda(spec: PotentialSpec, t: float) -> tuple:
     the wider grid.
 
     Raises DomainError when no finite probe is found before 60 halvings or
-    before t - w rounds to t, where the probe grid would have no width."""
+    before t - w rounds to t, where the probe grid would have no width, and
+    TruncationError when V(t - w) <= lambda_probe still holds after 60
+    doublings: a V whose length scale the probe cannot reach."""
     width = _PROBE_WIDTH
     for _ in range(_PROBE_STEPS):
         if not t - width < t:
@@ -233,6 +236,11 @@ def _probe_lambda(spec: PotentialSpec, t: float) -> tuple:
             except DomainError:
                 break
             width, lam = 2.0 * width, smallest_eigenpair(op)[0]
+        else:
+            if eval_V(spec, t - width) <= lam:
+                raise TruncationError(
+                    f"V stays below the probe energy {lam:.3e} across "
+                    f"{width:.3e} left of t = {t}")
         return width, lam
     raise DomainError(f"V is not finite on any probe left of t = {t}")
 

@@ -15,8 +15,12 @@ The ``neg_abs`` family is the piecewise-linear concave potential; with
 slope > amp > 0 it grows at -infinity and is the standard concave test case on
 a half-infinite domain.
 
-``convexity_on`` gives the exact convexity class of V on an interval, the
-hypothesis the theorem asks of the domain that is solved.
+Each family is declared once, as a row of ``_FAMILIES``: its parameter
+defaults, V, V', the abscissae of its kinks, the sign of its curvature and
+the exact rule for V -> +inf as x -> -inf.  ``convexity_on`` gives the exact
+convexity class of V on an interval, the hypothesis the theorem asks of the
+domain that is solved, and ``validate_confinement`` the exact confinement
+verdict on a half-line.
 """
 
 from __future__ import annotations
@@ -25,35 +29,11 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import RangeError, UsageError
-
-FAMILIES = (
-    "affine",
-    "quadratic",
-    "abs_shift",
-    "exp_growth",
-    "neg_quadratic",
-    "neg_abs",
-    "tabulated",
-)
-
-# Defaulted parameter keys per family.
-_FAMILY_KEYS = {
-    "affine": {"c0": 0.0, "c1": 0.0},
-    "quadratic": {"c0": 0.0, "c1": 0.0, "c2": 0.0},
-    "abs_shift": {"shift": 0.0},
-    "exp_growth": {"amp": 1.0, "rate": 1.0},
-    "neg_quadratic": {"scale": 1.0},
-    "neg_abs": {"slope": 0.0, "amp": 1.0, "shift": 0.0},
-}
-
-# Growth-sampling bound for the confinement check at a = -infinity.
-_CONFINEMENT_BOUND = 1e8
-_CONFINEMENT_MAX_DOUBLINGS = 60
 
 
 class ConvexityClass(Enum):
@@ -83,16 +63,118 @@ class PotentialSpec:
     table: Optional[tuple] = field(default=None, repr=False)
 
 
-# Sign of V'' for a smooth family, of the slope jump at the kink for a kinked
-# one: the family's convexity class wherever its curvature counts.
-_CURVATURE_SIGN = {
-    "affine": lambda p: 0.0,
-    "quadratic": lambda p: p["c2"],
-    "exp_growth": lambda p: p["amp"] if p["rate"] else 0.0,
-    "neg_quadratic": lambda p: -p["scale"],
-    "abs_shift": lambda p: 1.0,
-    "neg_abs": lambda p: -p["amp"],
+class _Family(NamedTuple):
+    """One potential family.  Each callable reads p, the spec's parameters
+    (for a table, its (xs, vs) pair), and x, a float array."""
+
+    defaults: dict          # parameter keys with their default values
+    V: Callable             # (p, x) -> V(x)
+    Vprime: Callable        # (p, x, side) -> V'(x), the limit from side at a kink
+    kinks: Callable         # p -> the abscissae where V' jumps
+    curvature: Callable     # p -> sign of V'' (smooth) or of the slope jump (kinked)
+    confined: Callable      # p -> whether V -> +inf as x -> -inf
+
+
+def _scaled_exp(c, rate, x):
+    with np.errstate(over="ignore"):   # past the double range a value reads as inf
+        return c * np.exp(rate * x)
+
+
+def _abs_slope(y, side: str):
+    """d|y|/dy with a one-sided convention at y = 0."""
+    s = np.sign(y)
+    fill = -1.0 if side == "left" else 1.0
+    return np.where(s == 0, fill, s)
+
+
+def _neg_abs(p, x):
+    # each side of the kink as its own line, so slope = amp gives an
+    # exactly constant V on the left instead of a cancellation
+    slope, amp, shift = p["slope"], p["amp"], p["shift"]
+    return np.where(x < shift, (amp - slope) * x - amp * shift,
+                    amp * shift - (amp + slope) * x)
+
+
+def _in_table(table, x) -> tuple:
+    tx, tv = table
+    if np.any(x < tx[0]) or np.any(x > tx[-1]):
+        raise RangeError(f"x outside tabulated range [{tx[0]}, {tx[-1]}]")
+    return tx, tv
+
+
+def _table_slope(table, x, side: str):
+    tx, tv = _in_table(table, x)
+    slopes = np.diff(tv) / np.diff(tx)
+    # left convention takes the segment ending at a node, right convention
+    # the one starting there; clip handles the outermost table nodes
+    idx = np.searchsorted(tx, x, side=side) - 1
+    return slopes[np.clip(idx, 0, len(slopes) - 1)]
+
+
+def _no_kinks(p):
+    return ()
+
+
+# Every family, declared once.  A table's curvature is read from its slope
+# jumps (convexity_on), and a table ends, so V cannot grow to its left.
+_FAMILIES = {
+    "affine": _Family(
+        {"c0": 0.0, "c1": 0.0},
+        V=lambda p, x: p["c0"] + p["c1"] * x,
+        Vprime=lambda p, x, side: np.full_like(x, p["c1"]),
+        kinks=_no_kinks,
+        curvature=lambda p: 0.0,
+        confined=lambda p: p["c1"] < 0),
+    "quadratic": _Family(
+        {"c0": 0.0, "c1": 0.0, "c2": 0.0},
+        V=lambda p, x: p["c0"] + x * (p["c1"] + p["c2"] * x),
+        Vprime=lambda p, x, side: p["c1"] + 2.0 * p["c2"] * x,
+        kinks=_no_kinks,
+        curvature=lambda p: p["c2"],
+        confined=lambda p: p["c2"] > 0 or (p["c2"] == 0 and p["c1"] < 0)),
+    "abs_shift": _Family(
+        {"shift": 0.0},
+        V=lambda p, x: np.abs(x - p["shift"]),
+        Vprime=lambda p, x, side: _abs_slope(x - p["shift"], side),
+        kinks=lambda p: (p["shift"],),
+        curvature=lambda p: 1.0,
+        confined=lambda p: True),
+    "exp_growth": _Family(
+        {"amp": 1.0, "rate": 1.0},
+        V=lambda p, x: _scaled_exp(p["amp"], p["rate"], x),
+        Vprime=lambda p, x, side: _scaled_exp(p["amp"] * p["rate"], p["rate"], x),
+        kinks=_no_kinks,
+        curvature=lambda p: p["amp"] if p["rate"] else 0.0,
+        confined=lambda p: p["amp"] > 0 and p["rate"] < 0),
+    "neg_quadratic": _Family(
+        {"scale": 1.0},
+        V=lambda p, x: -p["scale"] * x * x,
+        Vprime=lambda p, x, side: -2.0 * p["scale"] * x,
+        kinks=_no_kinks,
+        curvature=lambda p: -p["scale"],
+        confined=lambda p: p["scale"] < 0),
+    "neg_abs": _Family(
+        {"slope": 0.0, "amp": 1.0, "shift": 0.0},
+        V=_neg_abs,
+        Vprime=lambda p, x, side: -p["slope"] - p["amp"] * _abs_slope(x - p["shift"], side),
+        kinks=lambda p: (p["shift"],),
+        curvature=lambda p: -p["amp"],
+        confined=lambda p: p["slope"] > p["amp"]),
+    "tabulated": _Family(
+        {},
+        V=lambda table, x: np.interp(x, *_in_table(table, x)),
+        Vprime=_table_slope,
+        kinks=lambda table: table[0][1:-1],
+        curvature=None,
+        confined=lambda table: False),
 }
+
+FAMILIES = tuple(_FAMILIES)
+
+
+def _row(spec: PotentialSpec) -> tuple:
+    """The spec's row of ``_FAMILIES`` and the p its callables read."""
+    return _FAMILIES[spec.family], spec.params if spec.table is None else spec.table
 
 
 def _table_convexity(xs: np.ndarray, vs: np.ndarray) -> ConvexityClass:
@@ -118,17 +200,20 @@ def _table_convexity(xs: np.ndarray, vs: np.ndarray) -> ConvexityClass:
 def make_potential(family: str, label: Optional[str] = None, **params) -> PotentialSpec:
     """Construct a PotentialSpec, filling defaulted parameters.
 
-    Raises UsageError for unknown families or parameter keys.
+    Raises UsageError for unknown families or parameter keys and for
+    parameter values that are not finite.
     """
     if family == "tabulated":
         raise UsageError("use make_tabulated() or parse_potential('tabulated:file=...')")
-    if family not in _FAMILY_KEYS:
+    if family not in _FAMILIES:
         raise UsageError(f"unknown potential family: {family!r}")
-    full = dict(_FAMILY_KEYS[family])
+    full = dict(_FAMILIES[family].defaults)
     for key, val in params.items():
         if key not in full:
             raise UsageError(f"unknown parameter {key!r} for family {family!r}")
         full[key] = float(val)
+        if not math.isfinite(full[key]):
+            raise UsageError(f"parameter {key!r} of family {family!r} must be finite, got {val!r}")
     spec = PotentialSpec(family, full, label or "")
     return spec if label else PotentialSpec(family, full, canonical_string(spec))
 
@@ -167,6 +252,8 @@ def load_tabulated(path: str, label: Optional[str] = None) -> PotentialSpec:
             for row in reader:
                 if not row:
                     continue
+                if len(row) < 2:
+                    raise UsageError(f"{path}: line {reader.line_num} needs two fields x,V")
                 xs.append(float(row[0]))
                 vs.append(float(row[1]))
     except OSError as exc:
@@ -179,8 +266,9 @@ def load_tabulated(path: str, label: Optional[str] = None) -> PotentialSpec:
 def parse_potential(text: str) -> PotentialSpec:
     """Parse the CLI grammar ``family:key=value,key=value``.
 
-    Example: ``quadratic:c0=0,c1=0,c2=1``.  Unknown families or keys and
-    malformed values raise UsageError naming the offending token.
+    Example: ``quadratic:c0=0,c1=0,c2=1``.  Unknown families or keys, keys
+    given twice, and malformed or non-finite values raise UsageError naming
+    the offending token.
     """
     head, _, rest = text.partition(":")
     family = head.strip()
@@ -192,6 +280,8 @@ def parse_potential(text: str) -> PotentialSpec:
             key, sep, val = token.partition("=")
             if not sep:
                 raise UsageError(f"malformed potential parameter {token!r} (expected key=value)")
+            if key.strip() in pairs:
+                raise UsageError(f"potential parameter {key.strip()!r} given twice")
             pairs[key.strip()] = val.strip()
     if family == "tabulated":
         path = pairs.pop("file", None)
@@ -217,90 +307,27 @@ def canonical_string(spec: PotentialSpec) -> str:
     return f"{spec.family}:{body}"
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
 def eval_V(spec: PotentialSpec, x):
     """Evaluate V(x); accepts a scalar or an ndarray."""
-    xs, scalar = _as_array(x)
-    p = spec.params
-    if spec.family == "affine":
-        out = p["c0"] + p["c1"] * xs
-    elif spec.family == "quadratic":
-        out = p["c0"] + xs * (p["c1"] + p["c2"] * xs)
-    elif spec.family == "abs_shift":
-        out = np.abs(xs - p["shift"])
-    elif spec.family == "exp_growth":
-        with np.errstate(over="ignore"):
-            out = p["amp"] * np.exp(p["rate"] * xs)
-    elif spec.family == "neg_quadratic":
-        out = -p["scale"] * xs * xs
-    elif spec.family == "neg_abs":
-        # each side of the kink as its own line, so slope = amp gives an
-        # exactly constant V on the left instead of a cancellation
-        slope, amp, shift = p["slope"], p["amp"], p["shift"]
-        out = np.where(xs < shift, (amp - slope) * xs - amp * shift,
-                       amp * shift - (amp + slope) * xs)
-    elif spec.family == "tabulated":
-        tx, tv = spec.table
-        if np.any(xs < tx[0]) or np.any(xs > tx[-1]):
-            raise RangeError(
-                f"x outside tabulated range [{tx[0]}, {tx[-1]}]"
-            )
-        out = np.interp(xs, tx, tv)
-    else:
-        raise UsageError(f"unknown potential family: {spec.family!r}")
-    return float(out) if scalar else out
+    xs = np.asarray(x, dtype=float)
+    row, p = _row(spec)
+    out = row.V(p, xs)
+    return float(out) if xs.ndim == 0 else out
 
 
 def eval_Vprime(spec: PotentialSpec, x, side: str = "left"):
     """Evaluate V'(x), taking the one-sided limit from ``side`` ('left' or
     'right') at kinks; the left-derivative convention is the default."""
-    xs, scalar = _as_array(x)
-    p = spec.params
-    if spec.family == "affine":
-        out = np.full_like(xs, p["c1"])
-    elif spec.family == "quadratic":
-        out = p["c1"] + 2.0 * p["c2"] * xs
-    elif spec.family == "abs_shift":
-        out = _abs_slope(xs - p["shift"], side)
-    elif spec.family == "exp_growth":
-        with np.errstate(over="ignore"):
-            out = p["amp"] * p["rate"] * np.exp(p["rate"] * xs)
-    elif spec.family == "neg_quadratic":
-        out = -2.0 * p["scale"] * xs
-    elif spec.family == "neg_abs":
-        out = -p["slope"] - p["amp"] * _abs_slope(xs - p["shift"], side)
-    elif spec.family == "tabulated":
-        tx, tv = spec.table
-        if np.any(xs < tx[0]) or np.any(xs > tx[-1]):
-            raise RangeError(f"x outside tabulated range [{tx[0]}, {tx[-1]}]")
-        slopes = np.diff(tv) / np.diff(tx)
-        # left convention takes the segment ending at a node, right convention
-        # the one starting there; clip handles the outermost table nodes
-        idx = np.searchsorted(tx, xs, side=side) - 1
-        out = slopes[np.clip(idx, 0, len(slopes) - 1)]
-    else:
-        raise UsageError(f"unknown potential family: {spec.family!r}")
-    return float(out) if scalar else out
-
-
-def _abs_slope(y, side: str):
-    """d|y|/dy with a one-sided convention at y = 0."""
-    s = np.sign(y)
-    fill = -1.0 if side == "left" else 1.0
-    return np.where(s == 0, fill, s)
+    xs = np.asarray(x, dtype=float)
+    row, p = _row(spec)
+    out = row.Vprime(p, xs, side)
+    return float(out) if xs.ndim == 0 else out
 
 
 def vprime_kinks(spec: PotentialSpec) -> np.ndarray:
     """Abscissae where V' jumps (empty for smooth families)."""
-    if spec.family in ("abs_shift", "neg_abs"):
-        return np.array([spec.params["shift"]])
-    if spec.family == "tabulated":
-        return spec.table[0][1:-1].copy()
-    return np.array([])
+    row, p = _row(spec)
+    return np.array(row.kinks(p), dtype=float)
 
 
 def convexity_on(spec: PotentialSpec, lo: float = -math.inf,
@@ -322,38 +349,18 @@ def convexity_on(spec: PotentialSpec, lo: float = -math.inf,
     kinks = vprime_kinks(spec)
     if kinks.size and not np.any((lo < kinks) & (kinks < hi)):
         return ConvexityClass.AFFINE
-    sign = _CURVATURE_SIGN[spec.family](spec.params)
+    sign = _FAMILIES[spec.family].curvature(spec.params)
     if sign > 0:
         return ConvexityClass.CONVEX
     return ConvexityClass.CONCAVE if sign < 0 else ConvexityClass.AFFINE
 
 
-def _eval_guarded(spec: PotentialSpec, x: float) -> float:
-    try:
-        v = eval_V(spec, x)
-    except RangeError:
-        return math.nan
-    return float(v)
-
-
 def validate_confinement(spec: PotentialSpec, a: float) -> bool:
-    """True iff a is finite, or a = -inf and V grows without bound to the left.
+    """True iff a is finite, or a = -inf and V -> +inf as x -> -inf.
 
-    Growth is checked on the geometric samples x_k = -2**k: the values must
-    eventually increase beyond a large bound.  False is a verdict, not an error.
+    The verdict on a half-line is exact, read off the family's parameters
+    (never for a table, which ends), so it holds at every scale of V.
+    False is a verdict, not an error.
     """
-    if math.isfinite(a):
-        return True
-    prev = -math.inf
-    rising = 0
-    for k in range(1, _CONFINEMENT_MAX_DOUBLINGS + 1):
-        v = _eval_guarded(spec, -(2.0**k))
-        if math.isnan(v):
-            return False  # not evaluable arbitrarily far left (e.g. tabulated)
-        if math.isinf(v) and v > 0:
-            return True
-        rising = rising + 1 if v > prev else 0
-        if v >= _CONFINEMENT_BOUND and rising >= 2:
-            return True
-        prev = v
-    return False
+    row, p = _row(spec)
+    return math.isfinite(a) or row.confined(p)

@@ -149,6 +149,13 @@ class TestConfigFile:
     def test_every_config_key_has_a_case(self):
         assert sorted(key for _, key, _, _ in KEY_CASES) == sorted(f.name for f in _FLAGS)
 
+    @pytest.mark.parametrize("value", [5, True, ["out"], {"dir": "out"}])
+    def test_out_dir_must_be_a_string(self, tmp_path, value):
+        cfile = tmp_path / "run.json"
+        cfile.write_text(json.dumps({"out-dir": value}))
+        with pytest.raises(UsageError, match="--out-dir: expected a path"):
+            parse_config(["verify", "--config", str(cfile)])
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EIGENSHIFT_OUT_DIR", str(tmp_path / "envdir"))
         cfg = parse_config(["solve", "--potential", "affine:", "--a", "0", "--t", "1"])

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from scipy.special import ai_zeros, airy
 
 from eigenshift.cli import _format_rows, write_columns, write_json
-from eigenshift.errors import ConfinementError, DomainError
+from eigenshift.errors import ConfinementError, DomainError, TruncationError
 from eigenshift.ground_state import (
     Domain,
     Grid,
@@ -341,6 +341,24 @@ class TestTruncation:
         spec = make_potential("neg_quadratic")
         with pytest.raises(ConfinementError):
             solve_ground_state(spec, Domain(NEG_INF, 1.0), 301)
+
+    def test_quadratic_falling_past_1e40_is_not_confined(self):
+        # -1e-40 x^2 - x rises for |x| < 5e39, farther out than any sample
+        # of V reaches, and then falls to -inf
+        spec = make_potential("quadratic", c2=-1e-40, c1=-1.0)
+        with pytest.raises(ConfinementError):
+            solve_ground_state(spec, Domain(NEG_INF, 0.0), 801)
+
+    def test_faint_tilt_is_confined_and_solved(self):
+        # Airy length 1e4: lambda = 1e-8 (-a_1)
+        gs = solve_ground_state(make_potential("affine", c1=-1e-12), Domain(NEG_INF, 0.0), 801)
+        assert gs.lam == pytest.approx(-1e-8 * AIRY_ZERO, rel=1e-4)
+
+    def test_tilt_beyond_the_probe_raises(self):
+        # Airy length 1e20: V stays below the probe energy after 60 doublings
+        # of the probe, whose lambda would be 2.5 times the true one
+        with pytest.raises(TruncationError, match="probe energy"):
+            solve_ground_state(make_potential("affine", c1=-1e-60), Domain(NEG_INF, 0.0), 801)
 
 
 class TestSolverValidation:

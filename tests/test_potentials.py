@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from eigenshift.errors import RangeError, UsageError
 from eigenshift.potentials import (
-    _FAMILY_KEYS,
+    _FAMILIES,
     FAMILIES,
     ConvexityClass,
     _table_convexity,
@@ -65,6 +67,18 @@ class TestEvalV:
             make_potential("affine", c7=1.0)
 
 
+# one case per family, kinked ones and a table included
+VPRIME_CASES = [
+    ("quadratic", dict(c0=1.0, c1=-2.0, c2=0.7)),
+    ("exp_growth", dict(amp=0.5, rate=-1.3)),
+    ("neg_quadratic", dict(scale=2.0)),
+    ("affine", dict(c0=1.0, c1=-2.0)),
+    ("abs_shift", dict(shift=0.3)),
+    ("neg_abs", dict(slope=2.0, amp=0.7, shift=-0.3)),
+    ("tabulated", dict(xs=[-4.0, -1.3, 0.2, 1.7, 4.0], vs=[3.0, -0.5, 0.25, 2.0, -1.0])),
+]
+
+
 class TestEvalVprime:
     def test_quadratic(self):
         spec = make_potential("quadratic", c2=1.0)
@@ -84,17 +98,25 @@ class TestEvalVprime:
         assert eval_Vprime(spec, 0.0, "left") == -1.0
         assert eval_Vprime(spec, 0.0, "right") == -3.0
 
-    @pytest.mark.parametrize("family,params", [
-        ("quadratic", dict(c0=1.0, c1=-2.0, c2=0.7)),
-        ("exp_growth", dict(amp=0.5, rate=-1.3)),
-        ("neg_quadratic", dict(scale=2.0)),
-    ])
+    @pytest.mark.parametrize("family,params", VPRIME_CASES)
     def test_matches_central_differences(self, family, params):
-        spec = make_potential(family, **params)
+        if family == "tabulated":
+            spec = make_tabulated(**params)
+        else:
+            spec = make_potential(family, **params)
         h = 1e-5
-        for x in np.linspace(-3.0, 3.0, 13):
+        xs = np.linspace(-3.0, 3.0, 13)
+        # the difference quotient straddles no kink or table knot
+        kinks = vprime_kinks(spec)
+        xs = [x for x in xs if np.all(np.abs(kinks - x) > 2 * h)]
+        assert len(xs) >= 10
+        for x in xs:
             fd = (eval_V(spec, x + h) - eval_V(spec, x - h)) / (2 * h)
-            assert eval_Vprime(spec, x) == pytest.approx(fd, abs=1e-7 * (1 + abs(fd)))
+            for side in ("left", "right"):
+                assert eval_Vprime(spec, x, side) == pytest.approx(fd, abs=1e-7 * (1 + abs(fd)))
+
+    def test_every_family_has_a_central_difference_case(self):
+        assert sorted(family for family, _ in VPRIME_CASES) == sorted(FAMILIES)
 
     def test_kink_list(self):
         assert vprime_kinks(make_potential("abs_shift", shift=0.5)) == pytest.approx([0.5])
@@ -121,7 +143,7 @@ def spec_on_interval(draw):
         xs = [lo - 2.0] + sorted(inner) + [hi + 2.0]
         assume(np.min(np.diff(xs)) >= 1e-3)
         return make_tabulated(xs, [draw(MAGNITUDE) for _ in xs]), lo, hi
-    params = {k: draw(MAGNITUDE) for k in _FAMILY_KEYS[family]}
+    params = {k: draw(MAGNITUDE) for k in _FAMILIES[family].defaults}
     if "shift" in params:
         params["shift"] = draw(st.floats(lo - 5, hi + 5))
     return make_potential(family, **params), lo, hi
@@ -243,6 +265,52 @@ class TestConfinement:
     def test_growing_exponential_fails(self):
         assert not validate_confinement(make_potential("exp_growth", rate=1.0), NEG_INF)
 
+    @pytest.mark.parametrize("family, params, confined", [
+        # the exact rule at scales no sampling of V reaches: a quadratic that
+        # falls to -inf only past |x| = 1e40, and a tilt of 1e-12
+        ("quadratic", dict(c2=-1e-40, c1=-1.0), False),
+        ("quadratic", dict(c2=1e-40, c1=1.0), True),
+        ("affine", dict(c1=-1e-12), True),
+        ("affine", dict(c1=-1e-300), True),
+        ("quadratic", dict(c2=0.0, c1=-1e-300), True),
+        ("quadratic", dict(c2=0.0, c1=0.0, c0=1e300), False),
+        ("neg_abs", dict(slope=1.0 + 1e-15, amp=1.0), True),
+        ("neg_abs", dict(slope=1.0, amp=1.0), False),
+        ("exp_growth", dict(amp=1e-300, rate=-1e-300), True),
+        ("neg_quadratic", dict(scale=-1e-300), True),
+    ])
+    def test_rule_is_exact_at_every_scale(self, family, params, confined):
+        assert validate_confinement(make_potential(family, **params), NEG_INF) is confined
+
+    @seed(20261018)
+    @given(data=st.data(), family=st.sampled_from(FAMILIES))
+    @settings(max_examples=300, deadline=None)
+    def test_rule_matches_sampled_growth(self, data, family):
+        # On O(1) parameters, where sampling V at x = -2^k is reliable, the
+        # exact rule agrees with it: V must rise past 1e8 on two rising
+        # samples, or overflow to +inf, within 60 doublings.
+        if family == "tabulated":
+            spec = make_tabulated([-10.0, 0.0, 10.0], [100.0, 0.0, 100.0])
+        else:
+            params = {k: data.draw(MAGNITUDE, label=k) for k in _FAMILIES[family].defaults}
+            if "shift" in params:
+                params["shift"] = data.draw(st.floats(-5, 5), label="shift")
+            if family == "neg_abs":
+                assume(abs(params["slope"] - params["amp"]) >= 0.1)
+            spec = make_potential(family, **params)
+        prev, rising, sampled = -np.inf, 0, False
+        for k in range(1, 61):
+            try:
+                v = eval_V(spec, -(2.0 ** k))
+            except RangeError:
+                break   # not evaluable arbitrarily far left
+            rising = rising + 1 if v > prev else 0
+            if v == np.inf or (v >= 1e8 and rising >= 2):
+                sampled = True
+                break
+            prev = v
+        assert validate_confinement(spec, NEG_INF) is sampled
+
 
 class TestGrammar:
     def test_parse_quadratic(self):
@@ -271,6 +339,23 @@ class TestGrammar:
     def test_missing_equals(self):
         with pytest.raises(UsageError, match="key=value"):
             parse_potential("quadratic:c2")
+
+    @pytest.mark.parametrize("text", ["quadratic:c2=nan", "affine:c1=-inf",
+                                      "exp_growth:rate=inf", "neg_abs:amp=1e999"])
+    def test_non_finite_value(self, text):
+        # a usage error, not a potential that is not finite on the grid
+        with pytest.raises(UsageError, match="must be finite"):
+            parse_potential(text)
+        family, _, pair = text.partition(":")
+        key, _, val = pair.partition("=")
+        with pytest.raises(UsageError, match="must be finite"):
+            make_potential(family, **{key: float(val)})
+
+    @pytest.mark.parametrize("text", ["affine:c1=1,c1=-1", "quadratic:c2=1, c2 =1",
+                                      "tabulated:file=a.csv,file=b.csv"])
+    def test_repeated_key(self, text):
+        with pytest.raises(UsageError, match="given twice"):
+            parse_potential(text)
 
 
 class TestTabulated:
@@ -307,6 +392,12 @@ class TestTabulated:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n0,0\n1,1\n")
         with pytest.raises(UsageError, match="header"):
+            parse_potential(f"tabulated:file={path}")
+
+    def test_short_row(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("x,V\n0,1\n1\n2,3\n")
+        with pytest.raises(UsageError, match=re.escape(f"{path}: line 3 needs two fields")):
             parse_potential(f"tabulated:file={path}")
 
     def test_confinement_false_beyond_table(self):
