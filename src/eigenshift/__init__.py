@@ -24,7 +24,6 @@ from .ground_state import (
 from .potentials import (
     ConvexityClass,
     PotentialSpec,
-    canonical_string,
     convexity_on,
     eval_V,
     eval_Vprime,
@@ -58,7 +57,7 @@ __all__ = [
     "UsageError",
     "Domain", "Grid", "GroundState", "rayleigh_energy",
     "richardson_lambda", "solve_ground_state", "truncate_domain",
-    "ConvexityClass", "PotentialSpec", "canonical_string", "convexity_on",
+    "ConvexityClass", "PotentialSpec", "convexity_on",
     "eval_V", "eval_Vprime", "make_potential", "make_tabulated",
     "parse_potential", "validate_confinement",
     "Sensitivity", "compute_sensitivity", "fd_derivatives", "find_nodal_point",

@@ -58,7 +58,6 @@ class RunConfig:
     t_range: tuple = None          # (t_min, t_max, count)
     N: int = 2001
     n_t: int = 31
-    h_t: float = None
     out_dir: Path = field(default_factory=lambda: Path(os.environ.get("EIGENSHIFT_OUT_DIR", ".")))
     formats: tuple = ("csv", "json")
 
@@ -149,12 +148,11 @@ _FLAGS = (
           "left endpoint (number or -inf)"),
     _Flag("t", _AT_T, _AT_T, "t", _parse_real, "right endpoint"),
     _Flag("t-range", ("sweep",), ("sweep",), "t_range", _parse_t_range, "min:max:count"),
-    _Flag("N", MODES, (), "N", _checked(_parse_int, lambda n: n >= MIN_INTERIOR,
-          f"need at least {MIN_INTERIOR} interior nodes, got {{}}"), "interior grid nodes"),
+    # one node more than a solve needs, so the FD oracle's one-cell step fits
+    _Flag("N", MODES, (), "N", _checked(_parse_int, lambda n: n > MIN_INTERIOR,
+          f"need at least {MIN_INTERIOR + 1} interior nodes, got {{}}"), "interior grid nodes"),
     _Flag("n-t", ("verify",), (), "n_t", _checked(_parse_int, lambda n: n >= MIN_ENDPOINTS,
           f"need at least {MIN_ENDPOINTS} sweep samples"), "sweep samples per battery entry"),
-    _Flag("h-t", ("sensitivity",), (), "h_t", _checked(_parse_real, lambda h: h > 0,
-          "the FD step must be positive"), "FD oracle step, snapped to whole cells"),
     _Flag("out-dir", MODES, (), "out_dir", _parse_path),
     _Flag("format", MODES, (), "formats", _parse_formats, "comma list of csv,json,plot"),
 )
@@ -431,7 +429,7 @@ def _run_solve(cfg: RunConfig) -> int:
 
 def _run_sensitivity(cfg: RunConfig) -> int:
     gs = solve_ground_state(cfg.spec, Domain(cfg.a, cfg.t), cfg.N)
-    sens = compute_sensitivity(gs, cfg.spec, h_t=cfg.h_t)
+    sens = compute_sensitivity(gs, cfg.spec)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     meta = sensitivity_metadata(sens)
     if "json" in cfg.formats:

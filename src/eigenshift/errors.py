@@ -39,4 +39,6 @@ class StructureError(EigenshiftError):
 class ConditioningError(EigenshiftError):
     """Bordered linear system produced an unreliable solution, or ``lam`` is
     not the smallest eigenvalue (the lifted matrix is not positive definite);
-    either flags a degenerate eigenvalue or a bad ground-state solve."""
+    either flags a degenerate eigenvalue or a bad ground-state solve.  Also
+    raised when lambda's rounding swamps its curvature, so the FD oracle has
+    no step on the grid."""

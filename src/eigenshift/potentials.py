@@ -59,7 +59,6 @@ class PotentialSpec:
 
     family: str
     params: dict
-    label: str
     table: Optional[tuple] = field(default=None, repr=False)
 
 
@@ -76,6 +75,8 @@ class _Family(NamedTuple):
 
 
 def _scaled_exp(c, rate, x):
+    if c == 0:   # exact zeros, also where exp overflows: 0 * inf is nan
+        return np.zeros_like(x)
     with np.errstate(over="ignore"):   # past the double range a value reads as inf
         return c * np.exp(rate * x)
 
@@ -197,7 +198,7 @@ def _table_convexity(xs: np.ndarray, vs: np.ndarray) -> ConvexityClass:
     return ConvexityClass.INDETERMINATE
 
 
-def make_potential(family: str, label: Optional[str] = None, **params) -> PotentialSpec:
+def make_potential(family: str, **params) -> PotentialSpec:
     """Construct a PotentialSpec, filling defaulted parameters.
 
     Raises UsageError for unknown families or parameter keys and for
@@ -214,11 +215,10 @@ def make_potential(family: str, label: Optional[str] = None, **params) -> Potent
         full[key] = float(val)
         if not math.isfinite(full[key]):
             raise UsageError(f"parameter {key!r} of family {family!r} must be finite, got {val!r}")
-    spec = PotentialSpec(family, full, label or "")
-    return spec if label else PotentialSpec(family, full, canonical_string(spec))
+    return PotentialSpec(family, full)
 
 
-def make_tabulated(xs, vs, label: Optional[str] = None) -> PotentialSpec:
+def make_tabulated(xs, vs) -> PotentialSpec:
     """Piecewise-linear potential through (xs, vs); xs must strictly increase."""
     xs = np.asarray(xs, dtype=float)
     vs = np.asarray(vs, dtype=float)
@@ -232,15 +232,10 @@ def make_tabulated(xs, vs, label: Optional[str] = None) -> PotentialSpec:
         slopes = np.diff(vs) / np.diff(xs)
     if not np.all(np.isfinite(slopes)):
         raise UsageError("tabulated potential has a slope that overflows a double")
-    return PotentialSpec(
-        family="tabulated",
-        params={},
-        label=label or "tabulated",
-        table=(xs, vs),
-    )
+    return PotentialSpec(family="tabulated", params={}, table=(xs, vs))
 
 
-def load_tabulated(path: str, label: Optional[str] = None) -> PotentialSpec:
+def load_tabulated(path: str) -> PotentialSpec:
     """Load a tabulated potential from a CSV file with header ``x,V``."""
     xs, vs = [], []
     try:
@@ -260,7 +255,7 @@ def load_tabulated(path: str, label: Optional[str] = None) -> PotentialSpec:
         raise UsageError(f"cannot read tabulated potential: {exc}") from exc
     except ValueError as exc:
         raise UsageError(f"{path}: malformed numeric row ({exc})") from exc
-    return make_tabulated(xs, vs, label=label or f"tabulated:file={path}")
+    return make_tabulated(xs, vs)
 
 
 def parse_potential(text: str) -> PotentialSpec:
@@ -297,14 +292,6 @@ def parse_potential(text: str) -> PotentialSpec:
         except ValueError:
             raise UsageError(f"malformed value for {key!r}: {val!r}") from None
     return make_potential(family, **numeric)
-
-
-def canonical_string(spec: PotentialSpec) -> str:
-    """Deterministic canonical form of the potential spec string."""
-    if spec.family == "tabulated":
-        return spec.label
-    body = ",".join(f"{k}={spec.params[k]!r}" for k in sorted(spec.params))
-    return f"{spec.family}:{body}"
 
 
 def eval_V(spec: PotentialSpec, x):

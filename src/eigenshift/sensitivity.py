@@ -13,11 +13,12 @@ derivatives are cross-checked against central finite differences in t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructureError
+from .errors import ConditioningError, DomainError, StructureError
 from .ground_state import (
     Domain,
     Grid,
@@ -27,7 +28,9 @@ from .ground_state import (
 )
 from .potentials import PotentialSpec, eval_Vprime, vprime_kinks
 from .tolerances import DEFAULT_TOLS
-from .tridiag import solve_bordered
+from .tridiag import gershgorin_rows, solve_bordered
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -123,14 +126,14 @@ def orthogonality_residual(gs: GroundState, u_dot: np.ndarray) -> float:
 def find_nodal_point(u_dot: np.ndarray, grid: Grid) -> float:
     """Locate the unique interior sign change of u_dot.
 
-    Values within the dead band tol_sign * max|u_dot| are ignored as roundoff
-    (the field decays below floating-point resolution near a deep truncation
-    wall).  Raises StructureError when the significant values change sign
-    zero times or more than once, which signals a numerical fault.
+    Exact zeros (the field can underflow near a deep truncation wall) carry
+    no sign and are skipped; every other value counts, however small, so a
+    lobe that is tiny beside the field's maximum still has its sign.  Raises
+    StructureError when the nonzero values change sign zero times or more
+    than once, which signals a numerical fault.
     """
     interior = u_dot[1:-1]
-    band = DEFAULT_TOLS.sign * float(np.max(np.abs(u_dot)))
-    idx = np.nonzero(np.abs(interior) > band)[0]
+    idx = np.flatnonzero(interior)
     if len(idx) == 0:
         raise StructureError("u_dot vanishes on the whole interior")
     signs = np.sign(interior[idx])
@@ -192,13 +195,34 @@ def fd_derivatives(spec: PotentialSpec, centre: GroundState, h_t: float) -> tupl
     return ld, ldd
 
 
-def compute_sensitivity(gs: GroundState, spec: PotentialSpec,
-                        h_t: float = None) -> Sensitivity:
+def _fd_step(gs: GroundState) -> float:
+    """The FD oracle's step h_t before it snaps to whole cells.
+
+    h_t = max(h_t_factor (t - a_eff), 25 sqrt(eps local) / (lambda - min V)),
+    with local = ||(|T| 1) v|| for the unit interior vector v, the scale
+    ``smallest_eigenpair`` judges its pair on, and min V the smallest
+    d - 2/h^2.  lambda is rounded at about eps local, so the second
+    difference carries about 4 eps local / h_t^2 of rounding; the second term
+    keeps that under 1% of the curvature scale 6 (lambda - min V)^2 / pi^2,
+    which is exact for the free particle.  It is scale-free in cells: under
+    V -> s^2 V(s x), sqrt(local) scales as s, lambda - min V as s^2 and h as
+    1/s.  inf when lambda does not clear min V in floating point.
+    """
+    op, h = gs.op, gs.grid.h
+    local = float(np.linalg.norm(gershgorin_rows(op)[1] * gs.u[1:-1])) * math.sqrt(h)
+    gap = gs.lam - (float(np.min(op.d)) - 2.0 / (h * h))
+    rounding = 25.0 * math.sqrt(_EPS * local) / gap if gap > 0 else math.inf
+    return max(DEFAULT_TOLS.h_t_factor * (gs.t - gs.domain.a_eff), rounding)
+
+
+def compute_sensitivity(gs: GroundState, spec: PotentialSpec) -> Sensitivity:
     """Full derivative bundle for one solved ground state.
 
     The u_dot solve takes its source term from the flux formula (the coupled
     system), never from the FD estimate, which stays a pure cross-check.
-    ``fd_step`` is ``h_t`` (default ``h_t_factor * (t - a_eff)``) in whole cells.
+    ``fd_step`` is ``_fd_step(gs)`` in whole cells.  Raises ConditioningError
+    when that step leaves under MIN_INTERIOR nodes at t - m h: lambda's
+    rounding then swamps its curvature on this grid.
     """
     ld_flux = lambda_dot_flux(gs)
     ld_int = lambda_dot_integral(gs, spec)
@@ -206,8 +230,12 @@ def compute_sensitivity(gs: GroundState, spec: PotentialSpec,
     orth = orthogonality_residual(gs, u_dot)
     t0 = find_nodal_point(u_dot, gs.grid)
     ldd = lambda_ddot(gs, u_dot, t0, spec)
-    if h_t is None:
-        h_t = DEFAULT_TOLS.h_t_factor * (gs.t - gs.domain.a_eff)
+    h_t = _fd_step(gs)
+    # fd_derivatives snaps h_t to round(h_t / h) cells; inf and nan fail here too
+    if not h_t / gs.grid.h < gs.grid.n_interior - MIN_INTERIOR + 0.5:
+        raise ConditioningError(
+            f"lambda's rounding swamps its curvature on this grid: the FD step "
+            f"{h_t:.6g} leaves under {MIN_INTERIOR} nodes at t - m h")
     ld_fd, ldd_fd = fd_derivatives(spec, gs, h_t)
     return Sensitivity(
         t=gs.t, lam=gs.lam,

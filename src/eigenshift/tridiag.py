@@ -132,6 +132,19 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
+def gershgorin_rows(op: TridiagOperator) -> tuple:
+    """(radius, row_sum): the Gershgorin radii |e_{i-1}| + |e_i| of ``op``
+    and its row sums |d_i| + radius_i, the rows of |T| 1 that the local
+    scale ||(|T| 1) vec|| weighs."""
+    abs_e = np.abs(op.e)
+    radius = np.zeros(op.n)
+    radius[:-1] = abs_e
+    radius[1:] += abs_e
+    row_sum = np.abs(op.d)
+    row_sum += radius
+    return radius, row_sum
+
+
 def _cold_vector(op: TridiagOperator) -> np.ndarray:
     """D 1 / sqrt(n), where D = diag(+-1) makes the off-diagonal of D T D
     equal to -|e|."""
@@ -199,14 +212,8 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     """
     max_factorisations = 64
     e = _offdiag(op.e)
-    # Gershgorin radii |e_{i-1}| + |e_i| and row sums |d_i| + radius_i
-    abs_e = np.abs(op.e)
-    radius = np.zeros(op.n)
-    radius[:-1] = abs_e
-    radius[1:] += abs_e
-    row_sum = np.abs(op.d)
-    row_sum += radius
-    # then one O(n) buffer serves every step: d - sigma for ptsv, which
+    radius, row_sum = gershgorin_rows(op)
+    # one O(n) buffer serves every step: d - sigma for ptsv, which
     # overwrites it, and row_sum * vec for the margin
     work = np.subtract(op.d, radius, out=radius)
     gershgorin = sigma = float(np.min(work))

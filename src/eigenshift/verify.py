@@ -56,24 +56,17 @@ class BatteryEntry:
 def default_battery() -> list:
     inf = float("-inf")
     return [
-        BatteryEntry("free", make_potential("affine", label="V=0"),
-                     0.0, 1.0, 0.5, 2.0, blowup=True),
-        BatteryEntry("quadratic", make_potential("quadratic", c2=1.0, label="V=x^2"),
-                     inf, 0.0, -1.0, 2.0),
-        BatteryEntry("abs", make_potential("abs_shift", label="V=|x|"),
-                     inf, 1.0, 0.5, 2.0),
-        BatteryEntry("exp", make_potential("exp_growth", label="V=e^x"),
-                     0.0, 1.0, 0.5, 2.0, blowup=True),
-        BatteryEntry("airy", make_potential("affine", c1=-1.0, label="V=-x"),
-                     inf, 2.0, 0.0, 4.0),
-        BatteryEntry("neg_abs", make_potential("neg_abs", slope=2.0, amp=1.0,
-                                               label="V=-2x-|x|"),
+        BatteryEntry("free", make_potential("affine"), 0.0, 1.0, 0.5, 2.0, blowup=True),
+        BatteryEntry("quadratic", make_potential("quadratic", c2=1.0), inf, 0.0, -1.0, 2.0),
+        BatteryEntry("abs", make_potential("abs_shift"), inf, 1.0, 0.5, 2.0),
+        BatteryEntry("exp", make_potential("exp_growth"), 0.0, 1.0, 0.5, 2.0, blowup=True),
+        BatteryEntry("airy", make_potential("affine", c1=-1.0), inf, 2.0, 0.0, 4.0),
+        BatteryEntry("neg_abs", make_potential("neg_abs", slope=2.0, amp=1.0),
                      inf, 1.0, 0.5, 2.5),
-        BatteryEntry("neg_quad", make_potential("neg_quadratic", label="V=-x^2"),
+        BatteryEntry("neg_quad", make_potential("neg_quadratic"),
                      0.0, 1.0, 0.5, 1.5, blowup=True,
                      note="finite interval: concavity clause not asserted"),
-        BatteryEntry("neg_quad_inf", make_potential("neg_quadratic",
-                                                    label="V=-x^2 (a=-inf)"),
+        BatteryEntry("neg_quad_inf", make_potential("neg_quadratic"),
                      inf, 1.0, 0.5, 1.5, expect_confined=False,
                      note="must be gated out by the confinement check"),
     ]

@@ -31,14 +31,13 @@ assert abs(AIRY_CONSTANT + float(ai_zeros(1)[0][0])) < 5e-9
 # resolves above the O(h^2) floor (half-infinite domains carry a wall about
 # 25 energy units deep, hence wide grids)
 BATTERY = {
-    "free": (make_potential("affine", label="V=0"), 0.0, 1.0, 2001),
-    "quadratic": (make_potential("quadratic", c2=1.0, label="V=x^2"), NEG_INF, 0.0, 8001),
-    "abs": (make_potential("abs_shift", label="V=|x|"), NEG_INF, 1.0, 16001),
-    "exp": (make_potential("exp_growth", label="V=e^x"), 0.0, 1.0, 2001),
-    "airy": (make_potential("affine", c1=-1.0, label="V=-x"), NEG_INF, 2.0, 24001),
-    "neg_abs": (make_potential("neg_abs", slope=2.0, amp=1.0, label="V=-2x-|x|"),
-                NEG_INF, 1.0, 16001),
-    "neg_quad_fin": (make_potential("neg_quadratic", label="V=-x^2"), 0.0, 1.0, 2001),
+    "free": (make_potential("affine"), 0.0, 1.0, 2001),
+    "quadratic": (make_potential("quadratic", c2=1.0), NEG_INF, 0.0, 8001),
+    "abs": (make_potential("abs_shift"), NEG_INF, 1.0, 16001),
+    "exp": (make_potential("exp_growth"), 0.0, 1.0, 2001),
+    "airy": (make_potential("affine", c1=-1.0), NEG_INF, 2.0, 24001),
+    "neg_abs": (make_potential("neg_abs", slope=2.0, amp=1.0), NEG_INF, 1.0, 16001),
+    "neg_quad_fin": (make_potential("neg_quadratic"), 0.0, 1.0, 2001),
 }
 ROUTE_MATCH_MEMBERS = ("free", "quadratic", "abs", "exp", "airy")
 CONVEX_NONAFFINE = ("quadratic", "abs", "exp")

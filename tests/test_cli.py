@@ -8,7 +8,7 @@ import pytest
 from eigenshift.cli import _FLAGS, main, parse_config
 from eigenshift.errors import UsageError
 from eigenshift.ground_state import Domain, solve_ground_state
-from eigenshift.potentials import canonical_string, make_potential
+from eigenshift.potentials import make_potential
 from eigenshift.sweep import sweep
 
 
@@ -20,7 +20,6 @@ KEY_CASES = [
     ("sweep", "t-range", "-1:2:31", "-1:2:31"),
     ("solve", "N", 64, "64"),
     ("verify", "n-t", 7, "7"),
-    ("sensitivity", "h-t", 1e-3, "1e-3"),
     ("solve", "out-dir", "runs/one", "runs/one"),
     ("solve", "format", "json,plot", "json,plot"),
 ]
@@ -49,14 +48,14 @@ class TestParseConfig:
     def test_successive_calls_do_not_leak_flags(self):
         # the parser is built once per process; each call starts from defaults
         sens = parse_config(["sensitivity", "--potential", "affine:", "--a", "0",
-                             "--t", "1", "--h-t", "1e-3", "--N", "301", "--format", "json"])
-        assert (sens.t, sens.h_t, sens.N, sens.formats) == (1.0, 1e-3, 301, ("json",))
+                             "--t", "1", "--N", "301", "--format", "json"])
+        assert (sens.t, sens.N, sens.formats) == (1.0, 301, ("json",))
         swept = parse_config(["sweep", "--potential", "affine:", "--a", "0",
                               "--t-range", "0.5:2:5"])
         assert swept.mode == "sweep" and swept.t_range == (0.5, 2.0, 5)
-        assert (swept.t, swept.h_t, swept.N, swept.formats) == (None, None, 2001, ("csv", "json"))
+        assert (swept.t, swept.N, swept.formats) == (None, 2001, ("csv", "json"))
         again = parse_config(["sensitivity", "--potential", "affine:", "--a", "0", "--t", "2"])
-        assert (again.t, again.h_t, again.t_range, again.N) == (2.0, None, None, 2001)
+        assert (again.t, again.t_range, again.N) == (2.0, None, 2001)
         with pytest.raises(UsageError):
             parse_config(["solve", "--potential", "affine:", "--a", "0", "--t", "1",
                           "--t-range", "0.5:2:5"])
@@ -83,7 +82,7 @@ class TestParseConfig:
                              "--a", "0", "--t", "1"])
         cfg2 = parse_config(["solve", "--potential", "quadratic:c0=0,c2=1",
                              "--a", "0", "--t", "1"])
-        assert canonical_string(cfg1.spec) == canonical_string(cfg2.spec)
+        assert cfg1.spec == cfg2.spec
 
 
 class TestConfigFile:
@@ -94,11 +93,16 @@ class TestConfigFile:
         cfg = parse_config(["solve", "--config", str(cfile), "--N", "128"])
         assert cfg.N == 128 and cfg.t == 1.0
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         cfile = tmp_path / "run.json"
         cfile.write_text(json.dumps({"potential": "affine:", "grid": 10}))
         with pytest.raises(UsageError, match="grid"):
             parse_config(["solve", "--config", str(cfile), "--a", "0", "--t", "1"])
+        # the FD step is derived, so its old key is unknown too
+        cfile.write_text(json.dumps({"h-t": 1e-3}))
+        assert main(["sensitivity", "--config", str(cfile), "--potential", "affine:",
+                     "--a", "0", "--t", "1", "--out-dir", str(tmp_path / "out")]) == 2
+        assert "unknown config key 'h-t'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, flag", [
         ("N", 2001.9, "--N"),
@@ -112,9 +116,6 @@ class TestConfigFile:
         ("t", float("nan"), "--t"),
         ("t", float("inf"), "--t"),
         ("t", float("-inf"), "--t"),
-        ("h-t", True, "--h-t"),
-        ("h-t", float("nan"), "--h-t"),
-        ("h-t", float("inf"), "--h-t"),
     ])
     def test_non_integral_or_boolean_value_rejected(self, tmp_path, key, value, flag):
         cfile = tmp_path / "run.json"
@@ -173,8 +174,7 @@ class TestFlags:
          "t_range", (-1.0, 2.0, 5)),
         (["verify", "--N", "-0x10"], None, "--N: expected an integer"),
         (["verify", "--n-t", "-0x10"], None, "--n-t: expected an integer"),
-        (["sensitivity", "--potential", "affine:", "--a", "0", "--t", "1", "--h-t", "-1e-3"],
-         None, "--h-t: the FD step must be positive"),
+        (["sensitivity", "--potential", "affine:", "--a", "-1e0", "--t", "1"], "a", -1.0),
         (["verify", "--out-dir", "-out"], "out_dir", Path("-out")),
         (["verify", "--format", "-csv"], None, "--format: unknown format '-csv'"),
         (["verify", "--config", "-missing.json"], None, "cannot read config file"),
@@ -188,7 +188,7 @@ class TestFlags:
 
     @pytest.mark.parametrize("mode, own", [
         ("solve", ["--t"]),
-        ("sensitivity", ["--t", "--h-t"]),
+        ("sensitivity", ["--t"]),
         ("sweep", ["--t-range"]),
         ("verify", ["--n-t"]),
     ])
@@ -204,8 +204,12 @@ class TestExitCodes:
         assert main(["solve", "--potential", "nope:", "--a", "0", "--t", "1"]) == 2
         assert "usage error" in capsys.readouterr().err
 
-    def test_unknown_flag_is_2(self, capsys):
+    def test_unknown_flag_is_2(self, tmp_path, capsys):
         assert main(["solve", "--wibble", "3"]) == 2
+        # the FD step is derived, so its old flag is unknown too
+        assert main(["sensitivity", "--potential", "affine:", "--a", "0", "--t", "1",
+                     "--h-t", "1e-3", "--out-dir", str(tmp_path)]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_tolerance_flag_and_key_are_2(self, tmp_path, capsys):
         # the stated tolerances are fixed: neither a flag nor a config key sets them
@@ -220,11 +224,10 @@ class TestExitCodes:
         assert code == 2
         assert "unknown config key 'tol-res'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, t, h_t", [("--t", "inf", "1e-3"),
-                                              ("--h-t", "1", "nan")])
-    def test_non_finite_value_is_2(self, tmp_path, capsys, flag, t, h_t):
+    @pytest.mark.parametrize("flag, t", [("--t", "inf")])
+    def test_non_finite_value_is_2(self, tmp_path, capsys, flag, t):
         code = main(["sensitivity", "--potential", "affine:", "--a", "0", "--t", t,
-                     "--h-t", h_t, "--N", "64", "--out-dir", str(tmp_path)])
+                     "--N", "64", "--out-dir", str(tmp_path)])
         assert code == 2
         assert f"usage error: {flag}: expected" in capsys.readouterr().err
 
@@ -236,23 +239,27 @@ class TestExitCodes:
         assert "usage error: --t-range: expected" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, message", [
-        (["solve", "--potential", "affine:", "--a", "0", "--t", "1", "--N", "15"],
-         "--N: need at least 16 interior nodes, got 15"),
+        (["sensitivity", "--potential", "affine:", "--a", "0", "--t", "1", "--N", "16"],
+         "--N: need at least 17 interior nodes, got 16"),
         (["verify", "--N", "64", "--n-t", "4"], "--n-t: need at least 5 sweep samples"),
         (["sweep", "--potential", "affine:", "--a", "0", "--t-range", "0.5:2:4"],
          "--t-range: need at least 5 samples, got 4"),
     ])
     def test_input_below_its_limit_is_2(self, tmp_path, capsys, args, message):
-        # the limits are the solver's own: MIN_INTERIOR nodes, MIN_ENDPOINTS samples
+        # the limits are the solver's own: MIN_INTERIOR nodes and one more for
+        # the FD oracle's step, MIN_ENDPOINTS samples
         assert main(args + ["--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_input_at_its_limit_parses(self):
+    def test_input_at_its_limit_parses(self, tmp_path):
         cfg = parse_config(["sweep", "--potential", "affine:", "--a", "0",
-                            "--t-range", "0.5:2:5", "--N", "16"])
-        assert cfg.N == 16 and cfg.t_range[2] == 5
+                            "--t-range", "0.5:2:5", "--N", "17"])
+        assert cfg.N == 17 and cfg.t_range[2] == 5
         assert parse_config(["verify", "--n-t", "5"]).n_t == 5
+        # and runs: the FD oracle's one-cell step leaves MIN_INTERIOR nodes
+        assert main(["sensitivity", "--potential", "affine:", "--a", "0", "--t", "1",
+                     "--N", "17", "--out-dir", str(tmp_path)]) == 0
 
     def test_potential_infinite_left_of_t_is_1(self, tmp_path, capsys):
         # e^{-5000 x} overflows on every probe left of t = -4.2
@@ -261,6 +268,17 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: V is not finite on any probe left of t = -4.2"]
+
+    def test_zero_amplitude_exponential_solves_as_v_zero(self, tmp_path, capsys):
+        # exp(-x) overflows near a = -1000, where amp = 0 made V nan, not 0
+        lams = []
+        for pot in ("exp_growth:amp=0,rate=-1", "affine:"):
+            out = tmp_path / pot.partition(":")[0]
+            assert main(["solve", "--potential", pot, "--a", "-1000", "--t", "0",
+                         "--N", "64", "--out-dir", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            lams.append(json.loads((out / "ground_state.json").read_text())["lambda"])
+        assert lams[0] == lams[1]
 
     def test_solver_failure_is_1(self, tmp_path, capsys):
         # unconfined potential on a half-infinite domain
@@ -345,15 +363,16 @@ class TestArtifacts:
         assert lines[0] == "x,u_dot"
 
     def test_fd_step_is_recorded_in_whole_cells(self, tmp_path, capsys):
-        # a step far below the spacing snaps to one cell, and says so
+        # the derived step is a whole number of cells, and says so
         code = main(["sensitivity", "--potential", "quadratic:c2=1", "--a", "-inf",
-                     "--t", "0", "--N", "2001", "--h-t", "1e-6", "--out-dir", str(tmp_path)])
+                     "--t", "0", "--N", "2001", "--out-dir", str(tmp_path)])
         assert code == 0
         h = solve_ground_state(make_potential("quadratic", c2=1.0),
                                Domain(float("-inf"), 0.0), 2001).grid.h
-        sens = json.loads((tmp_path / "sensitivity.json").read_text())
-        assert sens["fd_step"] == h
-        assert f"fd_step = {h!r}" in capsys.readouterr().out.splitlines()
+        step = json.loads((tmp_path / "sensitivity.json").read_text())["fd_step"]
+        m = round(step / h)
+        assert m >= 1 and step == m * h
+        assert f"fd_step = {step!r}" in capsys.readouterr().out.splitlines()
 
     def test_sweep_artifacts(self, tmp_path):
         code = main(["sweep", "--potential", "affine:", "--a", "0",

@@ -11,7 +11,6 @@ from eigenshift.potentials import (
     FAMILIES,
     ConvexityClass,
     _table_convexity,
-    canonical_string,
     convexity_on,
     eval_V,
     eval_Vprime,
@@ -65,6 +64,15 @@ class TestEvalV:
             make_potential("coulomb")
         with pytest.raises(UsageError):
             make_potential("affine", c7=1.0)
+        with pytest.raises(UsageError, match="'label'"):   # specs carry no label
+            make_potential("affine", label="V=0")
+
+    def test_zero_amplitude_exponential_is_exactly_zero(self):
+        # exp(1000) overflows, and 0 * inf would be nan
+        spec = make_potential("exp_growth", amp=0.0, rate=-1.0)
+        xs = np.array([-1000.0, 0.0, 5.0])
+        assert np.all(eval_V(spec, xs) == 0.0)
+        assert np.all(eval_Vprime(spec, xs) == 0.0)
 
 
 # one case per family, kinked ones and a table included
@@ -325,8 +333,8 @@ class TestGrammar:
     def test_canonical_is_sorted_and_deterministic(self):
         a = parse_potential("quadratic:c2=1,c0=0")
         b = parse_potential("quadratic:c0=0,c2=1")
-        assert canonical_string(a) == canonical_string(b)
-        assert canonical_string(a).startswith("quadratic:c0=")
+        assert a == b
+        assert list(a.params) == ["c0", "c1", "c2"]
 
     def test_bad_family(self):
         with pytest.raises(UsageError, match="family"):

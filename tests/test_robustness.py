@@ -76,5 +76,5 @@ def test_invariants_hold_on_random_configurations():
         }
         bad = [name for name, ok in checks.items() if not ok]
         if bad:
-            failures.append((trial, spec.label, a, t, bad))
+            failures.append((trial, spec, a, t, bad))
     assert not failures, failures

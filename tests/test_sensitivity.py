@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ai_zeros
 
-from eigenshift.errors import DomainError, StructureError
+from eigenshift.errors import ConditioningError, DomainError, StructureError
 from eigenshift.ground_state import Domain, Grid, solve_ground_state
 from eigenshift.potentials import make_potential, make_tabulated
 from eigenshift.sensitivity import (
@@ -151,14 +151,21 @@ class TestNodalPoint:
     def test_sign_pattern_negative_then_positive(self, free_bundle):
         _, gs, sens = free_bundle
         interior = sens.u_dot[1:-1]
-        band = 1e-9 * np.max(np.abs(sens.u_dot))
-        idx = np.nonzero(np.abs(interior) > band)[0]
-        signs = np.sign(interior[idx])
+        signs = np.sign(interior[np.flatnonzero(interior)])
         assert signs[0] == -1 and signs[-1] == 1
 
     def test_interior(self, free_bundle):
         _, gs, sens = free_bundle
         assert gs.domain.a_eff < sens.t0 < gs.domain.t
+
+    def test_lobe_far_below_the_maximum_keeps_its_sign(self):
+        # V = e^{3x} on (0, 3) has u_x(t) = -8.4e-24: the positive lobe of
+        # u_dot near t lies under 1e-9 max|u_dot|, so a dead band of that
+        # size saw no sign change and raised StructureError
+        spec = make_potential("exp_growth", amp=1.0, rate=3.0)
+        gs = solve_ground_state(spec, Domain(0.0, 3.0), 801)
+        sens = compute_sensitivity(gs, spec)
+        assert gs.domain.a_eff < sens.t0 < gs.t
 
     def test_rejects_no_sign_change(self):
         grid = Grid.build(0.0, 1.0, 50)
@@ -227,6 +234,24 @@ class TestFiniteDifferences:
         gs = solve_ground_state(spec, Domain(NEG_INF, 2.0), 4001)
         _, ldd = fd_derivatives(spec, gs, 0.03)
         assert abs(ldd) <= 1e-6
+
+    def test_step_outgrows_the_rounding_of_a_large_lambda(self):
+        # V = 1e12 on (0, 1): lambda is rounded at about eps 1e12, which the
+        # old step of 1e-3 (t - a) turned into lambda_ddot_fd = 0.0; the
+        # derived step is 75 cells and reads 6 pi^2
+        spec = make_potential("affine", c0=1e12)
+        gs = solve_ground_state(spec, Domain(0.0, 1.0), 2001)
+        sens = compute_sensitivity(gs, spec)
+        assert sens.fd_step > 10 * gs.grid.h
+        assert sens.lambda_ddot_fd == pytest.approx(6 * PI2, rel=1e-3)
+
+    def test_rounding_that_swamps_the_curvature_raises(self):
+        # V = 1e15: the step that clears lambda's rounding is longer than the
+        # domain, where the old step printed lambda_ddot_fd = 375750.375
+        spec = make_potential("affine", c0=1e15)
+        gs = solve_ground_state(spec, Domain(0.0, 1.0), 2001)
+        with pytest.raises(ConditioningError, match="rounding swamps its curvature"):
+            compute_sensitivity(gs, spec)
 
     def test_step_reaching_the_wall_rejected(self):
         spec = make_potential("affine")
@@ -402,3 +427,5 @@ def test_scale_law_maps_lambda_and_its_derivatives(pair):
     assert abs(s1.lambda_dot_integral - s**3 * s0.lambda_dot_integral) <= 1e-10 * s**3 * terms
     ldd = s**4 * s0.lambda_ddot
     assert abs(s1.lambda_ddot - ldd) <= 1e-9 * (1.0 + abs(ldd))
+    # the FD step is scale-free in cells
+    assert s1.fd_step == pytest.approx(s0.fd_step / s, rel=1e-12)

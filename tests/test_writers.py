@@ -162,7 +162,7 @@ def test_write_columns_header_then_rows(tmp_path):
 
 @pytest.mark.parametrize("mode, csv_name, plot_name, extra", [
     ("solve", "ground_state.csv", "u_vs_x.dat", ()),
-    ("sensitivity", "u_dot.csv", "u_dot_vs_x.dat", ("--h-t", "0.01")),
+    ("sensitivity", "u_dot.csv", "u_dot_vs_x.dat", ()),
 ])
 def test_plot_file_is_csv_body_space_separated(tmp_path, mode, csv_name, plot_name, extra):
     code = main([mode, "--potential", "quadratic:c2=1", "--a", "-inf", "--t", "0.5",
