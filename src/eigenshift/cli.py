@@ -10,10 +10,12 @@ payload dicts and write no file.  Column data (CSV / plot files) is fixed
 17-digit scientific notation, formatted once per file set by ``_format_rows``,
 a numpy kernel that writes the characters of ``"%.16e" % v`` and hands the
 values it cannot decide (zeros, non-finite values, extreme magnitudes,
-near-ties) to that exact per-value call; ``write_columns`` writes the rows,
-and a CSV file and its plot file share one formatting pass.  ``write_json``
-writes every JSON payload, with shortest round-trip floats.  So identical
-configs produce byte-identical artifacts.
+near-ties) to that exact per-value call.  It builds each field from four
+64-bit words (a prefix from a table, eight digits twice, an exponent suffix
+from a table) and drops the fill bytes in one pass.  ``write_columns``
+writes the rows, and a CSV file and its plot file share one formatting
+pass.  ``write_json`` writes every JSON payload, with shortest round-trip
+floats.  So identical configs produce byte-identical artifacts.
 
 The numerical tolerances are the package's stated ones (``tolerances.py``);
 no flag or config key changes them.
@@ -256,14 +258,23 @@ def parse_config(argv: list) -> RunConfig:
 # Those values, zeros, non-finite values and |v| outside the range go to the
 # exact per-value "%.16e" % v (_exact_fields), as in Grisu3 (Loitsch, PLDI
 # 2010).  The range keeps every partial product of the split normal.
+#
+# Each field is laid out in four little-endian 64-bit words, _FILL where a
+# byte is unused: a prefix word (fill, sign, lead digit, '.') from
+# _prefix_words, two words of eight digits each from _digit_words, and a
+# suffix word ('e', exponent sign, 2-3 digits, then up to three end bytes:
+# the separator or newline) from _suffix_words.  A longer separator goes on
+# in words of its own after the suffix.  The fill bytes are removed once.
 _VEC_MIN, _VEC_MAX = 1e-280, 1e280
 _E_LO, _E_HI = -283, 282          # decimal exponents the kernel may try
 _TIE_BAND = 1e-9
 _SPLIT = 134217729.0              # 2^27 + 1
 _BLOCK = 8192                     # values per block, bounding the temporaries
-_FIELD = 24                       # longest %.16e field: -d.dddddddddddddddde-ddd
-_FILL = 0                         # filler byte, removed before decoding
+_FIELD = 29                       # bytes of a field before its end bytes
+_FILL = b"\0"                     # filler byte, removed before decoding
 _D_LO, _D_HI = 10 ** 16, 10 ** 17
+_WORD = np.dtype("<u8")
+_U = np.uint64                    # explicit, so no numpy version promotes to float
 
 
 @functools.cache
@@ -292,6 +303,55 @@ def _pow10_table() -> tuple:
     return hi, lo, hi_h, hi - hi_h
 
 
+@functools.cache
+def _prefix_words() -> np.ndarray:
+    """The prefix word for lead digit d, at d for v >= 0 and at 10 + d for
+    v < 0.  Built on first use."""
+    return np.frombuffer(b"".join(
+        _FILL * 5 + sign + b"%d." % d for sign in (_FILL, b"-") for d in range(10)
+    ), _WORD)
+
+
+@functools.cache
+def _suffix_words(end: bytes) -> np.ndarray:
+    """The suffix word for exponent e, at e - _E_LO, with end bytes ``end``
+    (at most three).  Built on first use, once per end."""
+    return np.frombuffer(b"".join(
+        (b"e%+03d" % e).ljust(5, _FILL) + end.ljust(3, _FILL)
+        for e in range(_E_LO, _E_HI + 2)    # + 1: a carry may raise _E_HI
+    ), _WORD)
+
+
+def _digit_words(y) -> np.ndarray:
+    """Eight ASCII digits per word of ``y`` (each < 10^8), first digit in the
+    low byte, in place.
+
+    Branch-free SWAR: (x << s) - q ((m << s) - 1) = ((x - m q) << s) + q puts
+    the quotient q = x // m in the low lane and the remainder above it, so
+    one 32-bit lane pair becomes two 4-digit lanes, then four 2-digit 16-bit
+    lanes, then eight bytes; // 100 and // 10 are * 5243 >> 19 and
+    * 103 >> 10, exact on those lanes.
+    """
+    q = y // _U(10 ** 4)
+    y <<= _U(32)
+    q *= _U((10 ** 4 << 32) - 1)
+    y -= q
+    np.multiply(y, _U(5243), out=q)
+    q >>= _U(19)
+    q &= _U(0x0000007F0000007F)
+    y <<= _U(16)
+    q *= _U((100 << 16) - 1)
+    y -= q
+    np.multiply(y, _U(103), out=q)
+    q >>= _U(10)
+    q &= _U(0x000F000F000F000F)
+    y <<= _U(8)
+    q *= _U((10 << 8) - 1)
+    y -= q
+    y |= _U(0x3030303030303030)
+    return y
+
+
 def _scaled(a, e) -> tuple:
     """floor(a * 10^(16 - e)) as int64 and the fraction left over (a = |v|)."""
     hi, lo, hi_h, hi_l = (col[_E_HI - e] for col in _pow10_table())
@@ -313,9 +373,10 @@ def _exact_fields(values) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _FIELD)
 
 
-def _format_block(v, ends) -> bytes:
-    """Rows of one block: ``v`` is the block's values row by row and ``ends``
-    the bytes after each field (separator or newline), one row per value."""
+def _format_block(v, suffixes, at, tails) -> bytearray:
+    """Rows of one block: ``v`` is the block's values row by row, and value
+    i takes its suffix word from ``suffixes[at[i] + e]`` (its column's
+    table) and the words after it from ``tails[i]``."""
     a = np.abs(v)
     fast = (a >= _VEC_MIN) & (a <= _VEC_MAX)
     a = np.where(fast, a, 1.0)   # a stand-in; the arbiter rewrites these rows
@@ -330,30 +391,26 @@ def _format_block(v, ends) -> bytes:
     d[carry] = _D_LO
     e += carry
 
-    out = np.empty((v.size, _FIELD + ends.shape[1]), np.uint8)
-    out[:, _FIELD:] = ends
-    out[:, 0] = np.where(np.signbit(v), ord("-"), _FILL)
-    for col in range(18, 2, -1):
-        q = d // 10
-        out[:, col] = d - q * 10 + 48
-        d = q
-    out[:, 1] = d + 48
-    out[:, 2] = ord(".")
-    out[:, 19] = ord("e")
-    out[:, 20] = np.where(e < 0, ord("-"), ord("+"))
-    e = np.abs(e)
-    three = e >= 100
-    h, e = e // 100 + 48, e % 100
-    t, o = e // 10 + 48, e % 10 + 48
-    out[:, 21] = np.where(three, h, t)
-    out[:, 22] = np.where(three, t, o)
-    out[:, 23] = np.where(three, o, _FILL)
+    buf = bytearray(v.size * (4 + tails.shape[1]) * _WORD.itemsize)
+    out = np.frombuffer(buf, _WORD).reshape(v.size, -1)
+    lead = d // 10 ** 16
+    d -= lead * 10 ** 16
+    d = d.view(_U)
+    halves = np.empty((2, v.size), _U)   # the 16 digits after the lead one
+    np.floor_divide(d, _U(10 ** 8), out=halves[0])
+    np.multiply(halves[0], _U(10 ** 8), out=halves[1])
+    np.subtract(d, halves[1], out=halves[1])
+    out[:, 1], out[:, 2] = _digit_words(halves)
+    lead += np.signbit(v) * 10
+    out[:, 0] = _prefix_words().take(lead)
+    e += at[:v.size]
+    out[:, 3] = suffixes.take(e)
+    out[:, 4:] = tails[:v.size]
 
     exact = np.flatnonzero(~fast | (np.abs(frac - 0.5) < _TIE_BAND))
     if exact.size:
-        out[exact, :_FIELD] = _exact_fields(v[exact])
-    flat = out.ravel()
-    return flat[flat != _FILL].tobytes()
+        out.view(np.uint8)[exact, :_FIELD] = _exact_fields(v[exact])
+    return buf.translate(None, _FILL)
 
 
 def _format_rows(*cols, sep: str = ",") -> str:
@@ -363,24 +420,28 @@ def _format_rows(*cols, sep: str = ",") -> str:
     The characters are those of ``"%.16e" % v``, which equals
     ``f"{v:.16e}"``, nan and infinities included.  Values are printed by a
     numpy kernel, a block of about _BLOCK values at a time: every field is
-    laid out in a fixed-width uint8 row (sign, digit, '.', 16 digits, 'e',
-    exponent sign, 2-3 exponent digits, then ``sep`` or a newline) and the
-    filler bytes are removed once.  The few values the kernel cannot decide
-    (see the comment above _pow10_table) are formatted one by one by
+    built in four 64-bit words (see the comment above _pow10_table), ``sep``
+    or a newline in the last of them, a separator of more than three bytes
+    in words after it, and the filler bytes are removed once.  The few
+    values the kernel cannot decide are formatted one by one by
     _exact_fields, the exact arbiter.
     """
     sep = sep.encode()
-    if b"\0" in sep:
+    if _FILL in sep:
         raise ValueError("sep must not contain NUL")
     table = np.column_stack(cols).astype(np.float64, copy=False)
     n, k = table.shape
-    ends = np.full((k, max(len(sep), 1)), _FILL, np.uint8)
-    ends[:-1, :len(sep)] = np.frombuffer(sep, np.uint8)
-    ends[-1, 0] = ord("\n")
+    ends = [sep] * (k - 1) + [b"\n"]
+    suffixes = np.concatenate([_suffix_words(end[:3]) for end in ends])
+    width = -(-max(len(sep) - 3, 0) // _WORD.itemsize)    # tail words per field
+    tails = np.frombuffer(b"".join(
+        end[3:].ljust(width * _WORD.itemsize, _FILL) for end in ends
+    ), _WORD).reshape(k, width)
     rows = max(_BLOCK // k, 1)
-    ends = np.tile(ends, (rows, 1))
+    at = np.tile(np.arange(k) * (len(suffixes) // k) - _E_LO, rows)
+    tails = np.tile(tails, (rows, 1))
     return b"".join(
-        _format_block(block.ravel(), ends[:block.size])
+        _format_block(block.ravel(), suffixes, at, tails)
         for block in (table[r:r + rows] for r in range(0, n, rows))
     ).decode()
 

@@ -189,8 +189,10 @@ def _solve_chain(spec: PotentialSpec, N: int, params: np.ndarray, domain_at,
         if len(history) > 1:
             buf.fill(0.0)
             for i, (p_i, u_i) in enumerate(history):
-                w = math.prod((p - p_j) / (p_i - p_j)
-                              for j, (p_j, _) in enumerate(history) if j != i)
+                w = 1.0
+                for j, (p_j, _) in enumerate(history):
+                    if j != i:
+                        w *= (p - p_j) / (p_i - p_j)
                 blas.daxpy(u_i, buf, a=w)   # in place
             start = buf
         try:

@@ -9,7 +9,11 @@ the confinement requirement and must be gated out rather than solved.
 Checks whose attainable accuracy scales with the grid (formula agreement,
 FD cross-checks, curvature signs) use an effective tolerance
 max(base, C * h^2 * scale); lines where the h^2 floor dominates are marked
-as widened, so a deliberately coarse run completes and says so.
+as widened.  The floor scales a tolerance with the grid's own error; it does
+not guarantee that a coarse run passes.  ``verify --N 17 --n-t 5`` exits 1:
+``lambda_ddot vs FD`` fails on free, exp and neg_quad against widened
+tolerances, and the abs sweep is not strictly decreasing.  What a grid that
+coarse should do (a typed error, or FAIL as now) is ROADMAP item 4.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from eigenshift import cli
 from eigenshift.cli import (
+    _E_HI,
+    _E_LO,
     _TIE_BAND,
     _VEC_MAX,
     _VEC_MIN,
@@ -102,6 +104,40 @@ def test_format_rows_explicit_values(name):
     cols = list(v[: len(v) // 3 * 3].reshape(3, -1))
     assert _format_rows(*cols) == reference_rows(*cols)
     assert _format_rows(*cols, sep=" ") == reference_rows(*cols, sep=" ")
+
+
+def first_double_of_decade(k):
+    """The smallest double whose %.16e has exponent k: the first whose 17
+    digits round up to 10^k, a carry when it lies below 10^k."""
+    # 9.99...95e(k-1): a tie, which rounds half-even up past the odd digit 9
+    threshold = Fraction(10) ** k * (1 - Fraction(5, 10 ** 18))
+    v = float(threshold)
+    return v if Fraction(v) >= threshold else math.nextafter(v, math.inf)
+
+
+def test_format_rows_every_kernel_exponent():
+    exps = range(_E_LO, _E_HI + 1)
+    up = np.array([first_double_of_decade(e + 1) for e in exps])
+    for e, v in zip(exps, up):
+        assert int(f"{v:.16e}".split("e")[1]) == e + 1
+        assert int(f"{math.nextafter(v, 0.0):.16e}".split("e")[1]) == e
+    assert sum(Fraction(v) < Fraction(10) ** (e + 1) for e, v in zip(exps, up)) >= 10
+    powers = [float(10 ** e) if e >= 0 else 1 / 10 ** -e for e in exps]
+    v = np.concatenate([ulp_neighbours(powers), up])
+    v = np.concatenate([v, -v])
+    assert _format_rows(v) == reference_rows(v)
+    cols = list(v.reshape(2, -1))
+    assert _format_rows(*cols) == reference_rows(*cols)
+
+
+@pytest.mark.parametrize("sep", [", ", " | ", " \u2192 ", "<sep>", ";" * 12])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_format_rows_multibyte_separators(sep, k):
+    # the suffix word holds three end bytes; a longer separator takes words of its own
+    cols = columns(k, 300, seed=k)
+    assert _format_rows(*cols, sep=sep) == reference_rows(*cols, sep=sep)
+    cols = list(np.tile(EXPLICIT["exponent_width"], (k, 1)))
+    assert _format_rows(*cols, sep=sep) == reference_rows(*cols, sep=sep)
 
 
 def test_round_half_even_ties_and_carries():
