@@ -6,8 +6,8 @@ residual cap and with its ground-state index certified, comes from LAPACK
 (see tridiag), and this module holds it to a positive vector.  The ground
 state keeps the operator it was solved from.  A left endpoint at -infinity
 is realized by a wall where the Agmon distance from the allowed region
-reaches a fixed K (truncate_domain), at the cost of one probe eigensolve,
-one more per doubling of the probe where V's length scale exceeds 4.
+reaches a fixed K (truncate_domain), at the cost of one probe eigensolve on
+a width that V's box bound sizes to V's own length scale near t.
 
 Grid convention: N counts interior nodes, so the grid has N+2 nodes including
 both Dirichlet endpoints and spacing h = (t - a_eff) / (N + 1).
@@ -29,13 +29,14 @@ from .errors import (
     StructureError,
     TruncationError,
 )
-from .potentials import PotentialSpec, eval_V, validate_confinement
+from .potentials import PotentialSpec, eval_V, validate_confinement, vprime_kinks
 from .tolerances import DEFAULT_TOLS
 from .tridiag import TridiagOperator, smallest_eigenpair
 
 MIN_INTERIOR = 16
-_PROBE_WIDTH, _PROBE_NODES, _PROBE_STEPS = 4.0, 200, 60     # first width, nodes, cap
-_MARCH_CELLS, _MARCH_CHUNKS = 402, 80                          # cells per chunk, cap
+_PROBE_NODES = 200
+_MARCH_CELLS, _MARCH_CHUNKS = 402, 80   # cells per chunk, cap
+_LADDER = np.ldexp(1.0, np.arange(-1074, 1024))   # every power of two a double holds
 _STEEP = 1.1                            # g changes by more across a cell: log-mean
 _CELL_SHARE, _TURN_SHARE = 0.02, 1e-3   # shares of K that a cell, a turning-point
                                         # cell, may add before it is re-marched
@@ -188,8 +189,9 @@ def _resolve_wall(spec: PotentialSpec, domain: Domain) -> Domain:
     """``domain`` with its left wall placed: unchanged when already resolved,
     else (a = -inf) the truncate_domain wall for the probe energy at t.
 
-    Raises ConfinementError when V does not grow on the left, and
-    TruncationError when it grows on a scale the probe cannot reach.
+    Raises ConfinementError when V does not grow on the left, DomainError
+    when V is not finite left of t, and TruncationError when the march does
+    not reach the Agmon distance.
     """
     if domain.resolved:
         return domain
@@ -204,45 +206,32 @@ def _resolve_wall(spec: PotentialSpec, domain: Domain) -> Domain:
 
 def _probe_lambda(spec: PotentialSpec, t: float) -> tuple:
     """(w, lambda_probe): the ground energy on the probe interval (t - w, t),
-    200 nodes, above the true one and min V there.  w starts at 4, halved
-    until V is finite at every interior node of the probe grid, so a V that
-    overflows within 4 of t still gets a probe; V is evaluated once per
-    probe grid, and the operator that passes is the one solved.  Then w
-    doubles, with a new probe each time, while V(t - w) <= lambda_probe: a
-    probe that does not hold its turning point lies in a V too flat for its
-    width, and its energy, near pi^2 / w^2, says nothing of lambda.  Each
-    loop stops after 60 steps, and the widening also where V overflows on
-    the wider grid.
+    200 nodes, above the true one and min V there.  w comes from the box
+    bound lambda <= f(w) = pi^2/w^2 + max V on [t - w, t]; for every confined
+    family that max is V at t - w, at t or at a kink between them, so one
+    eval_V call gives f exactly on every power of two w whose 402 march
+    cells stay distinct left of t.  Its minimiser w* is V's own length scale
+    near t, w*/s for s^2 V(s x), so the probe on twice w* holds its turning
+    point at every scale; it narrows to the widest of those w where V(t - w)
+    is finite, so a V that overflows within 2 w* of t still gets a probe.
 
-    Raises DomainError when no finite probe is found before 60 halvings or
-    before t - w rounds to t, where the probe grid would have no width, and
-    TruncationError when V(t - w) <= lambda_probe still holds after 60
-    doublings: a V whose length scale the probe cannot reach."""
-    width = _PROBE_WIDTH
-    for _ in range(_PROBE_STEPS):
-        if not t - width < t:
-            break
-        try:
-            op = _operator_on(spec, Grid.build(t - width, t, _PROBE_NODES))
-        except DomainError:
-            width *= 0.5
-            continue
-        lam = smallest_eigenpair(op)[0]
-        for _ in range(_PROBE_STEPS):
-            if not eval_V(spec, t - width) <= lam:
-                break
-            try:
-                op = _operator_on(spec, Grid.build(t - 2.0 * width, t, _PROBE_NODES))
-            except DomainError:
-                break
-            width, lam = 2.0 * width, smallest_eigenpair(op)[0]
-        else:
-            if eval_V(spec, t - width) <= lam:
-                raise TruncationError(
-                    f"V stays below the probe energy {lam:.3e} across "
-                    f"{width:.3e} left of t = {t}")
-        return width, lam
-    raise DomainError(f"V is not finite on any probe left of t = {t}")
+    Raises DomainError when V(t) or V(t - w) for every such w is not
+    finite."""
+    kinks = vprime_kinks(spec)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = _LADDER[(t - _LADDER / _MARCH_CELLS < t) & (t - _LADDER > -math.inf)]
+        v = eval_V(spec, np.concatenate((t - w, [t], kinks)))
+        ends, v_t = v[:w.size], v[w.size]
+        top = np.maximum(ends, v_t)
+        for k, v_k in zip(kinks, v[w.size + 1:]):
+            top = np.where((t - w <= k) & (k <= t), np.maximum(top, v_k), top)
+        f = math.pi ** 2 / (w * w) + top
+    finite = np.flatnonzero(np.isfinite(ends) & math.isfinite(v_t))
+    if not finite.size:
+        raise DomainError(f"V is not finite on any probe left of t = {t}")
+    width = float(min(2.0 * w[np.argmin(f)], w[finite[-1]]))
+    op = _operator_on(spec, Grid.build(t - width, t, _PROBE_NODES))
+    return width, smallest_eigenpair(op)[0]
 
 
 def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float,
@@ -254,11 +243,11 @@ def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float,
     V <= lambda_probe, never from t; u decays like exp(-distance), so the wall
     is scale-free.  No eigensolve: the march sums 402 cells per chunk on
     chunks doubling from the probe's width ``w`` (from ``_probe_lambda``:
-    4, halved where V overflows within 4 of t, doubled until the probe holds
-    its turning point; the
-    first chunk, (t - w, t), holds a node with V <= lambda_probe), and a
-    count that starts in a wider chunk restarts there on chunks of at least
-    w.  A cell's integral is the trapezoid, or the log-mean
+    twice the minimiser of V's box bound, a power of two, narrowed where V
+    overflows; the first chunk, (t - w, t), holds a node with
+    V <= lambda_probe), and a count that starts in a wider chunk restarts
+    there on chunks of at least w.  A cell's integral is the trapezoid, or
+    the log-mean
     h (g1 - g0) / ln(g1 / g0) of g = sqrt(V - lambda_probe) where g changes by
     a factor above 1.1 across the cell.  The first cell that adds more than
     2% of K, or a turning-point cell (g0 = 0) more than 0.1%, is marched

@@ -322,13 +322,27 @@ class TestExitCodes:
     def test_half_line_with_a_long_length_scale(self, tmp_path):
         # V = -1e-6 x has an Airy length of 100: lambda = 1e-4 (-a_1 - 2).
         # A width-4 probe saturated near pi^2/16 and put the wall at -617761,
-        # so h = 309 and lambda came out 1.293e-4; the probe now widens until
-        # it holds its turning point
+        # so h = 309 and lambda came out 1.293e-4; the box bound sizes the
+        # probe by V's own length scale
         code = main(["solve", "--potential", "affine:c1=-1e-6", "--a", "-inf",
                      "--t", "200", "--N", "2001", "--out-dir", str(tmp_path)])
         assert code == 0
         meta = json.loads((tmp_path / "ground_state.json").read_text())
         assert meta["lambda"] == pytest.approx(1e-4 * (2.338107410459767 - 2.0), rel=1e-4)
+
+    @pytest.mark.parametrize("pot, t, exact", [
+        ("affine:c1=-1e300", "0", 1e200 * 2.338107410459767),
+        ("quadratic:c2=1e300", "1e-100", 3e150),
+    ], ids=["airy_length_1e-100", "oscillator_length_1e-75"])
+    def test_half_line_with_a_short_length_scale(self, tmp_path, pot, t, exact):
+        # A probe that kept width 4 for a V finite there put the wall about
+        # 0.02 left of t, 2e98 and 2e73 of V's length scales, and lambda came
+        # out 9.94e294 and 9.88e289; the box bound sizes the probe by V
+        code = main(["solve", "--potential", pot, "--a", "-inf", "--t", t,
+                     "--N", "2001", "--out-dir", str(tmp_path)])
+        assert code == 0
+        meta = json.loads((tmp_path / "ground_state.json").read_text())
+        assert meta["lambda"] == pytest.approx(exact, rel=1e-4)
 
     def test_solve_success_is_0(self, tmp_path, capsys):
         code = main(["solve", "--potential", "affine:", "--a", "0", "--t", "1",

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from scipy.special import ai_zeros, airy
 
 from eigenshift.cli import _format_rows, write_columns, write_json
-from eigenshift.errors import ConfinementError, DomainError, TruncationError
+from eigenshift.errors import ConfinementError, DomainError
 from eigenshift.ground_state import (
     Domain,
     Grid,
@@ -247,16 +247,19 @@ class TestTruncation:
     def test_march_refines_a_bounded_number_of_times(self):
         # V(t) = e^360: any cell past the turning point adds ~1e75 to the
         # distance, so refining it without end ran out of chunks; the wall
-        # belongs just past the turning point
+        # belongs just past the turning point.  The pair is the one a probe
+        # halved to width 2 gave; the box-bound probe puts the turning point
+        # on t to the last bit, where no cell lies past it
         spec = make_potential("exp_growth", rate=-90.0)
-        w, lam = _probe_lambda(spec, -4.0)
+        w, lam = 2.0, 5.4316767552753334e156
         wall = truncate_domain(spec, -4.0, lam, w)
         turning = -4.0 - math.log(lam / eval_V(spec, -4.0)) / 90.0
         assert 0.0 < turning - wall < 1e-6
 
     def test_probe_narrows_for_a_steep_potential(self):
-        # e^{-1000 x} overflows within 4 of t = 1; the probe halves its width
-        # to 1 and the solve matches one on an explicit wall at -0.05
+        # e^{-1000 x} overflows within 4 of t = 1; the probe narrows to width
+        # 1, the widest power of two where V(t - w) is finite, and the solve
+        # matches one on an explicit wall at -0.05
         spec = make_potential("exp_growth", rate=-1000.0)
         gs = solve_ground_state(spec, Domain(NEG_INF, 1.0), 801)
         walled = solve_ground_state(spec, Domain(-0.05, 1.0), 801)
@@ -269,9 +272,9 @@ class TestTruncation:
         ({"rate": -5000.0}, -0.1419565425786768),
     ], ids=["infinite-at-t", "sixty-halvings", "finite-only-at-t"])
     def test_probe_rejects_a_potential_infinite_left_of_t(self, params, t):
-        # V overflows at every probe node.  The halving once ran on until
-        # t - w rounded to t and the operator divided by h^2 = 0; in the
-        # last case V(t) = 1.8e308 is finite, so the collapsed probe grid,
+        # V overflows at every probe width.  A halving probe once ran on
+        # until t - w rounded to t and the operator divided by h^2 = 0; in
+        # the last case V(t) = 1.8e308 is finite, so a collapsed probe grid,
         # every node at t, would pass the finiteness check
         spec = make_potential("exp_growth", **params)
         with pytest.raises(DomainError, match="not finite on any probe left of t"):
@@ -284,19 +287,52 @@ class TestTruncation:
     def test_probe_keeps_width_4_for_order_one_potentials(self, family, params, t):
         assert _probe_lambda(make_potential(family, **params), t)[0] == 4.0
 
-    @pytest.mark.parametrize("s", [0.3, 0.1, 0.03, 0.01, 0.001])
+    @pytest.mark.parametrize("s", [0.3, 0.1, 0.03, 0.01, 0.001, 1e2, 1e3])
     def test_scaled_airy_error_matches_the_unscaled_one(self, s):
         # V = -s^3 x on (-inf, 2/s) is V = -x on (-inf, 2) on the length
         # scale 1/s, so at the same N its lambda, s^2 (-a_1 - 2), carries the
         # same relative O(h^2) error.  A probe fixed at width 4 lost its
         # turning point for s < 1: the error grew to -2.2e-3 at s = 0.1 and
-        # +2.3e3 at s = 0.001
+        # +2.3e3 at s = 0.001; one that only halved where V overflowed put
+        # the wall too far out for s > 1: -4.1e-4 at s = 1000
         def rel_err(s):
             spec = make_potential("affine", c1=-s**3)
             gs = solve_ground_state(spec, Domain(NEG_INF, 2.0 / s), 801)
             exact = s * s * (-AIRY_ZERO - 2.0)
             return (gs.lam - exact) / exact
         assert rel_err(s) == pytest.approx(rel_err(1.0), rel=0.05)
+
+    @pytest.mark.parametrize("s", [1e2, 1e3])
+    def test_scaled_oscillator_error_matches_the_unscaled_one(self, s):
+        # V = s^4 x^2 on (-inf, 0) has lambda = 3 s^2 and the same relative
+        # error as x^2 at the same N; a probe that kept width 4 for a V
+        # finite there gave -8.7e-5 at s = 1000 against -9.4e-6
+        def rel_err(s):
+            gs = solve_ground_state(make_potential("quadratic", c2=s**4),
+                                    Domain(NEG_INF, 0.0), 801)
+            return gs.lam / (3.0 * s * s) - 1.0
+        assert rel_err(s) == pytest.approx(rel_err(1.0), rel=0.05)
+
+    @pytest.mark.parametrize("family, params, t", [
+        ("quadratic", lambda s: {"c2": s**4}, 0.0),
+        ("affine", lambda s: {"c1": -s**3}, 2.0),
+        ("exp_growth", lambda s: {"amp": s**2, "rate": -s}, 1.0),
+        ("neg_abs", lambda s: {"slope": 2.0 * s**3, "amp": s**3}, 1.0),
+    ], ids=["x2", "airy", "exp", "neg_abs"])
+    def test_half_line_wall_commutes_with_power_of_two_scale(self, family, params, t):
+        # W(x) = s^2 V(s x) on (-inf, t/s) is V on (-inf, t) on the length
+        # scale 1/s.  For s = 2^j every box-bound rung, probe node and march
+        # cell scales exactly, so s a_eff is the same double at every j, and
+        # lambda maps to s^2 lambda within the finite-a scale law's bound
+        base = solve_ground_state(make_potential(family, **params(1.0)),
+                                  Domain(NEG_INF, t), 801)
+        for j in range(-10, 11):
+            s = 2.0 ** j
+            gs = solve_ground_state(make_potential(family, **params(s)),
+                                    Domain(NEG_INF, t / s), 801)
+            assert s * gs.domain.a_eff == base.domain.a_eff
+            bound = 64 * np.finfo(float).eps * 2.0 / gs.grid.h ** 2
+            assert abs(gs.lam - s * s * base.lam) <= bound
 
     def test_wall_costs_one_eigensolve(self, monkeypatch):
         import eigenshift.ground_state as ground_state
@@ -354,11 +390,21 @@ class TestTruncation:
         gs = solve_ground_state(make_potential("affine", c1=-1e-12), Domain(NEG_INF, 0.0), 801)
         assert gs.lam == pytest.approx(-1e-8 * AIRY_ZERO, rel=1e-4)
 
-    def test_tilt_beyond_the_probe_raises(self):
-        # Airy length 1e20: V stays below the probe energy after 60 doublings
-        # of the probe, whose lambda would be 2.5 times the true one
-        with pytest.raises(TruncationError, match="probe energy"):
-            solve_ground_state(make_potential("affine", c1=-1e-60), Domain(NEG_INF, 0.0), 801)
+    def test_tilt_of_airy_length_1e20_is_solved(self):
+        # lambda = 1e-40 (-a_1).  A probe that doubled from width 4 still lay
+        # below its turning point after 60 doublings and raised
+        # TruncationError; the box bound sizes it near 1e20 at once
+        gs = solve_ground_state(make_potential("affine", c1=-1e-60), Domain(NEG_INF, 0.0), 2001)
+        assert gs.lam == pytest.approx(-1e-40 * AIRY_ZERO, rel=1e-4)
+
+    def test_steep_exponential_is_resolved_at_t(self):
+        # V = e^{-90 x} on (-inf, -4): V(t) = e^360, and V's length scale
+        # near t is about 5e-53, so lambda exceeds e^360 by about 4e-51 of
+        # it.  A probe halved only to width 2 put the wall 0.01 left of t,
+        # and lambda came out 4.5e-4 too large
+        gs = solve_ground_state(make_potential("exp_growth", rate=-90.0),
+                                Domain(NEG_INF, -4.0), 2001)
+        assert gs.lam == pytest.approx(math.exp(360.0), rel=1e-12)
 
 
 class TestSolverValidation:

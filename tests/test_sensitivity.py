@@ -410,11 +410,11 @@ def test_scale_law_maps_lambda_and_its_derivatives(pair):
     # -u'' + W u = s^2 lambda u on (a/s, t/s), W(x) = s^2 V(s x); at the same N
     # the two operators differ by the factor s^2 and rounding, so lambda maps
     # to s^2 lambda, lambda_dot to s^3 lambda_dot and lambda_ddot to s^4
-    # lambda_ddot.  a = -inf is left out: the probe starts at width 4 and
-    # widens by doubling, so its width is not 4/s, and the wall it sets is
-    # not covariant.  The error is O(h^2) at every s < 1, but at s = 1e2 the
-    # width-4 probe cannot resolve V and the x^2 wall moves from s a_eff =
-    # -7.62 to -7.83, far more than one march cell
+    # lambda_ddot.  a = -inf is left out here: the probe's width is a power
+    # of two, so only s = 2^j maps the wall exactly, and the drawn s are
+    # arbitrary.  test_ground_state's
+    # test_half_line_wall_commutes_with_power_of_two_scale holds the
+    # half-line wall and lambda to the same bound for s = 2^j, j in [-10, 10]
     base, scaled, s, a, t = pair
     gs0 = solve_ground_state(base, Domain(a, t), 801)
     gs1 = solve_ground_state(scaled, Domain(a / s, t / s), 801)
