@@ -14,7 +14,7 @@ near-ties) to that exact per-value call.  It builds each field from four
 64-bit words (a prefix from a table, eight digits twice, an exponent suffix
 from a table) and drops the fill bytes in one pass.  ``write_columns``
 writes the rows, and a CSV file and its plot file share one formatting
-pass.  ``write_json`` writes every JSON payload, with shortest round-trip
+pass, written a block at a time (``_write_profile``).  ``write_json`` writes every JSON payload, with shortest round-trip
 floats.  So identical configs produce byte-identical artifacts.
 
 The numerical tolerances are the package's stated ones (``tolerances.py``);
@@ -27,6 +27,7 @@ a verdict that is not ok), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -352,18 +353,50 @@ def _digit_words(y) -> np.ndarray:
     return y
 
 
-def _scaled(a, e) -> tuple:
-    """floor(a * 10^(16 - e)) as int64 and the fraction left over (a = |v|)."""
-    hi, lo, hi_h, hi_l = (col[_E_HI - e] for col in _pow10_table())
-    c = _SPLIT * a
-    a_h = c - (c - a)
-    a_l = a - a_h
-    p = a * hi
-    err = ((a_h * hi_h - p) + a_h * hi_l + a_l * hi_h) + a_l * hi_l
-    whole = np.floor(p)
-    r = (p - whole) + (err + a * lo)
-    r_whole = np.floor(r)
-    return whole.astype(np.int64) + r_whole.astype(np.int64), r - r_whole
+def _scaled_work(n: int) -> tuple:
+    """Buffers for ``_scaled`` on up to ``n`` values: eight float rows and
+    two int64 rows."""
+    return np.empty((8, n)), np.empty((2, n), np.int64)
+
+
+def _scaled(a, e, work) -> tuple:
+    """floor(a * 10^(16 - e)) as int64 and the fraction left over (a = |v|).
+
+    The operations run in place in ``work`` (from ``_scaled_work``, at least
+    a.size columns), and both results are rows of it.
+    """
+    flt, ints = work
+    hi, lo, hi_h, hi_l, a_h, a_l, p, err = flt[:, :a.size]
+    d, k = ints[:, :a.size]
+    np.subtract(_E_HI, e, out=k)
+    for col, out in zip(_pow10_table(), (hi, lo, hi_h, hi_l)):
+        col.take(k, out=out, mode="clip")   # k is in range; "raise" would buffer
+    np.multiply(_SPLIT, a, out=err)         # c
+    np.subtract(err, a, out=a_h)
+    np.subtract(err, a_h, out=a_h)          # a_h = c - (c - a)
+    np.subtract(a, a_h, out=a_l)
+    np.multiply(a, hi, out=p)
+    # err = ((a_h * hi_h - p) + a_h * hi_l + a_l * hi_h) + a_l * hi_l
+    np.multiply(a_h, hi_h, out=err)
+    err -= p
+    a_h *= hi_l
+    err += a_h
+    hi_h *= a_l
+    err += hi_h
+    hi_l *= a_l
+    err += hi_l
+    # r = (p - whole) + (err + a * lo), whole = floor(p)
+    np.floor(p, out=hi)
+    np.copyto(d, hi, casting="unsafe")
+    p -= hi
+    lo *= a
+    err += lo
+    p += err
+    np.floor(p, out=hi)                     # r_whole
+    np.copyto(k, hi, casting="unsafe")
+    d += k
+    p -= hi
+    return d, p
 
 
 def _exact_fields(values) -> np.ndarray:
@@ -373,19 +406,20 @@ def _exact_fields(values) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _FIELD)
 
 
-def _format_block(v, suffixes, at, tails) -> bytearray:
+def _format_block(v, suffixes, at, tails, work) -> bytearray:
     """Rows of one block: ``v`` is the block's values row by row, and value
     i takes its suffix word from ``suffixes[at[i] + e]`` (its column's
-    table) and the words after it from ``tails[i]``."""
+    table) and the words after it from ``tails[i]``; ``work`` is
+    ``_scaled``'s workspace."""
     a = np.abs(v)
     fast = (a >= _VEC_MIN) & (a <= _VEC_MAX)
     a = np.where(fast, a, 1.0)   # a stand-in; the arbiter rewrites these rows
     e = np.floor(np.log10(a)).astype(np.int64)
-    d, frac = _scaled(a, e)
+    d, frac = _scaled(a, e, work)
     off = np.flatnonzero((d < _D_LO) | (d >= _D_HI))
     if off.size:   # log10 rounded across a power of ten
         e[off] += np.where(d[off] >= _D_HI, 1, -1)
-        d[off], frac[off] = _scaled(a[off], e[off])
+        d[off], frac[off] = _scaled(a[off], e[off], _scaled_work(off.size))
     d += frac > 0.5
     carry = d == _D_HI
     d[carry] = _D_LO
@@ -413,19 +447,9 @@ def _format_block(v, suffixes, at, tails) -> bytearray:
     return buf.translate(None, _FILL)
 
 
-def _format_rows(*cols, sep: str = ",") -> str:
-    """Equal-length columns as text rows: each value in %.16e, ``sep`` between
-    values, a newline after every row.
-
-    The characters are those of ``"%.16e" % v``, which equals
-    ``f"{v:.16e}"``, nan and infinities included.  Values are printed by a
-    numpy kernel, a block of about _BLOCK values at a time: every field is
-    built in four 64-bit words (see the comment above _pow10_table), ``sep``
-    or a newline in the last of them, a separator of more than three bytes
-    in words after it, and the filler bytes are removed once.  The few
-    values the kernel cannot decide are formatted one by one by
-    _exact_fields, the exact arbiter.
-    """
+def _row_blocks(*cols, sep: str = ","):
+    """The text of ``_format_rows``, in ASCII bytes, a block of about _BLOCK
+    values (whole rows) at a time."""
     sep = sep.encode()
     if _FILL in sep:
         raise ValueError("sep must not contain NUL")
@@ -440,10 +464,25 @@ def _format_rows(*cols, sep: str = ",") -> str:
     rows = max(_BLOCK // k, 1)
     at = np.tile(np.arange(k) * (len(suffixes) // k) - _E_LO, rows)
     tails = np.tile(tails, (rows, 1))
-    return b"".join(
-        _format_block(block.ravel(), suffixes, at, tails)
-        for block in (table[r:r + rows] for r in range(0, n, rows))
-    ).decode()
+    work = _scaled_work(min(rows, n) * k)
+    for r in range(0, n, rows):
+        yield _format_block(table[r:r + rows].ravel(), suffixes, at, tails, work)
+
+
+def _format_rows(*cols, sep: str = ",") -> str:
+    """Equal-length columns as text rows: each value in %.16e, ``sep`` between
+    values, a newline after every row.
+
+    The characters are those of ``"%.16e" % v``, which equals
+    ``f"{v:.16e}"``, nan and infinities included.  Values are printed by a
+    numpy kernel, a block of about _BLOCK values at a time (``_row_blocks``):
+    every field is built in four 64-bit words (see the comment above
+    _pow10_table), ``sep`` or a newline in the last of them, a separator of
+    more than three bytes in words after it, and the filler bytes are
+    removed once.  The few values the kernel cannot decide are formatted one
+    by one by _exact_fields, the exact arbiter.
+    """
+    return b"".join(_row_blocks(*cols, sep=sep)).decode()
 
 
 def write_columns(path, rows: str, header: str = None) -> None:
@@ -463,16 +502,24 @@ def write_json(path, payload: dict) -> None:
 
 def _write_profile(cfg: RunConfig, csv_name: str, plot_name: str, header: str,
                    x, y) -> None:
-    """Write (x, y) as a CSV file and/or a plot file, formatting the rows once."""
-    want_csv, want_plot = "csv" in cfg.formats, "plot" in cfg.formats
-    if not (want_csv or want_plot):
-        return
-    rows = _format_rows(x, y)
-    if want_csv:
-        write_columns(cfg.out_dir / csv_name, rows, header=header)
-    if want_plot:
-        # %.16e never emits a comma, so the plot rows are the CSV rows re-separated
-        write_columns(cfg.out_dir / plot_name, rows.replace(",", " "))
+    """Write (x, y) as a CSV file and/or a plot file, a block of rows at a
+    time: each block is formatted once and written to both, so neither file
+    is ever held whole in memory."""
+    with contextlib.ExitStack() as stack:
+        files = []   # (file, whether it is the plot file)
+        if "csv" in cfg.formats:
+            fh = stack.enter_context(open(cfg.out_dir / csv_name, "w"))
+            fh.write(header + "\n")
+            files.append((fh, False))
+        if "plot" in cfg.formats:
+            files.append((stack.enter_context(open(cfg.out_dir / plot_name, "w")), True))
+        if not files:
+            return
+        for block in _row_blocks(x, y):
+            text = block.decode()
+            for fh, plot in files:
+                # %.16e never emits a comma, so the plot rows are the CSV rows re-separated
+                fh.write(text.replace(",", " ") if plot else text)
 
 
 def _run_solve(cfg: RunConfig) -> int:

@@ -3,11 +3,14 @@
 The operator is discretized by second-order central differences on a uniform
 grid; the lowest eigenpair of the resulting tridiagonal matrix, held to its
 residual cap and with its ground-state index certified, comes from LAPACK
-(see tridiag), and this module holds it to a positive vector.  The ground
-state keeps the operator it was solved from.  A left endpoint at -infinity
-is realized by a wall where the Agmon distance from the allowed region
-reaches a fixed K (truncate_domain), at the cost of one probe eigensolve on
-a width that V's box bound sizes to V's own length scale near t.
+(see tridiag), and this module holds it to a positive vector.  A cold
+solve on 4000 or more nodes starts from the ground state on N // 8 nodes,
+interpolated (``_nested_start``), and takes about two factorisations where
+a cold start takes five or six.  The ground state keeps the operator it was
+solved from.  A left endpoint at -infinity is realized by a wall where the
+Agmon distance from the allowed region reaches a fixed K (truncate_domain),
+at the cost of one probe eigensolve on a width that V's box bound sizes to
+V's own length scale near t.
 
 Grid convention: N counts interior nodes, so the grid has N+2 nodes including
 both Dirichlet endpoints and spacing h = (t - a_eff) / (N + 1).
@@ -35,6 +38,8 @@ from .tridiag import TridiagOperator, smallest_eigenpair
 
 MIN_INTERIOR = 16
 _PROBE_NODES = 200
+_NEST, _NEST_MIN = 8, 4000              # a cold solve on N >= _NEST_MIN nodes starts
+                                        # from the ground state on N // _NEST
 _MARCH_CELLS, _MARCH_CHUNKS = 402, 80   # cells per chunk, cap
 _LADDER = np.ldexp(1.0, np.arange(-1074, 1024))   # every power of two a double holds
 _STEEP = 1.1                            # g changes by more across a cell: log-mean
@@ -154,7 +159,10 @@ def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
     For a = -inf the wall is resolved by truncate_domain (unless the Domain
     already carries one).  ``start`` (N interior values, any scale), the
     ground state of a nearby problem, starts the inverse iteration in place
-    of its cold vector; the result passes the same checks.
+    of its cold vector; the result passes the same checks.  Without one, a
+    solve on N >= 4000 nodes starts from the interpolated ground state on
+    N // 8 nodes of the same wall and t (``_nested_start``), and a smaller
+    one from the cold vector.
 
     Raises ConfinementError when a = -inf and V does not grow on the left,
     ConvergenceError when the eigensolve fails its own checks, StructureError
@@ -165,6 +173,8 @@ def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
     domain = _resolve_wall(spec, domain)
     grid = Grid.build(domain.a_eff, domain.t, N)
     op = _operator_on(spec, grid)
+    if start is None:
+        start = _nested_start(spec, grid)
     # the pair comes held to its residual cap and with its index certificate
     lam, vec, resid = smallest_eigenpair(op, start=start)
     # orient by the entry of largest magnitude; a tie between +m and -m
@@ -183,6 +193,25 @@ def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
     return GroundState(domain=domain, grid=grid, lam=lam, u=u,
                        flux_a=float(flux_a), flux_t=float(flux_t),
                        residual=resid, op=op)
+
+
+def _nested_start(spec: PotentialSpec, grid: Grid) -> np.ndarray:
+    """A start for the eigensolve on ``grid``: the ground state on the same
+    interval with N // 8 interior nodes, itself started this way while it has
+    at least 4000, linearly interpolated with the Dirichlet zeros at both ends
+    (nested iteration: Bornemann and Deuflhard, Numer. Math. 75, 1996).  None
+    below 4000 nodes, where a cold start costs about as much.
+
+    The first fine ``ptsv``, at the Gershgorin bound, removes the
+    interpolation's high-frequency error, and the second usually ends the
+    iteration, often within the certificate's eps_gap of lambda, so no
+    ``pttrf`` runs; a cold start takes five or six ``ptsv``.
+    """
+    if grid.n_interior < _NEST_MIN:
+        return None
+    coarse = Grid.build(grid.x[0], grid.x[-1], grid.n_interior // _NEST)
+    vec = smallest_eigenpair(_operator_on(spec, coarse), start=_nested_start(spec, coarse))[1]
+    return np.interp(grid.interior, coarse.x, np.concatenate(([0.0], vec, [0.0])))
 
 
 def _resolve_wall(spec: PotentialSpec, domain: Domain) -> Domain:

@@ -17,3 +17,25 @@ def lapack_calls(monkeypatch):
 
     monkeypatch.setattr(tridiag, "lapack", Counting())
     return calls
+
+
+@pytest.fixture
+def lapack_sizes(monkeypatch):
+    """Each LAPACK call of the eigensolve while the test runs, in order, as
+    (routine, n), n the length of the diagonal it is handed."""
+    import eigenshift.tridiag as tridiag
+
+    calls, lapack = [], tridiag.lapack
+
+    class Recording:
+        def __getattr__(self, name):
+            routine = getattr(lapack, name)
+
+            def call(d, *args, **kwargs):
+                calls.append((name, len(d)))
+                return routine(d, *args, **kwargs)
+
+            return call
+
+    monkeypatch.setattr(tridiag, "lapack", Recording())
+    return calls

@@ -25,6 +25,7 @@ from eigenshift.ground_state import (
 from eigenshift.potentials import eval_V, make_potential
 from eigenshift.sensitivity import lambda_dot_flux
 from eigenshift.tolerances import DEFAULT_TOLS
+from eigenshift.tridiag import blas, gershgorin_rows, smallest_eigenpair
 
 NEG_INF = float("-inf")
 PI2 = math.pi * math.pi
@@ -417,6 +418,60 @@ class TestSolverValidation:
         eps = 1e-6 * (1 + abs(gs.lam))
         assert gs.op.count_below(gs.lam - eps) == 0
         assert gs.op.count_below(gs.lam + eps) == 1
+
+
+class TestNestedStart:
+    """A cold solve on N >= 4000 nodes starts from the ground state on N // 8."""
+
+    @pytest.fixture()
+    def eigensolves(self, monkeypatch):
+        import eigenshift.ground_state as ground_state
+
+        calls, real = [], ground_state.smallest_eigenpair
+
+        def recording(op, start=None):
+            calls.append((op.n, start is None))
+            return real(op, start=start)
+
+        monkeypatch.setattr(ground_state, "smallest_eigenpair", recording)
+        return calls
+
+    def test_oscillator_at_32001_takes_two_factorisations(self, eigensolves, lapack_sizes):
+        solve_ground_state(make_potential("quadratic", c2=1.0), Domain(NEG_INF, 0.0), 32001)
+        # the probe, then 500 cold, 4000 from 500, 32001 from 4000
+        assert eigensolves == [(200, True), (500, True), (4000, False), (32001, False)]
+        full = [name for name, n in lapack_sizes if n == 32001]
+        assert full == ["dptsv", "dptsv"]   # no certificate pttrf
+
+    @pytest.mark.parametrize("N", [2001, 3999])
+    def test_below_4000_nodes_the_solve_is_one_cold_eigensolve(self, N, eigensolves,
+                                                                lapack_sizes):
+        spec = make_potential("quadratic", c2=1.0)
+        gs = solve_ground_state(spec, Domain(-5.0, 0.0), N)
+        assert eigensolves == [(N, True)]
+        solved = list(lapack_sizes)
+        lapack_sizes.clear()
+        lam = smallest_eigenpair(_operator_on(spec, Grid.build(-5.0, 0.0, N)))[0]
+        assert solved == lapack_sizes
+        assert gs.lam == lam
+
+    @pytest.mark.parametrize("N", [4001, 8001, 32001])
+    @pytest.mark.parametrize("family, params, t, isolated", [
+        ("quadratic", {"c2": 1.0}, 0.0, True),
+        ("affine", {"c1": -1.0}, 2.0, True),
+        ("abs_shift", {}, 1.0, True),
+        ("neg_abs", {"slope": 2.0, "amp": 1.0}, 1.0, True),
+        # the wall lies 3e-15 left of t, where V = e^360 changes by 3e-13 of
+        # itself: the whole spectrum lies within eps_gap of lambda
+        ("exp_growth", {"rate": -90.0}, -4.0, False),
+    ], ids=["x2", "airy", "abs", "neg_abs", "exp_90"])
+    def test_nested_pair_is_bracketed_by_sturm_counts(self, family, params, t, isolated, N):
+        gs = solve_ground_state(make_potential(family, **params), Domain(NEG_INF, t), N)
+        vec = gs.u[1:-1] * math.sqrt(gs.grid.h)
+        local = blas.dnrm2(gershgorin_rows(gs.op)[1] * vec)   # no overflow near e^360
+        eps_gap = max(1e-10 * (1.0 + abs(gs.lam)), 256 * np.finfo(float).eps * local)
+        assert gs.op.count_below(gs.lam - eps_gap) == 0
+        assert gs.op.count_below(gs.lam + eps_gap) == (1 if isolated else N)
 
 
 class TestTabulatedPotentialSolve:

@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 
 from eigenshift import cli
 from eigenshift.cli import (
+    _BLOCK,
     _E_HI,
     _E_LO,
     _TIE_BAND,
     _VEC_MAX,
     _VEC_MIN,
+    RunConfig,
     _format_rows,
+    _write_profile,
     main,
     write_columns,
 )
@@ -194,6 +197,24 @@ def test_write_columns_header_then_rows(tmp_path):
     assert path.read_text() == "x,y\n" + reference_rows(x, y)
     write_columns(path, _format_rows(x, y))
     assert path.read_text() == reference_rows(x, y)
+
+
+@pytest.mark.parametrize("formats", [("csv",), ("plot",), ("csv", "plot")])
+@pytest.mark.parametrize("n", [100, 3 * (_BLOCK // 2), 3 * (_BLOCK // 2) + 17],
+                         ids=["one_block", "whole_blocks", "partial_last_block"])
+def test_streamed_profile_equals_the_whole_text(tmp_path, formats, n):
+    # two columns make blocks of _BLOCK // 2 rows
+    x, y = columns(2, n, seed=n)
+    cfg = RunConfig(mode="solve", out_dir=tmp_path / "out", formats=formats)
+    cfg.out_dir.mkdir()
+    _write_profile(cfg, "p.csv", "p.dat", "x,y", x, y)
+    rows = _format_rows(x, y)
+    write_columns(tmp_path / "p.csv", rows, header="x,y")
+    write_columns(tmp_path / "p.dat", rows.replace(",", " "))
+    written = sorted(path.name for path in cfg.out_dir.iterdir())
+    assert written == sorted({"csv": "p.csv", "plot": "p.dat"}[f] for f in formats)
+    for name in written:
+        assert (cfg.out_dir / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 @pytest.mark.parametrize("mode, csv_name, plot_name, extra", [
