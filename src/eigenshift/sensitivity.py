@@ -8,7 +8,9 @@ boundary data; since the shifted operator is singular with kernel u, the
 discrete system is solved in bordered (saddle) form, which enforces the
 discrete orthogonality of u_dot to u exactly.  The second derivative is
 evaluated from u_dot and the nodal point of its single sign change, and both
-derivatives are cross-checked against central finite differences in t.
+derivatives are cross-checked against central finite differences in t, whose
+two side energies are the lowest eigenvalues of leading blocks of one matrix
+that extends the centre's operator.
 """
 
 from __future__ import annotations
@@ -18,17 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, StructureError
-from .ground_state import (
-    Domain,
-    Grid,
-    GroundState,
-    MIN_INTERIOR,
-    solve_ground_state,
-)
+from .errors import ConditioningError, StructureError
+from .ground_state import MIN_INTERIOR, Grid, GroundState, _operator_on
 from .potentials import PotentialSpec, eval_Vprime, vprime_kinks
 from .tolerances import DEFAULT_TOLS
-from .tridiag import gershgorin_rows, solve_bordered
+from .tridiag import (TridiagOperator, blas, gershgorin_rows, smallest_eigenpair,
+                      solve_bordered)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -167,34 +164,6 @@ def u_dot_flux_left(u_dot: np.ndarray, grid: Grid) -> float:
     return float((-3.0 * u_dot[0] + 4.0 * u_dot[1] - u_dot[2]) / (2.0 * grid.h))
 
 
-def fd_cells(centre: GroundState, h_t: float) -> int:
-    """The FD step h_t in whole cells of the centre grid, at least one."""
-    return max(1, round(h_t / centre.grid.h))
-
-
-def fd_derivatives(spec: PotentialSpec, centre: GroundState, h_t: float) -> tuple:
-    """Central finite differences of lambda in t: independent derivative oracle.
-
-    ``centre`` is the ground state solved at t on N nodes.  The step snaps to
-    m = fd_cells(centre, h_t) cells: the solves at t -+ m h keep the centre's
-    wall and spacing on N -+ m nodes, starting from its vector truncated or
-    zero-padded, so the three grids share their nodes and a kink of V keeps
-    its place in its cell.
-    """
-    domain, N, m = centre.domain, centre.grid.n_interior, fd_cells(centre, h_t)
-    if N - m < MIN_INTERIOR:
-        raise DomainError(f"FD step of {m} cells leaves under {MIN_INTERIOR} nodes at t - m h")
-    step, start = m * centre.grid.h, centre.u[1:-1]
-    lam_lo, lam_hi = (
-        solve_ground_state(spec, Domain(domain.a, domain.t + sign * step, domain.a_eff),
-                           N + sign * m, start=vec).lam
-        for sign, vec in ((-1, start[:N - m]), (1, np.concatenate((start, np.zeros(m)))))
-    )
-    ld = (lam_hi - lam_lo) / (2.0 * step)
-    ldd = (lam_hi - 2.0 * centre.lam + lam_lo) / (step * step)
-    return ld, ldd
-
-
 def _fd_step(gs: GroundState) -> float:
     """The FD oracle's step h_t before it snaps to whole cells.
 
@@ -209,20 +178,52 @@ def _fd_step(gs: GroundState) -> float:
     1/s.  inf when lambda does not clear min V in floating point.
     """
     op, h = gs.op, gs.grid.h
-    local = float(np.linalg.norm(gershgorin_rows(op)[1] * gs.u[1:-1])) * math.sqrt(h)
+    local = blas.dnrm2(gershgorin_rows(op)[1] * gs.u[1:-1]) * math.sqrt(h)
     gap = gs.lam - (float(np.min(op.d)) - 2.0 / (h * h))
     rounding = 25.0 * math.sqrt(_EPS * local) / gap if gap > 0 else math.inf
     return max(DEFAULT_TOLS.h_t_factor * (gs.t - gs.domain.a_eff), rounding)
+
+
+def fd_derivatives(spec: PotentialSpec, centre: GroundState) -> tuple:
+    """Central finite differences of lambda in t: independent derivative oracle.
+
+    ``centre`` is the ground state solved at t on N nodes; returns
+    (lambda_dot_fd, lambda_ddot_fd, step), step being ``_fd_step`` snapped to
+    m >= 1 cells.  lambda(t -+ m h) are the lowest eigenvalues of the leading
+    N - m rows and the whole of one operator on N + m nodes, whose leading N
+    rows are ``centre.op``, started from the centre's vector truncated or
+    zero-padded.  Raises ConditioningError when the step leaves under
+    MIN_INTERIOR nodes at t - m h: lambda's rounding swamps its curvature.
+    """
+    N, h, h_t = centre.grid.n_interior, centre.grid.h, _fd_step(centre)
+    # inf and nan fail here too
+    if not h_t / h < N - MIN_INTERIOR + 0.5:
+        raise ConditioningError(
+            f"lambda's rounding swamps its curvature on this grid: the FD step "
+            f"{h_t:.6g} leaves under {MIN_INTERIOR} nodes at t - m h")
+    m = max(1, round(h_t / h))
+    # Grid.build's two operations, in place (N-sized temporaries grow the
+    # heap), so the leading N rows are centre.op's
+    x = np.arange(N + m + 2, dtype=float)
+    x *= h
+    x += centre.domain.a_eff
+    op = _operator_on(spec, Grid(x, h))
+    start = centre.u[1:-1]
+    lam_lo = smallest_eigenpair(TridiagOperator(op.d[:N - m], op.e[:N - m - 1]),
+                                start[:N - m])[0]
+    lam_hi = smallest_eigenpair(op, np.concatenate((start, np.zeros(m))))[0]
+    step = m * h
+    ld = (lam_hi - lam_lo) / (2.0 * step)
+    ldd = (lam_hi - 2.0 * centre.lam + lam_lo) / (step * step)
+    return ld, ldd, step
 
 
 def compute_sensitivity(gs: GroundState, spec: PotentialSpec) -> Sensitivity:
     """Full derivative bundle for one solved ground state.
 
     The u_dot solve takes its source term from the flux formula (the coupled
-    system), never from the FD estimate, which stays a pure cross-check.
-    ``fd_step`` is ``_fd_step(gs)`` in whole cells.  Raises ConditioningError
-    when that step leaves under MIN_INTERIOR nodes at t - m h: lambda's
-    rounding then swamps its curvature on this grid.
+    system), never from the FD estimate, which stays a pure cross-check;
+    ``fd_step`` is the step ``fd_derivatives`` chose, and raises where it does.
     """
     ld_flux = lambda_dot_flux(gs)
     ld_int = lambda_dot_integral(gs, spec)
@@ -230,19 +231,13 @@ def compute_sensitivity(gs: GroundState, spec: PotentialSpec) -> Sensitivity:
     orth = orthogonality_residual(gs, u_dot)
     t0 = find_nodal_point(u_dot, gs.grid)
     ldd = lambda_ddot(gs, u_dot, t0, spec)
-    h_t = _fd_step(gs)
-    # fd_derivatives snaps h_t to round(h_t / h) cells; inf and nan fail here too
-    if not h_t / gs.grid.h < gs.grid.n_interior - MIN_INTERIOR + 0.5:
-        raise ConditioningError(
-            f"lambda's rounding swamps its curvature on this grid: the FD step "
-            f"{h_t:.6g} leaves under {MIN_INTERIOR} nodes at t - m h")
-    ld_fd, ldd_fd = fd_derivatives(spec, gs, h_t)
+    ld_fd, ldd_fd, step = fd_derivatives(spec, gs)
     return Sensitivity(
         t=gs.t, lam=gs.lam,
         lambda_dot_flux=ld_flux, lambda_dot_integral=ld_int,
         u_dot=u_dot, t0=t0, lambda_ddot=ldd,
         lambda_dot_fd=ld_fd, lambda_ddot_fd=ldd_fd,
-        orth_residual=orth, fd_step=fd_cells(gs, h_t) * gs.grid.h,
+        orth_residual=orth, fd_step=step,
     )
 
 

@@ -40,7 +40,7 @@ from .tolerances import DEFAULT_TOLS
 
 # h^2 prefactors for the widened (grid-limited) tolerances
 _WIDEN_MATCH = 20.0
-_WIDEN_FD = 50.0        # whole-cell FD steps keep a kink's place in its cell
+_WIDEN_FD = 50.0        # the FD energies share the centre's nodes, so a kink keeps its place
 _WIDEN_SIGN = 50.0
 
 

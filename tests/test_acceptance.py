@@ -79,7 +79,7 @@ def test_criterion_02_flux_derivative(bundles):
     _, gs, sens = bundles["free"]
     rel = abs(sens.lambda_dot_flux + 2 * PI2) / (2 * PI2)
     free = make_potential("affine")
-    fd, _ = fd_derivatives(free, solve_ground_state(free, Domain(0.0, 1.0), 4001), 1e-3)
+    fd, _, _ = fd_derivatives(free, solve_ground_state(free, Domain(0.0, 1.0), 4001))
     rel_fd = abs(sens.lambda_dot_flux - fd) / abs(fd)
     report("criterion 2 (boundary-flux first derivative)",
            rel <= 1e-4 and rel_fd <= 1e-4,

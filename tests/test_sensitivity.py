@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ai_zeros
 
-from eigenshift.errors import ConditioningError, DomainError, StructureError
+from eigenshift.errors import ConditioningError, StructureError
 from eigenshift.ground_state import Domain, Grid, solve_ground_state
 from eigenshift.potentials import make_potential, make_tabulated
 from eigenshift.sensitivity import (
@@ -225,14 +225,14 @@ class TestFiniteDifferences:
     def test_free_first_and_second(self):
         spec = make_potential("affine")
         centre = solve_ground_state(spec, Domain(0.0, 1.0), 2001)
-        ld, ldd = fd_derivatives(spec, centre, 1e-3)
+        ld, ldd, _ = fd_derivatives(spec, centre)
         assert ld == pytest.approx(-2 * PI2, rel=1e-4)
         assert ldd == pytest.approx(6 * PI2, rel=1e-3)
 
     def test_airy_second_derivative_vanishes(self):
         spec = make_potential("affine", c1=-1.0)
         gs = solve_ground_state(spec, Domain(NEG_INF, 2.0), 4001)
-        _, ldd = fd_derivatives(spec, gs, 0.03)
+        _, ldd, _ = fd_derivatives(spec, gs)
         assert abs(ldd) <= 1e-6
 
     def test_step_outgrows_the_rounding_of_a_large_lambda(self):
@@ -253,37 +253,51 @@ class TestFiniteDifferences:
         with pytest.raises(ConditioningError, match="rounding swamps its curvature"):
             compute_sensitivity(gs, spec)
 
-    def test_step_reaching_the_wall_rejected(self):
-        spec = make_potential("affine")
-        centre = solve_ground_state(spec, Domain(0.0, 1.0), 301)
-        with pytest.raises(DomainError):
-            fd_derivatives(spec, centre, 1.5)
+    def test_steep_wall_scale_does_not_overflow(self):
+        # V = e^{-90 x} on (-inf, -4): the rows of |T| 1 reach about 1e165,
+        # whose squares overflow a plain 2-norm; the scaled norm keeps the
+        # failure typed
+        spec = make_potential("exp_growth", rate=-90.0)
+        gs = solve_ground_state(spec, Domain(NEG_INF, -4.0), 801)
+        with pytest.raises(ConditioningError, match="the FD step inf leaves"):
+            compute_sensitivity(gs, spec)
 
     @pytest.mark.parametrize("bundle", ["free_bundle", "airy_bundle"])
-    def test_bundle_fd_equals_three_solves(self, bundle, request):
-        # the bundle takes gs as its centre solve: the outer solves keep its
-        # wall and spacing on N -+ m nodes and start from its vector,
-        # truncated or padded with zeros
+    def test_bundle_fd_equals_block_solves(self, bundle, request, monkeypatch):
+        # lambda(t -+ m h) are the lowest eigenvalues of leading blocks of one
+        # operator on N + m nodes whose leading N rows are gs.op, bit for bit
+        import eigenshift.sensitivity as sensitivity
+
         spec, gs, sens = request.getfixturevalue(bundle)
+        ops, real = [], sensitivity.smallest_eigenpair
+
+        def recording(op, start=None):
+            ops.append(op)
+            return real(op, start)
+
+        monkeypatch.setattr(sensitivity, "smallest_eigenpair", recording)
+        assert fd_derivatives(spec, gs) == (sens.lambda_dot_fd, sens.lambda_ddot_fd,
+                                            sens.fd_step)
         N, h, start = gs.grid.n_interior, gs.grid.h, gs.u[1:-1]
         m = round(sens.fd_step / h)
         assert m >= 1 and sens.fd_step == m * h
-        lo = solve_ground_state(spec, Domain(gs.domain.a, gs.t - m * h, gs.domain.a_eff),
-                                N - m, start=start[:N - m])
-        hi = solve_ground_state(spec, Domain(gs.domain.a, gs.t + m * h, gs.domain.a_eff),
-                                N + m, start=np.concatenate((start, np.zeros(m))))
-        for outer in (lo, hi):
-            assert outer.grid.h == pytest.approx(h, rel=1e-12)
+        block, whole = ops
+        assert whole.n == N + m and block.n == N - m
+        assert np.array_equal(whole.d[:N], gs.op.d) and np.array_equal(whole.e[:N - 1], gs.op.e)
+        assert np.array_equal(block.d, whole.d[:N - m])
+        assert np.array_equal(block.e, whole.e[:N - m - 1])
+        lo = real(block, start[:N - m])[0]
+        hi = real(whole, np.concatenate((start, np.zeros(m))))[0]
         step = m * h
-        assert sens.lambda_dot_fd == (hi.lam - lo.lam) / (2.0 * step)
-        assert sens.lambda_ddot_fd == (hi.lam - 2.0 * gs.lam + lo.lam) / (step * step)
+        assert sens.lambda_dot_fd == (hi - lo) / (2.0 * step)
+        assert sens.lambda_ddot_fd == (hi - 2.0 * gs.lam + lo) / (step * step)
 
     @pytest.mark.parametrize("family, params", [("abs_shift", {}),
                                                 ("neg_abs", {"slope": 2.0, "amp": 1.0})])
     def test_kinked_fd_curvature_is_wall_independent(self, family, params):
-        # with whole-cell steps the kink keeps its place within its cell at
-        # t - h_t, t and t + h_t; a fixed-N step moved it and missed by
-        # 4e-2 to 3e-1 at every one of these walls
+        # the three energies come from leading blocks of one matrix, so the
+        # kink sits on identical nodes at t - m h, t and t + m h; a fixed-N
+        # step moved it and missed by 4e-2 to 3e-1 at every one of these walls
         spec = make_potential(family, **params)
         for wall in np.linspace(-13.0, -12.0, 11):
             gs = solve_ground_state(spec, Domain(NEG_INF, 1.0, float(wall)), 801)
@@ -291,21 +305,27 @@ class TestFiniteDifferences:
             assert abs(sens.lambda_ddot - sens.lambda_ddot_fd) <= \
                 1e-2 * abs(sens.lambda_ddot_fd), wall
 
-    def test_bundle_solves_the_centre_only_on_another_grid(self, monkeypatch):
+    def test_bundle_runs_two_block_eigensolves(self, monkeypatch):
+        import eigenshift.ground_state as ground_state
         import eigenshift.sensitivity as sensitivity
 
         spec = make_potential("affine")
         gs = solve_ground_state(spec, Domain(0.0, 1.0), 301)
-        solved_at = []
-        real = sensitivity.solve_ground_state
+        rows, real = [], sensitivity.smallest_eigenpair
 
-        def counting(spec, domain, N, **kw):
-            solved_at.append(domain.t)
-            return real(spec, domain, N, **kw)
+        def counting(op, start=None):
+            rows.append(op.n)
+            return real(op, start)
 
-        monkeypatch.setattr(sensitivity, "solve_ground_state", counting)
-        compute_sensitivity(gs, spec)
-        assert len(solved_at) == 2 and gs.t not in solved_at
+        def no_ground_state(**fields):
+            raise AssertionError("the FD oracle built a ground state")
+
+        monkeypatch.setattr(sensitivity, "smallest_eigenpair", counting)
+        # solve_ground_state, however imported, builds its result from this name
+        monkeypatch.setattr(ground_state, "GroundState", no_ground_state)
+        sens = compute_sensitivity(gs, spec)
+        m = round(sens.fd_step / gs.grid.h)
+        assert rows == [301 - m, 301 + m]
 
     def test_oracle_agreement_bundle(self, free_bundle):
         _, _, sens = free_bundle
