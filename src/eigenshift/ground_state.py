@@ -4,10 +4,9 @@ The operator is discretized by second-order central differences on a uniform
 grid; the lowest eigenpair of the resulting tridiagonal matrix, held to its
 residual cap and with its ground-state index certified, comes from LAPACK
 (see tridiag), and this module holds it to a positive vector.  A cold
-solve on 4000 or more nodes starts from the ground state on N // 8 nodes,
-interpolated (``_nested_start``), and takes about two factorisations where
-a cold start takes five or six.  The ground state keeps the operator it was
-solved from.  A left endpoint at -infinity is realized by a wall where the
+solve on 4000 or more nodes starts from one on N // 8 nodes
+(``_nested_start``).  The ground state keeps the operator it was solved
+from.  A left endpoint at -infinity is realized by a wall where the
 Agmon distance from the allowed region reaches a fixed K (truncate_domain),
 at the cost of one probe eigensolve on a width that V's box bound sizes to
 V's own length scale near t.
@@ -145,24 +144,41 @@ class GroundState:
 
 def _operator_on(spec: PotentialSpec, grid: Grid) -> TridiagOperator:
     h2 = grid.h * grid.h
-    d = 2.0 / h2 + np.asarray(eval_V(spec, grid.interior), dtype=float)
+    d = np.asarray(eval_V(spec, grid.interior), dtype=float)
+    d += 2.0 / h2   # eval_V's array is new
     if not np.isfinite(d).all():
         raise DomainError("potential is not finite on the working grid")
-    e = np.full(grid.n_interior - 1, -1.0 / h2)
+    e = np.empty(grid.n_interior - 1)
+    e.fill(-1.0 / h2)
     return TridiagOperator(d=d, e=e)
 
 
-def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
-                       start: np.ndarray = None) -> GroundState:
+def _solve_on(spec: PotentialSpec, grid: Grid, start: np.ndarray = None) -> tuple:
+    """(op, lam, u, residual) on ``grid``: the pair solved from ``start``, or
+    else ``_nested_start``, and held positive; u = vec / sqrt(h)."""
+    op = _operator_on(spec, grid)
+    if start is None:
+        start = _nested_start(spec, grid)
+    # the pair comes held to its residual cap and with its index certificate
+    lam, vec, resid = smallest_eigenpair(op, start)
+    # orient by the entry of largest magnitude; a tie between +m and -m
+    # fails the positivity check either way
+    lo, hi = float(vec.min()), float(vec.max())
+    if -lo > hi:
+        vec, lo, hi = -vec, -hi, -lo
+    if hi <= 0 or lo < -DEFAULT_TOLS.pos * hi:
+        raise StructureError("ground-state vector is not positive on the interior")
+    vec /= math.sqrt(grid.h)
+    return op, lam, vec, resid
+
+
+def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int) -> GroundState:
     """Compute the positive L2-normalized Dirichlet ground state.
 
     For a = -inf the wall is resolved by truncate_domain (unless the Domain
-    already carries one).  ``start`` (N interior values, any scale), the
-    ground state of a nearby problem, starts the inverse iteration in place
-    of its cold vector; the result passes the same checks.  Without one, a
-    solve on N >= 4000 nodes starts from the interpolated ground state on
-    N // 8 nodes of the same wall and t (``_nested_start``), and a smaller
-    one from the cold vector.
+    already carries one).  The pair comes from ``_solve_on``, which a sweep
+    endpoint (``sweep._solve_chain``) shares, building no Domain, Grid.build
+    array, GroundState, padded u or flux_a.
 
     Raises ConfinementError when a = -inf and V does not grow on the left,
     ConvergenceError when the eigensolve fails its own checks, StructureError
@@ -172,21 +188,10 @@ def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int,
         raise DomainError(f"N must be at least {MIN_INTERIOR}")
     domain = _resolve_wall(spec, domain)
     grid = Grid.build(domain.a_eff, domain.t, N)
-    op = _operator_on(spec, grid)
-    if start is None:
-        start = _nested_start(spec, grid)
-    # the pair comes held to its residual cap and with its index certificate
-    lam, vec, resid = smallest_eigenpair(op, start=start)
-    # orient by the entry of largest magnitude; a tie between +m and -m
-    # fails the positivity check either way
-    lo, hi = float(vec.min()), float(vec.max())
-    if -lo > hi:
-        vec, lo, hi = -vec, -hi, -lo
-    if hi <= 0 or lo < -DEFAULT_TOLS.pos * hi:
-        raise StructureError("ground-state vector is not positive on the interior")
+    op, lam, vec, resid = _solve_on(spec, grid)
     h = grid.h
     u = np.zeros(N + 2)
-    u[1:-1] = vec / math.sqrt(h)
+    u[1:-1] = vec
 
     flux_a = (4.0 * u[1] - u[2]) / (2.0 * h)
     flux_t = (u[-3] - 4.0 * u[-2]) / (2.0 * h)

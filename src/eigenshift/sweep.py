@@ -5,9 +5,7 @@ energy is largest) so that second differences in t are not polluted by
 truncation jitter.
 Verdicts render the global claims -- strict decrease, convexity for convex
 potentials, concavity for concave potentials on half-infinite domains, and the
-blow-up rate at the left endpoint -- as machine-checkable booleans.  The
-convexity hypothesis is judged on the domain the sweep solved, [a_eff, t_max],
-by the exact ``potentials.convexity_on``.
+blow-up rate at the left endpoint -- as machine-checkable booleans.
 """
 
 from __future__ import annotations
@@ -19,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EigenshiftError
-from .ground_state import Domain, _resolve_wall, solve_ground_state
+from .ground_state import MIN_INTERIOR, Domain, Grid, _resolve_wall, _solve_on
 from .potentials import ConvexityClass, PotentialSpec, convexity_on
-from .sensitivity import lambda_dot_flux
 from .tolerances import DEFAULT_TOLS
 from .tridiag import blas
 
@@ -83,12 +80,10 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
           n_t: int, N: int) -> SweepResult:
     """Compute lambda(t) on a uniform endpoint grid, with its verdict.
 
-    One wall ``a_eff``, resolved at t_min (``a`` itself when a is finite),
-    serves the whole sweep.  The endpoints form one warm chain
-    (``_solve_chain``): from the seventh on, each eigensolve starts from the
-    degree-5 extrapolation 6 u_{k-1} - 15 u_{k-2} + 20 u_{k-3} - 15 u_{k-4}
-    + 6 u_{k-5} - u_{k-6} and usually takes one factorisation.
-    The class of V on [a_eff, t_max] sets the verdict's expectations.
+    The wall ``a_eff`` is resolved at t_min (``a`` itself when a is finite).
+    The endpoints form one warm chain (``_solve_chain``), where an endpoint
+    usually takes one factorisation.  The class of V on [a_eff, t_max] sets
+    the verdict's expectations.
     Solver failures propagate with the failing t attached.
     """
     if n_t < MIN_ENDPOINTS:
@@ -99,12 +94,9 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
 
     ts = np.linspace(t_min, t_max, n_t)
     dt = float(ts[1] - ts[0])
-    lambdas = np.empty(n_t)
-    lambda_dots = np.empty(n_t)
-    for i, gs in enumerate(_solve_chain(spec, N, ts, lambda t: Domain(a, t, a_eff),
-                                          "sweep failed at t")):
-        lambdas[i] = gs.lam
-        lambda_dots[i] = lambda_dot_flux(gs)
+    chain = _solve_chain(spec, N, a_eff, ts, ts, "sweep failed at t")
+    lambdas, flux_t = np.array(list(chain)).T.copy()
+    lambda_dots = -flux_t * flux_t   # sensitivity.lambda_dot_flux
 
     second = (lambdas[:-2] - 2.0 * lambdas[1:-1] + lambdas[2:]) / (dt * dt)
     h_max = (t_max - a_eff) / (N + 1)
@@ -159,17 +151,18 @@ def blowup_profile(spec: PotentialSpec, a: float, epsilons, N: int) -> np.ndarra
     eps = np.asarray(list(epsilons), dtype=float)
     if not math.isfinite(a):
         raise DomainError("blow-up profile needs a finite left endpoint")
-    if len(eps) == 0 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-        raise DomainError("epsilons must be positive and strictly decreasing")
-    chain = _solve_chain(spec, N, eps, lambda e: Domain(a, a + e),
-                         "blow-up profile failed at eps")
-    return np.array([gs.lam * e * e for e, gs in zip(eps, chain)])
+    t = a + eps
+    if not (len(eps) and np.all((a < t) & (t < math.inf)) and np.all(np.diff(eps) < 0)):
+        raise DomainError("need a < a + eps < inf, eps strictly decreasing")
+    chain = _solve_chain(spec, N, a, t, eps, "blow-up profile failed at eps")
+    return np.array([lam * e * e for e, (lam, _) in zip(eps, chain)])
 
 
-def _solve_chain(spec: PotentialSpec, N: int, params: np.ndarray, domain_at,
-                 failure: str):
-    """Ground states on ``domain_at(p)`` for each p of ``params``, all on N
-    interior nodes, in order.
+def _solve_chain(spec: PotentialSpec, N: int, a_eff: float, ts: np.ndarray,
+                 params: np.ndarray, failure: str):
+    """(lambda, flux_t) on (a_eff, t), N interior nodes, for each t of ``ts``
+    in order, from ``_solve_on`` on one grid buffer: no Domain, GroundState
+    or padded u.  Starts are extrapolated in ``params`` (t, or eps).
 
     The first solve is cold, the second starts from the first ground state,
     and each later one from the Lagrange extrapolation in p of the (up to)
@@ -179,12 +172,14 @@ def _solve_chain(spec: PotentialSpec, N: int, params: np.ndarray, domain_at,
     two products of distances would overflow.  On a uniform grid the degree-5
     weights are 6, -15, 20, -15, 6, -1; their magnitudes sum to 63, so the
     start's rounding stays well below the eigensolve's index margin of
-    256 eps, and its Weinstein bound usually leaves one factorisation.  A
-    solver failure propagates as ``f"{failure}={p}: ..."``.
+    256 eps, and its Weinstein bound usually leaves one factorisation.
     """
+    if N < MIN_INTERIOR:
+        raise DomainError(f"{failure}={float(params[0])}: N must be at least {MIN_INTERIOR}")
     history = collections.deque(maxlen=_CHAIN_DEPTH)   # (p_i, u_i), newest last
     buf = np.empty(N)   # the extrapolated start, rebuilt in place for each p
-    for p in map(float, params):
+    nodes, x = np.arange(N + 2.0), np.empty(N + 2)
+    for t, p in zip(map(float, ts), map(float, params)):
         start = history[-1][1] if history else None
         if len(history) > 1:
             buf.fill(0.0)
@@ -195,9 +190,13 @@ def _solve_chain(spec: PotentialSpec, N: int, params: np.ndarray, domain_at,
                         w *= (p - p_j) / (p_i - p_j)
                 blas.daxpy(u_i, buf, a=w)   # in place
             start = buf
+        h = (t - a_eff) / (N + 1)
+        np.multiply(nodes, h, out=x)
+        x += a_eff
+        x[-1] = t
         try:
-            gs = solve_ground_state(spec, domain_at(p), N, start=start)
+            _, lam, u, _ = _solve_on(spec, Grid(x, h), start)
         except EigenshiftError as exc:
             raise type(exc)(f"{failure}={p}: {exc}") from exc
-        yield gs
-        history.append((p, gs.u[1:-1]))
+        yield lam, (u[-2] - 4.0 * u[-1]) / (2.0 * h)
+        history.append((p, u))

@@ -216,7 +216,7 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     # one O(n) buffer serves every step: d - sigma for ptsv, which
     # overwrites it, and row_sum * vec for the margin
     work = np.subtract(op.d, radius, out=radius)
-    gershgorin = sigma = float(np.min(work))
+    gershgorin = sigma = float(work.min())
     # keeps every shift at least floor below the spectrum, so |w| <= 1/floor
     floor = drop = _TINY / _EPS
     # tight: sigma is the Weinstein bound of the vector it is applied to.
@@ -231,7 +231,7 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
         vec = np.asarray(start, dtype=float)
         if vec.shape != (op.n,):
             raise ValueError(f"start vector has shape {vec.shape}, expected ({op.n},)")
-        big = float(np.max(np.abs(vec)))   # nan or inf when an entry is
+        big = float(np.abs(vec).max())   # nan or inf when an entry is
         if not math.isfinite(big):
             raise ValueError("start vector is not finite")
         if big == 0.0:

@@ -1,15 +1,17 @@
 import importlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.special import ai_zeros
 
 from eigenshift.cli import main
-from eigenshift.errors import ConfinementError, DomainError
-from eigenshift.ground_state import Domain, solve_ground_state
+from eigenshift.errors import ConfinementError, DomainError, StructureError
+from eigenshift.ground_state import MIN_INTERIOR, Domain, Grid, solve_ground_state
 from eigenshift.potentials import ConvexityClass, make_potential, make_tabulated
+from eigenshift.sensitivity import lambda_dot_flux
 from eigenshift.sweep import (
     SweepResult,
     blowup_profile,
@@ -151,15 +153,27 @@ CHAINS = {
 }
 
 
+# the package's ``sweep`` attribute is the function, not this module
+sweep_module = importlib.import_module("eigenshift.sweep")
+ground_state_module = importlib.import_module("eigenshift.ground_state")
+
+
 def cold_sweep(monkeypatch, *args):
-    """``sweep`` with every endpoint solved from the cold start vector."""
-    # the package's ``sweep`` attribute is the function, not this module
-    sweep_module = importlib.import_module("eigenshift.sweep")
-    real = sweep_module.solve_ground_state
+    """``sweep`` with every endpoint solved from the cold start vector: the
+    chain hands each endpoint's start to the ``_solve_on`` it calls, and
+    this drops it."""
+    real, starts = sweep_module._solve_on, []
+
+    def cold(spec, grid, start=None):
+        starts.append(start is not None)
+        return real(spec, grid)
+
     with monkeypatch.context() as m:
-        m.setattr(sweep_module, "solve_ground_state",
-                  lambda spec, domain, N, start=None: real(spec, domain, N))
-        return sweep(*args)
+        m.setattr(sweep_module, "_solve_on", cold)
+        result = sweep(*args)
+    # the patch reached every endpoint, and all but the first had a start
+    assert starts == [False] + [True] * (len(result.ts) - 1)
+    return result
 
 
 class TestWarmStartChain:
@@ -189,28 +203,114 @@ class TestWarmStartChain:
 
     def test_dense_sweep_takes_one_factorisation_per_warm_endpoint(self, monkeypatch,
                                                                     lapack_calls):
-        sweep_module = importlib.import_module("eigenshift.sweep")
-        real, per_solve = sweep_module.solve_ground_state, []
+        real, per_solve = sweep_module._solve_on, []
 
-        def counting(spec, domain, N, start=None):
+        def counting(spec, grid, start=None):
             before = lapack_calls["dptsv"]
-            gs = real(spec, domain, N, start=start)
+            solved = real(spec, grid, start)
             per_solve.append((start is not None, lapack_calls["dptsv"] - before))
-            return gs
+            return solved
 
-        monkeypatch.setattr(sweep_module, "solve_ground_state", counting)
+        monkeypatch.setattr(sweep_module, "_solve_on", counting)
         sw = sweep(make_potential("quadratic", c2=1.0), NEG_INF, -1.0, 2.0, 151, 2001)
         assert sw.ok
         # the start is iterate 0, so a converged start stops after one ptsv;
         # only the second and third endpoints, which start from degree 0 and
         # degree 1 extrapolations, take two
         warm = [n for is_warm, n in per_solve if is_warm]
+        assert len(per_solve) == 151 and not per_solve[0][0]
         assert warm == [2, 2] + [1] * 148
         # 312 ptsv and 75 pttrf when every warm endpoint took two ptsv from a
         # linear extrapolation; the index certificate's pttrf now runs at the
         # cold first endpoint, at three warm ones and in the wall probe
         assert lapack_calls["dptsv"] == 164
         assert lapack_calls["dpttrf"] == 5
+
+
+class TestChainEndpoint:
+    """A chain endpoint builds no GroundState, but keeps the checks of
+    ``solve_ground_state``, and each error names the endpoint it failed at."""
+
+    @pytest.mark.parametrize("args", [CHAINS["free"], CHAINS["quadratic"],
+                                      (make_potential("quadratic", c2=1.0), NEG_INF,
+                                       -1.0, 2.0, 5, 4001)],
+                             ids=["free", "quadratic", "nested-start"])
+    def test_first_endpoint_equals_solve_ground_state(self, args):
+        # the first endpoint is cold on both paths (from the nested start at
+        # N >= 4000), so its values match bit for bit
+        spec, a, t_min, _, _, N = args
+        sw = sweep(*args)
+        gs = solve_ground_state(spec, Domain(a, t_min, sw.a_eff), N)
+        assert sw.lambdas[0] == gs.lam
+        assert sw.lambda_dots[0] == lambda_dot_flux(gs)
+
+    def test_each_endpoint_grid_is_grid_build(self, monkeypatch):
+        # on (-2.7, t) with N = 4001, 4002 h - 2.7 misses t by an ulp at
+        # several of these endpoints; the last node must be t itself
+        real, grids = sweep_module._solve_on, []
+
+        def recording(spec, grid, start=None):
+            grids.append((grid.x.copy(), grid.h))
+            return real(spec, grid, start)
+
+        monkeypatch.setattr(sweep_module, "_solve_on", recording)
+        sw = sweep(make_potential("quadratic", c2=1.0), -2.7, 0.5, 3.0, 25, 4001)
+        assert len(grids) == 25
+        for t, (x, h) in zip(sw.ts, grids):
+            built = Grid.build(-2.7, t, 4001)
+            assert h == built.h and np.array_equal(x, built.x)
+
+    def test_first_blowup_interval_equals_solve_ground_state(self):
+        spec, eps = make_potential("quadratic", c2=1.0), 0.04
+        prof = blowup_profile(spec, 0.5, [eps, 0.02], 401)
+        assert prof[0] == solve_ground_state(spec, Domain(0.5, 0.5 + eps), 401).lam * eps * eps
+
+    def test_too_few_nodes(self):
+        with pytest.raises(DomainError,
+                           match=f"^sweep failed at t=0.5: N must be at least {MIN_INTERIOR}$"):
+            sweep(make_potential("affine"), 0.0, 0.5, 2.0, 7, MIN_INTERIOR - 1)
+        with pytest.raises(DomainError, match="^blow-up profile failed at eps=0.04: N must"):
+            blowup_profile(make_potential("affine"), 0.0, [0.04, 0.02], MIN_INTERIOR - 1)
+
+    def test_potential_not_finite_on_an_endpoint_grid(self):
+        # 800 x overflows exp past x = 0.887: the endpoints up to 0.85 solve
+        spec = make_potential("exp_growth", rate=800.0)
+        t = float(np.linspace(0.5, 1.0, 11)[8])
+        with pytest.raises(DomainError, match=re.escape(
+                f"sweep failed at t={t}: potential is not finite on the working grid")):
+            sweep(spec, 0.0, 0.5, 1.0, 11, 801)
+        with pytest.raises(DomainError, match="^blow-up profile failed at eps=0.5: potential"):
+            blowup_profile(spec, 0.5, [0.5, 0.25], 401)
+
+    def test_sign_changing_vector_rejected(self, monkeypatch):
+        # a = 0 needs no wall probe, so the calls are the endpoints'
+        real, calls = ground_state_module.smallest_eigenpair, []
+
+        def third_changes_sign(op, start=None):
+            lam, vec, resid = real(op, start)
+            calls.append(op.n)
+            if len(calls) == 3:
+                vec[: op.n // 2] *= -1.0
+            return lam, vec, resid
+
+        monkeypatch.setattr(ground_state_module, "smallest_eigenpair", third_changes_sign)
+        spec, ts = make_potential("affine"), np.linspace(0.5, 2.0, 7)
+        with pytest.raises(StructureError, match=re.escape(
+                f"sweep failed at t={float(ts[2])}: ground-state vector is not positive")):
+            sweep(spec, 0.0, 0.5, 2.0, 7, 301)
+
+    def test_negative_vector_is_turned_positive(self, monkeypatch):
+        real = ground_state_module.smallest_eigenpair
+
+        def negated(op, start=None):
+            lam, vec, resid = real(op, start)
+            return lam, -vec, resid
+
+        expected = sweep(*CHAINS["free"])
+        monkeypatch.setattr(ground_state_module, "smallest_eigenpair", negated)
+        got = sweep(*CHAINS["free"])
+        assert np.array_equal(got.lambdas, expected.lambdas)
+        assert np.array_equal(got.lambda_dots, expected.lambda_dots)
 
 
 class TestSweepValidation:
@@ -256,6 +356,14 @@ class TestBlowup:
     def test_requires_decreasing_eps(self):
         with pytest.raises(DomainError):
             blowup_profile(make_potential("affine"), 0.0, [0.01, 0.02], 301)
+
+    @pytest.mark.parametrize("a, eps", [(0.0, [0.02, 0.0]), (0.0, [math.inf, 1.0]),
+                                        (0.0, [math.nan]), (1e17, [1.0, 0.5])],
+                             ids=["zero", "inf", "nan", "rounds-to-a"])
+    def test_requires_an_interval(self, a, eps):
+        # each of these leaves no finite interval (a, a + eps) to solve on
+        with pytest.raises(DomainError, match="^need a < a [+] eps < inf"):
+            blowup_profile(make_potential("affine"), a, eps, 301)
 
 
 class TestSweepExport:
