@@ -154,8 +154,11 @@ def _operator_on(spec: PotentialSpec, grid: Grid) -> TridiagOperator:
 
 
 def _solve_on(spec: PotentialSpec, grid: Grid, start: np.ndarray = None) -> tuple:
-    """(op, lam, u, residual) on ``grid``: the pair solved from ``start``, or
-    else ``_nested_start``, and held positive; u = vec / sqrt(h)."""
+    """(op, lam, u, flux_t, residual) on ``grid``: the pair solved from
+    ``start``, or else ``_nested_start``, and held positive; u = vec / sqrt(h)
+    on the interior."""
+    if grid.n_interior < MIN_INTERIOR:
+        raise DomainError(f"N must be at least {MIN_INTERIOR}")
     op = _operator_on(spec, grid)
     if start is None:
         start = _nested_start(spec, grid)
@@ -169,32 +172,27 @@ def _solve_on(spec: PotentialSpec, grid: Grid, start: np.ndarray = None) -> tupl
     if hi <= 0 or lo < -DEFAULT_TOLS.pos * hi:
         raise StructureError("ground-state vector is not positive on the interior")
     vec /= math.sqrt(grid.h)
-    return op, lam, vec, resid
+    return op, lam, vec, (vec[-2] - 4.0 * vec[-1]) / (2.0 * grid.h), resid
 
 
 def solve_ground_state(spec: PotentialSpec, domain: Domain, N: int) -> GroundState:
     """Compute the positive L2-normalized Dirichlet ground state.
 
     For a = -inf the wall is resolved by truncate_domain (unless the Domain
-    already carries one).  The pair comes from ``_solve_on``, which a sweep
-    endpoint (``sweep._solve_chain``) shares, building no Domain, Grid.build
-    array, GroundState, padded u or flux_a.
+    already carries one).  The pair and flux_t come from ``_solve_on``, which
+    a sweep endpoint (``sweep._solve_chain``) shares on its own Grid.build
+    grid, building no Domain, GroundState, padded u or flux_a.
 
     Raises ConfinementError when a = -inf and V does not grow on the left,
     ConvergenceError when the eigensolve fails its own checks, StructureError
     when the vector is not positive.
     """
-    if N < MIN_INTERIOR:
-        raise DomainError(f"N must be at least {MIN_INTERIOR}")
     domain = _resolve_wall(spec, domain)
     grid = Grid.build(domain.a_eff, domain.t, N)
-    op, lam, vec, resid = _solve_on(spec, grid)
-    h = grid.h
+    op, lam, vec, flux_t, resid = _solve_on(spec, grid)
     u = np.zeros(N + 2)
     u[1:-1] = vec
-
-    flux_a = (4.0 * u[1] - u[2]) / (2.0 * h)
-    flux_t = (u[-3] - 4.0 * u[-2]) / (2.0 * h)
+    flux_a = (4.0 * u[1] - u[2]) / (2.0 * grid.h)
     return GroundState(domain=domain, grid=grid, lam=lam, u=u,
                        flux_a=float(flux_a), flux_t=float(flux_t),
                        residual=resid, op=op)

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EigenshiftError
-from .ground_state import MIN_INTERIOR, Domain, Grid, _resolve_wall, _solve_on
+from .ground_state import Domain, Grid, _resolve_wall, _solve_on
 from .potentials import ConvexityClass, PotentialSpec, convexity_on
+from .sensitivity import _hadamard
 from .tolerances import DEFAULT_TOLS
 from .tridiag import blas
 
@@ -88,15 +89,15 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
     """
     if n_t < MIN_ENDPOINTS:
         raise DomainError(f"sweep needs at least {MIN_ENDPOINTS} endpoint samples")
-    if not (a < t_min < t_max):
-        raise DomainError(f"need a < t_min < t_max, got {a}, {t_min}, {t_max}")
+    if not (a < t_min < t_max < math.inf):
+        raise DomainError(f"need a < t_min < t_max < inf, got {a}, {t_min}, {t_max}")
     a_eff = _resolve_wall(spec, Domain(a, t_min)).a_eff
 
     ts = np.linspace(t_min, t_max, n_t)
     dt = float(ts[1] - ts[0])
     chain = _solve_chain(spec, N, a_eff, ts, ts, "sweep failed at t")
     lambdas, flux_t = np.array(list(chain)).T.copy()
-    lambda_dots = -flux_t * flux_t   # sensitivity.lambda_dot_flux
+    lambda_dots = _hadamard(flux_t)
 
     second = (lambdas[:-2] - 2.0 * lambdas[1:-1] + lambdas[2:]) / (dt * dt)
     h_max = (t_max - a_eff) / (N + 1)
@@ -161,8 +162,8 @@ def blowup_profile(spec: PotentialSpec, a: float, epsilons, N: int) -> np.ndarra
 def _solve_chain(spec: PotentialSpec, N: int, a_eff: float, ts: np.ndarray,
                  params: np.ndarray, failure: str):
     """(lambda, flux_t) on (a_eff, t), N interior nodes, for each t of ``ts``
-    in order, from ``_solve_on`` on one grid buffer: no Domain, GroundState
-    or padded u.  Starts are extrapolated in ``params`` (t, or eps).
+    in order, from ``_solve_on`` on ``Grid.build``'s grid: no Domain,
+    GroundState or padded u.  Starts are extrapolated in ``params`` (t, or eps).
 
     The first solve is cold, the second starts from the first ground state,
     and each later one from the Lagrange extrapolation in p of the (up to)
@@ -174,11 +175,8 @@ def _solve_chain(spec: PotentialSpec, N: int, a_eff: float, ts: np.ndarray,
     start's rounding stays well below the eigensolve's index margin of
     256 eps, and its Weinstein bound usually leaves one factorisation.
     """
-    if N < MIN_INTERIOR:
-        raise DomainError(f"{failure}={float(params[0])}: N must be at least {MIN_INTERIOR}")
     history = collections.deque(maxlen=_CHAIN_DEPTH)   # (p_i, u_i), newest last
     buf = np.empty(N)   # the extrapolated start, rebuilt in place for each p
-    nodes, x = np.arange(N + 2.0), np.empty(N + 2)
     for t, p in zip(map(float, ts), map(float, params)):
         start = history[-1][1] if history else None
         if len(history) > 1:
@@ -190,13 +188,9 @@ def _solve_chain(spec: PotentialSpec, N: int, a_eff: float, ts: np.ndarray,
                         w *= (p - p_j) / (p_i - p_j)
                 blas.daxpy(u_i, buf, a=w)   # in place
             start = buf
-        h = (t - a_eff) / (N + 1)
-        np.multiply(nodes, h, out=x)
-        x += a_eff
-        x[-1] = t
         try:
-            _, lam, u, _ = _solve_on(spec, Grid(x, h), start)
+            _, lam, u, flux_t, _ = _solve_on(spec, Grid.build(a_eff, t, N), start)
         except EigenshiftError as exc:
             raise type(exc)(f"{failure}={p}: {exc}") from exc
-        yield lam, (u[-2] - 4.0 * u[-1]) / (2.0 * h)
+        yield lam, flux_t
         history.append((p, u))

@@ -9,7 +9,7 @@ from scipy.special import ai_zeros
 
 from eigenshift.cli import main
 from eigenshift.errors import ConfinementError, DomainError, StructureError
-from eigenshift.ground_state import MIN_INTERIOR, Domain, Grid, solve_ground_state
+from eigenshift.ground_state import MIN_INTERIOR, Domain, solve_ground_state
 from eigenshift.potentials import ConvexityClass, make_potential, make_tabulated
 from eigenshift.sensitivity import lambda_dot_flux
 from eigenshift.sweep import (
@@ -244,22 +244,6 @@ class TestChainEndpoint:
         assert sw.lambdas[0] == gs.lam
         assert sw.lambda_dots[0] == lambda_dot_flux(gs)
 
-    def test_each_endpoint_grid_is_grid_build(self, monkeypatch):
-        # on (-2.7, t) with N = 4001, 4002 h - 2.7 misses t by an ulp at
-        # several of these endpoints; the last node must be t itself
-        real, grids = sweep_module._solve_on, []
-
-        def recording(spec, grid, start=None):
-            grids.append((grid.x.copy(), grid.h))
-            return real(spec, grid, start)
-
-        monkeypatch.setattr(sweep_module, "_solve_on", recording)
-        sw = sweep(make_potential("quadratic", c2=1.0), -2.7, 0.5, 3.0, 25, 4001)
-        assert len(grids) == 25
-        for t, (x, h) in zip(sw.ts, grids):
-            built = Grid.build(-2.7, t, 4001)
-            assert h == built.h and np.array_equal(x, built.x)
-
     def test_first_blowup_interval_equals_solve_ground_state(self):
         spec, eps = make_potential("quadratic", c2=1.0), 0.04
         prof = blowup_profile(spec, 0.5, [eps, 0.02], 401)
@@ -321,6 +305,11 @@ class TestSweepValidation:
     def test_bad_range(self):
         with pytest.raises(DomainError):
             sweep(make_potential("affine"), 1.0, 0.5, 2.0, 7, 301)
+
+    def test_infinite_t_max_rejected(self):
+        # rejected before linspace turns the endpoints into nan
+        with pytest.raises(DomainError, match="^need a < t_min < t_max < inf, got 0.0, 0.5, inf$"):
+            sweep(make_potential("affine"), 0.0, 0.5, math.inf, 7, 301)
 
     def test_unconfined_rejected(self):
         with pytest.raises(ConfinementError):
