@@ -14,7 +14,7 @@ positive definite, which the highest certified shift usually implies
 already (``pttrf`` pivots do not fall as the shift falls), so the extra
 ``pttrf`` runs only when that shift lies below lam - eps_gap.
 ``spectrum_above`` is that definiteness test on its own, one ``pttrf``;
-``count_below`` is a ``stebz`` Sturm count.
+``count_below`` is a ``stebz`` Sturm count that computes no eigenvalue.
 ``solve_bordered`` solves the singular shifted system of a differentiated
 eigenpair through a positive definite tridiagonal ``pttrf``/``pttrs``
 factor-and-solve and a 2x2 system, in O(N).
@@ -101,7 +101,10 @@ class TridiagOperator:
     def count_below(self, sigma: float) -> int:
         """Number of eigenvalues in (-inf, sigma] (a ``stebz`` Sturm count).
 
-        ``sigma = -inf`` counts 0; a nan ``sigma`` raises ValueError.
+        ``stebz`` takes the count from the Sturm counts at the ends of the
+        range; ``abstol = inf`` marks every interval converged at once, so
+        it bisects no eigenvalue.  ``sigma = -inf`` counts 0; a nan
+        ``sigma`` raises ValueError.
         """
         sigma = float(sigma)
         if np.isnan(sigma):
@@ -109,7 +112,7 @@ class TridiagOperator:
         if sigma == -np.inf:
             return 0  # stebz rejects the empty value range vl = vu = -inf
         m, _, _, _, info = lapack.dstebz(self.d, _offdiag(self.e), 1, -np.inf,
-                                         sigma, 1, 1, 0.0, "E")
+                                         sigma, 1, 1, np.inf, "E")
         if info != 0:
             raise ConvergenceError(f"Sturm count: LAPACK stebz info={info}")
         return int(m)

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -424,6 +427,21 @@ class TestArtifacts:
         meta = json.loads((tmp_path / "ground_state.json").read_text())
         assert meta["lambda"] > 0
 
+    def test_double_well_sweep_is_neither_convex_nor_concave(self, tmp_path, capsys):
+        # negative control: a double well is not convex, so its lambda(t) must
+        # come out neither convex nor concave, and the verdict, which expects
+        # no curvature for that class, still ok; a curvature check that
+        # always passes fails here
+        table = tmp_path / "dw.csv"
+        table.write_text("x,V\n-3,40\n-1.5,0\n-0.5,6\n0.5,6\n1.5,0\n4,40\n")
+        code = main(["sweep", "--potential", f"tabulated:file={table}", "--a", "-3",
+                     "--t-range", "-0.2:3:81", "--N", "2001",
+                     "--out-dir", str(tmp_path / "dw")])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in ("convex_in_t = False", "concave_in_t = False", "ok = True"):
+            assert line in lines
+
     def test_verify_coarse_smoke(self, tmp_path):
         code = main(["verify", "--N", "64", "--n-t", "5",
                      "--out-dir", str(tmp_path)])
@@ -444,3 +462,34 @@ class TestDeterminism:
         assert names == sorted(p.name for p in d2.iterdir())
         for name in names:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the CLI tunes glibc's malloc only; "
+                    "with another libc there is nothing to measure")
+def test_repeated_large_call_faults_in_no_new_memory(tmp_path):
+    # with glibc's default thresholds every freed O(N) temporary of an
+    # N = 32001 call goes back to the kernel, and the next call in the same
+    # process faults it in again: over 3,000 minor faults per call.  BLAS is
+    # pinned to one thread so that no worker thread's first touch counts.
+    code = """
+import contextlib, io, resource, sys
+from eigenshift.cli import main
+argv = ["sensitivity", "--potential", "quadratic:c2=1", "--a", "-inf", "--t", "0",
+        "--N", "32001", "--out-dir", sys.argv[1]]
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 200
