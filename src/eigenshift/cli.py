@@ -491,17 +491,17 @@ def _format_rows(*cols, sep: str = ",") -> str:
 
 def write_columns(path, rows: str, header: str = None) -> None:
     """Write rows from ``_format_rows``, or a report, under an optional header."""
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         if header is not None:
-            fh.write(header + "\n")
-        fh.write(rows)
+            fh.write(header.encode() + b"\n")
+        fh.write(rows.encode())
 
 
 def write_json(path, payload: dict) -> None:
     """Write ``payload`` as indented JSON with a trailing newline, in one
     write: ``json.dump`` would stream it in thousands of small chunks."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(payload, indent=2) + "\n").encode())
 
 
 def _write_profile(cfg: RunConfig, csv_name: str, plot_name: str, header: str,
@@ -512,18 +512,17 @@ def _write_profile(cfg: RunConfig, csv_name: str, plot_name: str, header: str,
     with contextlib.ExitStack() as stack:
         files = []   # (file, whether it is the plot file)
         if "csv" in cfg.formats:
-            fh = stack.enter_context(open(cfg.out_dir / csv_name, "w"))
-            fh.write(header + "\n")
+            fh = stack.enter_context(open(cfg.out_dir / csv_name, "wb"))
+            fh.write(header.encode() + b"\n")
             files.append((fh, False))
         if "plot" in cfg.formats:
-            files.append((stack.enter_context(open(cfg.out_dir / plot_name, "w")), True))
+            files.append((stack.enter_context(open(cfg.out_dir / plot_name, "wb")), True))
         if not files:
             return
         for block in _row_blocks(x, y):
-            text = block.decode()
             for fh, plot in files:
                 # %.16e never emits a comma, so the plot rows are the CSV rows re-separated
-                fh.write(text.replace(",", " ") if plot else text)
+                fh.write(block.replace(b",", b" ") if plot else block)
 
 
 def _run_solve(cfg: RunConfig) -> int:

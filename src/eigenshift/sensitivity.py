@@ -1,16 +1,13 @@
 """Derivatives of the ground energy with respect to the moving right endpoint.
 
-Two independent first-derivative routes are implemented: the boundary-flux
-identity (minus the squared outward derivative at t) and the potential-slope
-integral (integral of V' u^2 minus the squared flux at a finite left end).
-The derivative field u_dot solves the shifted eigenproblem with inhomogeneous
-boundary data; since the shifted operator is singular with kernel u, the
-discrete system is solved in bordered (saddle) form, which enforces the
-discrete orthogonality of u_dot to u exactly.  The second derivative is
-evaluated from u_dot and the nodal point of its single sign change, and both
-derivatives are cross-checked against central finite differences in t, whose
-two side energies are the lowest eigenvalues of leading blocks of one matrix
-that extends the centre's operator.
+Two first-derivative routes: the boundary flux (minus the squared outward
+derivative at t) and the integral of V' u^2 (less the squared flux at a
+finite left end).  The field u_dot solves the singular shifted eigenproblem
+with inhomogeneous boundary data in bordered (saddle) form, so it is
+discretely orthogonal to u.  The second derivative comes from u_dot and its
+nodal point.  Central finite differences in t cross-check both; their side
+energies come from the centre's operator extended past t, started from
+u +- s u_dot.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, StructureError
+from .errors import ConditioningError, RangeError, StructureError
 from .ground_state import MIN_INTERIOR, Grid, GroundState, _operator_on
 from .potentials import PotentialSpec, eval_Vprime, vprime_kinks
 from .tolerances import DEFAULT_TOLS
@@ -173,14 +170,13 @@ def _fd_step(gs: GroundState) -> float:
     """The FD oracle's step h_t before it snaps to whole cells.
 
     h_t = max(h_t_factor (t - a_eff), 25 sqrt(eps local) / (lambda - min V)),
-    with local = ||(|T| 1) v|| for the unit interior vector v, the scale
-    ``smallest_eigenpair`` judges its pair on, and min V the smallest
-    d - 2/h^2.  lambda is rounded at about eps local, so the second
-    difference carries about 4 eps local / h_t^2 of rounding; the second term
-    keeps that under 1% of the curvature scale 6 (lambda - min V)^2 / pi^2,
-    which is exact for the free particle.  It is scale-free in cells: under
-    V -> s^2 V(s x), sqrt(local) scales as s, lambda - min V as s^2 and h as
-    1/s.  inf when lambda does not clear min V in floating point.
+    local = ||(|T| 1) v|| for the unit interior vector v (the scale
+    ``smallest_eigenpair`` judges its pair on), min V the smallest d - 2/h^2.
+    lambda is rounded at about eps local, so the second difference carries
+    about 4 eps local / h_t^2 of rounding; the second term keeps that under
+    1% of the curvature scale 6 (lambda - min V)^2 / pi^2 (exact for the
+    free particle), and is scale-free in cells under V -> s^2 V(s x).  inf
+    when lambda does not clear min V in floating point.
     """
     op, h = gs.op, gs.grid.h
     local = blas.dnrm2(gershgorin_rows(op)[1] * gs.u[1:-1]) * math.sqrt(h)
@@ -189,16 +185,17 @@ def _fd_step(gs: GroundState) -> float:
     return max(DEFAULT_TOLS.h_t_factor * (gs.t - gs.domain.a_eff), rounding)
 
 
-def fd_derivatives(spec: PotentialSpec, centre: GroundState) -> tuple:
+def fd_derivatives(spec: PotentialSpec, centre: GroundState, u_dot: np.ndarray) -> tuple:
     """Central finite differences of lambda in t: independent derivative oracle.
 
-    ``centre`` is the ground state solved at t on N nodes; returns
-    (lambda_dot_fd, lambda_ddot_fd, step), step being ``_fd_step`` snapped to
-    m >= 1 cells.  lambda(t -+ m h) are the lowest eigenvalues of the leading
-    N - m rows and the whole of one operator on N + m nodes, whose leading N
-    rows are ``centre.op``, started from the centre's vector truncated or
-    zero-padded.  Raises ConditioningError when the step leaves under
-    MIN_INTERIOR nodes at t - m h: lambda's rounding swamps its curvature.
+    ``centre`` is the ground state at t on N nodes, ``u_dot`` its
+    ``solve_u_dot`` field; returns (lambda_dot_fd, lambda_ddot_fd, s), s being
+    ``_fd_step`` snapped to m >= 1 cells h.  lambda(t +- s) are the lowest
+    eigenvalues of ``centre.op`` extended by the m rows at t, t + h, ... and
+    of its leading N - m rows, started from u + s u_dot with the tail
+    -flux_t (t + s - x) and from that pair's vector less 2 s u_dot.  Raises
+    ConditioningError when the step leaves under MIN_INTERIOR nodes at t - s,
+    RangeError when a table ends before t + s - h.
     """
     N, h, h_t = centre.grid.n_interior, centre.grid.h, _fd_step(centre)
     # inf and nan fail here too
@@ -207,28 +204,39 @@ def fd_derivatives(spec: PotentialSpec, centre: GroundState) -> tuple:
             f"lambda's rounding swamps its curvature on this grid: the FD step "
             f"{h_t:.6g} leaves under {MIN_INTERIOR} nodes at t - m h")
     m = max(1, round(h_t / h))
-    # Grid.build's two operations, in place (N-sized temporaries grow the
-    # heap), so the leading N rows are centre.op's
-    x = np.arange(N + m + 2, dtype=float)
+    t, s = centre.t, m * h
+    # the new rows' nodes t + j h, 0 <= j < m, between two unused ends
+    x = np.arange(-1.0, m + 1)
     x *= h
-    x += centre.domain.a_eff
-    op = _operator_on(spec, Grid(x, h))
-    start = centre.u[1:-1]
-    lam_lo = smallest_eigenpair(TridiagOperator(op.d[:N - m], op.e[:N - m - 1]),
-                                start[:N - m])[0]
-    lam_hi = smallest_eigenpair(op, np.concatenate((start, np.zeros(m))))[0]
-    step = m * h
-    ld = (lam_hi - lam_lo) / (2.0 * step)
-    ldd = (lam_hi - 2.0 * centre.lam + lam_lo) / (step * step)
-    return ld, ldd, step
+    x += t
+    try:
+        rows = _operator_on(spec, Grid(x, h))
+    except RangeError as err:
+        raise RangeError(f"the FD oracle's step {s:.6g} at t = {t!r} needs V "
+                         f"beyond the table: {err}") from None
+    d, e = np.concatenate((centre.op.d, rows.d)), np.full(N + m - 1, centre.op.e[0])
+    start = np.empty(N + m)
+    np.multiply(u_dot[1:-1], s, out=start[:N])
+    start[:N] += centre.u[1:-1]
+    np.subtract(t + s, x[1:-1], out=start[N:])
+    start[N:] *= -centre.flux_t
+    lam_hi, vec, _ = smallest_eigenpair(TridiagOperator(d, e), start)
+    # u(t - s) = u(t + s) - 2 s u_dot + O(s^3), u(t + s) being vec held
+    # positive, in u's units; built over vec, once the + start is freed
+    start = vec[:N - m]
+    start /= (-1.0 if -vec.min() > vec.max() else 1.0) * math.sqrt(h)
+    start -= (2.0 * s) * u_dot[1:N - m + 1]
+    lam_lo = smallest_eigenpair(TridiagOperator(d[:N - m], e[:N - m - 1]), start)[0]
+    return ((lam_hi - lam_lo) / (2.0 * s),
+            (lam_hi - 2.0 * centre.lam + lam_lo) / (s * s), s)
 
 
 def compute_sensitivity(gs: GroundState, spec: PotentialSpec) -> Sensitivity:
     """Full derivative bundle for one solved ground state.
 
-    The u_dot solve takes its source term from the flux formula (the coupled
-    system), never from the FD estimate, which stays a pure cross-check;
-    ``fd_step`` is the step ``fd_derivatives`` chose, and raises where it does.
+    u_dot takes its source term from the flux formula, never from the FD
+    oracle, which only starts from u_dot, stays a cross-check, and raises
+    where ``fd_derivatives`` does; ``fd_step`` is its step.
     """
     ld_flux = lambda_dot_flux(gs)
     ld_int = lambda_dot_integral(gs, spec)
@@ -236,7 +244,7 @@ def compute_sensitivity(gs: GroundState, spec: PotentialSpec) -> Sensitivity:
     orth = orthogonality_residual(gs, u_dot)
     t0 = find_nodal_point(u_dot, gs.grid)
     ldd = lambda_ddot(gs, u_dot, t0, spec)
-    ld_fd, ldd_fd, step = fd_derivatives(spec, gs)
+    ld_fd, ldd_fd, step = fd_derivatives(spec, gs, u_dot)
     return Sensitivity(
         t=gs.t, lam=gs.lam,
         lambda_dot_flux=ld_flux, lambda_dot_integral=ld_int,

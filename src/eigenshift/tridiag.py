@@ -1,18 +1,9 @@
 """Symmetric tridiagonal eigen-machinery on direct LAPACK calls.
 
-The smallest eigenpair comes from shifted inverse iteration, cold or from a
-caller's start vector: each step is one positive definite ``ptsv``
-factor-and-solve (``pttrf`` + ``pttrs``) of T - sigma, a factorisation that
-succeeds certifies that sigma lies below the whole spectrum, and the solve
-itself gives the step's Rayleigh quotient and residual.  A cold start takes
-about five factorisations from the Gershgorin bound.  A start is iterate 0:
-its Weinstein bound is the first shift, and from a start already at the
-ground state one factorisation there ends the iteration.  The returned pair
-is held to a residual cap and carries its own index certificate, both on the
-local scale ||(|T| 1) vec|| of the rows it occupies: T - (lam - eps_gap) is
-positive definite, which the highest certified shift usually implies
-already (``pttrf`` pivots do not fall as the shift falls), so the extra
-``pttrf`` runs only when that shift lies below lam - eps_gap.
+The smallest eigenpair comes from shifted inverse iteration on ``ptsv``
+factor-and-solves (``pttrf`` + ``pttrs``) of T - sigma, cold or from a
+caller's start vector, and is held to a residual cap and an index
+certificate (``smallest_eigenpair``).
 ``spectrum_above`` is that definiteness test on its own, one ``pttrf``;
 ``count_below`` is a ``stebz`` Sturm count that computes no eigenvalue.
 ``solve_bordered`` solves the singular shifted system of a differentiated

@@ -19,7 +19,12 @@ from eigenshift.ground_state import (
     solve_ground_state,
 )
 from eigenshift.potentials import convexity_on, make_potential
-from eigenshift.sensitivity import compute_sensitivity, fd_derivatives
+from eigenshift.sensitivity import (
+    compute_sensitivity,
+    fd_derivatives,
+    lambda_dot_flux,
+    solve_u_dot,
+)
 from eigenshift.sweep import blowup_profile, sweep
 
 NEG_INF = float("-inf")
@@ -79,7 +84,8 @@ def test_criterion_02_flux_derivative(bundles):
     _, gs, sens = bundles["free"]
     rel = abs(sens.lambda_dot_flux + 2 * PI2) / (2 * PI2)
     free = make_potential("affine")
-    fd, _, _ = fd_derivatives(free, solve_ground_state(free, Domain(0.0, 1.0), 4001))
+    centre = solve_ground_state(free, Domain(0.0, 1.0), 4001)
+    fd, _, _ = fd_derivatives(free, centre, solve_u_dot(centre, lambda_dot_flux(centre)))
     rel_fd = abs(sens.lambda_dot_flux - fd) / abs(fd)
     report("criterion 2 (boundary-flux first derivative)",
            rel <= 1e-4 and rel_fd <= 1e-4,

@@ -283,6 +283,20 @@ class TestExitCodes:
             lams.append(json.loads((out / "ground_state.json").read_text())["lambda"])
         assert lams[0] == lams[1]
 
+    def test_fd_step_beyond_a_table_is_1(self, tmp_path, capsys):
+        # the table ends at t: a one-cell step needs V at t only, a longer
+        # one beyond the table
+        table = tmp_path / "t.csv"
+        table.write_text("x,V\n0,1\n0.5,0\n1,1\n")
+        args = ["sensitivity", "--potential", f"tabulated:file={table}", "--a", "0",
+                "--t", "1", "--out-dir", str(tmp_path / "s")]
+        assert main(args + ["--N", "801"]) == 0
+        capsys.readouterr()
+        assert main(args + ["--N", "4001"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the FD oracle's step 0.0009995 at t = 1.0 needs V beyond the table: "
+            "x outside tabulated range [0.0, 1.0]"]
+
     def test_solver_failure_is_1(self, tmp_path, capsys):
         # unconfined potential on a half-infinite domain
         code = main(["solve", "--potential", "neg_quadratic:scale=1", "--a", "-inf",

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ai_zeros
 
-from eigenshift.errors import ConditioningError, StructureError
+from eigenshift.errors import ConditioningError, RangeError, StructureError
 from eigenshift.ground_state import Domain, Grid, solve_ground_state
-from eigenshift.potentials import make_potential, make_tabulated
+from eigenshift.potentials import eval_V, make_potential, make_tabulated
 from eigenshift.sensitivity import (
     compute_sensitivity,
     fd_derivatives,
@@ -22,6 +22,7 @@ from eigenshift.sensitivity import (
     solve_u_dot,
     u_dot_flux_left,
 )
+from eigenshift.tridiag import gershgorin_rows
 
 NEG_INF = float("-inf")
 PI = math.pi
@@ -225,14 +226,14 @@ class TestFiniteDifferences:
     def test_free_first_and_second(self):
         spec = make_potential("affine")
         centre = solve_ground_state(spec, Domain(0.0, 1.0), 2001)
-        ld, ldd, _ = fd_derivatives(spec, centre)
+        ld, ldd, _ = fd_derivatives(spec, centre, solve_u_dot(centre, lambda_dot_flux(centre)))
         assert ld == pytest.approx(-2 * PI2, rel=1e-4)
         assert ldd == pytest.approx(6 * PI2, rel=1e-3)
 
     def test_airy_second_derivative_vanishes(self):
         spec = make_potential("affine", c1=-1.0)
         gs = solve_ground_state(spec, Domain(NEG_INF, 2.0), 4001)
-        _, ldd, _ = fd_derivatives(spec, gs)
+        _, ldd, _ = fd_derivatives(spec, gs, solve_u_dot(gs, lambda_dot_flux(gs)))
         assert abs(ldd) <= 1e-6
 
     def test_step_outgrows_the_rounding_of_a_large_lambda(self):
@@ -264,33 +265,114 @@ class TestFiniteDifferences:
 
     @pytest.mark.parametrize("bundle", ["free_bundle", "airy_bundle"])
     def test_bundle_fd_equals_block_solves(self, bundle, request, monkeypatch):
-        # lambda(t -+ m h) are the lowest eigenvalues of leading blocks of one
-        # operator on N + m nodes whose leading N rows are gs.op, bit for bit
+        # lambda(t +- m h) are the lowest eigenvalues of one operator on N + m
+        # nodes, gs.op bit for bit with m rows at t, t + h, ... below it, and
+        # of its leading N - m rows; the + side starts from u + s u_dot and a
+        # linear tail, the - side from the + side's vector less 2 s u_dot
         import eigenshift.sensitivity as sensitivity
 
         spec, gs, sens = request.getfixturevalue(bundle)
-        ops, real = [], sensitivity.smallest_eigenpair
+        calls, real = [], sensitivity.smallest_eigenpair
 
         def recording(op, start=None):
-            ops.append(op)
+            calls.append((op, np.array(start)))   # a copy: the oracle reuses its buffers
             return real(op, start)
 
         monkeypatch.setattr(sensitivity, "smallest_eigenpair", recording)
-        assert fd_derivatives(spec, gs) == (sens.lambda_dot_fd, sens.lambda_ddot_fd,
-                                            sens.fd_step)
-        N, h, start = gs.grid.n_interior, gs.grid.h, gs.u[1:-1]
+        assert fd_derivatives(spec, gs, sens.u_dot) == (sens.lambda_dot_fd, sens.lambda_ddot_fd,
+                                                        sens.fd_step)
+        N, h, t, u, u_dot = gs.grid.n_interior, gs.grid.h, gs.t, gs.u[1:-1], sens.u_dot[1:-1]
         m = round(sens.fd_step / h)
-        assert m >= 1 and sens.fd_step == m * h
-        block, whole = ops
+        step = m * h
+        assert m >= 1 and sens.fd_step == step
+        (whole, hi_start), (block, lo_start) = calls
         assert whole.n == N + m and block.n == N - m
         assert np.array_equal(whole.d[:N], gs.op.d) and np.array_equal(whole.e[:N - 1], gs.op.e)
+        x = t + h * np.arange(m)
+        assert x[0] == t
+        assert np.array_equal(whole.d[N:], eval_V(spec, x) + 2.0 / (h * h))
+        assert np.array_equal(whole.e, np.full(N + m - 1, gs.op.e[0]))
         assert np.array_equal(block.d, whole.d[:N - m])
         assert np.array_equal(block.e, whole.e[:N - m - 1])
-        lo = real(block, start[:N - m])[0]
-        hi = real(whole, np.concatenate((start, np.zeros(m))))[0]
-        step = m * h
+        start = np.concatenate((u + step * u_dot, -gs.flux_t * (t + step - x)))
+        assert np.array_equal(hi_start, start)
+        hi, vec, _ = real(whole, start)
+        sign = -1.0 if -vec.min() > vec.max() else 1.0
+        start = vec[:N - m] / (sign * math.sqrt(h)) - (2.0 * step) * u_dot[:N - m]
+        assert np.array_equal(lo_start, start)
+        lo = real(block, start)[0]
         assert sens.lambda_dot_fd == (hi - lo) / (2.0 * step)
         assert sens.lambda_ddot_fd == (hi - 2.0 * gs.lam + lo) / (step * step)
+
+    @pytest.mark.parametrize("family, params, a, t, N", [
+        ("affine", {}, 0.0, 1.0, 2001),
+        ("affine", {"c1": -1.0}, NEG_INF, 2.0, 2001),
+        ("quadratic", {"c2": 1.0}, NEG_INF, 0.0, 2001),
+        ("abs_shift", {}, NEG_INF, 1.0, 801),
+        ("affine", {"c0": 1e12}, 0.0, 1.0, 2001),
+    ])
+    def test_side_energies_do_not_depend_on_the_start(self, family, params, a, t, N,
+                                                        monkeypatch):
+        # a start only steers the eigensolve: from the centre's vector
+        # truncated or zero-padded, from u -+ s u_dot, and from the starts a
+        # wrong u_dot gives, each side energy lies within the index
+        # certificate's eps_gap of the others, so a wrong u_dot can slow the
+        # oracle but cannot move its answer
+        import eigenshift.sensitivity as sensitivity
+
+        spec = make_potential(family, **params)
+        gs = solve_ground_state(spec, Domain(a, t), N)
+        u_dot = solve_u_dot(gs, lambda_dot_flux(gs))
+        calls, real = [], sensitivity.smallest_eigenpair
+
+        def recording(op, start=None):
+            out = real(op, start)
+            calls.append((op, out))
+            return out
+
+        monkeypatch.setattr(sensitivity, "smallest_eigenpair", recording)
+        wrong = np.random.default_rng(7).normal(size=N + 2) * np.max(np.abs(u_dot))
+        for field in (u_dot, np.zeros(N + 2), -u_dot, wrong):
+            fd_derivatives(spec, gs, field)
+        assert len(calls) == 8
+        u = gs.u[1:-1]
+        for side, old_start in ((0, np.concatenate((u, np.zeros(calls[0][0].n - N)))),
+                                (1, u[:calls[1][0].n])):
+            op, (lam, vec, _) = calls[side]
+            energies = [out[0] for _, out in calls[side::2]] + [real(op, old_start)[0]]
+            local = np.linalg.norm(gershgorin_rows(op)[1] * vec)
+            eps_gap = max(1e-10 * (1.0 + abs(lam)), 256.0 * np.finfo(float).eps * local)
+            assert max(energies) - min(energies) <= eps_gap, side
+
+    def test_oscillator_at_32001_factors_at_most_five_times_beside_the_centre(self,
+                                                                           lapack_sizes):
+        # the side eigensolves took 3 ptsv and a certificate pttrf each from
+        # the truncated and zero-padded centre vector: 8 factorisations
+        spec = make_potential("quadratic", c2=1.0)
+        gs = solve_ground_state(spec, Domain(NEG_INF, 0.0), 32001)
+        lapack_sizes.clear()
+        sens = compute_sensitivity(gs, spec)
+        m = round(sens.fd_step / gs.grid.h)
+        assert m >= 1
+        sides = [name for name, n in lapack_sizes if n in (32001 - m, 32001 + m)]
+        assert set(sides) <= {"dptsv", "dpttrf"}
+        assert len(sides) <= 5
+
+    def test_a_table_ending_at_t_serves_a_one_cell_step_at_every_N(self):
+        # the first new node is t itself: a_eff + (N + 1) h rounded past the
+        # table's last knot at 6 of these N, and the oracle raised RangeError
+        spec = make_tabulated([0.0, 0.37, 1.3], [1.0, 0.0, 1.0])
+        for N in range(100, 1300, 7):
+            gs = solve_ground_state(spec, Domain(0.0, 1.3), N)
+            sens = compute_sensitivity(gs, spec)
+            assert round(sens.fd_step / gs.grid.h) == 1, N
+
+    def test_a_step_reaching_past_the_table_names_the_oracle(self):
+        spec = make_tabulated([0.0, 0.5, 1.0], [1.0, 0.0, 1.0])
+        gs = solve_ground_state(spec, Domain(0.0, 1.0), 4001)
+        with pytest.raises(RangeError, match=r"^the FD oracle's step 0\.0009995 at t = 1\.0 "
+                                             r"needs V beyond the table: x outside"):
+            compute_sensitivity(gs, spec)
 
     @pytest.mark.parametrize("family, params", [("abs_shift", {}),
                                                 ("neg_abs", {"slope": 2.0, "amp": 1.0})])
@@ -325,7 +407,7 @@ class TestFiniteDifferences:
         monkeypatch.setattr(ground_state, "GroundState", no_ground_state)
         sens = compute_sensitivity(gs, spec)
         m = round(sens.fd_step / gs.grid.h)
-        assert rows == [301 - m, 301 + m]
+        assert rows == [301 + m, 301 - m]
 
     def test_oracle_agreement_bundle(self, free_bundle):
         _, _, sens = free_bundle

@@ -1,4 +1,5 @@
 import importlib.machinery
+import math
 import subprocess
 import sys
 
@@ -108,10 +109,16 @@ def test_bordered_solve_rejects_degenerate_eigenvalue(m):
 
 
 def test_oscillator_u_dot_orthogonal_at_fine_grid():
+    # x^2 on (-inf, 0): lambda = 3 and lambda' = -4/sqrt(pi), both the flux
+    # route and the FD oracle's
     spec = make_potential("quadratic", c2=1.0)
     gs = solve_ground_state(spec, Domain(-np.inf, 0.0), 32001)
     sens = compute_sensitivity(gs, spec)
     assert sens.orth_residual <= DEFAULT_TOLS.orth
+    assert sens.lam == pytest.approx(3.0, rel=1e-6, abs=0.0)
+    exact = -4.0 / math.sqrt(math.pi)
+    assert sens.lambda_dot_flux == pytest.approx(exact, rel=1e-4, abs=0.0)
+    assert sens.lambda_dot_fd == pytest.approx(exact, rel=1e-4, abs=0.0)
 
 
 def _lapack_cases():
