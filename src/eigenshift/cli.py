@@ -7,15 +7,16 @@ the config keys, the value readers and the required checks.
 
 This module owns every artifact; the numerical modules return values and
 payload dicts and write no file.  Column data (CSV / plot files) is fixed
-17-digit scientific notation, formatted once per file set by ``_format_rows``,
-a numpy kernel that writes the characters of ``"%.16e" % v`` and hands the
-values it cannot decide (zeros, non-finite values, extreme magnitudes,
-near-ties) to that exact per-value call.  It builds each field from four
-64-bit words (a prefix from a table, eight digits twice, an exponent suffix
-from a table) and drops the fill bytes in one pass.  ``write_columns``
-writes the rows, and a CSV file and its plot file share one formatting
-pass, written a block at a time (``_write_profile``).  ``write_json`` writes every JSON payload, with shortest round-trip
-floats.  So identical configs produce byte-identical artifacts.
+17-digit scientific notation, formatted by ``_row_blocks``, a numpy kernel
+that writes the characters of ``"%.16e" % v`` and hands the values it
+cannot decide (zeros, non-finite values, extreme magnitudes, near-ties) to
+that exact per-value call.  It builds each field from four 64-bit words (a
+prefix from a table, eight digits twice, an exponent suffix from a table)
+and drops the fill bytes in one pass, a block of rows at a time.
+``_write_columns`` opens every CSV and plot file and writes each block as
+it comes, to the CSV file and, with spaces for commas, to its plot file.
+``write_json`` writes every JSON payload, with shortest round-trip floats.
+So identical configs produce byte-identical artifacts.
 
 The numerical tolerances are the package's stated ones (``tolerances.py``);
 no flag or config key changes them.
@@ -24,7 +25,8 @@ no flag or config key changes them.
 call reuses the memory the call before it freed instead of faulting it in.
 
 Exit codes: 0 success, 1 numerical/convergence failure (for ``sweep``, also
-a verdict that is not ok), 2 usage error.
+a verdict that is not ok) or an artifact that cannot be written, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -267,16 +269,15 @@ def parse_config(argv: list) -> RunConfig:
 # Each field is laid out in four little-endian 64-bit words, _FILL where a
 # byte is unused: a prefix word (fill, sign, lead digit, '.') from
 # _prefix_words, two words of eight digits each from _digit_words, and a
-# suffix word ('e', exponent sign, 2-3 digits, then up to three end bytes:
-# the separator or newline) from _suffix_words.  A longer separator goes on
-# in words of its own after the suffix.  The fill bytes are removed once.
+# suffix word ('e', exponent sign, 2-3 digits, then the comma or newline)
+# from _suffix_words.  The fill bytes are removed once.
 _VEC_MIN, _VEC_MAX = 1e-280, 1e280
 _E_LO, _E_HI = -283, 282          # decimal exponents the kernel may try
 _TIE_BAND = 1e-9
 _SPLIT = 134217729.0              # 2^27 + 1
 _BLOCK = 8192                     # values per block, bounding the temporaries
 _FIELD = 29                       # bytes of a field before its end bytes
-_FILL = b"\0"                     # filler byte, removed before decoding
+_FILL = b"\0"                     # filler byte, removed before writing
 _D_LO, _D_HI = 10 ** 16, 10 ** 17
 _WORD = np.dtype("<u8")
 _U = np.uint64                    # explicit, so no numpy version promotes to float
@@ -319,10 +320,11 @@ def _prefix_words() -> np.ndarray:
 
 @functools.cache
 def _suffix_words(end: bytes) -> np.ndarray:
-    """The suffix word for exponent e, at e - _E_LO, with end bytes ``end``
-    (at most three).  Built on first use, once per end."""
+    """The suffix word for exponent e, at e - _E_LO, whose last byte is
+    ``end`` (a comma or a newline), past the bytes that _exact_fields
+    rewrites.  Built on first use, once per end."""
     return np.frombuffer(b"".join(
-        (b"e%+03d" % e).ljust(5, _FILL) + end.ljust(3, _FILL)
+        (b"e%+03d" % e).ljust(_WORD.itemsize - 1, _FILL) + end
         for e in range(_E_LO, _E_HI + 2)    # + 1: a carry may raise _E_HI
     ), _WORD)
 
@@ -410,11 +412,10 @@ def _exact_fields(values) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _FIELD)
 
 
-def _format_block(v, suffixes, at, tails, work) -> bytearray:
+def _format_block(v, suffixes, at, work) -> bytearray:
     """Rows of one block: ``v`` is the block's values row by row, and value
     i takes its suffix word from ``suffixes[at[i] + e]`` (its column's
-    table) and the words after it from ``tails[i]``; ``work`` is
-    ``_scaled``'s workspace."""
+    table); ``work`` is ``_scaled``'s workspace."""
     a = np.abs(v)
     fast = (a >= _VEC_MIN) & (a <= _VEC_MAX)
     a = np.where(fast, a, 1.0)   # a stand-in; the arbiter rewrites these rows
@@ -429,8 +430,8 @@ def _format_block(v, suffixes, at, tails, work) -> bytearray:
     d[carry] = _D_LO
     e += carry
 
-    buf = bytearray(v.size * (4 + tails.shape[1]) * _WORD.itemsize)
-    out = np.frombuffer(buf, _WORD).reshape(v.size, -1)
+    buf = bytearray(v.size * 4 * _WORD.itemsize)
+    out = np.frombuffer(buf, _WORD).reshape(v.size, 4)
     lead = d // 10 ** 16
     d -= lead * 10 ** 16
     d = d.view(_U)
@@ -443,7 +444,6 @@ def _format_block(v, suffixes, at, tails, work) -> bytearray:
     out[:, 0] = _prefix_words().take(lead)
     e += at[:v.size]
     out[:, 3] = suffixes.take(e)
-    out[:, 4:] = tails[:v.size]
 
     exact = np.flatnonzero(~fast | (np.abs(frac - 0.5) < _TIE_BAND))
     if exact.size:
@@ -451,50 +451,26 @@ def _format_block(v, suffixes, at, tails, work) -> bytearray:
     return buf.translate(None, _FILL)
 
 
-def _row_blocks(*cols, sep: str = ","):
-    """The text of ``_format_rows``, in ASCII bytes, a block of about _BLOCK
-    values (whole rows) at a time."""
-    sep = sep.encode()
-    if _FILL in sep:
-        raise ValueError("sep must not contain NUL")
-    table = np.column_stack(cols).astype(np.float64, copy=False)
-    n, k = table.shape
-    ends = [sep] * (k - 1) + [b"\n"]
-    suffixes = np.concatenate([_suffix_words(end[:3]) for end in ends])
-    width = -(-max(len(sep) - 3, 0) // _WORD.itemsize)    # tail words per field
-    tails = np.frombuffer(b"".join(
-        end[3:].ljust(width * _WORD.itemsize, _FILL) for end in ends
-    ), _WORD).reshape(k, width)
-    rows = max(_BLOCK // k, 1)
-    at = np.tile(np.arange(k) * (len(suffixes) // k) - _E_LO, rows)
-    tails = np.tile(tails, (rows, 1))
-    work = _scaled_work(min(rows, n) * k)
-    for r in range(0, n, rows):
-        yield _format_block(table[r:r + rows].ravel(), suffixes, at, tails, work)
-
-
-def _format_rows(*cols, sep: str = ",") -> str:
-    """Equal-length columns as text rows: each value in %.16e, ``sep`` between
-    values, a newline after every row.
+def _row_blocks(*cols):
+    """Equal-length columns as CSV rows in ASCII bytes, a block of about
+    _BLOCK values (whole rows) at a time: each value in %.16e, a comma
+    between values, a newline after every row.
 
     The characters are those of ``"%.16e" % v``, which equals
-    ``f"{v:.16e}"``, nan and infinities included.  Values are printed by a
-    numpy kernel, a block of about _BLOCK values at a time (``_row_blocks``):
-    every field is built in four 64-bit words (see the comment above
-    _pow10_table), ``sep`` or a newline in the last of them, a separator of
-    more than three bytes in words after it, and the filler bytes are
-    removed once.  The few values the kernel cannot decide are formatted one
-    by one by _exact_fields, the exact arbiter.
+    ``f"{v:.16e}"``, nan and infinities included.  Every field is built in
+    four 64-bit words (see the comment above _pow10_table), the comma or
+    newline in the last of them, and the filler bytes are removed once.
+    The few values the kernel cannot decide are formatted one by one by
+    _exact_fields, the exact arbiter.
     """
-    return b"".join(_row_blocks(*cols, sep=sep)).decode()
-
-
-def write_columns(path, rows: str, header: str = None) -> None:
-    """Write rows from ``_format_rows``, or a report, under an optional header."""
-    with open(path, "wb") as fh:
-        if header is not None:
-            fh.write(header.encode() + b"\n")
-        fh.write(rows.encode())
+    table = np.column_stack(cols).astype(np.float64, copy=False)
+    n, k = table.shape
+    suffixes = np.concatenate([_suffix_words(b",")] * (k - 1) + [_suffix_words(b"\n")])
+    rows = max(_BLOCK // k, 1)
+    at = np.tile(np.arange(k) * (len(suffixes) // k) - _E_LO, rows)
+    work = _scaled_work(min(rows, n) * k)
+    for r in range(0, n, rows):
+        yield _format_block(table[r:r + rows].ravel(), suffixes, at, work)
 
 
 def write_json(path, payload: dict) -> None:
@@ -504,22 +480,24 @@ def write_json(path, payload: dict) -> None:
         fh.write((json.dumps(payload, indent=2) + "\n").encode())
 
 
-def _write_profile(cfg: RunConfig, csv_name: str, plot_name: str, header: str,
-                   x, y) -> None:
-    """Write (x, y) as a CSV file and/or a plot file, a block of rows at a
-    time: each block is formatted once and written to both, so neither file
-    is ever held whole in memory."""
+def _write_columns(cfg: RunConfig, blocks, csv_name: str = None, header: str = None,
+                   plot_name: str = None) -> None:
+    """Write the CSV rows of ``blocks`` (from ``_row_blocks``) to the files
+    of this call that ``cfg.formats`` asks for: ``csv_name`` under
+    ``header``, and ``plot_name`` with spaces for commas.  Each block is
+    formatted once and written to both as it comes, so neither file is ever
+    held whole in memory."""
     with contextlib.ExitStack() as stack:
         files = []   # (file, whether it is the plot file)
-        if "csv" in cfg.formats:
+        if csv_name and "csv" in cfg.formats:
             fh = stack.enter_context(open(cfg.out_dir / csv_name, "wb"))
             fh.write(header.encode() + b"\n")
             files.append((fh, False))
-        if "plot" in cfg.formats:
+        if plot_name and "plot" in cfg.formats:
             files.append((stack.enter_context(open(cfg.out_dir / plot_name, "wb")), True))
         if not files:
             return
-        for block in _row_blocks(x, y):
+        for block in blocks:
             for fh, plot in files:
                 # %.16e never emits a comma, so the plot rows are the CSV rows re-separated
                 fh.write(block.replace(b",", b" ") if plot else block)
@@ -528,7 +506,7 @@ def _write_profile(cfg: RunConfig, csv_name: str, plot_name: str, header: str,
 def _run_solve(cfg: RunConfig) -> int:
     gs = solve_ground_state(cfg.spec, Domain(cfg.a, cfg.t), cfg.N)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_profile(cfg, "ground_state.csv", "u_vs_x.dat", "x,u", gs.grid.x, gs.u)
+    _write_columns(cfg, _row_blocks(gs.grid.x, gs.u), "ground_state.csv", "x,u", "u_vs_x.dat")
     meta = ground_state_metadata(gs)
     if "json" in cfg.formats:
         write_json(cfg.out_dir / "ground_state.json", meta)
@@ -545,7 +523,8 @@ def _run_sensitivity(cfg: RunConfig) -> int:
     meta = sensitivity_metadata(sens)
     if "json" in cfg.formats:
         write_json(cfg.out_dir / "sensitivity.json", meta)
-    _write_profile(cfg, "u_dot.csv", "u_dot_vs_x.dat", "x,u_dot", gs.grid.x, sens.u_dot)
+    _write_columns(cfg, _row_blocks(gs.grid.x, sens.u_dot), "u_dot.csv", "x,u_dot",
+                   "u_dot_vs_x.dat")
     for key, val in meta.items():
         print(f"{key} = {val!r}")
     return 0
@@ -555,20 +534,18 @@ def _run_sweep(cfg: RunConfig) -> int:
     lo, hi, count = cfg.t_range
     result = sweep(cfg.spec, cfg.a, lo, hi, count, cfg.N)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    if "csv" in cfg.formats:
-        # a nan curvature cell is left blank, as on the end rows, which have no
-        # second difference
-        sd = np.concatenate(([math.nan], result.second_diffs, [math.nan]))
-        rows = _format_rows(result.ts, result.lambdas, result.lambda_dots, sd)
-        write_columns(cfg.out_dir / "sweep.csv", rows.replace(",nan\n", ",\n"),
-                      header="t,lambda,lambda_dot,second_diff")
+    # a nan curvature cell is left blank, as on the end rows, which have no
+    # second difference
+    sd = np.concatenate(([math.nan], result.second_diffs, [math.nan]))
+    rows = _row_blocks(result.ts, result.lambdas, result.lambda_dots, sd)
+    _write_columns(cfg, (block.replace(b",nan\n", b",\n") for block in rows),
+                   "sweep.csv", "t,lambda,lambda_dot,second_diff")
     if "json" in cfg.formats:
         write_json(cfg.out_dir / "verdict.json", verdict_metadata(result))
-    if "plot" in cfg.formats:
-        for name, ts, ys in (("lambda_vs_t.dat", result.ts, result.lambdas),
-                             ("lambda_dot_vs_t.dat", result.ts, result.lambda_dots),
-                             ("second_diff_vs_t.dat", result.ts[1:-1], result.second_diffs)):
-            write_columns(cfg.out_dir / name, _format_rows(ts, ys, sep=" "))
+    for name, ts, ys in (("lambda_vs_t.dat", result.ts, result.lambdas),
+                         ("lambda_dot_vs_t.dat", result.ts, result.lambda_dots),
+                         ("second_diff_vs_t.dat", result.ts[1:-1], result.second_diffs)):
+        _write_columns(cfg, _row_blocks(ts, ys), plot_name=name)
     print(f"swept {count} endpoints in [{lo}, {hi}] (V class: {result.convexity.value})")
     for key, val in result.verdict().items():
         print(f"{key} = {val}")
@@ -583,7 +560,7 @@ def _run_verify(cfg: RunConfig) -> int:
     report = run_battery(N=cfg.N, n_t=cfg.n_t)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     text = report.render()
-    write_columns(cfg.out_dir / "verify_report.txt", text)
+    (cfg.out_dir / "verify_report.txt").write_bytes(text.encode())
     if "json" in cfg.formats:
         write_json(cfg.out_dir / "verify.json", report.to_json())
     print(text, end="")
@@ -636,7 +613,7 @@ def main(argv: list = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except EigenshiftError as exc:
+    except (EigenshiftError, OSError) as exc:   # OSError: an artifact it cannot write
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -46,12 +46,7 @@ class Sensitivity:
 
 def lambda_dot_flux(gs: GroundState) -> float:
     """First derivative from the boundary flux: -(u_x(t))^2, strictly negative."""
-    return _hadamard(gs.flux_t)
-
-
-def _hadamard(flux_t):
-    """-flux_t^2, elementwise on a sweep's array of fluxes."""
-    return -flux_t * flux_t
+    return -gs.flux_t * gs.flux_t
 
 
 def lambda_dot_integral(gs: GroundState, spec: PotentialSpec) -> float:

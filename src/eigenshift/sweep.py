@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DomainError, EigenshiftError
 from .ground_state import Domain, Grid, _resolve_wall, _solve_on
 from .potentials import ConvexityClass, PotentialSpec, convexity_on
-from .sensitivity import _hadamard
 from .tolerances import DEFAULT_TOLS
 from .tridiag import blas
 
@@ -97,7 +96,7 @@ def sweep(spec: PotentialSpec, a: float, t_min: float, t_max: float,
     dt = float(ts[1] - ts[0])
     chain = _solve_chain(spec, N, a_eff, ts, ts, "sweep failed at t")
     lambdas, flux_t = np.array(list(chain)).T.copy()
-    lambda_dots = _hadamard(flux_t)
+    lambda_dots = -flux_t * flux_t   # lambda_dot_flux at each endpoint
 
     second = (lambdas[:-2] - 2.0 * lambdas[1:-1] + lambdas[2:]) / (dt * dt)
     h_max = (t_max - a_eff) / (N + 1)

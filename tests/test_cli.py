@@ -297,6 +297,20 @@ class TestExitCodes:
             "error: the FD oracle's step 0.0009995 at t = 1.0 needs V beyond the table: "
             "x outside tabulated range [0.0, 1.0]"]
 
+    def test_unwritable_out_dir_is_1(self, tmp_path, capsys):
+        # a file where the out-dir or its parent should be, and a directory
+        # where an artifact should be: one error line naming the path
+        afile = tmp_path / "F"
+        afile.write_text("")
+        (tmp_path / "d" / "ground_state.csv").mkdir(parents=True)
+        for out, path in ((afile, afile), (afile / "sub", afile / "sub"),
+                          (tmp_path / "d", tmp_path / "d" / "ground_state.csv")):
+            assert main(["solve", "--potential", "affine:", "--a", "0", "--t", "1",
+                         "--N", "64", "--out-dir", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert str(path) in captured.err
+
     def test_solver_failure_is_1(self, tmp_path, capsys):
         # unconfined potential on a half-infinite domain
         code = main(["solve", "--potential", "neg_quadratic:scale=1", "--a", "-inf",

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ai_zeros, airy
 
-from eigenshift.cli import _format_rows, write_columns, write_json
+from eigenshift.cli import RunConfig, _row_blocks, _write_columns, write_json
 from eigenshift.errors import ConfinementError, DomainError
 from eigenshift.ground_state import (
     Domain,
@@ -498,7 +498,8 @@ class TestExport:
         gs = solve_ground_state(free(), Domain(0.0, 1.0), 64)
         csv_path = tmp_path / "gs.csv"
         json_path = tmp_path / "gs.json"
-        write_columns(csv_path, _format_rows(gs.grid.x, gs.u), header="x,u")
+        _write_columns(RunConfig(mode="solve", out_dir=tmp_path), _row_blocks(gs.grid.x, gs.u),
+                       "gs.csv", "x,u")
         write_json(json_path, ground_state_metadata(gs))
 
         lines = csv_path.read_text().splitlines()

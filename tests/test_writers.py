@@ -1,6 +1,6 @@
-"""Golden format of the column writers: every value in %.16e, one row per line.
+"""Golden format of the column writer: every value in %.16e, one row per line.
 
-The reference is the per-value formatting loop the writers replaced, so a
+The reference is the per-value formatting loop the writer replaced, so a
 change of format fails here even when two runs of the new code agree.
 """
 
@@ -21,10 +21,9 @@ from eigenshift.cli import (
     _VEC_MAX,
     _VEC_MIN,
     RunConfig,
-    _format_rows,
-    _write_profile,
+    _row_blocks,
+    _write_columns,
     main,
-    write_columns,
 )
 from eigenshift.ground_state import Domain, solve_ground_state
 from eigenshift.potentials import make_potential
@@ -35,6 +34,11 @@ SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300]
 
 def reference_rows(*cols, sep=","):
     return "".join(sep.join(f"{v:.16e}" for v in row) + "\n" for row in zip(*cols))
+
+
+def format_rows(*cols):
+    """The whole CSV text of ``_row_blocks``."""
+    return b"".join(_row_blocks(*cols)).decode()
 
 
 def columns(k, n, seed):
@@ -49,13 +53,12 @@ def columns(k, n, seed):
 @pytest.mark.parametrize("n", [0, 1, 1000])
 def test_format_rows_matches_per_value_reference(k, n):
     cols = columns(k, n, seed=10 * k + n)
-    assert _format_rows(*cols) == reference_rows(*cols)
-    assert _format_rows(*cols, sep=" ") == reference_rows(*cols, sep=" ")
+    assert format_rows(*cols) == reference_rows(*cols)
 
 
 def test_special_values_one_per_row():
     col = np.array(SPECIAL)
-    text = _format_rows(col)
+    text = format_rows(col)
     assert text.splitlines() == [f"{v:.16e}" for v in SPECIAL]
     assert text.splitlines()[:4] == ["nan", "inf", "-inf", "-0.0000000000000000e+00"]
 
@@ -103,10 +106,9 @@ EXPLICIT = {
 @pytest.mark.parametrize("name", sorted(EXPLICIT))
 def test_format_rows_explicit_values(name):
     v = np.concatenate([EXPLICIT[name], -EXPLICIT[name]])
-    assert _format_rows(v) == reference_rows(v)
+    assert format_rows(v) == reference_rows(v)
     cols = list(v[: len(v) // 3 * 3].reshape(3, -1))
-    assert _format_rows(*cols) == reference_rows(*cols)
-    assert _format_rows(*cols, sep=" ") == reference_rows(*cols, sep=" ")
+    assert format_rows(*cols) == reference_rows(*cols)
 
 
 def first_double_of_decade(k):
@@ -128,35 +130,24 @@ def test_format_rows_every_kernel_exponent():
     powers = [float(10 ** e) if e >= 0 else 1 / 10 ** -e for e in exps]
     v = np.concatenate([ulp_neighbours(powers), up])
     v = np.concatenate([v, -v])
-    assert _format_rows(v) == reference_rows(v)
+    assert format_rows(v) == reference_rows(v)
     cols = list(v.reshape(2, -1))
-    assert _format_rows(*cols) == reference_rows(*cols)
-
-
-@pytest.mark.parametrize("sep", [", ", " | ", " \u2192 ", "<sep>", ";" * 12])
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_format_rows_multibyte_separators(sep, k):
-    # the suffix word holds three end bytes; a longer separator takes words of its own
-    cols = columns(k, 300, seed=k)
-    assert _format_rows(*cols, sep=sep) == reference_rows(*cols, sep=sep)
-    cols = list(np.tile(EXPLICIT["exponent_width"], (k, 1)))
-    assert _format_rows(*cols, sep=sep) == reference_rows(*cols, sep=sep)
+    assert format_rows(*cols) == reference_rows(*cols)
 
 
 def test_round_half_even_ties_and_carries():
-    assert _format_rows(np.array([4000000000000001 * 0.25])) == "1.0000000000000002e+15\n"
-    assert _format_rows(np.array([4000000000000003 * 0.25])) == "1.0000000000000008e+15\n"
+    assert format_rows(np.array([4000000000000001 * 0.25])) == "1.0000000000000002e+15\n"
+    assert format_rows(np.array([4000000000000003 * 0.25])) == "1.0000000000000008e+15\n"
     assert len(rounds_up_to_power_of_ten()) >= 10
 
 
 @settings(max_examples=300, deadline=None)
-@given(k=st.integers(1, 4), sep=st.sampled_from([",", " "]),
-       bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=240))
-def test_format_rows_property_bit_patterns(k, sep, bits):
+@given(k=st.integers(1, 4), bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=240))
+def test_format_rows_property_bit_patterns(k, bits):
     n = len(bits) // k
     flat = np.array(bits[: n * k], dtype=np.uint64).view(np.float64)
     cols = list(flat.reshape(k, n))
-    assert _format_rows(*cols, sep=sep) == reference_rows(*cols, sep=sep)
+    assert format_rows(*cols) == reference_rows(*cols)
 
 
 def tie_distance(v):
@@ -181,7 +172,7 @@ def test_exact_arbiter_is_rare_on_the_oscillator_profile(monkeypatch):
         return exact_fields(values)
 
     monkeypatch.setattr(cli, "_exact_fields", spy)
-    assert _format_rows(x, u) == reference_rows(x, u)
+    assert format_rows(x, u) == reference_rows(x, u)
     # the zeros are the Dirichlet values u(a_eff) = u(t) = 0 and the grid point x = t = 0
     assert np.flatnonzero(u == 0.0).tolist() == [0, len(u) - 1]
     assert np.flatnonzero(x == 0.0).tolist() == [len(x) - 1]
@@ -192,11 +183,12 @@ def test_exact_arbiter_is_rare_on_the_oscillator_profile(monkeypatch):
 
 def test_write_columns_header_then_rows(tmp_path):
     x, y = np.linspace(0.0, 1.0, 5), np.arange(5.0)
-    path = tmp_path / "cols.csv"
-    write_columns(path, _format_rows(x, y), header="x,y")
-    assert path.read_text() == "x,y\n" + reference_rows(x, y)
-    write_columns(path, _format_rows(x, y))
-    assert path.read_text() == reference_rows(x, y)
+    cfg = RunConfig(mode="solve", out_dir=tmp_path, formats=("csv", "plot"))
+    _write_columns(cfg, _row_blocks(x, y), "cols.csv", "x,y")
+    assert (tmp_path / "cols.csv").read_text() == "x,y\n" + reference_rows(x, y)
+    _write_columns(cfg, _row_blocks(x, y), plot_name="cols.dat")
+    assert (tmp_path / "cols.dat").read_text() == reference_rows(x, y, sep=" ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cols.csv", "cols.dat"]
 
 
 @pytest.mark.parametrize("formats", [("csv",), ("plot",), ("csv", "plot")])
@@ -205,16 +197,13 @@ def test_write_columns_header_then_rows(tmp_path):
 def test_streamed_profile_equals_the_whole_text(tmp_path, formats, n):
     # two columns make blocks of _BLOCK // 2 rows
     x, y = columns(2, n, seed=n)
-    cfg = RunConfig(mode="solve", out_dir=tmp_path / "out", formats=formats)
-    cfg.out_dir.mkdir()
-    _write_profile(cfg, "p.csv", "p.dat", "x,y", x, y)
-    rows = _format_rows(x, y)
-    write_columns(tmp_path / "p.csv", rows, header="x,y")
-    write_columns(tmp_path / "p.dat", rows.replace(",", " "))
-    written = sorted(path.name for path in cfg.out_dir.iterdir())
+    cfg = RunConfig(mode="solve", out_dir=tmp_path, formats=formats)
+    _write_columns(cfg, _row_blocks(x, y), "p.csv", "x,y", "p.dat")
+    expected = {"p.csv": "x,y\n" + reference_rows(x, y), "p.dat": reference_rows(x, y, sep=" ")}
+    written = sorted(path.name for path in tmp_path.iterdir())
     assert written == sorted({"csv": "p.csv", "plot": "p.dat"}[f] for f in formats)
     for name in written:
-        assert (cfg.out_dir / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == expected[name].encode()
 
 
 @pytest.mark.parametrize("mode, csv_name, plot_name, extra", [
@@ -244,3 +233,31 @@ def test_sweep_plot_files_match_reference(tmp_path):
     }
     for name, cols in expected.items():
         assert (tmp_path / name).read_text() == reference_rows(*cols, sep=" ")
+
+
+def test_written_columns_are_fixed_points_of_the_format(tmp_path):
+    # every non-empty field reads back and re-formats to itself: sweep.csv
+    # leaves the curvature cell of its end rows empty, and u_dot changes sign
+    # and has values near the wall
+    osc = ["--potential", "quadratic:c2=1", "--a", "-inf"]
+    assert main(["solve", *osc, "--t", "0", "--N", "32001", "--format", "csv,plot",
+                 "--out-dir", str(tmp_path / "f")]) == 0
+    assert main(["sensitivity", *osc, "--t", "0", "--N", "32001",
+                 "--out-dir", str(tmp_path / "s")]) == 0
+    assert main(["sweep", *osc, "--t-range", "-1:2:31", "--N", "2001",
+                 "--out-dir", str(tmp_path / "w")]) == 0
+
+    def body(path):
+        header, rest = path.read_text().split("\n", 1)
+        return rest
+
+    csv = body(tmp_path / "f" / "ground_state.csv")
+    plot = (tmp_path / "f" / "u_vs_x.dat").read_text()
+    fields = csv.replace("\n", ",").split(",")[:-1] + plot.split()
+    swept = [f for f in body(tmp_path / "w" / "sweep.csv").replace("\n", ",").split(",") if f]
+    dotted = body(tmp_path / "s" / "u_dot.csv").replace("\n", ",").split(",")[:-1]
+    assert len(fields) == 4 * 32003
+    assert len(swept) == 4 * 31 - 2
+    assert len(dotted) == 2 * 32003
+    assert [f for f in fields + swept + dotted if "%.16e" % float(f) != f] == []
+    assert plot == csv.replace(",", " ")
