@@ -486,17 +486,24 @@ def _write_columns(cfg: RunConfig, blocks, csv_name: str = None, header: str = N
     of this call that ``cfg.formats`` asks for: ``csv_name`` under
     ``header``, and ``plot_name`` with spaces for commas.  Each block is
     formatted once and written to both as it comes, so neither file is ever
-    held whole in memory."""
+    held whole in memory.  Every file is opened before any is written, and
+    when one cannot be opened those opened before it are removed."""
     with contextlib.ExitStack() as stack:
         files = []   # (file, whether it is the plot file)
-        if csv_name and "csv" in cfg.formats:
-            fh = stack.enter_context(open(cfg.out_dir / csv_name, "wb"))
-            fh.write(header.encode() + b"\n")
-            files.append((fh, False))
-        if plot_name and "plot" in cfg.formats:
-            files.append((stack.enter_context(open(cfg.out_dir / plot_name, "wb")), True))
+        for name, plot in ((csv_name, False), (plot_name, True)):
+            if name and ("plot" if plot else "csv") in cfg.formats:
+                try:
+                    files.append((stack.enter_context(open(cfg.out_dir / name, "wb")), plot))
+                except OSError:
+                    stack.close()
+                    for fh, _ in files:
+                        os.remove(fh.name)
+                    raise
         if not files:
             return
+        for fh, plot in files:
+            if not plot:
+                fh.write(header.encode() + b"\n")
         for block in blocks:
             for fh, plot in files:
                 # %.16e never emits a comma, so the plot rows are the CSV rows re-separated

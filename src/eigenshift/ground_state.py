@@ -33,7 +33,7 @@ from .errors import (
 )
 from .potentials import PotentialSpec, eval_V, validate_confinement, vprime_kinks
 from .tolerances import DEFAULT_TOLS
-from .tridiag import TridiagOperator, smallest_eigenpair
+from .tridiag import TridiagOperator, constant_offdiag, smallest_eigenpair
 
 MIN_INTERIOR = 16
 _PROBE_NODES = 200
@@ -148,9 +148,7 @@ def _operator_on(spec: PotentialSpec, grid: Grid) -> TridiagOperator:
     d += 2.0 / h2   # eval_V's array is new
     if not np.isfinite(d).all():
         raise DomainError("potential is not finite on the working grid")
-    e = np.empty(grid.n_interior - 1)
-    e.fill(-1.0 / h2)
-    return TridiagOperator(d=d, e=e)
+    return TridiagOperator(d=d, e=constant_offdiag(-1.0 / h2, grid.n_interior - 1))
 
 
 def _solve_on(spec: PotentialSpec, grid: Grid, start: np.ndarray = None) -> tuple:

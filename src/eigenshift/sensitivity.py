@@ -21,8 +21,8 @@ from .errors import ConditioningError, RangeError, StructureError
 from .ground_state import MIN_INTERIOR, Grid, GroundState, _operator_on
 from .potentials import PotentialSpec, eval_Vprime, vprime_kinks
 from .tolerances import DEFAULT_TOLS
-from .tridiag import (TridiagOperator, blas, gershgorin_rows, smallest_eigenpair,
-                      solve_bordered)
+from .tridiag import (TridiagOperator, blas, constant_offdiag, gershgorin_rows,
+                      smallest_eigenpair, solve_bordered)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -209,7 +209,7 @@ def fd_derivatives(spec: PotentialSpec, centre: GroundState, u_dot: np.ndarray) 
     except RangeError as err:
         raise RangeError(f"the FD oracle's step {s:.6g} at t = {t!r} needs V "
                          f"beyond the table: {err}") from None
-    d, e = np.concatenate((centre.op.d, rows.d)), np.full(N + m - 1, centre.op.e[0])
+    d, e = np.concatenate((centre.op.d, rows.d)), constant_offdiag(centre.op.e[0], N + m - 1)
     start = np.empty(N + m)
     np.multiply(u_dot[1:-1], s, out=start[:N])
     start[:N] += centre.u[1:-1]

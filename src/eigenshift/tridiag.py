@@ -23,6 +23,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -66,6 +67,14 @@ def _offdiag(e: np.ndarray) -> np.ndarray:
     # the f2py wrappers want one off-diagonal entry even when n = 1, where
     # LAPACK reads none
     return e if len(e) else np.zeros(1)
+
+
+def constant_offdiag(value: float, n: int) -> np.ndarray:
+    """An off-diagonal of n entries all equal to ``value``: a read-only view
+    with stride 0 of one 8-byte value, so it holds no n-array.  Every reader
+    here takes it as it would the filled array; the LAPACK wrappers copy an
+    off-diagonal on each call either way."""
+    return np.ndarray(n, buffer=struct.pack("d", value), strides=(0,))
 
 
 @dataclass(frozen=True)
@@ -119,7 +128,7 @@ class TridiagOperator:
         sigma = float(sigma)
         if np.isnan(sigma):
             raise ValueError("definiteness test: shift is nan")
-        return lapack.dpttrf(self.d - sigma, _offdiag(self.e))[2] == 0
+        return lapack.dpttrf(self.d - sigma, _offdiag(self.e), overwrite_d=1)[2] == 0
 
 
 _EPS = np.finfo(float).eps
@@ -237,13 +246,14 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
         local = blas.dnrm2(np.multiply(row_sum, vec, out=work))
         margin = 4.0 * _EPS * local + floor
         weinstein = rho - blas.dnrm2(blas.daxpy(vec, tvec, a=-rho)) - margin
+        del tvec   # an n-vector no step reads
         if weinstein > sigma:
             # the start is iterate 0, so one solve from a converged start
             # can already stop
             sigma, lam, tight = weinstein, rho, True
     for _ in range(max_factorisations):
-        _, _, w, info = lapack.dptsv(np.subtract(op.d, sigma, out=work), e, vec,
-                                     overwrite_d=1)
+        # [2:] drops the factor's off-diagonal, an n-vector, at once
+        w, info = lapack.dptsv(np.subtract(op.d, sigma, out=work), e, vec, overwrite_d=1)[2:]
         if info and certified is None:
             if sigma > gershgorin:
                 # the start's Weinstein bound belongs to an excited eigenvalue:
@@ -332,7 +342,10 @@ def solve_bordered(op: TridiagOperator, lam: float, border: np.ndarray,
     """
     resid_cap = 1e-6
     lifted = op.d - lam
-    scale = max(np.max(np.abs(lifted)), np.max(np.abs(op.e)) if op.n > 1 else 0.0, 1.0)
+    # max |.| from max and min, with no |.| arrays
+    scale = max(lifted.max(), -lifted.min(), 1.0)
+    if op.n > 1:
+        scale = max(scale, op.e.max(), -op.e.min())
     bnorm = np.linalg.norm(border)
     if bnorm == 0.0:
         raise ConditioningError("bordered solve: zero border vector")
@@ -340,23 +353,34 @@ def solve_bordered(op: TridiagOperator, lam: float, border: np.ndarray,
     k = int(np.argmax(np.abs(b)))
     lifted[k] += scale
     # a second eigenvalue of T within the Sturm resolution delta = 256 eps c of
-    # lam (lam degenerate) leaves B - delta I indefinite, as does an excited lam
+    # lam (lam degenerate) leaves B - delta I indefinite, as does an excited lam.
+    # That probe is factored in place in ``work``, which later holds x
     e = _offdiag(op.e)
-    info = lapack.dpttrf(lifted - 256.0 * _EPS * scale, e)[2]
-    dfac, efac, info_b = lapack.dpttrf(lifted, e, overwrite_d=1)
+    work = np.subtract(lifted, 256.0 * _EPS * scale)
+    info = lapack.dpttrf(work, e, overwrite_d=1)[2]
+    lifted, efac, info_b = lapack.dpttrf(lifted, e, overwrite_d=1)
     if info or info_b:
         raise ConditioningError("bordered solve: lifted matrix not positive definite; "
                                 "lam is not a simple lowest eigenvalue")
+    # the three right-hand sides, solved in place
     cols = np.zeros((op.n, 3), order="F")
     cols[:, 0], cols[:, 1], cols[k, 2] = rhs, b, 1.0
-    p, q, s = lapack.dpttrs(dfac, efac, cols)[0].T
+    p, q, s = lapack.dpttrs(lifted, efac, cols, overwrite_b=1)[0].T
+    del lifted, efac   # the factors, read for the last time
     with np.errstate(all="ignore"):
         # unknowns (mu, xi = x_k): b.x = 0 and x_k = xi; b.s = q_k by symmetry
         m11, m12, m21, m22 = b @ q, -scale * q[k], q[k], 1.0 - scale * s[k]
         bp, det = b @ p, m11 * m22 - m12 * m21
         mu, xi = (bp * m22 - m12 * p[k]) / det, (m11 * p[k] - m21 * bp) / det
-        x = p - mu * q + (scale * xi) * s
-        resid = np.hypot(np.linalg.norm(op.matvec(x) - lam * x + mu * b - rhs), b @ x)
+        # x = p - mu q + (scale xi) s, and T x - lam x + mu b - rhs, in that
+        # order, with p, q and s as scratch once read
+        x = np.subtract(p, np.multiply(q, mu, out=q), out=work)
+        x += np.multiply(s, scale * xi, out=s)
+        r = op.matvec(x)
+        r -= np.multiply(x, lam, out=q)
+        r += np.multiply(b, mu, out=q)
+        r -= rhs
+        resid = np.hypot(np.linalg.norm(r), b @ x)
         rel = resid / (scale * (np.hypot(np.linalg.norm(x), mu) + np.linalg.norm(rhs) / scale + 1.0))
     if not rel <= resid_cap:
         raise ConditioningError(f"bordered solve residual {rel:.3e} exceeds cap "

@@ -299,17 +299,22 @@ class TestExitCodes:
 
     def test_unwritable_out_dir_is_1(self, tmp_path, capsys):
         # a file where the out-dir or its parent should be, and a directory
-        # where an artifact should be: one error line naming the path
+        # where an artifact should be: one error line naming the path.  A
+        # plot file that cannot be opened leaves no header-only CSV behind
         afile = tmp_path / "F"
         afile.write_text("")
         (tmp_path / "d" / "ground_state.csv").mkdir(parents=True)
-        for out, path in ((afile, afile), (afile / "sub", afile / "sub"),
-                          (tmp_path / "d", tmp_path / "d" / "ground_state.csv")):
+        (tmp_path / "p" / "u_vs_x.dat").mkdir(parents=True)
+        for out, path, extra in (
+                (afile, afile, []), (afile / "sub", afile / "sub", []),
+                (tmp_path / "d", tmp_path / "d" / "ground_state.csv", []),
+                (tmp_path / "p", tmp_path / "p" / "u_vs_x.dat", ["--format", "csv,plot"])):
             assert main(["solve", "--potential", "affine:", "--a", "0", "--t", "1",
-                         "--N", "64", "--out-dir", str(out)]) == 1
+                         "--N", "64", "--out-dir", str(out)] + extra) == 1
             captured = capsys.readouterr()
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert str(path) in captured.err
+        assert [p.name for p in (tmp_path / "p").iterdir()] == ["u_vs_x.dat"]
 
     def test_solver_failure_is_1(self, tmp_path, capsys):
         # unconfined potential on a half-infinite domain

@@ -388,8 +388,9 @@ class TestTruncation:
 
     def test_faint_tilt_is_confined_and_solved(self):
         # Airy length 1e4: lambda = 1e-8 (-a_1)
-        gs = solve_ground_state(make_potential("affine", c1=-1e-12), Domain(NEG_INF, 0.0), 801)
-        assert gs.lam == pytest.approx(-1e-8 * AIRY_ZERO, rel=1e-4)
+        for N in (801, 2001):
+            gs = solve_ground_state(make_potential("affine", c1=-1e-12), Domain(NEG_INF, 0.0), N)
+            assert gs.lam == pytest.approx(-1e-8 * AIRY_ZERO, rel=1e-4)
 
     def test_tilt_of_airy_length_1e20_is_solved(self):
         # lambda = 1e-40 (-a_1).  A probe that doubled from width 4 still lay

@@ -2,6 +2,7 @@ import importlib.machinery
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from eigenshift.errors import ConditioningError, ConvergenceError
-from eigenshift.ground_state import Domain, solve_ground_state
+from eigenshift.ground_state import Domain, Grid, _operator_on, solve_ground_state
 from eigenshift.potentials import make_potential
 from eigenshift.sensitivity import compute_sensitivity
 from eigenshift.tolerances import DEFAULT_TOLS
@@ -19,6 +20,7 @@ from eigenshift.tridiag import (
     TridiagOperator,
     _certify_lowest,
     _scipy_linalg_extension,
+    constant_offdiag,
     smallest_eigenpair,
     solve_bordered,
 )
@@ -119,6 +121,56 @@ def test_oscillator_u_dot_orthogonal_at_fine_grid():
     exact = -4.0 / math.sqrt(math.pi)
     assert sens.lambda_dot_flux == pytest.approx(exact, rel=1e-4, abs=0.0)
     assert sens.lambda_dot_fd == pytest.approx(exact, rel=1e-4, abs=0.0)
+
+
+def test_fine_grid_working_set():
+    # the peak above entry, in n-vectors of 8 N bytes, of one solve and of
+    # its sensitivity bundle on x^2 at N = 32001; the returned objects count
+    spec, domain, N = make_potential("quadratic", c2=1.0), Domain(-np.inf, 0.0), 32001
+    solve_ground_state(spec, domain, 64)   # first-call set-up is not counted
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        peaks = []
+        for call in (lambda: solve_ground_state(spec, domain, N),
+                     lambda: compute_sensitivity(gs, spec)):
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            gs = call()
+            peaks.append((tracemalloc.get_traced_memory()[1] - entry) / (8.0 * N))
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peaks[0] <= 9.0 and peaks[1] <= 11.0, peaks
+
+
+def test_zero_stride_offdiag_changes_no_bit():
+    rng = np.random.default_rng(31)
+    n, h = 400, 0.02
+    d = 2.0 / h**2 + 50.0 * rng.random(n)
+    filled = TridiagOperator(d=d, e=np.full(n - 1, -1.0 / h**2))
+    view = TridiagOperator(d=d, e=constant_offdiag(-1.0 / h**2, n - 1))
+    assert view.e.strides == (0,) and not view.e.flags.writeable
+
+    def bits(*values):
+        return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+    start = np.sin(np.linspace(0.0, np.pi, n + 2)[1:-1]) + 0.1 * rng.random(n)
+    rhs, x = rng.normal(size=n), rng.normal(size=n)
+    sigmas = (0.0, float(d.min()), 2.0 / h**2, 1e6)
+    results = []
+    for op in (filled, view):
+        cold = smallest_eigenpair(op)
+        warm = smallest_eigenpair(op, start)
+        results.append(bits(*cold, *warm, *solve_bordered(op, cold[0], cold[1], rhs),
+                            op.matvec(x), [op.count_below(s) for s in sigmas],
+                            [op.spectrum_above(s) for s in sigmas]))
+    assert results[0] == results[1]
+    grid = Grid.build(0.0, 1.0, 50)
+    e = _operator_on(make_potential("quadratic", c2=1.0), grid).e
+    assert e.strides == (0,) and not e.flags.writeable
+    assert np.array_equal(e, np.full(50 - 1, -1.0 / (grid.h * grid.h)))
 
 
 def _lapack_cases():
