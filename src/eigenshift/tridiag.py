@@ -70,10 +70,8 @@ def _offdiag(e: np.ndarray) -> np.ndarray:
 
 
 def constant_offdiag(value: float, n: int) -> np.ndarray:
-    """An off-diagonal of n entries all equal to ``value``: a read-only view
-    with stride 0 of one 8-byte value, so it holds no n-array.  Every reader
-    here takes it as it would the filled array; the LAPACK wrappers copy an
-    off-diagonal on each call either way."""
+    """n entries equal to ``value``, as a read-only zero-stride view of 8
+    bytes: an off-diagonal that holds no n-array."""
     return np.ndarray(n, buffer=struct.pack("d", value), strides=(0,))
 
 
@@ -246,13 +244,13 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
         local = blas.dnrm2(np.multiply(row_sum, vec, out=work))
         margin = 4.0 * _EPS * local + floor
         weinstein = rho - blas.dnrm2(blas.daxpy(vec, tvec, a=-rho)) - margin
-        del tvec   # an n-vector no step reads
+        del tvec   # no step reads it
         if weinstein > sigma:
             # the start is iterate 0, so one solve from a converged start
             # can already stop
             sigma, lam, tight = weinstein, rho, True
     for _ in range(max_factorisations):
-        # [2:] drops the factor's off-diagonal, an n-vector, at once
+        # [2:] frees the factor's off-diagonal at once
         w, info = lapack.dptsv(np.subtract(op.d, sigma, out=work), e, vec, overwrite_d=1)[2:]
         if info and certified is None:
             if sigma > gershgorin:
@@ -362,18 +360,17 @@ def solve_bordered(op: TridiagOperator, lam: float, border: np.ndarray,
     if info or info_b:
         raise ConditioningError("bordered solve: lifted matrix not positive definite; "
                                 "lam is not a simple lowest eigenvalue")
-    # the three right-hand sides, solved in place
     cols = np.zeros((op.n, 3), order="F")
     cols[:, 0], cols[:, 1], cols[k, 2] = rhs, b, 1.0
     p, q, s = lapack.dpttrs(lifted, efac, cols, overwrite_b=1)[0].T
-    del lifted, efac   # the factors, read for the last time
+    del lifted, efac
     with np.errstate(all="ignore"):
         # unknowns (mu, xi = x_k): b.x = 0 and x_k = xi; b.s = q_k by symmetry
         m11, m12, m21, m22 = b @ q, -scale * q[k], q[k], 1.0 - scale * s[k]
         bp, det = b @ p, m11 * m22 - m12 * m21
         mu, xi = (bp * m22 - m12 * p[k]) / det, (m11 * p[k] - m21 * bp) / det
-        # x = p - mu q + (scale xi) s, and T x - lam x + mu b - rhs, in that
-        # order, with p, q and s as scratch once read
+        # x = p - mu q + (scale xi) s and r = T x - lam x + mu b - rhs, each
+        # in that order; q and s are scratch once read
         x = np.subtract(p, np.multiply(q, mu, out=q), out=work)
         x += np.multiply(s, scale * xi, out=s)
         r = op.matvec(x)
