@@ -128,21 +128,23 @@ def test_fine_grid_working_set():
     # its sensitivity bundle on x^2 at N = 32001; the returned objects count
     spec, domain, N = make_potential("quadratic", c2=1.0), Domain(-np.inf, 0.0), 32001
     solve_ground_state(spec, domain, 64)   # first-call set-up is not counted
+
+    def peak(call):
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, (tracemalloc.get_traced_memory()[1] - entry) / (8.0 * N)
+
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
-        peaks = []
-        for call in (lambda: solve_ground_state(spec, domain, N),
-                     lambda: compute_sensitivity(gs, spec)):
-            tracemalloc.reset_peak()
-            entry = tracemalloc.get_traced_memory()[0]
-            gs = call()
-            peaks.append((tracemalloc.get_traced_memory()[1] - entry) / (8.0 * N))
+        gs, solve_peak = peak(lambda: solve_ground_state(spec, domain, N))
+        sens_peak = peak(lambda: compute_sensitivity(gs, spec))[1]
     finally:
         if started:
             tracemalloc.stop()
-    assert peaks[0] <= 9.0 and peaks[1] <= 11.0, peaks
+    assert solve_peak <= 9.0 and sens_peak <= 11.0, (solve_peak, sens_peak)
 
 
 def test_zero_stride_offdiag_changes_no_bit():
