@@ -463,14 +463,14 @@ def _row_blocks(*cols):
     The few values the kernel cannot decide are formatted one by one by
     _exact_fields, the exact arbiter.
     """
-    table = np.column_stack(cols).astype(np.float64, copy=False)
-    n, k = table.shape
+    n, k = len(cols[0]), len(cols)
     suffixes = np.concatenate([_suffix_words(b",")] * (k - 1) + [_suffix_words(b"\n")])
     rows = max(_BLOCK // k, 1)
     at = np.tile(np.arange(k) * (len(suffixes) // k) - _E_LO, rows)
     work = _scaled_work(min(rows, n) * k)
     for r in range(0, n, rows):
-        yield _format_block(table[r:r + rows].ravel(), suffixes, at, work)
+        block = np.column_stack([c[r:r + rows] for c in cols]).astype(np.float64, copy=False)
+        yield _format_block(block.ravel(), suffixes, at, work)
 
 
 def write_json(path, payload: dict) -> None:

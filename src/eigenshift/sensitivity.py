@@ -86,7 +86,7 @@ def integrate_vprime_weighted(spec: PotentialSpec, grid: Grid, w: np.ndarray,
         left = 0.5 * (xi - x[i]) * (vp_left_end[i] * w[i] + vm * w_xi)
         right = 0.5 * (x[i + 1] - xi) * (vp * w_xi + vp_right_end[i] * w[i + 1])
         total += left + right - float(cells[i])
-    return total
+    return float(total)
 
 
 def solve_u_dot(gs: GroundState, lambda_dot: float) -> np.ndarray:

@@ -19,6 +19,7 @@ coarse should do (a typed error, or FAIL as now) is ROADMAP item 4.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,17 +94,12 @@ class VerifyReport:
     N: int = 0
     n_t: int = 0
 
-    @property
-    def n_pass(self) -> int:
-        return sum(1 for c in self.lines if c.status == "PASS")
-
-    @property
-    def n_fail(self) -> int:
-        return sum(1 for c in self.lines if c.status == "FAIL")
+    def _tally(self) -> Counter:
+        return Counter(c.status for c in self.lines)
 
     @property
     def ok(self) -> bool:
-        return self.n_fail == 0
+        return self._tally()["FAIL"] == 0
 
     def render(self) -> str:
         out = [
@@ -123,26 +119,21 @@ class VerifyReport:
             if c.note:
                 parts.append(f"({c.note})")
             out.append("  ".join(parts))
+        tally = self._tally()
         out.append("-" * 78)
-        out.append(f"{self.n_pass} passed, {self.n_fail} failed, "
-                   f"{sum(1 for c in self.lines if c.status == 'SKIP')} skipped")
+        out.append(f"{tally['PASS']} passed, {tally['FAIL']} failed, {tally['SKIP']} skipped")
         return "\n".join(out) + "\n"
 
     def to_json(self) -> dict:
+        tally = self._tally()
         return {
             "N": self.N,
             "n_t": self.n_t,
-            "ok": self.ok,
-            "passed": self.n_pass,
-            "failed": self.n_fail,
-            "checks": [
-                {
-                    "entry": c.entry, "check": c.check, "status": c.status,
-                    "measured": c.measured, "tol": c.tol,
-                    "widened": c.widened, "note": c.note,
-                }
-                for c in self.lines
-            ],
+            "ok": tally["FAIL"] == 0,
+            "passed": tally["PASS"],
+            "failed": tally["FAIL"],
+            # a CheckLine's fields, in their declared order
+            "checks": [c.__dict__.copy() for c in self.lines],
         }
 
 
@@ -159,28 +150,36 @@ class _Collector:
         self.entry = entry_key
         self.lines = []
 
-    def check(self, name: str, ok: bool, measured=None, tol=None,
-              widened: bool = False, note: str = "") -> None:
+    def _add(self, name: str, status: str, measured=None, tol=None,
+             widened: bool = False, note: str = "") -> None:
         self.lines.append(CheckLine(
-            entry=self.entry, check=name, status="PASS" if ok else "FAIL",
+            entry=self.entry, check=name, status=status,
             measured=_fmt(measured) if measured is not None else "",
             tol=_fmt(tol) if tol is not None else "",
             widened=widened, note=note,
         ))
 
+    def check(self, name: str, ok: bool, measured=None, tol=None, note: str = "") -> None:
+        self._add(name, "PASS" if ok else "FAIL", measured, tol, note=note)
+
+    def within(self, name: str, measured: float, floor: float, *bases: float,
+               note: str = "") -> None:
+        """PASS when |measured| <= max(floor, *bases); the line is marked
+        widened where the h^2 ``floor`` sets that tolerance (pass 0.0 for a
+        tolerance with no floor)."""
+        base = max(bases)
+        tol = max(floor, base)
+        self._add(name, "PASS" if abs(measured) <= tol else "FAIL", measured, tol,
+                  bool(floor > base), note)
+
+    def fail(self, name: str, exc: Exception) -> None:
+        self._add(name, "FAIL", note=str(exc))
+
     def skip(self, name: str, note: str) -> None:
-        self.lines.append(CheckLine(entry=self.entry, check=name,
-                                    status="SKIP", note=note))
+        self._add(name, "SKIP", note=note)
 
     def info(self, name: str, measured, note: str = "") -> None:
-        self.lines.append(CheckLine(entry=self.entry, check=name, status="INFO",
-                                    measured=_fmt(measured), note=note))
-
-
-def _widened(floor: float, *bases: float) -> tuple:
-    """The tolerance max(floor, *bases) and whether the h^2 ``floor`` sets it."""
-    base = max(bases)
-    return max(floor, base), floor > base
+        self._add(name, "INFO", measured, note=note)
 
 
 def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
@@ -199,8 +198,7 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
         gs = solve_ground_state(entry.spec, Domain(entry.a, entry.t_ref), N)
         sens = compute_sensitivity(gs, entry.spec)
     except EigenshiftError as exc:
-        col.lines.append(CheckLine(entry=entry.key, check="solve + sensitivity",
-                                   status="FAIL", note=str(exc)))
+        col.fail("solve + sensitivity", exc)
         return col.lines
 
     # the exact class on the solved domain must match V sampled on its grid
@@ -220,23 +218,17 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
               float(np.min(gs.u[1:-1])) > -DEFAULT_TOLS.pos * umax and umax > 0,
               measured=float(np.min(gs.u[1:-1]) / umax), tol=-DEFAULT_TOLS.pos,
               note="relative dead band")
-    col.check("|norm - 1|", abs(gs.quad_norm - 1.0) <= DEFAULT_TOLS.norm,
-              measured=abs(gs.quad_norm - 1.0), tol=DEFAULT_TOLS.norm)
-    res_cap = max(DEFAULT_TOLS.res * lam_scale,
-                  64.0 * np.finfo(float).eps * (2.0 / h2 + abs(gs.lam)))
-    col.check("eigen-residual", gs.residual <= res_cap,
-              measured=gs.residual, tol=res_cap)
+    col.within("|norm - 1|", abs(gs.quad_norm - 1.0), 0.0, DEFAULT_TOLS.norm)
+    col.within("eigen-residual", gs.residual, 0.0, DEFAULT_TOLS.res * lam_scale,
+               64.0 * np.finfo(float).eps * (2.0 / h2 + abs(gs.lam)))
     ray = rayleigh_energy(gs, entry.spec)
-    ray_tol = DEFAULT_TOLS.res * lam_scale
-    col.check("rayleigh = lambda", abs(ray - gs.lam) <= ray_tol,
-              measured=abs(ray - gs.lam), tol=ray_tol)
+    col.within("rayleigh = lambda", abs(ray - gs.lam), 0.0, DEFAULT_TOLS.res * lam_scale)
     col.check("flux_t < 0", gs.flux_t < 0, measured=gs.flux_t)
     if gs.domain.unbounded_left:
         # at a truncated wall the true flux is exponentially small; its
         # floating-point sign carries no information, only its negligibility
-        col.check("flux_a negligible at the wall",
-                  abs(gs.flux_a) <= 1e-8 * (1.0 + abs(gs.flux_t)),
-                  measured=abs(gs.flux_a), tol=1e-8 * (1.0 + abs(gs.flux_t)))
+        col.within("flux_a negligible at the wall", abs(gs.flux_a), 0.0,
+                   1e-8 * (1.0 + abs(gs.flux_t)))
     else:
         col.check("flux_a > 0", gs.flux_a > 0, measured=gs.flux_a)
     gap_eps = 1e-6 * lam_scale
@@ -249,17 +241,14 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
     ld = sens.lambda_dot_flux
     ld_scale = 1.0 + abs(ld)
     col.check("lambda_dot < 0", ld < 0, measured=ld)
-    tol, wid = _widened(_WIDEN_MATCH * h2 * ld_scale, DEFAULT_TOLS.match * ld_scale)
-    mis = abs(ld - sens.lambda_dot_integral)
-    col.check("flux vs integral route", mis <= tol, measured=mis, tol=tol, widened=wid)
-    tol, wid = _widened(_WIDEN_FD * h2 * ld_scale, 1e-4 * abs(sens.lambda_dot_fd),
-                        10.0 * sens.fd_step ** 2)
-    mis = abs(ld - sens.lambda_dot_fd)
-    col.check("lambda_dot vs FD", mis <= tol, measured=mis, tol=tol, widened=wid)
+    col.within("flux vs integral route", abs(ld - sens.lambda_dot_integral),
+               _WIDEN_MATCH * h2 * ld_scale, DEFAULT_TOLS.match * ld_scale)
+    col.within("lambda_dot vs FD", abs(ld - sens.lambda_dot_fd),
+               _WIDEN_FD * h2 * ld_scale, 1e-4 * abs(sens.lambda_dot_fd),
+               10.0 * sens.fd_step ** 2)
 
     # u_dot structure
-    col.check("orthogonality", sens.orth_residual <= DEFAULT_TOLS.orth,
-              measured=sens.orth_residual, tol=DEFAULT_TOLS.orth)
+    col.within("orthogonality", sens.orth_residual, 0.0, DEFAULT_TOLS.orth)
     col.check("u_dot boundary datum",
               abs(sens.u_dot[-1] + gs.flux_t) <= 1e-14 * (1.0 + abs(gs.flux_t)),
               measured=abs(sens.u_dot[-1] + gs.flux_t))
@@ -272,14 +261,12 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
                   note="boundary term of the curvature is then nonnegative")
 
     # second derivative: FD oracle and the curvature sign of the theorem
-    tol, wid = _widened(_WIDEN_FD * h2 * lam_scale, 1e-2 * abs(sens.lambda_ddot_fd),
-                        1e-4 * lam_scale)
-    mis = abs(sens.lambda_ddot - sens.lambda_ddot_fd)
-    col.check("lambda_ddot vs FD", mis <= tol, measured=mis, tol=tol, widened=wid)
+    col.within("lambda_ddot vs FD", abs(sens.lambda_ddot - sens.lambda_ddot_fd),
+               _WIDEN_FD * h2 * lam_scale, 1e-2 * abs(sens.lambda_ddot_fd),
+               1e-4 * lam_scale)
     if cls == ConvexityClass.AFFINE and gs.domain.unbounded_left:
-        tol, wid = _widened(_WIDEN_SIGN * h2 * lam_scale, 1e-5)
-        col.check("lambda_ddot ~ 0 (affine case)", abs(sens.lambda_ddot) <= tol,
-                  measured=sens.lambda_ddot, tol=tol, widened=wid)
+        col.within("lambda_ddot ~ 0 (affine case)", sens.lambda_ddot,
+                   _WIDEN_SIGN * h2 * lam_scale, 1e-5)
     elif cls == ConvexityClass.CONVEX:
         col.check("lambda_ddot > 0 (strict convexity)", sens.lambda_ddot > 0,
                   measured=sens.lambda_ddot)
@@ -294,34 +281,28 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
     try:
         sw = sweep(entry.spec, entry.a, entry.sweep_lo, entry.sweep_hi, n_t, N)
     except EigenshiftError as exc:
-        col.lines.append(CheckLine(entry=entry.key, check="sweep", status="FAIL",
-                                   note=str(exc)))
+        col.fail("sweep", exc)
         return col.lines
     col.check("sweep strictly decreasing", sw.monotone_decreasing,
               measured=float(np.max(np.diff(sw.lambdas))), tol=0.0)
     tol_chord = (10.0 * (DEFAULT_TOLS.match + _WIDEN_MATCH * h2)
                  * (1.0 + float(np.max(np.abs(sw.lambda_dots)))))
-    if sw.expect_convex:
-        col.check("sweep convex in t", sw.convex_in_t,
-                  measured=float(np.min(sw.second_diffs)), tol=-sw.tol_thm)
-        viol = chord_tangent_violation(sw, "convex")
-        col.check("chord-tangent (convex)", viol <= tol_chord,
-                  measured=viol, tol=tol_chord)
-    if sw.expect_concave:
-        col.check("sweep concave in t", sw.concave_in_t,
-                  measured=float(np.max(sw.second_diffs)), tol=sw.tol_thm)
-        viol = chord_tangent_violation(sw, "concave")
-        col.check("chord-tangent (concave)", viol <= tol_chord,
-                  measured=viol, tol=tol_chord)
+    # (shape, clause asserted, clause holds, worst second difference, its bound)
+    shapes = (("convex", sw.expect_convex, sw.convex_in_t, np.min, -sw.tol_thm),
+              ("concave", sw.expect_concave, sw.concave_in_t, np.max, sw.tol_thm))
+    for shape, asserted, holds, worst, bound in shapes:
+        if asserted:
+            col.check(f"sweep {shape} in t", holds,
+                      measured=float(worst(sw.second_diffs)), tol=bound)
+            col.within(f"chord-tangent ({shape})", chord_tangent_violation(sw, shape),
+                       0.0, tol_chord)
     if not (sw.expect_convex or sw.expect_concave):
         col.skip("curvature clause", "not asserted (hypothesis a=-inf absent)")
     if sw.convexity in (ConvexityClass.CONVEX, ConvexityClass.CONCAVE):
         # strictness is reported, not hard-asserted: a pointwise-positivity
         # claim only resolves above the discretization floor
-        extreme = (float(np.min(sw.second_diffs))
-                   if sw.convexity == ConvexityClass.CONVEX
-                   else float(np.max(sw.second_diffs)))
-        col.info("strict curvature margin", extreme,
+        extreme = np.min if sw.convexity == ConvexityClass.CONVEX else np.max
+        col.info("strict curvature margin", float(extreme(sw.second_diffs)),
                  note=f"vs discretization floor {sw.tol_thm:.1e}")
 
     # blow-up rate at a finite left endpoint
@@ -329,9 +310,8 @@ def verify_entry(entry: BatteryEntry, N: int, n_t: int) -> list:
         eps = [0.04, 0.02, 0.01]
         prof = blowup_profile(entry.spec, entry.a, eps, 801)
         pi2 = math.pi * math.pi
-        rel = abs(prof[-1] - pi2) / pi2
-        col.check("blow-up rate lambda*eps^2 -> pi^2", rel <= 1e-3,
-                  measured=rel, tol=1e-3, note=f"eps={eps[-1]}")
+        col.within("blow-up rate lambda*eps^2 -> pi^2", abs(prof[-1] - pi2) / pi2,
+                   0.0, 1e-3, note=f"eps={eps[-1]}")
         col.check("blow-up monotone", bool(np.all(np.diff(prof / np.square(eps)) > 0)),
                   note="lambda increases as eps shrinks")
     return col.lines

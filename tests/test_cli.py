@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,20 @@ class TestConfigFile:
         with pytest.raises(UsageError, match=f"{flag}: expected"):
             parse_config(["verify", "--config", str(cfile)])
 
+    @pytest.mark.parametrize("text, message", [
+        ("{potential", "config file is not valid JSON: "),
+        ("[1, 2]", "config file must hold a flat JSON object"),
+        ('{"a": true, "t": 1.0}', "--a: expected a real number or -inf, got True"),
+    ], ids=["not_json", "list", "boolean_a"])
+    def test_malformed_file_is_2(self, tmp_path, capsys, text, message):
+        cfile = tmp_path / "run.json"
+        cfile.write_text(text)
+        assert main(["solve", "--config", str(cfile), "--potential", "affine:",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_integral_float_accepted(self, tmp_path):
         cfile = tmp_path / "run.json"
         cfile.write_text(json.dumps({"N": 2001.0, "n-t": 7.0}))
@@ -247,11 +262,22 @@ class TestExitCodes:
         (["verify", "--N", "64", "--n-t", "4"], "--n-t: need at least 5 sweep samples"),
         (["sweep", "--potential", "affine:", "--a", "0", "--t-range", "0.5:2:4"],
          "--t-range: need at least 5 samples, got 4"),
+        ([], "missing mode (choose from solve, sensitivity, sweep, verify)"),
+        (["sweep", "--potential", "affine:", "--a", "0", "--t-range", "1:2"],
+         "--t-range: expected min:max:count, got '1:2'"),
+        (["sweep", "--potential", "affine:", "--a", "0", "--t-range", "1:2:x"],
+         "--t-range: malformed component in '1:2:x'"),
+        (["solve", "--potential", "affine:", "--a", "0", "--t", "1", "--format", ","],
+         "--format: empty format list"),
+        (["sweep", "--potential", "affine:", "--a", "1", "--t-range", "0.5:2:5"],
+         "sweep: need a < t_min, got a=1.0, t_min=0.5"),
     ])
-    def test_input_below_its_limit_is_2(self, tmp_path, capsys, args, message):
+    def test_input_below_its_limit_is_2(self, tmp_path, monkeypatch, capsys, args, message):
         # the limits are the solver's own: MIN_INTERIOR nodes and one more for
-        # the FD oracle's step, MIN_ENDPOINTS samples
-        assert main(args + ["--out-dir", str(tmp_path)]) == 2
+        # the FD oracle's step, MIN_ENDPOINTS samples.  The out-dir comes from
+        # the environment, since a flag needs a mode
+        monkeypatch.setenv("EIGENSHIFT_OUT_DIR", str(tmp_path))
+        assert main(args) == 2
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
@@ -264,13 +290,28 @@ class TestExitCodes:
         assert main(["sensitivity", "--potential", "affine:", "--a", "0", "--t", "1",
                      "--N", "17", "--out-dir", str(tmp_path)]) == 0
 
-    def test_potential_infinite_left_of_t_is_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("args, line", [
         # e^{-5000 x} overflows on every probe left of t = -4.2
-        code = main(["solve", "--potential", "exp_growth:rate=-5000", "--a", "-inf",
-                     "--t", "-4.2", "--N", "64", "--out-dir", str(tmp_path)])
+        (["solve", "--potential", "exp_growth:rate=-5000", "--a", "-inf", "--t", "-4.2",
+          "--N", "64"], "V is not finite on any probe left of t = -4.2"),
+        # confinement on a half-line is read exactly off the family's
+        # parameters: -1e-40 x^2 - x falls to -inf
+        (["solve", "--potential", "quadratic:c2=-1e-40,c1=-1", "--a", "-inf", "--t", "0",
+          "--N", "64"], "V does not tend to +infinity as x -> -infinity; "
+                        "no ground state on a half-infinite domain"),
+        # the FD oracle's scale is a scaled norm: the rows of e^{-90 x} on
+        # (-inf, -4) reach 1e165, and overflow nowhere
+        (["sensitivity", "--potential", "exp_growth:rate=-90", "--a", "-inf", "--t", "-4",
+          "--N", "801"], "lambda's rounding swamps its curvature on this grid: "
+                         "the FD step inf leaves under 16 nodes at t - m h"),
+    ], ids=["infinite_left_of_t", "falls_past_1e40", "rounding_swamps_curvature"])
+    def test_error_is_1_with_one_line(self, tmp_path, capsys, args, line):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args + ["--out-dir", str(tmp_path)])
         assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: V is not finite on any probe left of t = -4.2"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+        assert [str(w.message) for w in caught] == []
 
     def test_zero_amplitude_exponential_solves_as_v_zero(self, tmp_path, capsys):
         # exp(-x) overflows near a = -1000, where amp = 0 made V nan, not 0
@@ -339,11 +380,27 @@ class TestExitCodes:
 
     def test_readme_sweep_is_0(self, tmp_path, capsys):
         code = main(["sweep", "--potential", "quadratic:c2=1", "--a", "-inf",
-                     "--t-range", "-1:2:31", "--N", "2001", "--out-dir", str(tmp_path)])
+                     "--t-range", "-1:2:31", "--N", "2001", "--out-dir", str(tmp_path / "w")])
         assert code == 0
         captured = capsys.readouterr()
         assert captured.out.splitlines()[-1] == "ok = True"
         assert captured.err == ""
+        # the same values from a config file write the same bytes
+        cfile = tmp_path / "w.json"
+        cfile.write_text(json.dumps({"potential": "quadratic:c2=1", "a": "-inf",
+                                     "t-range": "-1:2:31", "N": 2001,
+                                     "out-dir": str(tmp_path / "wc")}))
+        assert main(["sweep", "--config", str(cfile)]) == 0
+        for name in ("sweep.csv", "verdict.json"):
+            assert (tmp_path / "wc" / name).read_bytes() == (tmp_path / "w" / name).read_bytes()
+
+    def test_readme_verify_is_0(self, tmp_path, capsys):
+        # the battery at the README size gates the a = -inf wall and the FD
+        # oracle at a second N
+        assert main(["verify", "--N", "2001", "--n-t", "31", "--format", "json",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "verify.json").read_text())["failed"] == 0
 
     def test_sweep_classifies_the_solved_domain(self, tmp_path, capsys):
         # the wall lands at -15.5, so the kink at -8 lies in the solved domain
@@ -423,6 +480,27 @@ class TestArtifacts:
         m = round(step / h)
         assert m >= 1 and step == m * h
         assert f"fd_step = {step!r}" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("mode", ["solve", "sensitivity"])
+    @pytest.mark.parametrize("pot, a, t", [
+        ("quadratic:c2=1", "-inf", "0"),
+        # a kink inside the grid, where the V' quadrature splits a cell
+        ("abs_shift:shift=0.3", "-inf", "1"),
+        ("abs_shift:shift=0.3", "-2", "1"),
+        # u_dot's lobe near t lies under 1e-9 of the field's maximum, and its
+        # sign change is still counted
+        ("exp_growth:amp=1,rate=3", "0", "3"),
+    ], ids=["smooth", "kink_half_line", "kink_interval", "faint_lobe"])
+    def test_stdout_values_are_plain_floats(self, tmp_path, capsys, mode, pot, a, t):
+        code = main([mode, "--potential", pot, "--a", a, "--t", t, "--N", "801",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "np." not in out
+        pairs = [item.split(" = ") for line in out.splitlines() for item in line.split(", ")]
+        assert len(pairs) >= 5 and all(len(pair) == 2 for pair in pairs)
+        for _key, value in pairs:
+            float(value)
 
     def test_sweep_artifacts(self, tmp_path):
         code = main(["sweep", "--potential", "affine:", "--a", "0",

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from eigenshift.potentials import make_potential, make_tabulated
 from eigenshift.verify import BatteryEntry, default_battery, run_battery, verify_entry
 
 
@@ -48,13 +50,24 @@ def test_json_shape(report):
     assert {c["entry"] for c in payload["checks"]} == {e.key for e in default_battery()}
 
 
-def test_single_entry_failure_is_reported_not_raised():
-    from eigenshift.potentials import make_potential
+_XS = np.linspace(0.0, 1.2, 13)
+_TABLE = make_tabulated(_XS, (_XS - 0.5) ** 2)
+
+
+@pytest.mark.parametrize("entry, check, note", [
     # an entry declared confined that is not: the harness must flag it
-    bad = BatteryEntry("bogus", make_potential("neg_quadratic"), float("-inf"),
-                       1.0, 0.5, 1.5, expect_confined=True)
-    lines = verify_entry(bad, 301, 7)
-    assert any(c.status == "FAIL" for c in lines)
+    (BatteryEntry("bogus", make_potential("neg_quadratic"), float("-inf"),
+                  1.0, 0.5, 1.5, expect_confined=True), "confinement", ""),
+    # a table that ends at 1.2: the sweep runs past its end, and so does
+    # a solve at t_ref = 1.5
+    (BatteryEntry("tab", _TABLE, 0.0, 1.0, 0.6, 1.5), "sweep",
+     "sweep failed at t=1.35: x outside tabulated range [0.0, 1.2]"),
+    (BatteryEntry("tab", _TABLE, 0.0, 1.5, 0.6, 1.5), "solve + sensitivity",
+     "x outside tabulated range [0.0, 1.2]"),
+], ids=["unconfined", "sweep_past_table", "solve_past_table"])
+def test_single_entry_failure_is_reported_not_raised(entry, check, note):
+    fails = [c for c in verify_entry(entry, 301, 7) if c.status == "FAIL"]
+    assert [(c.check, c.note) for c in fails] == [(check, note)]
 
 
 @pytest.mark.parametrize("N, marks", [

@@ -5,6 +5,7 @@ change of format fails here even when two runs of the new code agree.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -204,6 +205,30 @@ def test_streamed_profile_equals_the_whole_text(tmp_path, formats, n):
     assert written == sorted({"csv": "p.csv", "plot": "p.dat"}[f] for f in formats)
     for name in written:
         assert (tmp_path / name).read_bytes() == expected[name].encode()
+
+
+def test_formatting_peak_does_not_grow_with_the_row_count():
+    # the peak above entry of formatting a profile; a copy of every column
+    # into one table would add 16 bytes a row
+    def peak(n):
+        x = np.linspace(-1.0, 1.0, n)
+        u = np.cos(x)
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        for _ in _row_blocks(x, u):
+            pass
+        return tracemalloc.get_traced_memory()[1] - entry
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        peak(17)   # first-call set-up (the cached word tables) is not counted
+        growth = peak(320_003) - peak(32_003)
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert growth < 8 * 32_003, growth
 
 
 @pytest.mark.parametrize("mode, csv_name, plot_name, extra", [
