@@ -10,11 +10,9 @@ payload dicts and write no file.  Column data (CSV / plot files) is fixed
 17-digit scientific notation, formatted by ``_row_blocks``, a numpy kernel
 that writes the characters of ``"%.16e" % v`` and hands the values it
 cannot decide (zeros, non-finite values, extreme magnitudes, near-ties) to
-that exact per-value call.  It builds each field from four 64-bit words (a
-prefix from a table, eight digits twice, an exponent suffix from a table)
-and drops the fill bytes in one pass, a block of rows at a time.
-``_write_columns`` opens every CSV and plot file and writes each block as
-it comes, to the CSV file and, with spaces for commas, to its plot file.
+that exact per-value call, a block of rows at a time.  ``_write_columns``
+opens every CSV and plot file and writes each block as it comes, to the CSV
+file and, with spaces for commas, to its plot file.
 ``write_json`` writes every JSON payload, with shortest round-trip floats.
 So identical configs produce byte-identical artifacts.
 
@@ -25,8 +23,8 @@ no flag or config key changes them.
 call reuses the memory the call before it freed instead of faulting it in.
 
 Exit codes: 0 success, 1 numerical/convergence failure (for ``sweep``, also
-a verdict that is not ok) or an artifact that cannot be written, 2 usage
-error.
+a verdict that is not ok), an artifact or array that cannot be made, 2
+usage error.
 """
 
 from __future__ import annotations
@@ -85,14 +83,21 @@ def _parse_real(value, flag: str, neg_inf: bool = False) -> float:
     return x
 
 
+# every integer read sizes an array: numpy indexes float64 grids of this + 2
+_MAX_INT = np.iinfo(np.intp).max // 8 - 2
+
+
 def _parse_int(value, flag: str) -> int:
-    # a JSON config hands over bools and floats, which int() would truncate
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise UsageError(f"{flag}: expected an integer, got {value!r}")
     try:
-        return int(value)
+        # a JSON config hands over bools and floats, which int() would truncate
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        n = int(value)
     except (TypeError, ValueError):
         raise UsageError(f"{flag}: expected an integer, got {value!r}") from None
+    if n > _MAX_INT:
+        raise UsageError(f"{flag}: need at most {_MAX_INT}, got {value!r}")
+    return n
 
 
 def _parse_t_range(value, flag: str) -> tuple:
@@ -109,7 +114,7 @@ def _parse_t_range(value, flag: str) -> tuple:
         raise UsageError(f"{flag}: need t_min < t_max, got {text!r}")
     if count < MIN_ENDPOINTS:
         raise UsageError(f"{flag}: need at least {MIN_ENDPOINTS} samples, got {count}")
-    return lo, hi, count
+    return lo, hi, _parse_int(count, flag)
 
 
 def _parse_formats(value, flag: str) -> tuple:
@@ -512,9 +517,10 @@ def _write_columns(cfg: RunConfig, blocks, csv_name: str = None, header: str = N
 
 def _run_solve(cfg: RunConfig) -> int:
     gs = solve_ground_state(cfg.spec, Domain(cfg.a, cfg.t), cfg.N)
+    x, u, meta = gs.grid.x, gs.u, ground_state_metadata(gs)
+    del gs   # frees its operator for the writer
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_columns(cfg, _row_blocks(gs.grid.x, gs.u), "ground_state.csv", "x,u", "u_vs_x.dat")
-    meta = ground_state_metadata(gs)
+    _write_columns(cfg, _row_blocks(x, u), "ground_state.csv", "x,u", "u_vs_x.dat")
     if "json" in cfg.formats:
         write_json(cfg.out_dir / "ground_state.json", meta)
     print(f"lambda = {meta['lambda']!r}")
@@ -526,11 +532,13 @@ def _run_solve(cfg: RunConfig) -> int:
 def _run_sensitivity(cfg: RunConfig) -> int:
     gs = solve_ground_state(cfg.spec, Domain(cfg.a, cfg.t), cfg.N)
     sens = compute_sensitivity(gs, cfg.spec)
+    x = gs.grid.x
+    del gs   # frees its u and operator for the writer
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     meta = sensitivity_metadata(sens)
     if "json" in cfg.formats:
         write_json(cfg.out_dir / "sensitivity.json", meta)
-    _write_columns(cfg, _row_blocks(gs.grid.x, sens.u_dot), "u_dot.csv", "x,u_dot",
+    _write_columns(cfg, _row_blocks(x, sens.u_dot), "u_dot.csv", "x,u_dot",
                    "u_dot_vs_x.dat")
     for key, val in meta.items():
         print(f"{key} = {val!r}")
@@ -620,7 +628,8 @@ def main(argv: list = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (EigenshiftError, OSError) as exc:   # OSError: an artifact it cannot write
+    # OSError: an artifact it cannot write; MemoryError: arrays it cannot allocate
+    except (EigenshiftError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -158,10 +158,11 @@ def _solve_on(spec: PotentialSpec, grid: Grid, start: np.ndarray = None) -> tupl
     if grid.n_interior < MIN_INTERIOR:
         raise DomainError(f"N must be at least {MIN_INTERIOR}")
     op = _operator_on(spec, grid)
-    if start is None:
+    nested = start is None   # a start of its own, which it lets the eigensolve overwrite
+    if nested:
         start = _nested_start(spec, grid)
     # the pair comes held to its residual cap and with its index certificate
-    lam, vec, resid = smallest_eigenpair(op, start)
+    lam, vec, resid = smallest_eigenpair(op, start, overwrite_start=nested)
     # orient by the entry of largest magnitude; a tie between +m and -m
     # fails the positivity check either way
     lo, hi = float(vec.min()), float(vec.max())

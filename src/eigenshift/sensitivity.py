@@ -68,12 +68,20 @@ def integrate_vprime_weighted(spec: PotentialSpec, grid: Grid, w: np.ndarray,
     this is the plain trapezoid rule.
     """
     x, h = grid.x, grid.h
-    vp_left_end = np.asarray(eval_Vprime(spec, x[:-1], "right")) - shift
-    vp_right_end = np.asarray(eval_Vprime(spec, x[1:], "left")) - shift
-    cells = 0.5 * h * (vp_left_end * w[:-1] + vp_right_end * w[1:])
+    kinks = vprime_kinks(spec)
+    # V' once, as the right limit; a cell's right end takes the left one,
+    # which differs only where a kink sits on a node
+    vr = eval_Vprime(spec, x, "right") - shift
+    ends = {j: eval_Vprime(spec, x[j], "left") - shift for xi in kinks
+            for j in range(max(np.searchsorted(x, xi), 1), np.searchsorted(x, xi, "right"))}
+    cells = vr[1:] * w[1:]
+    for j, v in ends.items():
+        cells[j - 1] = v * w[j]
+    cells += vr[:-1] * w[:-1]
+    cells *= 0.5 * h
     total = float(np.sum(cells))
 
-    for xi in vprime_kinks(spec):
+    for xi in kinks:
         if not x[0] < xi < x[-1]:
             continue
         i = int(np.searchsorted(x, xi, side="right")) - 1
@@ -83,8 +91,8 @@ def integrate_vprime_weighted(spec: PotentialSpec, grid: Grid, w: np.ndarray,
         w_xi = w[i] + frac * (w[i + 1] - w[i])
         vm = eval_Vprime(spec, xi, "left") - shift
         vp = eval_Vprime(spec, xi, "right") - shift
-        left = 0.5 * (xi - x[i]) * (vp_left_end[i] * w[i] + vm * w_xi)
-        right = 0.5 * (x[i + 1] - xi) * (vp * w_xi + vp_right_end[i] * w[i + 1])
+        left = 0.5 * (xi - x[i]) * (vr[i] * w[i] + vm * w_xi)
+        right = 0.5 * (x[i + 1] - xi) * (vp * w_xi + ends.get(i + 1, vr[i + 1]) * w[i + 1])
         total += left + right - float(cells[i])
     return float(total)
 
@@ -215,13 +223,14 @@ def fd_derivatives(spec: PotentialSpec, centre: GroundState, u_dot: np.ndarray) 
     start[:N] += centre.u[1:-1]
     np.subtract(t + s, x[1:-1], out=start[N:])
     start[N:] *= -centre.flux_t
-    lam_hi, vec, _ = smallest_eigenpair(TridiagOperator(d, e), start)
+    lam_hi, vec, _ = smallest_eigenpair(TridiagOperator(d, e), start, overwrite_start=True)
     # u(t - s) = u(t + s) - 2 s u_dot + O(s^3), u(t + s) being vec held
     # positive, in u's units; built over vec, once the + start is freed
     start = vec[:N - m]
     start /= (-1.0 if -vec.min() > vec.max() else 1.0) * math.sqrt(h)
     start -= (2.0 * s) * u_dot[1:N - m + 1]
-    lam_lo = smallest_eigenpair(TridiagOperator(d[:N - m], e[:N - m - 1]), start)[0]
+    lam_lo = smallest_eigenpair(TridiagOperator(d[:N - m], e[:N - m - 1]), start,
+                                overwrite_start=True)[0]
     return ((lam_hi - lam_lo) / (2.0 * s),
             (lam_hi - 2.0 * centre.lam + lam_lo) / (s * s), s)
 

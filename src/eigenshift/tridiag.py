@@ -137,10 +137,9 @@ def gershgorin_rows(op: TridiagOperator) -> tuple:
     """(radius, row_sum): the Gershgorin radii |e_{i-1}| + |e_i| of ``op``
     and its row sums |d_i| + radius_i, the rows of |T| 1 that the local
     scale ||(|T| 1) vec|| weighs."""
-    abs_e = np.abs(op.e)
     radius = np.zeros(op.n)
-    radius[:-1] = abs_e
-    radius[1:] += abs_e
+    np.abs(op.e, out=radius[:-1])
+    radius[1:] += np.abs(op.e)   # freed before row_sum is made
     row_sum = np.abs(op.d)
     row_sum += radius
     return radius, row_sum
@@ -154,7 +153,8 @@ def _cold_vector(op: TridiagOperator) -> np.ndarray:
     return vec
 
 
-def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
+def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None,
+                       overwrite_start: bool = False) -> tuple:
     """Lowest eigenpair of ``op``; returns (lam, vec, residual).
 
     ``vec`` has unit euclidean norm; ``lam`` is its Rayleigh quotient and
@@ -200,6 +200,10 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     after a fixed number of factorisations, or when the pair fails its
     residual cap or its index certificate.
 
+    Two n-vectors iterate, besides d - sigma and the row sums, which go
+    before the final matvec.  ``start`` is only read, unless
+    ``overwrite_start`` hands its buffer, if contiguous, over as one of them.
+
     The certificate: T - (lam - eps_gap) is positive definite, so no
     eigenvalue lies below lam - eps_gap, where eps_gap = max(1e-10 (1 + |lam|),
     256 eps local) clears the factorisation's own resolution on those rows; a
@@ -213,11 +217,10 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     """
     max_factorisations = 64
     e = _offdiag(op.e)
-    radius, row_sum = gershgorin_rows(op)
     # one O(n) buffer serves every step: d - sigma for ptsv, which
     # overwrites it, and row_sum * vec for the margin
-    work = np.subtract(op.d, radius, out=radius)
-    gershgorin = sigma = float(work.min())
+    work, row_sum = gershgorin_rows(op)
+    gershgorin = sigma = float(np.subtract(op.d, work, out=work).min())
     # keeps every shift at least floor below the spectrum, so |w| <= 1/floor
     floor = drop = _TINY / _EPS
     # tight: sigma is the Weinstein bound of the vector it is applied to.
@@ -237,7 +240,8 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
             raise ValueError("start vector is not finite")
         if big == 0.0:
             raise ValueError("start vector is zero")
-        vec = vec / big  # a copy at unit max norm, so the 2-norm cannot overflow
+        # at unit max norm, so the 2-norm cannot overflow
+        vec = np.divide(vec, big, out=vec if overwrite_start and vec.flags.c_contiguous else None)
         blas.dscal(1.0 / blas.dnrm2(vec), vec)
         tvec = op.matvec(vec)
         rho = blas.ddot(vec, tvec)
@@ -249,9 +253,11 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
             # the start is iterate 0, so one solve from a converged start
             # can already stop
             sigma, lam, tight = weinstein, rho, True
+    spare = np.empty_like(vec)   # ptsv solves in place in a copy of vec
     for _ in range(max_factorisations):
         # [2:] frees the factor's off-diagonal at once
-        w, info = lapack.dptsv(np.subtract(op.d, sigma, out=work), e, vec, overwrite_d=1)[2:]
+        w, info = lapack.dptsv(np.subtract(op.d, sigma, out=work), e, blas.dcopy(vec, spare),
+                               overwrite_d=1, overwrite_b=1)[2:]
         if info and certified is None:
             if sigma > gershgorin:
                 # the start's Weinstein bound belongs to an excited eigenvalue:
@@ -271,7 +277,7 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
             # invites the overshoot: give it the cold vector's weight
             failures += 1
             sigma, tight = certified + (sigma - certified) * 0.5 ** failures, False
-            vec = vec + _cold_vector(op)
+            vec += _cold_vector(op)
             vec /= blas.dnrm2(vec)
             continue
         certified, failures = sigma, 0
@@ -283,7 +289,7 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
         proj = blas.ddot(vec, w)
         resid = blas.dnrm2(blas.daxpy(w, vec, a=-proj)) / norm_w   # overwrites vec
         rho = sigma + proj / norm_w
-        vec = w
+        vec, spare = w, vec
         local = blas.dnrm2(np.multiply(row_sum, vec, out=work))
         margin = 4.0 * _EPS * local + floor
         # below the spectrum each step lowers rho, so stop once it no longer
@@ -302,6 +308,7 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     else:
         raise ConvergenceError(f"smallest eigenpair: inverse iteration not settled after "
                                f"{max_factorisations} factorisations")
+    del work, row_sum, spare
     tvec = op.matvec(vec)
     lam = float(vec @ tvec)
     _certify_lowest(op, lam, certified, local)
@@ -336,7 +343,8 @@ def solve_bordered(op: TridiagOperator, lam: float, border: np.ndarray,
     interlacing); x = B^-1 (rhs - mu b + c xi e_k), where b.x = 0, x_k = xi.
     Raises ConditioningError when B is not positive definite with a margin of
     256 eps c (lam is not the smallest eigenvalue, or it is degenerate), or
-    when the relative backward residual exceeds 1e-6.
+    when the relative backward residual exceeds 1e-6.  x is a column of the
+    solve's n x 3 right-hand side, which it keeps alive.
     """
     resid_cap = 1e-6
     lifted = op.d - lam
@@ -347,32 +355,33 @@ def solve_bordered(op: TridiagOperator, lam: float, border: np.ndarray,
     bnorm = np.linalg.norm(border)
     if bnorm == 0.0:
         raise ConditioningError("bordered solve: zero border vector")
-    b = border * (scale / bnorm)
-    k = int(np.argmax(np.abs(b)))
+    rescale = scale / bnorm   # b = rescale border, built where it is read
+    k = int(np.argmax(np.abs(border * rescale)))
     lifted[k] += scale
     # a second eigenvalue of T within the Sturm resolution delta = 256 eps c of
-    # lam (lam degenerate) leaves B - delta I indefinite, as does an excited lam.
-    # That probe is factored in place in ``work``, which later holds x
+    # lam (lam degenerate) leaves B - delta I indefinite, as does an excited lam
     e = _offdiag(op.e)
-    work = np.subtract(lifted, 256.0 * _EPS * scale)
-    info = lapack.dpttrf(work, e, overwrite_d=1)[2]
+    info = lapack.dpttrf(np.subtract(lifted, 256.0 * _EPS * scale), e, overwrite_d=1)[2]
     lifted, efac, info_b = lapack.dpttrf(lifted, e, overwrite_d=1)
     if info or info_b:
         raise ConditioningError("bordered solve: lifted matrix not positive definite; "
                                 "lam is not a simple lowest eigenvalue")
     cols = np.zeros((op.n, 3), order="F")
-    cols[:, 0], cols[:, 1], cols[k, 2] = rhs, b, 1.0
+    cols[:, 0], cols[k, 2] = rhs, 1.0
+    np.multiply(border, rescale, out=cols[:, 1])
     p, q, s = lapack.dpttrs(lifted, efac, cols, overwrite_b=1)[0].T
     del lifted, efac
+    b = border * rescale
     with np.errstate(all="ignore"):
         # unknowns (mu, xi = x_k): b.x = 0 and x_k = xi; b.s = q_k by symmetry
         m11, m12, m21, m22 = b @ q, -scale * q[k], q[k], 1.0 - scale * s[k]
         bp, det = b @ p, m11 * m22 - m12 * m21
         mu, xi = (bp * m22 - m12 * p[k]) / det, (m11 * p[k] - m21 * bp) / det
-        # x = p - mu q + (scale xi) s and r = T x - lam x + mu b - rhs, each
-        # in that order; q and s are scratch once read
-        x = np.subtract(p, np.multiply(q, mu, out=q), out=work)
+        # x = p - mu q + (scale xi) s, in p, and r = T x - lam x + mu b - rhs,
+        # each in that order; q and s are scratch once read
+        x = np.subtract(p, np.multiply(q, mu, out=q), out=p)
         x += np.multiply(s, scale * xi, out=s)
+        b = np.multiply(border, rescale, out=s)   # frees a vector for r
         r = op.matvec(x)
         r -= np.multiply(x, lam, out=q)
         r += np.multiply(b, mu, out=q)

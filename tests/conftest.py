@@ -1,4 +1,5 @@
 import collections
+import tracemalloc
 
 import pytest
 
@@ -39,3 +40,24 @@ def lapack_sizes(monkeypatch):
 
     monkeypatch.setattr(tridiag, "lapack", Recording())
     return calls
+
+
+@pytest.fixture
+def working_set():
+    """``measure(call, n)``: call() and its traced peak above the memory held
+    at entry, in n-vectors of 8 n bytes (tracemalloc alone, no profile hook),
+    as (result, peak).  What call() returns counts; a first-call set-up, such
+    as a cached table, counts unless the test runs it first."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+
+    def measure(call, n):
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, (tracemalloc.get_traced_memory()[1] - entry) / (8.0 * n)
+
+    yield measure
+    if started:
+        tracemalloc.stop()

@@ -313,6 +313,56 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("args", [
+        ["solve", "--potential", "affine:", "--a", "0", "--t", "1", "--N", str(10 ** 17)],
+        ["sweep", "--potential", "affine:", "--a", "0", "--t-range", f"1:2:{10 ** 17}"],
+    ], ids=["N", "sweep_count"])
+    def test_array_too_large_to_allocate_is_1(self, tmp_path, capsys, args):
+        # 8e17 bytes exceed every 64-bit address space, 57-bit ones included,
+        # so the allocation fails at once and touches no memory
+        assert main(args + ["--out-dir", str(tmp_path)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "allocate" in line, line
+
+    @pytest.mark.parametrize("args, value", [
+        (["solve", "--potential", "affine:", "--a", "0", "--t", "1", "--N", "9" * 20],
+         repr("9" * 20)),
+        (["sweep", "--potential", "affine:", "--a", "0", "--t-range", "1:2:" + "9" * 20],
+         "9" * 20),
+        (["verify", "--n-t", "9" * 20], repr("9" * 20)),
+    ], ids=["N", "sweep_count", "n_t"])
+    def test_size_numpy_cannot_index_is_2(self, tmp_path, capsys, args, value):
+        # past np.iinfo(np.intp).max // 8 float64 entries numpy raises a
+        # ValueError instead of a MemoryError; the reader names the flag
+        most = np.iinfo(np.intp).max // 8 - 2
+        assert main(args + ["--out-dir", str(tmp_path)]) == 2
+        flag = args[-2]
+        assert capsys.readouterr().err == f"usage error: {flag}: need at most {most}, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_size_numpy_cannot_index_is_2(self, tmp_path, capsys):
+        cfile = tmp_path / "big.json"
+        cfile.write_text('{"N": 1e300}')
+        assert main(["solve", "--config", str(cfile), "--potential", "affine:", "--a", "0",
+                     "--t", "1", "--out-dir", str(tmp_path)]) == 2
+        most = np.iinfo(np.intp).max // 8 - 2
+        assert capsys.readouterr().err == f"usage error: --N: need at most {most}, got 1e+300\n"
+        assert list(tmp_path.iterdir()) == [cfile]
+
+    def test_n_32001_calls_hold_their_working_set(self, tmp_path, working_set):
+        # the traced peak above main's entry, in N-vectors of 8 N bytes, of
+        # each N-sized call: its numerics, then the column writer
+        N, peaks = 32001, {}
+        for mode, formats in (("solve", "csv,json,plot"), ("sensitivity", "csv,json")):
+            def run(n):
+                return main([mode, "--potential", "quadratic:c2=1", "--a", "-inf", "--t", "0.2",
+                             "--N", str(n), "--format", formats, "--out-dir", str(tmp_path)])
+
+            assert run(64) == 0   # first-call set-up is not counted
+            code, peaks[mode] = working_set(lambda: run(N), N)
+            assert code == 0
+        assert peaks["solve"] <= 9.7 and peaks["sensitivity"] <= 10.1, peaks
+
     def test_zero_amplitude_exponential_solves_as_v_zero(self, tmp_path, capsys):
         # exp(-x) overflows near a = -1000, where amp = 0 made V nan, not 0
         lams = []

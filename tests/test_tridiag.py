@@ -2,7 +2,6 @@ import importlib.machinery
 import math
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,9 @@ from hypothesis.extra import numpy as hnp
 from eigenshift.errors import ConditioningError, ConvergenceError
 from eigenshift.ground_state import Domain, Grid, _operator_on, solve_ground_state
 from eigenshift.potentials import make_potential
-from eigenshift.sensitivity import compute_sensitivity
+from eigenshift.sensitivity import (compute_sensitivity, fd_derivatives, lambda_dot_flux,
+                                    solve_u_dot)
+from eigenshift.sweep import sweep
 from eigenshift.tolerances import DEFAULT_TOLS
 from eigenshift.tridiag import (
     TridiagOperator,
@@ -123,28 +124,67 @@ def test_oscillator_u_dot_orthogonal_at_fine_grid():
     assert sens.lambda_dot_fd == pytest.approx(exact, rel=1e-4, abs=0.0)
 
 
-def test_fine_grid_working_set():
+def test_fine_grid_working_set(working_set):
     # the peak above entry, in n-vectors of 8 N bytes, of one solve and of
     # its sensitivity bundle on x^2 at N = 32001; the returned objects count
     spec, domain, N = make_potential("quadratic", c2=1.0), Domain(-np.inf, 0.0), 32001
     solve_ground_state(spec, domain, 64)   # first-call set-up is not counted
+    gs, solve_peak = working_set(lambda: solve_ground_state(spec, domain, N), N)
+    sens_peak = working_set(lambda: compute_sensitivity(gs, spec), N)[1]
+    assert solve_peak <= 7.1 and sens_peak <= 7.1, (solve_peak, sens_peak)
 
-    def peak(call):
-        tracemalloc.reset_peak()
-        entry = tracemalloc.get_traced_memory()[0]
+
+def test_no_call_overwrites_its_inputs(monkeypatch):
+    # the eigensolve iterates in a start only when its caller hands it over,
+    # and every other buffer a call frees or reuses is its own
+    import eigenshift.sweep as sweep_module
+
+    def unchanged(call, *arrays):
+        before = [a.tobytes() for a in arrays]
         result = call()
-        return result, (tracemalloc.get_traced_memory()[1] - entry) / (8.0 * N)
+        assert [a.tobytes() == b for a, b in zip(arrays, before)] == [True] * len(arrays)
+        return result
 
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        gs, solve_peak = peak(lambda: solve_ground_state(spec, domain, N))
-        sens_peak = peak(lambda: compute_sensitivity(gs, spec))[1]
-    finally:
-        if started:
-            tracemalloc.stop()
-    assert solve_peak <= 9.0 and sens_peak <= 11.0, (solve_peak, sens_peak)
+    rng = np.random.default_rng(11)
+    n = 400
+    op = TridiagOperator(d=2.0 + rng.random(n), e=-np.ones(n - 1))
+    start, rhs = rng.random(n) + 0.5, rng.normal(size=n)
+    lam, vec, _ = unchanged(lambda: smallest_eigenpair(op), op.d, op.e)
+    unchanged(lambda: smallest_eigenpair(op, start), op.d, op.e, start)
+    unchanged(lambda: solve_bordered(op, lam, vec, rhs), op.d, op.e, vec, rhs)
+    spec = make_potential("quadratic", c2=1.0)
+    gs = solve_ground_state(spec, Domain(-np.inf, 0.0), 4001)
+    u_dot = solve_u_dot(gs, lambda_dot_flux(gs))
+    unchanged(lambda: fd_derivatives(spec, gs, u_dot), gs.u, gs.op.d, u_dot)
+
+    # the sweep chain: the second endpoint starts from the first ground state,
+    # a history vector, and later ones from an extrapolation buffer
+    sweep_module = sys.modules[sweep.__module__]
+    real, warm = sweep_module._solve_on, []
+
+    def checking(spec, grid, start=None):
+        if start is None:
+            return real(spec, grid)
+        warm.append(start)
+        return unchanged(lambda: real(spec, grid, start), start)
+
+    monkeypatch.setattr(sweep_module, "_solve_on", checking)
+    assert sweep(spec, -np.inf, -1.0, 1.0, 9, 801).ok
+    assert len(warm) == 8
+
+
+def test_handed_over_start_gives_the_same_pair():
+    # overwrite_start changes where the iteration runs, not a bit of its
+    # result, for a contiguous start and for a strided one, which is copied
+    rng = np.random.default_rng(5)
+    n = 300
+    op = TridiagOperator(d=2.0 + rng.random(n), e=-np.ones(n - 1))
+    base = rng.random(2 * n) + 0.5
+    for view in (slice(0, n), slice(None, None, 2)):
+        expected = smallest_eigenpair(op, base[view])
+        got = smallest_eigenpair(op, base.copy()[view], overwrite_start=True)
+        assert (got[0], got[2], got[1].tobytes()) == (expected[0], expected[2],
+                                                      expected[1].tobytes())
 
 
 def test_zero_stride_offdiag_changes_no_bit():

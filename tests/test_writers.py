@@ -5,7 +5,6 @@ change of format fails here even when two runs of the new code agree.
 """
 
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -207,28 +206,17 @@ def test_streamed_profile_equals_the_whole_text(tmp_path, formats, n):
         assert (tmp_path / name).read_bytes() == expected[name].encode()
 
 
-def test_formatting_peak_does_not_grow_with_the_row_count():
-    # the peak above entry of formatting a profile; a copy of every column
-    # into one table would add 16 bytes a row
+def test_formatting_peak_does_not_grow_with_the_row_count(working_set):
+    # the peak above entry of formatting a profile, in vectors of 32_003
+    # values; a copy of every column into one table would add two
     def peak(n):
         x = np.linspace(-1.0, 1.0, n)
         u = np.cos(x)
-        tracemalloc.reset_peak()
-        entry = tracemalloc.get_traced_memory()[0]
-        for _ in _row_blocks(x, u):
-            pass
-        return tracemalloc.get_traced_memory()[1] - entry
+        return working_set(lambda: sum(1 for _ in _row_blocks(x, u)), 32_003)[1]
 
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        peak(17)   # first-call set-up (the cached word tables) is not counted
-        growth = peak(320_003) - peak(32_003)
-    finally:
-        if started:
-            tracemalloc.stop()
-    assert growth < 8 * 32_003, growth
+    peak(17)   # first-call set-up (the cached word tables) is not counted
+    growth = peak(320_003) - peak(32_003)
+    assert growth < 1.0, growth
 
 
 @pytest.mark.parametrize("mode, csv_name, plot_name, extra", [
