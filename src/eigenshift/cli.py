@@ -148,7 +148,7 @@ def _checked(read, ok, message: str):
 class _Flag(NamedTuple):
     name: str           # the flag without its dashes, and the config key
     modes: tuple        # the modes that take the flag
-    required: tuple     # the modes that fail without it
+    required: bool      # whether its modes fail without it
     field: str          # the RunConfig field it sets
     read: Callable      # (value, "--name") -> the field's value
     help: str = None
@@ -156,19 +156,19 @@ class _Flag(NamedTuple):
 
 # Every value flag, declared once, in reading order: the first bad value is reported.
 _FLAGS = (
-    _Flag("potential", MODES, _SOLVED, "spec", lambda v, flag: parse_potential(str(v)),
+    _Flag("potential", _SOLVED, True, "spec", lambda v, flag: parse_potential(str(v)),
           "family:key=value,... e.g. quadratic:c2=1"),
-    _Flag("a", MODES, _SOLVED, "a", functools.partial(_parse_real, neg_inf=True),
+    _Flag("a", _SOLVED, True, "a", functools.partial(_parse_real, neg_inf=True),
           "left endpoint (number or -inf)"),
-    _Flag("t", _AT_T, _AT_T, "t", _parse_real, "right endpoint"),
-    _Flag("t-range", ("sweep",), ("sweep",), "t_range", _parse_t_range, "min:max:count"),
+    _Flag("t", _AT_T, True, "t", _parse_real, "right endpoint"),
+    _Flag("t-range", ("sweep",), True, "t_range", _parse_t_range, "min:max:count"),
     # one node more than a solve needs, so the FD oracle's one-cell step fits
-    _Flag("N", MODES, (), "N", _checked(_parse_int, lambda n: n > MIN_INTERIOR,
+    _Flag("N", MODES, False, "N", _checked(_parse_int, lambda n: n > MIN_INTERIOR,
           f"need at least {MIN_INTERIOR + 1} interior nodes, got {{}}"), "interior grid nodes"),
-    _Flag("n-t", ("verify",), (), "n_t", _checked(_parse_int, lambda n: n >= MIN_ENDPOINTS,
+    _Flag("n-t", ("verify",), False, "n_t", _checked(_parse_int, lambda n: n >= MIN_ENDPOINTS,
           f"need at least {MIN_ENDPOINTS} sweep samples"), "sweep samples per battery entry"),
-    _Flag("out-dir", MODES, (), "out_dir", _parse_path),
-    _Flag("format", MODES, (), "formats", _parse_formats, "comma list of csv,json,plot"),
+    _Flag("out-dir", MODES, False, "out_dir", _parse_path),
+    _Flag("format", MODES, False, "formats", _parse_formats, "comma list of csv,json,plot"),
 )
 
 
@@ -185,8 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for mode in MODES:
         p = sub.add_parser(mode)
         p.add_argument("--config", help="flat JSON config file; flags override")
-        # --help lists the flags every mode takes first (the sort is stable)
-        for flag in sorted(_FLAGS, key=lambda f: f.modes != MODES):
+        for flag in _FLAGS:
             if mode in flag.modes:
                 p.add_argument("--" + flag.name, help=flag.help)
     return parser
@@ -253,7 +252,7 @@ def parse_config(argv: list) -> RunConfig:
         if value is not None:
             setattr(cfg, flag.field, flag.read(value, "--" + flag.name))
     for flag in _FLAGS:
-        if cfg.mode in flag.required and getattr(cfg, flag.field) is None:
+        if flag.required and cfg.mode in flag.modes and getattr(cfg, flag.field) is None:
             raise UsageError(f"{cfg.mode}: --{flag.name} is required")
     if cfg.mode in _AT_T and not cfg.a < cfg.t:
         raise UsageError(f"{cfg.mode}: need a < t, got a={cfg.a}, t={cfg.t}")

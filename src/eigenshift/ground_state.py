@@ -153,16 +153,15 @@ def _operator_on(spec: PotentialSpec, grid: Grid) -> TridiagOperator:
 
 def _solve_on(spec: PotentialSpec, grid: Grid, start: np.ndarray = None) -> tuple:
     """(op, lam, u, flux_t, residual) on ``grid``: the pair solved from
-    ``start``, or else ``_nested_start``, and held positive; u = vec / sqrt(h)
-    on the interior."""
+    ``start``, which the eigensolve may overwrite, or else ``_nested_start``,
+    and held positive; u = vec / sqrt(h) on the interior."""
     if grid.n_interior < MIN_INTERIOR:
         raise DomainError(f"N must be at least {MIN_INTERIOR}")
     op = _operator_on(spec, grid)
-    nested = start is None   # a start of its own, which it lets the eigensolve overwrite
-    if nested:
+    if start is None:
         start = _nested_start(spec, grid)
     # the pair comes held to its residual cap and with its index certificate
-    lam, vec, resid = smallest_eigenpair(op, start, overwrite_start=nested)
+    lam, vec, resid = smallest_eigenpair(op, start)
     # orient by the entry of largest magnitude; a tie between +m and -m
     # fails the positivity check either way
     lo, hi = float(vec.min()), float(vec.max())

@@ -326,12 +326,15 @@ def convexity_on(spec: PotentialSpec, lo: float = -math.inf,
     a ``vprime_kinks`` entry) is affine on an interval whose interior misses
     the kink, and has the sign of its slope jump otherwise.  A
     tabulated potential is classified from the table segments that meet
-    [lo, hi].
+    [lo, hi]; RangeError when none does.
     """
     if spec.family == "tabulated":
         xs, vs = spec.table
         first = max(int(np.searchsorted(xs, lo, side="right")) - 1, 0)
         stop = int(np.searchsorted(xs, hi, side="left")) + 1
+        if len(xs[first:stop]) < 2:
+            raise RangeError(f"[{lo}, {hi}] meets no segment of the tabulated range "
+                             f"[{xs[0]}, {xs[-1]}]")
         return _table_convexity(xs[first:stop], vs[first:stop])
     kinks = vprime_kinks(spec)
     if kinks.size and not np.any((lo < kinks) & (kinks < hi)):

@@ -223,14 +223,13 @@ def fd_derivatives(spec: PotentialSpec, centre: GroundState, u_dot: np.ndarray) 
     start[:N] += centre.u[1:-1]
     np.subtract(t + s, x[1:-1], out=start[N:])
     start[N:] *= -centre.flux_t
-    lam_hi, vec, _ = smallest_eigenpair(TridiagOperator(d, e), start, overwrite_start=True)
+    lam_hi, vec, _ = smallest_eigenpair(TridiagOperator(d, e), start)
     # u(t - s) = u(t + s) - 2 s u_dot + O(s^3), u(t + s) being vec held
     # positive, in u's units; built over vec, once the + start is freed
     start = vec[:N - m]
     start /= (-1.0 if -vec.min() > vec.max() else 1.0) * math.sqrt(h)
     start -= (2.0 * s) * u_dot[1:N - m + 1]
-    lam_lo = smallest_eigenpair(TridiagOperator(d[:N - m], e[:N - m - 1]), start,
-                                overwrite_start=True)[0]
+    lam_lo = smallest_eigenpair(TridiagOperator(d[:N - m], e[:N - m - 1]), start)[0]
     return ((lam_hi - lam_lo) / (2.0 * s),
             (lam_hi - 2.0 * centre.lam + lam_lo) / (s * s), s)
 

@@ -164,10 +164,12 @@ def _solve_chain(spec: PotentialSpec, N: int, a_eff: float, ts: np.ndarray,
     in order, from ``_solve_on`` on ``Grid.build``'s grid: no Domain,
     GroundState or padded u.  Starts are extrapolated in ``params`` (t, or eps).
 
-    The first solve is cold, the second starts from the first ground state,
-    and each later one from the Lagrange extrapolation in p of the (up to)
-    ``_CHAIN_DEPTH`` ground states before it: degree 5 once the chain is
-    six long, sum_i w_i u_i with w_i = prod_{j != i} (p - p_j) / (p_i - p_j).
+    The first solve is cold, and each later one starts from the Lagrange
+    extrapolation in p of the (up to) ``_CHAIN_DEPTH`` ground states before
+    it, written into a new vector the eigensolve then iterates in: degree 5
+    once the chain is six long, sum_i w_i u_i with
+    w_i = prod_{j != i} (p - p_j) / (p_i - p_j), so the second endpoint starts
+    from a copy of the first ground state (weight 1).
     Each weight is a product of ratios, which stay finite where a quotient of
     two products of distances would overflow.  On a uniform grid the degree-5
     weights are 6, -15, 20, -15, 6, -1; their magnitudes sum to 63, so the
@@ -175,18 +177,14 @@ def _solve_chain(spec: PotentialSpec, N: int, a_eff: float, ts: np.ndarray,
     256 eps, and its Weinstein bound usually leaves one factorisation.
     """
     history = collections.deque(maxlen=_CHAIN_DEPTH)   # (p_i, u_i), newest last
-    buf = np.empty(N)   # the extrapolated start, rebuilt in place for each p
     for t, p in zip(map(float, ts), map(float, params)):
-        start = history[-1][1] if history else None
-        if len(history) > 1:
-            buf.fill(0.0)
-            for i, (p_i, u_i) in enumerate(history):
-                w = 1.0
-                for j, (p_j, _) in enumerate(history):
-                    if j != i:
-                        w *= (p - p_j) / (p_i - p_j)
-                blas.daxpy(u_i, buf, a=w)   # in place
-            start = buf
+        start = np.zeros(N) if history else None
+        for i, (p_i, u_i) in enumerate(history):
+            w = 1.0
+            for j, (p_j, _) in enumerate(history):
+                if j != i:
+                    w *= (p - p_j) / (p_i - p_j)
+            blas.daxpy(u_i, start, a=w)   # in place
         try:
             _, lam, u, flux_t, _ = _solve_on(spec, Grid.build(a_eff, t, N), start)
         except EigenshiftError as exc:

@@ -153,8 +153,7 @@ def _cold_vector(op: TridiagOperator) -> np.ndarray:
     return vec
 
 
-def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None,
-                       overwrite_start: bool = False) -> tuple:
+def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     """Lowest eigenpair of ``op``; returns (lam, vec, residual).
 
     ``vec`` has unit euclidean norm; ``lam`` is its Rayleigh quotient and
@@ -201,8 +200,9 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None,
     residual cap or its index certificate.
 
     Two n-vectors iterate, besides d - sigma and the row sums, which go
-    before the final matvec.  ``start`` is only read, unless
-    ``overwrite_start`` hands its buffer, if contiguous, over as one of them.
+    before the final matvec.  A writable, C-contiguous float64 ``start`` is
+    one of them, so the iteration overwrites it; any other start is copied.
+    A caller that still needs its start passes a copy.
 
     The certificate: T - (lam - eps_gap) is positive definite, so no
     eigenvalue lies below lam - eps_gap, where eps_gap = max(1e-10 (1 + |lam|),
@@ -232,7 +232,7 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None,
     if start is None:
         vec = _cold_vector(op)
     else:
-        vec = np.asarray(start, dtype=float)
+        vec = np.require(start, float, "CW")
         if vec.shape != (op.n,):
             raise ValueError(f"start vector has shape {vec.shape}, expected ({op.n},)")
         big = float(np.abs(vec).max())   # nan or inf when an entry is
@@ -241,7 +241,7 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None,
         if big == 0.0:
             raise ValueError("start vector is zero")
         # at unit max norm, so the 2-norm cannot overflow
-        vec = np.divide(vec, big, out=vec if overwrite_start and vec.flags.c_contiguous else None)
+        vec /= big
         blas.dscal(1.0 / blas.dnrm2(vec), vec)
         tvec = op.matvec(vec)
         rho = blas.ddot(vec, tvec)

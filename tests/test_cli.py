@@ -205,16 +205,16 @@ class TestFlags:
             assert getattr(parse_config(args), field) == expected
 
     @pytest.mark.parametrize("mode, own", [
-        ("solve", ["--t"]),
-        ("sensitivity", ["--t"]),
-        ("sweep", ["--t-range"]),
-        ("verify", ["--n-t"]),
+        ("solve", ["--potential", "--a", "--t", "--N", "--out-dir", "--format"]),
+        ("sensitivity", ["--potential", "--a", "--t", "--N", "--out-dir", "--format"]),
+        ("sweep", ["--potential", "--a", "--t-range", "--N", "--out-dir", "--format"]),
+        ("verify", ["--N", "--n-t", "--out-dir", "--format"]),
     ])
     def test_help_lists_the_flags_of_its_mode(self, capsys, mode, own):
+        # the flags its mode takes, in _FLAGS order, after --config
         assert main([mode, "--help"]) == 0
         listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
-        assert listed == ["--config", "--potential", "--a", "--N", "--out-dir",
-                          "--format", *own]
+        assert listed == ["--config", *own]
 
 
 class TestExitCodes:
@@ -227,6 +227,9 @@ class TestExitCodes:
         # the FD step is derived, so its old flag is unknown too
         assert main(["sensitivity", "--potential", "affine:", "--a", "0", "--t", "1",
                      "--h-t", "1e-3", "--out-dir", str(tmp_path)]) == 2
+        # verify solves no V of its own, so it takes neither --potential nor --a
+        assert main(["verify", "--potential", "affine:", "--out-dir", str(tmp_path)]) == 2
+        assert main(["verify", "--a", "0", "--out-dir", str(tmp_path)]) == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_tolerance_flag_and_key_are_2(self, tmp_path, capsys):

@@ -341,9 +341,9 @@ class TestTruncation:
         calls = []
         real = ground_state.smallest_eigenpair
 
-        def counting(op, start=None, **kwargs):
+        def counting(op, start=None):
             calls.append(op.n)
-            return real(op, start, **kwargs)
+            return real(op, start)
 
         monkeypatch.setattr(ground_state, "smallest_eigenpair", counting)
         spec = make_potential("quadratic", c2=1.0)
@@ -430,9 +430,9 @@ class TestNestedStart:
 
         calls, real = [], ground_state.smallest_eigenpair
 
-        def recording(op, start=None, **kwargs):
+        def recording(op, start=None):
             calls.append((op.n, start is None))
-            return real(op, start, **kwargs)
+            return real(op, start)
 
         monkeypatch.setattr(ground_state, "smallest_eigenpair", recording)
         return calls

@@ -204,6 +204,13 @@ class TestClassify:
     def test_class_on_interval(self, spec, lo, hi, expected):
         assert convexity_on(spec, lo, hi) is expected
 
+    @pytest.mark.parametrize("lo, hi", [(5.0, 6.0), (-3.0, -2.0)])
+    def test_interval_off_the_table(self, lo, hi):
+        spec = make_tabulated([0, 1, 2], [1, 0, 1])
+        with pytest.raises(RangeError, match=re.escape(
+                f"[{lo}, {hi}] meets no segment of the tabulated range [0.0, 2.0]")):
+            convexity_on(spec, lo, hi)
+
     @given(c0=COEFF, c1=COEFF)
     @settings(max_examples=50, deadline=None)
     def test_affine_always_affine(self, c0, c1):

@@ -270,8 +270,8 @@ class TestChainEndpoint:
         # a = 0 needs no wall probe, so the calls are the endpoints'
         real, calls = ground_state_module.smallest_eigenpair, []
 
-        def third_changes_sign(op, start=None, **kwargs):
-            lam, vec, resid = real(op, start, **kwargs)
+        def third_changes_sign(op, start=None):
+            lam, vec, resid = real(op, start)
             calls.append(op.n)
             if len(calls) == 3:
                 vec[: op.n // 2] *= -1.0
@@ -286,8 +286,8 @@ class TestChainEndpoint:
     def test_negative_vector_is_turned_positive(self, monkeypatch):
         real = ground_state_module.smallest_eigenpair
 
-        def negated(op, start=None, **kwargs):
-            lam, vec, resid = real(op, start, **kwargs)
+        def negated(op, start=None):
+            lam, vec, resid = real(op, start)
             return lam, -vec, resid
 
         expected = sweep(*CHAINS["free"])

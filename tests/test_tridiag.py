@@ -134,9 +134,18 @@ def test_fine_grid_working_set(working_set):
     assert solve_peak <= 7.1 and sens_peak <= 7.1, (solve_peak, sens_peak)
 
 
+def test_sweep_working_set(working_set):
+    # a 31-endpoint sweep of x^2 at N = 8001: the chain keeps six ground
+    # states and builds each start anew, so no buffer outlives its endpoint
+    spec = make_potential("quadratic", c2=1.0)
+    sweep(spec, -np.inf, -1.0, 2.0, 5, 64)   # first-call set-up is not counted
+    result, peak = working_set(lambda: sweep(spec, -np.inf, -1.0, 2.0, 31, 8001), 8001)
+    assert result.ok and peak <= 13.5, peak
+
+
 def test_no_call_overwrites_its_inputs(monkeypatch):
-    # the eigensolve iterates in a start only when its caller hands it over,
-    # and every other buffer a call frees or reuses is its own
+    # the eigensolve may iterate in its start; every other buffer a call
+    # frees or reuses is its own
     import eigenshift.sweep as sweep_module
 
     def unchanged(call, *arrays):
@@ -150,41 +159,49 @@ def test_no_call_overwrites_its_inputs(monkeypatch):
     op = TridiagOperator(d=2.0 + rng.random(n), e=-np.ones(n - 1))
     start, rhs = rng.random(n) + 0.5, rng.normal(size=n)
     lam, vec, _ = unchanged(lambda: smallest_eigenpair(op), op.d, op.e)
-    unchanged(lambda: smallest_eigenpair(op, start), op.d, op.e, start)
+    unchanged(lambda: smallest_eigenpair(op, start), op.d, op.e)
     unchanged(lambda: solve_bordered(op, lam, vec, rhs), op.d, op.e, vec, rhs)
     spec = make_potential("quadratic", c2=1.0)
     gs = solve_ground_state(spec, Domain(-np.inf, 0.0), 4001)
     u_dot = solve_u_dot(gs, lambda_dot_flux(gs))
     unchanged(lambda: fd_derivatives(spec, gs, u_dot), gs.u, gs.op.d, u_dot)
 
-    # the sweep chain: the second endpoint starts from the first ground state,
-    # a history vector, and later ones from an extrapolation buffer
+    # the sweep chain: every warm start is extrapolated from the ground
+    # states it keeps, and no later solve writes into one of them
     sweep_module = sys.modules[sweep.__module__]
-    real, warm = sweep_module._solve_on, []
+    real, kept = sweep_module._solve_on, []
 
-    def checking(spec, grid, start=None):
-        if start is None:
-            return real(spec, grid)
-        warm.append(start)
-        return unchanged(lambda: real(spec, grid, start), start)
+    def keeping(spec, grid, start=None):
+        out = real(spec, grid, start)
+        kept.append((out[2], out[2].tobytes()))
+        return out
 
-    monkeypatch.setattr(sweep_module, "_solve_on", checking)
+    monkeypatch.setattr(sweep_module, "_solve_on", keeping)
     assert sweep(spec, -np.inf, -1.0, 1.0, 9, 801).ok
-    assert len(warm) == 8
+    assert len(kept) == 9
+    assert [u.tobytes() == before for u, before in kept] == [True] * 9
 
 
-def test_handed_over_start_gives_the_same_pair():
-    # overwrite_start changes where the iteration runs, not a bit of its
-    # result, for a contiguous start and for a strided one, which is copied
+def test_start_is_iterated_in_or_copied():
+    # the eigensolve iterates in a writable, C-contiguous float64 start and
+    # copies any other, which it leaves as it was; every start gives the pair
+    # bit for bit that a fresh float copy of it gives
     rng = np.random.default_rng(5)
     n = 300
     op = TridiagOperator(d=2.0 + rng.random(n), e=-np.ones(n - 1))
-    base = rng.random(2 * n) + 0.5
-    for view in (slice(0, n), slice(None, None, 2)):
-        expected = smallest_eigenpair(op, base[view])
-        got = smallest_eigenpair(op, base.copy()[view], overwrite_start=True)
+    ints = rng.integers(1, 100, 2 * n)   # exact as floats
+    readonly = ints[:n].astype(float)
+    readonly.flags.writeable = False
+    starts = [(ints[:n].astype(float), False), (ints.astype(float)[::2], True),
+              (readonly, True), (ints[:n], True), (ints[:n].tolist(), True)]
+    for start, kept in starts:
+        before = np.array(start, dtype=float)
+        expected = smallest_eigenpair(op, before.copy())
+        got = smallest_eigenpair(op, start)
         assert (got[0], got[2], got[1].tobytes()) == (expected[0], expected[2],
                                                       expected[1].tobytes())
+        if kept:
+            assert np.array_equal(np.asarray(start), before)
 
 
 def test_zero_stride_offdiag_changes_no_bit():
@@ -204,7 +221,7 @@ def test_zero_stride_offdiag_changes_no_bit():
     results = []
     for op in (filled, view):
         cold = smallest_eigenpair(op)
-        warm = smallest_eigenpair(op, start)
+        warm = smallest_eigenpair(op, start.copy())   # each call iterates in its own
         results.append(bits(*cold, *warm, *solve_bordered(op, cold[0], cold[1], rhs),
                             op.matvec(x), [op.count_below(s) for s in sigmas],
                             [op.spectrum_above(s) for s in sigmas]))
