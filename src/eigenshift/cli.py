@@ -9,10 +9,13 @@ This module owns every artifact; the numerical modules return values and
 payload dicts and write no file.  Column data (CSV / plot files) is fixed
 17-digit scientific notation, formatted by ``_row_blocks``, a numpy kernel
 that writes the characters of ``"%.16e" % v`` and hands the values it
-cannot decide (zeros, non-finite values, extreme magnitudes, near-ties) to
-that exact per-value call, a block of rows at a time.  ``_write_columns``
-opens every CSV and plot file and writes each block as it comes, to the CSV
-file and, with spaces for commas, to its plot file.
+cannot decide (zeros, non-finite values, extreme magnitudes, near-ties, a
+``log10`` that rounds across a power of ten, a rounding that carries into
+an 18th digit) to that exact per-value call, a block of rows at a time.
+Every field's suffix word ends in a comma; the last field of a row swaps
+it for a newline.  ``_write_columns`` opens every CSV and plot file and
+writes each block as it comes, to the CSV file and, with spaces for commas,
+to its plot file.
 ``write_json`` writes every JSON payload, with shortest round-trip floats.
 So identical configs produce byte-identical artifacts.
 
@@ -266,15 +269,19 @@ def parse_config(argv: list) -> RunConfig:
 # Dekker's error-free product (Numer. Math. 18, 1971) against 10^p stored as a
 # (hi, lo) pair: X is good to about 1e-14 absolute, so its nearest integer,
 # the 17 printed digits, is decided unless X lies within _TIE_BAND of a half.
-# Those values, zeros, non-finite values and |v| outside the range go to the
-# exact per-value "%.16e" % v (_exact_fields), as in Grisu3 (Loitsch, PLDI
-# 2010).  The range keeps every partial product of the split normal.
+# Those values, values whose 17 digits come out of [_D_LO, _D_HI) (log10
+# rounded across a power of ten, or rounding carried into an 18th digit),
+# zeros, non-finite values and |v| outside the range go to the exact
+# per-value "%.16e" % v (_exact_fields), as in Grisu3 (Loitsch, PLDI 2010):
+# one fast path that detects what it cannot decide, and one exact fallback.
+# The range keeps every partial product of the split normal.
 #
 # Each field is laid out in four little-endian 64-bit words, _FILL where a
 # byte is unused: a prefix word (fill, sign, lead digit, '.') from
 # _prefix_words, two words of eight digits each from _digit_words, and a
-# suffix word ('e', exponent sign, 2-3 digits, then the comma or newline)
-# from _suffix_words.  The fill bytes are removed once.
+# suffix word ('e', exponent sign, 2-3 digits, then a comma) from
+# _suffix_words.  The last field of each row turns that comma into a
+# newline.  The fill bytes are removed once.
 _VEC_MIN, _VEC_MAX = 1e-280, 1e280
 _E_LO, _E_HI = -283, 282          # decimal exponents the kernel may try
 _TIE_BAND = 1e-9
@@ -323,13 +330,12 @@ def _prefix_words() -> np.ndarray:
 
 
 @functools.cache
-def _suffix_words(end: bytes) -> np.ndarray:
-    """The suffix word for exponent e, at e - _E_LO, whose last byte is
-    ``end`` (a comma or a newline), past the bytes that _exact_fields
-    rewrites.  Built on first use, once per end."""
+def _suffix_words() -> np.ndarray:
+    """The suffix word for exponent e, at e - _E_LO, whose last byte is a
+    comma, past the bytes that _exact_fields rewrites.  Built on first use."""
     return np.frombuffer(b"".join(
-        (b"e%+03d" % e).ljust(_WORD.itemsize - 1, _FILL) + end
-        for e in range(_E_LO, _E_HI + 2)    # + 1: a carry may raise _E_HI
+        (b"e%+03d" % e).ljust(_WORD.itemsize - 1, _FILL) + b","
+        for e in range(_E_LO, _E_HI + 1)
     ), _WORD)
 
 
@@ -363,17 +369,11 @@ def _digit_words(y) -> np.ndarray:
     return y
 
 
-def _scaled_work(n: int) -> tuple:
-    """Buffers for ``_scaled`` on up to ``n`` values: eight float rows and
-    two int64 rows."""
-    return np.empty((8, n)), np.empty((2, n), np.int64)
-
-
 def _scaled(a, e, work) -> tuple:
     """floor(a * 10^(16 - e)) as int64 and the fraction left over (a = |v|).
 
-    The operations run in place in ``work`` (from ``_scaled_work``, at least
-    a.size columns), and both results are rows of it.
+    The operations run in place in ``work`` (eight float rows and two int64
+    rows, at least a.size columns), and both results are rows of it.
     """
     flt, ints = work
     hi, lo, hi_h, hi_l, a_h, a_l, p, err = flt[:, :a.size]
@@ -416,23 +416,17 @@ def _exact_fields(values) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _FIELD)
 
 
-def _format_block(v, suffixes, at, work) -> bytearray:
-    """Rows of one block: ``v`` is the block's values row by row, and value
-    i takes its suffix word from ``suffixes[at[i] + e]`` (its column's
-    table); ``work`` is ``_scaled``'s workspace."""
+def _format_block(v, k, work) -> bytearray:
+    """Rows of one block: ``v`` is the block's values row by row, ``k`` to a
+    row; ``work`` is ``_scaled``'s workspace."""
     a = np.abs(v)
     fast = (a >= _VEC_MIN) & (a <= _VEC_MAX)
     a = np.where(fast, a, 1.0)   # a stand-in; the arbiter rewrites these rows
     e = np.floor(np.log10(a)).astype(np.int64)
     d, frac = _scaled(a, e, work)
-    off = np.flatnonzero((d < _D_LO) | (d >= _D_HI))
-    if off.size:   # log10 rounded across a power of ten
-        e[off] += np.where(d[off] >= _D_HI, 1, -1)
-        d[off], frac[off] = _scaled(a[off], e[off], _scaled_work(off.size))
+    fast &= (d >= _D_LO) & (d < _D_HI)   # else log10 rounded across a power of ten
     d += frac > 0.5
-    carry = d == _D_HI
-    d[carry] = _D_LO
-    e += carry
+    fast &= d < _D_HI                    # else rounding carried into an 18th digit
 
     buf = bytearray(v.size * 4 * _WORD.itemsize)
     out = np.frombuffer(buf, _WORD).reshape(v.size, 4)
@@ -445,9 +439,10 @@ def _format_block(v, suffixes, at, work) -> bytearray:
     np.subtract(d, halves[1], out=halves[1])
     out[:, 1], out[:, 2] = _digit_words(halves)
     lead += np.signbit(v) * 10
-    out[:, 0] = _prefix_words().take(lead)
-    e += at[:v.size]
-    out[:, 3] = suffixes.take(e)
+    # a row the arbiter rewrites may have a lead digit outside the table
+    out[:, 0] = _prefix_words().take(lead, mode="clip")
+    out[:, 3] = _suffix_words().take(e - _E_LO)
+    out.view(np.uint8).reshape(-1, k, 4 * _WORD.itemsize)[:, -1, -1] = ord("\n")
 
     exact = np.flatnonzero(~fast | (np.abs(frac - 0.5) < _TIE_BAND))
     if exact.size:
@@ -462,19 +457,19 @@ def _row_blocks(*cols):
 
     The characters are those of ``"%.16e" % v``, which equals
     ``f"{v:.16e}"``, nan and infinities included.  Every field is built in
-    four 64-bit words (see the comment above _pow10_table), the comma or
-    newline in the last of them, and the filler bytes are removed once.
-    The few values the kernel cannot decide are formatted one by one by
-    _exact_fields, the exact arbiter.
+    four 64-bit words (see the comment above _pow10_table), the comma in
+    the last of them, a newline in place of the comma on each row's last
+    field, and the filler bytes are removed once.  The few values the kernel
+    cannot decide are formatted one by one by _exact_fields, the exact
+    arbiter.
     """
     n, k = len(cols[0]), len(cols)
-    suffixes = np.concatenate([_suffix_words(b",")] * (k - 1) + [_suffix_words(b"\n")])
     rows = max(_BLOCK // k, 1)
-    at = np.tile(np.arange(k) * (len(suffixes) // k) - _E_LO, rows)
-    work = _scaled_work(min(rows, n) * k)
+    m = min(rows, n) * k
+    work = np.empty((8, m)), np.empty((2, m), np.int64)
     for r in range(0, n, rows):
         block = np.column_stack([c[r:r + rows] for c in cols]).astype(np.float64, copy=False)
-        yield _format_block(block.ravel(), suffixes, at, work)
+        yield _format_block(block.ravel(), k, work)
 
 
 def write_json(path, payload: dict) -> None:

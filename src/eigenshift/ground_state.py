@@ -275,9 +275,7 @@ def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float,
     chunks doubling from the probe's width ``w`` (from ``_probe_lambda``:
     twice the minimiser of V's box bound, a power of two, narrowed where V
     overflows; the first chunk, (t - w, t), holds a node with
-    V <= lambda_probe), and a count that starts in a wider chunk restarts
-    there on chunks of at least w.  A cell's integral is the trapezoid, or
-    the log-mean
+    V <= lambda_probe).  A cell's integral is the trapezoid, or the log-mean
     h (g1 - g0) / ln(g1 / g0) of g = sqrt(V - lambda_probe) where g changes by
     a factor above 1.1 across the cell.  The first cell that adds more than
     2% of K, or a turning-point cell (g0 = 0) more than 0.1%, is marched
@@ -308,11 +306,8 @@ def truncate_domain(spec: PotentialSpec, t: float, lambda_probe: float,
         # (g0 = 0, where the trapezoid may be off by half its area) over 0.1%
         coarse = np.flatnonzero(np.isfinite(count[1:])
                                 & (area > np.where(g0 > 0.0, _CELL_SHARE, _TURN_SHARE) * K))
-        start = last[hit[0]] if hit.size else last[-1]
-        if width > w and 0 <= start < _MARCH_CELLS:
-            dist, width = float(d[start]), max(w, width / _MARCH_CELLS)
-        elif (coarse.size and (not hit.size or coarse[0] < hit[0])
-              and width * _MARCH_CELLS >= w):   # cells no finer than w / 402^3
+        if (coarse.size and (not hit.size or coarse[0] < hit[0])
+                and width * _MARCH_CELLS >= w):   # cells no finer than w / 402^3
             c = coarse[0]   # march the first coarse cell in cells of its own
             dist, width, carry = float(d[c]), float(d[c + 1] - d[c]), float(count[c])
         elif hit.size:

@@ -236,7 +236,8 @@ def make_tabulated(xs, vs) -> PotentialSpec:
 
 
 def load_tabulated(path: str) -> PotentialSpec:
-    """Load a tabulated potential from a CSV file with header ``x,V``."""
+    """Load a tabulated potential from a CSV file with header ``x,V``; every
+    error names the file."""
     xs, vs = [], []
     try:
         with open(path, newline="") as fh:
@@ -255,7 +256,10 @@ def load_tabulated(path: str) -> PotentialSpec:
         raise UsageError(f"cannot read tabulated potential: {exc}") from exc
     except ValueError as exc:
         raise UsageError(f"{path}: malformed numeric row ({exc})") from exc
-    return make_tabulated(xs, vs)
+    try:
+        return make_tabulated(xs, vs)
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def parse_potential(text: str) -> PotentialSpec:

@@ -274,6 +274,10 @@ class TestExitCodes:
          "--format: empty format list"),
         (["sweep", "--potential", "affine:", "--a", "1", "--t-range", "0.5:2:5"],
          "sweep: need a < t_min, got a=1.0, t_min=0.5"),
+        (["solve", "--potential", "affine:", "--a", "0", "--t", "abc"],
+         "--t: expected a finite real number, got 'abc'"),
+        (["solve", "--potential", "affine:", "--a", "xyz", "--t", "1"],
+         "--a: expected a real number or -inf, got 'xyz'"),
     ])
     def test_input_below_its_limit_is_2(self, tmp_path, monkeypatch, capsys, args, message):
         # the limits are the solver's own: MIN_INTERIOR nodes and one more for
@@ -283,6 +287,20 @@ class TestExitCodes:
         assert main(args) == 2
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1\n", "tabulated potential needs two 1-d arrays of equal length >= 2"),
+        ("0,1\n0,2\n", "tabulated abscissae must be strictly increasing"),
+        ("0,1\n1,inf\n", "tabulated potential values must be finite"),
+        ("0,0\n1e-310,1\n1,0\n", "tabulated potential has a slope that overflows a double"),
+    ], ids=["one_row", "not_increasing", "not_finite", "slope_overflows"])
+    def test_bad_table_file_names_it(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "v.csv"
+        path.write_text("x,V\n" + rows)
+        assert main(["solve", "--potential", f"tabulated:file={path}", "--a", "0", "--t", "1",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"usage error: {path}: {message}"]
+        assert not (tmp_path / "out").exists()
 
     def test_input_at_its_limit_parses(self, tmp_path):
         cfg = parse_config(["sweep", "--potential", "affine:", "--a", "0",

@@ -14,6 +14,7 @@ from eigenshift.potentials import (
     convexity_on,
     eval_V,
     eval_Vprime,
+    load_tabulated,
     make_potential,
     make_tabulated,
     parse_potential,
@@ -414,6 +415,45 @@ class TestTabulated:
         path.write_text("x,V\n0,1\n1\n2,3\n")
         with pytest.raises(UsageError, match=re.escape(f"{path}: line 3 needs two fields")):
             parse_potential(f"tabulated:file={path}")
+
+    def test_make_potential_points_to_the_table_constructors(self):
+        with pytest.raises(UsageError, match=re.escape("use make_tabulated()")):
+            make_potential("tabulated")
+
+    @pytest.mark.parametrize("xs, vs, message", [
+        ([0.0, 1.0, 2.0], [0.0, 1.0], "two 1-d arrays of equal length"),
+        ([[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [2.0, 3.0]], "two 1-d arrays of equal length"),
+        ([0.0, 1.0], [0.0, float("nan")], "must be finite"),
+    ], ids=["unequal_length", "two_dimensional", "nan_value"])
+    def test_malformed_arrays_rejected(self, xs, vs, message):
+        with pytest.raises(UsageError, match=message):
+            make_tabulated(xs, vs)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(UsageError, match="cannot read tabulated potential"):
+            load_tabulated(str(tmp_path / "missing.csv"))
+
+    def test_malformed_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,V\n0,1\n1,abc\n")
+        with pytest.raises(UsageError, match=re.escape(f"{path}: malformed numeric row")):
+            load_tabulated(str(path))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text("x,V\n0,1\n1,2\n2,0\n")
+        spaced.write_text("x,V\n\n0,1\n\n1,2\n2,0\n\n")
+        want, got = load_tabulated(str(plain)).table, load_tabulated(str(spaced)).table
+        for w, g in zip(want, got):
+            np.testing.assert_array_equal(g, w)
+
+    def test_parse_needs_file_and_only_file(self, tmp_path):
+        with pytest.raises(UsageError, match=re.escape("requires file=<path.csv>")):
+            parse_potential("tabulated:")
+        path = tmp_path / "v.csv"
+        path.write_text("x,V\n0,0\n1,1\n")
+        with pytest.raises(UsageError, match="unknown parameter 'foo' for family 'tabulated'"):
+            parse_potential(f"tabulated:file={path},foo=1")
 
     def test_confinement_false_beyond_table(self):
         spec = make_tabulated([-10.0, 0.0, 10.0], [100.0, 0.0, 100.0])
