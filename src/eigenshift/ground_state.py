@@ -1,9 +1,9 @@
 """Dirichlet ground states of -u'' + V u on (a, t).
 
 The operator is discretized by second-order central differences on a uniform
-grid; the lowest eigenpair of the resulting tridiagonal matrix, held to its
-residual cap and with its ground-state index certified, comes from LAPACK
-(see tridiag), and this module holds it to a positive vector.  A cold
+grid, as diag(V + 2/h^2) with off-diagonal -1/h^2; its lowest eigenpair, held
+to its residual cap and with its ground-state index certified, comes from
+LAPACK (see tridiag), and this module holds it to a positive vector.  A cold
 solve on 4000 or more nodes starts from one on N // 8 nodes
 (``_nested_start``).  The ground state keeps the operator it was solved
 from.  A left endpoint at -infinity is realized by a wall where the
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .potentials import PotentialSpec, eval_V, validate_confinement, vprime_kinks
 from .tolerances import DEFAULT_TOLS
-from .tridiag import TridiagOperator, constant_offdiag, smallest_eigenpair
+from .tridiag import TridiagOperator, smallest_eigenpair
 
 MIN_INTERIOR = 16
 _PROBE_NODES = 200
@@ -144,11 +144,14 @@ class GroundState:
 
 def _operator_on(spec: PotentialSpec, grid: Grid) -> TridiagOperator:
     h2 = grid.h * grid.h
-    d = np.asarray(eval_V(spec, grid.interior), dtype=float)
-    d += 2.0 / h2   # eval_V's array is new
+    if h2 == 0.0 or 2.0 / h2 == math.inf:
+        raise DomainError(f"grid spacing h = {grid.h:.6g} is too small: 2/h^2 overflows")
+    with np.errstate(all="ignore"):   # the check below reports an overflow
+        d = np.asarray(eval_V(spec, grid.interior), dtype=float)
+        d += 2.0 / h2   # eval_V's array is new
     if not np.isfinite(d).all():
         raise DomainError("potential is not finite on the working grid")
-    return TridiagOperator(d=d, e=constant_offdiag(-1.0 / h2, grid.n_interior - 1))
+    return TridiagOperator(d, -1.0 / h2)
 
 
 def _solve_on(spec: PotentialSpec, grid: Grid, start: np.ndarray = None) -> tuple:

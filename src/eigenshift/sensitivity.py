@@ -21,8 +21,7 @@ from .errors import ConditioningError, RangeError, StructureError
 from .ground_state import MIN_INTERIOR, Grid, GroundState, _operator_on
 from .potentials import PotentialSpec, eval_Vprime, vprime_kinks
 from .tolerances import DEFAULT_TOLS
-from .tridiag import (TridiagOperator, blas, constant_offdiag, gershgorin_rows,
-                      smallest_eigenpair, solve_bordered)
+from .tridiag import TridiagOperator, blas, row_sums, smallest_eigenpair, solve_bordered
 
 _EPS = float(np.finfo(float).eps)
 
@@ -182,7 +181,7 @@ def _fd_step(gs: GroundState) -> float:
     when lambda does not clear min V in floating point.
     """
     op, h = gs.op, gs.grid.h
-    local = blas.dnrm2(gershgorin_rows(op)[1] * gs.u[1:-1]) * math.sqrt(h)
+    local = blas.dnrm2(row_sums(op) * gs.u[1:-1]) * math.sqrt(h)
     gap = gs.lam - (float(np.min(op.d)) - 2.0 / (h * h))
     rounding = 25.0 * math.sqrt(_EPS * local) / gap if gap > 0 else math.inf
     return max(DEFAULT_TOLS.h_t_factor * (gs.t - gs.domain.a_eff), rounding)
@@ -195,10 +194,10 @@ def fd_derivatives(spec: PotentialSpec, centre: GroundState, u_dot: np.ndarray) 
     ``solve_u_dot`` field; returns (lambda_dot_fd, lambda_ddot_fd, s), s being
     ``_fd_step`` snapped to m >= 1 cells h.  lambda(t +- s) are the lowest
     eigenvalues of ``centre.op`` extended by the m rows at t, t + h, ... and
-    of its leading N - m rows, started from u + s u_dot with the tail
-    -flux_t (t + s - x) and from that pair's vector less 2 s u_dot.  Raises
-    ConditioningError when the step leaves under MIN_INTERIOR nodes at t - s,
-    RangeError when a table ends before t + s - h.
+    of its leading N - m rows, both with its off-diagonal value, started from
+    u + s u_dot with the tail -flux_t (t + s - x) and from that pair's vector
+    less 2 s u_dot.  Raises ConditioningError when the step leaves under
+    MIN_INTERIOR nodes at t - s, RangeError when a table ends before t + s - h.
     """
     N, h, h_t = centre.grid.n_interior, centre.grid.h, _fd_step(centre)
     # inf and nan fail here too
@@ -217,19 +216,19 @@ def fd_derivatives(spec: PotentialSpec, centre: GroundState, u_dot: np.ndarray) 
     except RangeError as err:
         raise RangeError(f"the FD oracle's step {s:.6g} at t = {t!r} needs V "
                          f"beyond the table: {err}") from None
-    d, e = np.concatenate((centre.op.d, rows.d)), constant_offdiag(centre.op.e[0], N + m - 1)
+    d, c = np.concatenate((centre.op.d, rows.d)), centre.op.c
     start = np.empty(N + m)
     np.multiply(u_dot[1:-1], s, out=start[:N])
     start[:N] += centre.u[1:-1]
     np.subtract(t + s, x[1:-1], out=start[N:])
     start[N:] *= -centre.flux_t
-    lam_hi, vec, _ = smallest_eigenpair(TridiagOperator(d, e), start)
+    lam_hi, vec, _ = smallest_eigenpair(TridiagOperator(d, c), start)
     # u(t - s) = u(t + s) - 2 s u_dot + O(s^3), u(t + s) being vec held
     # positive, in u's units; built over vec, once the + start is freed
     start = vec[:N - m]
     start /= (-1.0 if -vec.min() > vec.max() else 1.0) * math.sqrt(h)
     start -= (2.0 * s) * u_dot[1:N - m + 1]
-    lam_lo = smallest_eigenpair(TridiagOperator(d[:N - m], e[:N - m - 1]), start)[0]
+    lam_lo = smallest_eigenpair(TridiagOperator(d[:N - m], c), start)[0]
     return ((lam_hi - lam_lo) / (2.0 * s),
             (lam_hi - 2.0 * centre.lam + lam_lo) / (s * s), s)
 

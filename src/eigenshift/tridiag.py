@@ -1,4 +1,5 @@
-"""Symmetric tridiagonal eigen-machinery on direct LAPACK calls.
+"""Eigen-machinery for the central-difference matrix T = tridiag(c, d, c) on
+direct LAPACK calls.
 
 The smallest eigenpair comes from shifted inverse iteration on ``ptsv``
 factor-and-solves (``pttrf`` + ``pttrs``) of T - sigma, cold or from a
@@ -63,28 +64,17 @@ lapack = _scipy_linalg_extension("_flapack")
 blas = _scipy_linalg_extension("_fblas")
 
 
-def _offdiag(e: np.ndarray) -> np.ndarray:
-    # the f2py wrappers want one off-diagonal entry even when n = 1, where
-    # LAPACK reads none
-    return e if len(e) else np.zeros(1)
-
-
-def constant_offdiag(value: float, n: int) -> np.ndarray:
-    """n entries equal to ``value``, as a read-only zero-stride view of 8
-    bytes: an off-diagonal that holds no n-array."""
-    return np.ndarray(n, buffer=struct.pack("d", value), strides=(0,))
-
-
 @dataclass(frozen=True)
 class TridiagOperator:
-    """Symmetric tridiagonal matrix: diagonal ``d`` (n,), off-diagonal ``e`` (n-1,)."""
+    """Diagonal ``d`` (n,) and the value ``c`` of every off-diagonal entry."""
 
     d: np.ndarray
-    e: np.ndarray
+    c: float
 
     def __post_init__(self):
-        if len(self.d) < 1 or len(self.e) != len(self.d) - 1:
-            raise ValueError("off-diagonal must be one shorter than diagonal")
+        # what LAPACK reads: n - 1 entries on 8 read-only bytes, one at n = 1 for f2py
+        object.__setattr__(self, "_e", np.ndarray(max(self.n - 1, 1), strides=(0,),
+                                                  buffer=struct.pack("d", self.c)))
 
     @property
     def n(self) -> int:
@@ -92,8 +82,8 @@ class TridiagOperator:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.d * x
-        y[:-1] += self.e * x[1:]
-        y[1:] += self.e * x[:-1]
+        y[:-1] += self.c * x[1:]
+        y[1:] += self.c * x[:-1]
         return y
 
     def count_below(self, sigma: float) -> int:
@@ -109,8 +99,8 @@ class TridiagOperator:
             raise ValueError("Sturm count: shift is nan")
         if sigma == -np.inf:
             return 0  # stebz rejects the empty value range vl = vu = -inf
-        m, _, _, _, info = lapack.dstebz(self.d, _offdiag(self.e), 1, -np.inf,
-                                         sigma, 1, 1, np.inf, "E")
+        m, _, _, _, info = lapack.dstebz(self.d, self._e, 1, -np.inf, sigma, 1, 1,
+                                         np.inf, "E")
         if info != 0:
             raise ConvergenceError(f"Sturm count: LAPACK stebz info={info}")
         return int(m)
@@ -126,30 +116,38 @@ class TridiagOperator:
         sigma = float(sigma)
         if np.isnan(sigma):
             raise ValueError("definiteness test: shift is nan")
-        return lapack.dpttrf(self.d - sigma, _offdiag(self.e), overwrite_d=1)[2] == 0
+        return lapack.dpttrf(self.d - sigma, self._e, overwrite_d=1)[2] == 0
 
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-def gershgorin_rows(op: TridiagOperator) -> tuple:
-    """(radius, row_sum): the Gershgorin radii |e_{i-1}| + |e_i| of ``op``
-    and its row sums |d_i| + radius_i, the rows of |T| 1 that the local
-    scale ||(|T| 1) vec|| weighs."""
-    radius = np.zeros(op.n)
-    np.abs(op.e, out=radius[:-1])
-    radius[1:] += np.abs(op.e)   # freed before row_sum is made
-    row_sum = np.abs(op.d)
-    row_sum += radius
-    return radius, row_sum
+def row_sums(op: TridiagOperator) -> np.ndarray:
+    """|T| 1, which the local scale ||(|T| 1) vec|| weighs: |d_i| + 2|c|, and
+    |d_i| + |c| on the end rows (|d| when n = 1)."""
+    rows = np.abs(op.d)
+    if op.n > 1:
+        c = abs(op.c)
+        rows += 2.0 * c   # |c| + |c|, exactly
+        rows[0], rows[-1] = abs(op.d[0]) + c, abs(op.d[-1]) + c
+    return rows
+
+
+def _gershgorin_bound(op: TridiagOperator) -> float:
+    """min(d_i - r_i) for the Gershgorin radii r_i, 2|c| inside and |c| at the
+    ends; fl(d_i - r) is monotone in d_i, so min(d_i) - r rounds alike."""
+    c = abs(op.c) if op.n > 1 else 0.0
+    inner = op.d[1:-1].min() - 2.0 * c if op.n > 2 else math.inf
+    return float(min(inner, min(op.d[0], op.d[-1]) - c))
 
 
 def _cold_vector(op: TridiagOperator) -> np.ndarray:
     """D 1 / sqrt(n), where D = diag(+-1) makes the off-diagonal of D T D
-    equal to -|e|."""
+    equal to -|c|: the signs alternate when c > 0."""
     vec = np.full(op.n, op.n ** -0.5)
-    vec[1:][np.logical_xor.accumulate(op.e > 0)] *= -1.0
+    if op.c > 0:
+        vec[1::2] *= -1.0
     return vec
 
 
@@ -180,8 +178,8 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     graded operators from the wall probe carry diagonal entries near 1e266.
 
     A cold start begins at the Gershgorin lower bound from D 1, where
-    D = diag(+-1) makes the off-diagonal of D T D equal to -|e|, so it
-    overlaps the ground state of every block, and for e < 0 every iterate is
+    D = diag(+-1) makes the off-diagonal of D T D equal to -|c|, so it
+    overlaps the ground state of every block, and for c < 0 every iterate is
     positive.  ``start`` replaces that vector, and its Weinstein bound
     (Weinstein, PNAS 20, 1934), from one matvec, replaces the Gershgorin
     bound as the first shift when it is higher.  The start is then iterate
@@ -207,7 +205,7 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     The certificate: T - (lam - eps_gap) is positive definite, so no
     eigenvalue lies below lam - eps_gap, where eps_gap = max(1e-10 (1 + |lam|),
     256 eps local) clears the factorisation's own resolution on those rows; a
-    global scale such as max |d| + 2 max |e| would exceed every gap of a
+    global scale such as max |d| + 2 |c| would exceed every gap of a
     graded operator and pass an excited pair.  Every
     ``pttrf`` pivot of T - sigma is a chain of monotone rounded operations in
     sigma, so none falls as sigma falls, in floating point as in exact
@@ -216,11 +214,10 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     that does one more ``pttrf`` (``spectrum_above``) run.
     """
     max_factorisations = 64
-    e = _offdiag(op.e)
     # one O(n) buffer serves every step: d - sigma for ptsv, which
     # overwrites it, and row_sum * vec for the margin
-    work, row_sum = gershgorin_rows(op)
-    gershgorin = sigma = float(np.subtract(op.d, work, out=work).min())
+    work, row_sum = np.empty(op.n), row_sums(op)
+    gershgorin = sigma = _gershgorin_bound(op)
     # keeps every shift at least floor below the spectrum, so |w| <= 1/floor
     floor = drop = _TINY / _EPS
     # tight: sigma is the Weinstein bound of the vector it is applied to.
@@ -256,7 +253,7 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     spare = np.empty_like(vec)   # ptsv solves in place in a copy of vec
     for _ in range(max_factorisations):
         # [2:] frees the factor's off-diagonal at once
-        w, info = lapack.dptsv(np.subtract(op.d, sigma, out=work), e, blas.dcopy(vec, spare),
+        w, info = lapack.dptsv(np.subtract(op.d, sigma, out=work), op._e, blas.dcopy(vec, spare),
                                overwrite_d=1, overwrite_b=1)[2:]
         if info and certified is None:
             if sigma > gershgorin:
@@ -297,7 +294,7 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
         # the second catches a stall on a shift far below a tight cluster.
         # The step's shift must also be tight, or within a few margins of rho:
         # a shift stuck far below rho says nothing of the eigenvalues between
-        # them, where a vector with no weight on a decoupled block (e = 0)
+        # them, where a vector with no weight on a decoupled block (c = 0)
         # settles on an excited pair
         if ((tight or rho - sigma <= 4.0 * margin)
                 and rho > lam - margin and resid <= 2.0 * margin):
@@ -337,32 +334,29 @@ def solve_bordered(op: TridiagOperator, lam: float, border: np.ndarray,
 
     ``border`` spans the (near-)kernel of T - lam, so the augmented matrix is
     nonsingular and x is the unique solution orthogonal to ``border``.  The
-    border b is rescaled to the matrix norm c; mu is returned in the original
-    scaling.  With k = argmax |b|, B = T - lam + c e_k e_k^T is tridiagonal and
+    border b is rescaled to the matrix norm s; mu is returned in the original
+    scaling.  With k = argmax |b|, B = T - lam + s e_k e_k^T is tridiagonal and
     positive definite when lam is the smallest eigenvalue (rank-one
-    interlacing); x = B^-1 (rhs - mu b + c xi e_k), where b.x = 0, x_k = xi.
+    interlacing); x = B^-1 (rhs - mu b + s xi e_k), where b.x = 0, x_k = xi.
     Raises ConditioningError when B is not positive definite with a margin of
-    256 eps c (lam is not the smallest eigenvalue, or it is degenerate), or
+    256 eps s (lam is not the smallest eigenvalue, or it is degenerate), or
     when the relative backward residual exceeds 1e-6.  x is a column of the
     solve's n x 3 right-hand side, which it keeps alive.
     """
     resid_cap = 1e-6
     lifted = op.d - lam
     # max |.| from max and min, with no |.| arrays
-    scale = max(lifted.max(), -lifted.min(), 1.0)
-    if op.n > 1:
-        scale = max(scale, op.e.max(), -op.e.min())
+    scale = max(lifted.max(), -lifted.min(), 1.0, abs(op.c) if op.n > 1 else 0.0)
     bnorm = np.linalg.norm(border)
     if bnorm == 0.0:
         raise ConditioningError("bordered solve: zero border vector")
     rescale = scale / bnorm   # b = rescale border, built where it is read
     k = int(np.argmax(np.abs(border * rescale)))
     lifted[k] += scale
-    # a second eigenvalue of T within the Sturm resolution delta = 256 eps c of
+    # a second eigenvalue of T within the Sturm resolution delta = 256 eps s of
     # lam (lam degenerate) leaves B - delta I indefinite, as does an excited lam
-    e = _offdiag(op.e)
-    info = lapack.dpttrf(np.subtract(lifted, 256.0 * _EPS * scale), e, overwrite_d=1)[2]
-    lifted, efac, info_b = lapack.dpttrf(lifted, e, overwrite_d=1)
+    info = lapack.dpttrf(np.subtract(lifted, 256.0 * _EPS * scale), op._e, overwrite_d=1)[2]
+    lifted, efac, info_b = lapack.dpttrf(lifted, op._e, overwrite_d=1)
     if info or info_b:
         raise ConditioningError("bordered solve: lifted matrix not positive definite; "
                                 "lam is not a simple lowest eigenvalue")

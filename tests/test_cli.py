@@ -325,7 +325,25 @@ class TestExitCodes:
         (["sensitivity", "--potential", "exp_growth:rate=-90", "--a", "-inf", "--t", "-4",
           "--N", "801"], "lambda's rounding swamps its curvature on this grid: "
                          "the FD step inf leaves under 16 nodes at t - m h"),
-    ], ids=["infinite_left_of_t", "falls_past_1e40", "rounding_swamps_curvature"])
+        # 2/h^2 overflows: h^2 is 0, or inf is added to V = 0
+        (["solve", "--potential", "affine", "--a", "0", "--t", "1e-160", "--N", "64"],
+         "grid spacing h = 1.53846e-162 is too small: 2/h^2 overflows"),
+        (["solve", "--potential", "affine", "--a", "0", "--t", "1e-300", "--N", "64"],
+         "grid spacing h = 1.53846e-302 is too small: 2/h^2 overflows"),
+        (["solve", "--potential", "affine", "--a", "0", "--t", "1e-155", "--N", "64"],
+         "grid spacing h = 1.53846e-157 is too small: 2/h^2 overflows"),
+        (["sweep", "--potential", "affine", "--a", "0", "--t-range", "1e-300:2e-300:5",
+          "--N", "64"], "sweep failed at t=1e-300: grid spacing h = 1.53846e-302 is too "
+                        "small: 2/h^2 overflows"),
+        # the wall probe of e^{1e300 |x|} is a few subnormals wide
+        (["solve", "--potential", "exp_growth:amp=1,rate=-1e300", "--a", "-inf", "--t", "0",
+          "--N", "64"], "grid spacing h = 1.4822e-323 is too small: 2/h^2 overflows"),
+        # x^2 overflows on the grid: reported once, with no numpy warning
+        (["sensitivity", "--potential", "quadratic:c2=1", "--a", "-1e300", "--t", "1e300",
+          "--N", "64"], "potential is not finite on the working grid"),
+    ], ids=["infinite_left_of_t", "falls_past_1e40", "rounding_swamps_curvature",
+            "h2_is_zero", "h2_is_zero_at_1e-300", "2_over_h2_is_inf", "sweep_h2_is_zero",
+            "probe_h2_is_zero", "V_overflows_on_the_grid"])
     def test_error_is_1_with_one_line(self, tmp_path, capsys, args, line):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

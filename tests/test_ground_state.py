@@ -25,7 +25,7 @@ from eigenshift.ground_state import (
 from eigenshift.potentials import eval_V, make_potential
 from eigenshift.sensitivity import lambda_dot_flux
 from eigenshift.tolerances import DEFAULT_TOLS
-from eigenshift.tridiag import blas, gershgorin_rows, smallest_eigenpair
+from eigenshift.tridiag import blas, row_sums, smallest_eigenpair
 
 NEG_INF = float("-inf")
 PI2 = math.pi * math.pi
@@ -82,7 +82,16 @@ class TestDiscretize:
     def test_two_interior_nodes_free(self):
         op = _operator_on(free(), Grid.build(0.0, 1.0, 2))
         np.testing.assert_allclose(op.d, [18.0, 18.0])
-        np.testing.assert_allclose(op.e, [-9.0])
+        assert op.c == -9.0
+
+    @pytest.mark.parametrize("spec, a, t", [
+        (free(), 0.0, 1e-155),   # 2/h^2 is inf, though V = 0 on the grid
+        (free(), 0.0, 1e-160),   # h^2 is 0
+        (make_potential("exp_growth", amp=1.0, rate=-1e300), NEG_INF, 0.0),   # the probe's h
+    ], ids=["overflows", "underflows", "probe"])
+    def test_spacing_too_small_for_2_over_h2_is_a_domain_error(self, spec, a, t):
+        with pytest.raises(DomainError, match=r"grid spacing h = \S+ is too small"):
+            solve_ground_state(spec, Domain(a, t), 64)
 
     def test_constant_potential_shifts_diagonal(self):
         spec = make_potential("affine", c0=7.0)
@@ -90,7 +99,7 @@ class TestDiscretize:
         op0 = solve_ground_state(free(), Domain(0.0, 2.0), 31).op
         op7 = solve_ground_state(spec, Domain(0.0, 2.0), 31).op
         np.testing.assert_allclose(op7.d - op0.d, 7.0)
-        np.testing.assert_allclose(op7.e, op0.e)
+        assert op7.c == op0.c
 
     def test_discrete_eigenvalue_tends_to_pi_squared(self):
         # smallest eigenvalue of the free Dirichlet matrix is (4/h^2) sin^2(pi h/2)
@@ -469,7 +478,7 @@ class TestNestedStart:
     def test_nested_pair_is_bracketed_by_sturm_counts(self, family, params, t, isolated, N):
         gs = solve_ground_state(make_potential(family, **params), Domain(NEG_INF, t), N)
         vec = gs.u[1:-1] * math.sqrt(gs.grid.h)
-        local = blas.dnrm2(gershgorin_rows(gs.op)[1] * vec)   # no overflow near e^360
+        local = blas.dnrm2(row_sums(gs.op) * vec)   # no overflow near e^360
         eps_gap = max(1e-10 * (1.0 + abs(gs.lam)), 256 * np.finfo(float).eps * local)
         assert gs.op.count_below(gs.lam - eps_gap) == 0
         assert gs.op.count_below(gs.lam + eps_gap) == (1 if isolated else N)

@@ -20,8 +20,10 @@ from eigenshift.tolerances import DEFAULT_TOLS
 from eigenshift.tridiag import (
     TridiagOperator,
     _certify_lowest,
+    _cold_vector,
+    _gershgorin_bound,
     _scipy_linalg_extension,
-    constant_offdiag,
+    row_sums,
     smallest_eigenpair,
     solve_bordered,
 )
@@ -29,8 +31,14 @@ from eigenshift.tridiag import (
 ENTRY = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
 
+def offdiag(op):
+    """The off-diagonal of ``op`` as an array of n - 1 entries."""
+    return np.full(op.n - 1, op.c)
+
+
 def dense(op):
-    return np.diag(op.d) + np.diag(op.e, 1) + np.diag(op.e, -1)
+    e = offdiag(op)
+    return np.diag(op.d) + np.diag(e, 1) + np.diag(e, -1)
 
 
 @given(
@@ -40,8 +48,7 @@ def dense(op):
 )
 @settings(max_examples=60, deadline=None)
 def test_sturm_count_matches_dense_eigenvalues(d, data, sigma):
-    e = data.draw(hnp.arrays(np.float64, len(d) - 1, elements=ENTRY))
-    op = TridiagOperator(d=d, e=e)
+    op = TridiagOperator(d, data.draw(ENTRY))
     eigs = np.linalg.eigvalsh(dense(op))
     # keep the shift away from the spectrum so the count is unambiguous
     if np.min(np.abs(eigs - sigma)) < 1e-6 * (1 + np.max(np.abs(eigs))):
@@ -52,7 +59,7 @@ def test_sturm_count_matches_dense_eigenvalues(d, data, sigma):
 def test_smallest_eigenpair_matches_dense_eigh():
     rng = np.random.default_rng(42)
     for n in (8, 100, 500):
-        op = TridiagOperator(d=rng.normal(size=n) * 5 + 10, e=-np.abs(rng.normal(size=n - 1)) * 3)
+        op = TridiagOperator(rng.normal(size=n) * 5 + 10, -abs(rng.normal()) * 3)
         lam, vec, resid = smallest_eigenpair(op)
         # dense eigh shares no code with the tridiagonal inverse iteration
         ref = np.linalg.eigh(dense(op))[0][0]
@@ -65,7 +72,7 @@ def test_smallest_eigenpair_matches_dense_eigh():
 def test_bordered_solve_enforces_constraint_and_equations():
     rng = np.random.default_rng(3)
     n = 200
-    op = TridiagOperator(d=rng.normal(size=n) + 5.0, e=-np.ones(n - 1))
+    op = TridiagOperator(rng.normal(size=n) + 5.0, -1.0)
     lam, vec, _ = smallest_eigenpair(op)
     rhs = rng.normal(size=n)
     x, mu = solve_bordered(op, lam, vec, rhs)
@@ -78,7 +85,7 @@ def test_bordered_solve_enforces_constraint_and_equations():
 @pytest.mark.parametrize("n", [8, 100, 500])
 def test_bordered_solve_matches_dense_saddle_solve(n):
     rng = np.random.default_rng(n)
-    op = TridiagOperator(d=rng.normal(size=n) * 3 + 5.0, e=-np.abs(rng.normal(size=n - 1)) - 0.5)
+    op = TridiagOperator(rng.normal(size=n) * 3 + 5.0, -abs(rng.normal()) - 0.5)
     lam, vec, _ = smallest_eigenpair(op)
     rhs = rng.normal(size=n)
     x, mu = solve_bordered(op, lam, vec, rhs)
@@ -93,7 +100,7 @@ def test_bordered_solve_matches_dense_saddle_solve(n):
 
 def test_bordered_solve_rejects_excited_eigenvalue():
     rng = np.random.default_rng(5)
-    op = TridiagOperator(d=rng.normal(size=60) + 5.0, e=-np.ones(59))
+    op = TridiagOperator(rng.normal(size=60) + 5.0, -1.0)
     lams, vecs = np.linalg.eigh(dense(op))
     with pytest.raises(ConditioningError):
         solve_bordered(op, lams[1], vecs[:, 1], rng.normal(size=op.n))
@@ -101,11 +108,11 @@ def test_bordered_solve_rejects_excited_eigenvalue():
 
 @pytest.mark.parametrize("m", [4, 5, 7, 50])
 def test_bordered_solve_rejects_degenerate_eigenvalue(m):
-    # two decoupled blocks with one spectrum: the lowest eigenvalue is double
+    # c = 0 and a diagonal that holds its values twice: the lowest
+    # eigenvalue is double
     rng = np.random.default_rng(17)
-    block_d, block_e = 2.0 + rng.normal(size=m), -np.ones(m - 1)
-    op = TridiagOperator(d=np.concatenate([block_d, block_d[::-1]]),
-                         e=np.concatenate([block_e, [0.0], block_e[::-1]]))
+    block_d = 2.0 + rng.normal(size=m)
+    op = TridiagOperator(np.concatenate([block_d, block_d[::-1]]), 0.0)
     lam, vec, _ = smallest_eigenpair(op)
     with pytest.raises(ConditioningError):
         solve_bordered(op, lam, vec, rng.normal(size=op.n))
@@ -156,11 +163,11 @@ def test_no_call_overwrites_its_inputs(monkeypatch):
 
     rng = np.random.default_rng(11)
     n = 400
-    op = TridiagOperator(d=2.0 + rng.random(n), e=-np.ones(n - 1))
+    op = TridiagOperator(2.0 + rng.random(n), -1.0)
     start, rhs = rng.random(n) + 0.5, rng.normal(size=n)
-    lam, vec, _ = unchanged(lambda: smallest_eigenpair(op), op.d, op.e)
-    unchanged(lambda: smallest_eigenpair(op, start), op.d, op.e)
-    unchanged(lambda: solve_bordered(op, lam, vec, rhs), op.d, op.e, vec, rhs)
+    lam, vec, _ = unchanged(lambda: smallest_eigenpair(op), op.d)
+    unchanged(lambda: smallest_eigenpair(op, start), op.d)
+    unchanged(lambda: solve_bordered(op, lam, vec, rhs), op.d, vec, rhs)
     spec = make_potential("quadratic", c2=1.0)
     gs = solve_ground_state(spec, Domain(-np.inf, 0.0), 4001)
     u_dot = solve_u_dot(gs, lambda_dot_flux(gs))
@@ -188,7 +195,7 @@ def test_start_is_iterated_in_or_copied():
     # bit for bit that a fresh float copy of it gives
     rng = np.random.default_rng(5)
     n = 300
-    op = TridiagOperator(d=2.0 + rng.random(n), e=-np.ones(n - 1))
+    op = TridiagOperator(2.0 + rng.random(n), -1.0)
     ints = rng.integers(1, 100, 2 * n)   # exact as floats
     readonly = ints[:n].astype(float)
     readonly.flags.writeable = False
@@ -204,50 +211,40 @@ def test_start_is_iterated_in_or_copied():
             assert np.array_equal(np.asarray(start), before)
 
 
-def test_zero_stride_offdiag_changes_no_bit():
-    rng = np.random.default_rng(31)
-    n, h = 400, 0.02
-    d = 2.0 / h**2 + 50.0 * rng.random(n)
-    filled = TridiagOperator(d=d, e=np.full(n - 1, -1.0 / h**2))
-    view = TridiagOperator(d=d, e=constant_offdiag(-1.0 / h**2, n - 1))
-    assert view.e.strides == (0,) and not view.e.flags.writeable
-
-    def bits(*values):
-        return [np.asarray(v, dtype=float).tobytes() for v in values]
-
-    start = np.sin(np.linspace(0.0, np.pi, n + 2)[1:-1]) + 0.1 * rng.random(n)
-    rhs, x = rng.normal(size=n), rng.normal(size=n)
-    sigmas = (0.0, float(d.min()), 2.0 / h**2, 1e6)
-    results = []
-    for op in (filled, view):
-        cold = smallest_eigenpair(op)
-        warm = smallest_eigenpair(op, start.copy())   # each call iterates in its own
-        results.append(bits(*cold, *warm, *solve_bordered(op, cold[0], cold[1], rhs),
-                            op.matvec(x), [op.count_below(s) for s in sigmas],
-                            [op.spectrum_above(s) for s in sigmas]))
-    assert results[0] == results[1]
-    grid = Grid.build(0.0, 1.0, 50)
-    e = _operator_on(make_potential("quadratic", c2=1.0), grid).e
-    assert e.strides == (0,) and not e.flags.writeable
-    assert np.array_equal(e, np.full(50 - 1, -1.0 / (grid.h * grid.h)))
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+@pytest.mark.parametrize("c", [-1.0 / 0.02**2, -0.3, 0.0, 0.7, 3.0e5])
+def test_closed_forms_match_the_general_off_diagonal_bit_for_bit(n, c):
+    # the row sums, the Gershgorin bound and the cold vector, built here as
+    # for an arbitrary off-diagonal array full of c
+    rng = np.random.default_rng(n)
+    e = np.full(n - 1, c)
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
+    cold = np.full(n, n ** -0.5)
+    cold[1:][np.logical_xor.accumulate(e > 0)] *= -1.0
+    graded = np.logspace(0.0, 266.0, n)
+    for d in (rng.normal(size=n) * 4, 2.0 * abs(c) + rng.random(n), graded, -graded[::-1]):
+        op = TridiagOperator(d, c)
+        assert row_sums(op).tobytes() == (np.abs(d) + radius).tobytes()
+        assert np.float64(_gershgorin_bound(op)).tobytes() == np.min(d - radius).tobytes()
+        assert _cold_vector(op).tobytes() == cold.tobytes()
 
 
 def _lapack_cases():
     rng = np.random.default_rng(23)
-    cases = [TridiagOperator(d=np.array([2.5]), e=np.zeros(0))]
+    cases = [TridiagOperator(np.array([2.5]), 0.0)]
     for n in (2, 9, 150):
-        cases.append(TridiagOperator(d=rng.normal(size=n) * 4, e=rng.normal(size=n - 1)))
-        e = rng.normal(size=n - 1)
-        e[::3] = 0.0  # split into independent blocks
-        cases.append(TridiagOperator(d=rng.normal(size=n) * 4, e=e))
+        cases.append(TridiagOperator(rng.normal(size=n) * 4, rng.normal()))
+        cases.append(TridiagOperator(rng.normal(size=n) * 4, 0.0))   # n decoupled rows
     return cases
 
 
 def local_scale(op, vec):
     """||(|T| 1) vec||: the rounding scale of the rows ``vec`` occupies."""
     row_sum = np.abs(op.d)
-    row_sum[:-1] += np.abs(op.e)
-    row_sum[1:] += np.abs(op.e)
+    row_sum[:-1] += np.abs(offdiag(op))
+    row_sum[1:] += np.abs(offdiag(op))
     return np.linalg.norm(row_sum * vec)
 
 
@@ -258,8 +255,9 @@ def assert_lowest_pair(op, lam, vec, resid):
     lowest eigenvalue, so the residual is also held to the rows the vector
     occupies, and a Sturm count puts no eigenvalue below lam - residual."""
     # the Frobenius norm, scaled so that entries near 1e250 do not overflow
-    big = max(np.max(np.abs(op.d)), np.max(np.abs(op.e), initial=0.0), 1e-300)
-    fro = big * np.sqrt(np.sum((op.d / big) ** 2) + 2.0 * np.sum((op.e / big) ** 2))
+    e = offdiag(op)
+    big = max(np.max(np.abs(op.d)), np.max(np.abs(e), initial=0.0), 1e-300)
+    fro = big * np.sqrt(np.sum((op.d / big) ** 2) + 2.0 * np.sum((e / big) ** 2))
     ref = np.linalg.eigh(dense(op))[0][0]
     assert abs(lam - ref) <= 16 * np.finfo(float).eps * fro
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-13)
@@ -274,7 +272,8 @@ def assert_lowest_pair(op, lam, vec, resid):
     assert op.count_below(lam - resid - local - pivmin) == 0
 
 
-@pytest.mark.parametrize("op", _lapack_cases(), ids=lambda op: f"n{op.n}-{np.sum(op.e == 0)}splits")
+@pytest.mark.parametrize("op", _lapack_cases(),
+                         ids=lambda op: f"n{op.n}-{np.sum(offdiag(op) == 0)}splits")
 def test_direct_lapack_calls_match_scipy_wrappers(op):
     # the eigenpair is an inverse iteration, so it is held to dense eigh; the
     # Sturm count is one stebz call, the one scipy's wrapper makes
@@ -283,13 +282,13 @@ def test_direct_lapack_calls_match_scipy_wrappers(op):
     assert resid <= 1e-10 * (np.max(np.abs(op.d)) + 1)
     eigs = np.linalg.eigvalsh(dense(op))
     for sigma in (eigs[0] - 1.0, lam, *((eigs[:-1] + eigs[1:]) / 2)[:5], eigs[-1] + 1.0):
-        ref = scipy.linalg.eigvalsh_tridiagonal(op.d, op.e, select="v",
+        ref = scipy.linalg.eigvalsh_tridiagonal(op.d, offdiag(op), select="v",
                                                 select_range=(-np.inf, sigma))
         assert op.count_below(sigma) == len(ref)
 
 
 def test_count_below_minus_inf_is_zero_and_nan_is_rejected():
-    op = TridiagOperator(d=np.array([1.0, -3.0, 2.0]), e=np.array([0.5, -1.0]))
+    op = TridiagOperator(np.array([1.0, -3.0, 2.0]), 0.5)
     assert op.count_below(-np.inf) == 0
     assert op.count_below(np.inf) == 3
     with pytest.raises(ValueError):
@@ -298,7 +297,7 @@ def test_count_below_minus_inf_is_zero_and_nan_is_rejected():
 
 def test_spectrum_above_rejects_nan_shift():
     # d - nan factors without a pivot failure, so nan must be refused up front
-    op = TridiagOperator(d=np.array([1.0, -3.0, 2.0]), e=np.array([0.5, -1.0]))
+    op = TridiagOperator(np.array([1.0, -3.0, 2.0]), -1.0)
     assert op.spectrum_above(-np.inf) and not op.spectrum_above(np.inf)
     with pytest.raises(ValueError):
         op.spectrum_above(np.nan)
@@ -308,7 +307,7 @@ def test_spectrum_above_rejects_nan_shift():
                                    np.array([1.0, np.inf, 1.0, 1.0, 1.0]), np.zeros(5)],
                          ids=["wrong-length", "nan", "inf", "zero"])
 def test_smallest_eigenpair_rejects_malformed_start(start):
-    op = TridiagOperator(d=np.full(5, 2.0), e=np.full(4, -1.0))
+    op = TridiagOperator(np.full(5, 2.0), -1.0)
     with pytest.raises(ValueError):
         smallest_eigenpair(op, start=start)
 
@@ -317,8 +316,8 @@ def test_smallest_eigenpair_from_a_nearby_ground_state():
     # the ground state of a perturbed operator as start: same pair as cold
     rng = np.random.default_rng(29)
     n = 400
-    op = TridiagOperator(d=rng.normal(size=n) + 5.0, e=-np.ones(n - 1))
-    near = TridiagOperator(d=op.d + 1e-2 * rng.normal(size=n), e=op.e)
+    op = TridiagOperator(rng.normal(size=n) + 5.0, -1.0)
+    near = TridiagOperator(op.d + 1e-2 * rng.normal(size=n), op.c)
     _, start, _ = smallest_eigenpair(near)
     lam, vec, resid = smallest_eigenpair(op, start=1e3 * start)
     assert_lowest_pair(op, lam, vec, resid)
@@ -332,7 +331,7 @@ def test_converged_start_takes_one_solve_and_no_certificate(lapack_calls):
     # index with no pttrf of its own
     rng = np.random.default_rng(29)
     n = 400
-    op = TridiagOperator(d=rng.normal(size=n) + 5.0, e=-np.ones(n - 1))
+    op = TridiagOperator(rng.normal(size=n) + 5.0, -1.0)
     lam0, vec0, _ = smallest_eigenpair(op)
     lapack_calls.clear()
     lam, vec, resid = smallest_eigenpair(op, start=vec0)
@@ -343,21 +342,21 @@ def test_converged_start_takes_one_solve_and_no_certificate(lapack_calls):
 
 @st.composite
 def lowest_pair_operators(draw):
-    """Tridiagonal operators, n = 1..300: mixed-sign off-diagonals with zeros
-    (independent blocks), optionally a doubled block (a double lowest
-    eigenvalue) and a graded diagonal rising to as much as 1e250 at one end."""
+    """Tridiagonal operators, n = 1..300: an off-diagonal value of either sign
+    or zero (n independent rows), optionally a diagonal that holds its values
+    twice, which with c = 0 makes the lowest eigenvalue double, and a graded
+    diagonal rising to as much as 1e250 at one end."""
     entry = st.one_of(st.just(0.0), st.floats(1e-3, 100), st.floats(-100, -1e-3))
     n = draw(st.integers(1, 300))
     d = draw(hnp.arrays(np.float64, n, elements=entry))
-    e = draw(hnp.arrays(np.float64, n - 1, elements=entry))
+    c = draw(entry)
     if n > 1 and draw(st.booleans()):
         m = n // 2
         d = np.concatenate([d[:m], d[:m][::-1]])
-        e = np.concatenate([e[:m - 1], [0.0], e[:m - 1][::-1]])
     if draw(st.booleans()):
         grade = np.logspace(0.0, draw(st.floats(0.0, 250.0)), len(d))
         d = d + (grade if draw(st.booleans()) else grade[::-1])
-    return TridiagOperator(d=d, e=e)
+    return TridiagOperator(d, c)
 
 
 @given(op=lowest_pair_operators())
@@ -412,7 +411,7 @@ def test_excited_eigenpair_is_rejected():
     # eps_gap of lambda_1 (none)
     n = 64
     h2 = 1.0 / (n + 1) ** 2
-    op = TridiagOperator(d=np.full(n, 2.0 / h2), e=np.full(n - 1, -1.0 / h2))
+    op = TridiagOperator(np.full(n, 2.0 / h2), -1.0 / h2)
     lams, vecs = np.linalg.eigh(dense(op))
     local0, local1 = local_scale(op, vecs[:, 0]), local_scale(op, vecs[:, 1])
     with pytest.raises(ConvergenceError, match="excited"):
@@ -423,9 +422,9 @@ def test_excited_eigenpair_is_rejected():
 
 def test_excited_pair_of_a_graded_operator_is_rejected():
     # lambda = 1 on e_2 of diag(0, 1, 1e19) is an exact eigenpair, but not the
-    # lowest.  eps_gap on the global scale max|d| + 2 max|e| = 1e19 was 5.7e5,
+    # lowest.  eps_gap on the global scale max|d| + 2|c| = 1e19 was 5.7e5,
     # wider than every gap, so it passed; on the pair's own rows it is 1e-10
-    op = TridiagOperator(d=np.array([0.0, 1.0, 1e19]), e=np.zeros(2))
+    op = TridiagOperator(np.array([0.0, 1.0, 1e19]), 0.0)
     vec = np.array([0.0, 1.0, 0.0])
     with pytest.raises(ConvergenceError, match="excited"):
         _certify_lowest(op, 1.0, -1.0, local_scale(op, vec))
@@ -436,10 +435,10 @@ def test_excited_pair_of_a_graded_operator_is_rejected():
     (np.logspace(19.0, 0.0, 7), [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
 ], ids=["excited-start", "two-excited-blocks"])
 def test_start_without_ground_weight_on_decoupled_blocks(d, start):
-    # e = 0 keeps every iterate off the ground block until the cold vector is
+    # c = 0 keeps every iterate off the ground block until the cold vector is
     # mixed in: a certified shift just below lambda_1 must be found back
     # within the cap, and no step may stop from a shift stuck far below rho
-    op = TridiagOperator(d=np.array(d), e=np.zeros(len(d) - 1))
+    op = TridiagOperator(np.array(d), 0.0)
     assert_lowest_pair(op, *smallest_eigenpair(op, start=np.array(start)))
 
 
@@ -457,10 +456,10 @@ def test_spectrum_above_is_an_empty_sturm_count(op, above):
        data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_smallest_eigenpair_vector_is_positive_for_negative_off_diagonal(n, data):
-    # a central-difference Schrodinger operator on (0, 1): e = -1/h^2 < 0
+    # a central-difference Schrodinger operator on (0, 1): c = -1/h^2 < 0
     h = 1.0 / (n + 1)
     v = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-100, 100)))
-    op = TridiagOperator(d=2.0 / h**2 + v, e=np.full(n - 1, -1.0 / h**2))
+    op = TridiagOperator(2.0 / h**2 + v, -1.0 / h**2)
     lam, vec, resid = smallest_eigenpair(op)
     assert_lowest_pair(op, lam, vec, resid)
     assert np.all(vec > 0)
@@ -530,13 +529,13 @@ def test_missing_extension_module_raises_import_error(monkeypatch):
 
 
 def test_bordered_solve_rejects_zero_border():
-    op = TridiagOperator(d=np.ones(4), e=np.zeros(3))
+    op = TridiagOperator(np.ones(4), 0.0)
     with pytest.raises(ConditioningError):
         solve_bordered(op, 1.0, np.zeros(4), np.ones(4))
 
 
 def test_matvec_matches_dense():
     rng = np.random.default_rng(11)
-    op = TridiagOperator(d=rng.normal(size=30), e=rng.normal(size=29))
+    op = TridiagOperator(rng.normal(size=30), rng.normal())
     x = rng.normal(size=30)
     np.testing.assert_allclose(op.matvec(x), dense(op) @ x, rtol=1e-13)
