@@ -5,9 +5,9 @@ derivative at t) and the integral of V' u^2 (less the squared flux at a
 finite left end).  The field u_dot solves the singular shifted eigenproblem
 with inhomogeneous boundary data in bordered (saddle) form, so it is
 discretely orthogonal to u.  The second derivative comes from u_dot and its
-nodal point.  Central finite differences in t cross-check both; their side
-energies come from the centre's operator extended past t, started from
-u +- s u_dot.
+nodal point.  Central finite differences in t, an independent oracle that
+verify and the tests call, cross-check both; their side energies come from
+the centre's operator extended past t, started from u +- s u_dot.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, RangeError, StructureError
+from .errors import ConditioningError, DomainError, RangeError, StructureError
 from .ground_state import MIN_INTERIOR, Grid, GroundState, _operator_on
 from .potentials import PotentialSpec, eval_Vprime, vprime_kinks
 from .tolerances import DEFAULT_TOLS
@@ -37,10 +37,7 @@ class Sensitivity:
     u_dot: np.ndarray
     t0: float
     lambda_ddot: float
-    lambda_dot_fd: float
-    lambda_ddot_fd: float
     orth_residual: float
-    fd_step: float
 
 
 def lambda_dot_flux(gs: GroundState) -> float:
@@ -104,13 +101,21 @@ def solve_u_dot(gs: GroundState, lambda_dot: float) -> np.ndarray:
     left end and -u_x(t) at t (lifted into the right-hand side).
     The singular system is augmented with u as constraint row/column, so the
     returned field satisfies the discrete orthogonality to u exactly.
-    Returns u_dot on all grid nodes including the endpoint values.
+    Returns u_dot on all grid nodes including the endpoint values.  Raises
+    DomainError when that source overflows, on an interval too short for it.
     """
-    h = gs.grid.h
+    h, ld = gs.grid.h, float(lambda_dot)
     u_int = gs.u[1:-1]
     beta = -gs.flux_t
-    rhs = lambda_dot * u_int
-    rhs[-1] += beta / (h * h)
+    # ld u is largest in magnitude where |u| is; Python floats overflow to
+    # inf without a warning
+    peak = abs(ld) * max(float(u_int.max()), -float(u_int.min()))
+    last = ld * float(u_int[-1]) + beta / (h * h)
+    if not (math.isfinite(peak) and math.isfinite(last)):
+        raise DomainError(f"grid spacing h = {h:.6g} is too small: u_dot's source "
+                          f"lambda_dot u + u_x(t) / h^2 overflows")
+    rhs = ld * u_int
+    rhs[-1] = last
     interior, _mu = solve_bordered(gs.op, gs.lam, u_int, rhs)
     # remove the roundoff left on the constraint row; the correction runs
     # along the kernel of the shifted operator, so the other equations keep
@@ -187,6 +192,18 @@ def _fd_step(gs: GroundState) -> float:
     return max(DEFAULT_TOLS.h_t_factor * (gs.t - gs.domain.a_eff), rounding)
 
 
+def _fd_cells(gs: GroundState) -> int:
+    """``_fd_step`` snapped to m >= 1 whole cells h.  Raises ConditioningError
+    when the step leaves under MIN_INTERIOR nodes at t - m h."""
+    N, h, h_t = gs.grid.n_interior, gs.grid.h, _fd_step(gs)
+    # inf and nan fail here too
+    if not h_t / h < N - MIN_INTERIOR + 0.5:
+        raise ConditioningError(
+            f"lambda's rounding swamps its curvature on this grid: the FD step "
+            f"{h_t:.6g} leaves under {MIN_INTERIOR} nodes at t - m h")
+    return max(1, round(h_t / h))
+
+
 def fd_derivatives(spec: PotentialSpec, centre: GroundState, u_dot: np.ndarray) -> tuple:
     """Central finite differences of lambda in t: independent derivative oracle.
 
@@ -199,13 +216,7 @@ def fd_derivatives(spec: PotentialSpec, centre: GroundState, u_dot: np.ndarray) 
     less 2 s u_dot.  Raises ConditioningError when the step leaves under
     MIN_INTERIOR nodes at t - s, RangeError when a table ends before t + s - h.
     """
-    N, h, h_t = centre.grid.n_interior, centre.grid.h, _fd_step(centre)
-    # inf and nan fail here too
-    if not h_t / h < N - MIN_INTERIOR + 0.5:
-        raise ConditioningError(
-            f"lambda's rounding swamps its curvature on this grid: the FD step "
-            f"{h_t:.6g} leaves under {MIN_INTERIOR} nodes at t - m h")
-    m = max(1, round(h_t / h))
+    N, h, m = centre.grid.n_interior, centre.grid.h, _fd_cells(centre)
     t, s = centre.t, m * h
     # the new rows' nodes t + j h, 0 <= j < m, between two unused ends
     x = np.arange(-1.0, m + 1)
@@ -236,9 +247,12 @@ def fd_derivatives(spec: PotentialSpec, centre: GroundState, u_dot: np.ndarray) 
 def compute_sensitivity(gs: GroundState, spec: PotentialSpec) -> Sensitivity:
     """Full derivative bundle for one solved ground state.
 
-    u_dot takes its source term from the flux formula, never from the FD
-    oracle, which only starts from u_dot, stays a cross-check, and raises
-    where ``fd_derivatives`` does; ``fd_step`` is its step.
+    Every value comes from the analytic routes: u_dot takes its source term
+    from the flux formula, and lambda_ddot its integral from u_dot.  The FD
+    oracle does not run, but its step guard does: where lambda's rounding
+    swamps its curvature, so that ``fd_derivatives`` has no step on the grid,
+    this raises the same ConditioningError.  Raises DomainError when
+    lambda_ddot overflows.
     """
     ld_flux = lambda_dot_flux(gs)
     ld_int = lambda_dot_integral(gs, spec)
@@ -246,13 +260,13 @@ def compute_sensitivity(gs: GroundState, spec: PotentialSpec) -> Sensitivity:
     orth = orthogonality_residual(gs, u_dot)
     t0 = find_nodal_point(u_dot, gs.grid)
     ldd = lambda_ddot(gs, u_dot, t0, spec)
-    ld_fd, ldd_fd, step = fd_derivatives(spec, gs, u_dot)
+    if not math.isfinite(ldd):
+        raise DomainError(f"lambda_ddot = {ldd!r} is not finite on this interval")
+    _fd_cells(gs)   # the oracle's guard: an answer it could not check is refused
     return Sensitivity(
         t=gs.t, lam=gs.lam,
         lambda_dot_flux=ld_flux, lambda_dot_integral=ld_int,
-        u_dot=u_dot, t0=t0, lambda_ddot=ldd,
-        lambda_dot_fd=ld_fd, lambda_ddot_fd=ldd_fd,
-        orth_residual=orth, fd_step=step,
+        u_dot=u_dot, t0=t0, lambda_ddot=ldd, orth_residual=orth,
     )
 
 
@@ -263,9 +277,6 @@ def sensitivity_metadata(sens: Sensitivity) -> dict:
         "lambda_dot_flux": sens.lambda_dot_flux,
         "lambda_dot_integral": sens.lambda_dot_integral,
         "lambda_ddot": sens.lambda_ddot,
-        "lambda_dot_fd": sens.lambda_dot_fd,
-        "lambda_ddot_fd": sens.lambda_ddot_fd,
-        "fd_step": sens.fd_step,
         "t0": sens.t0,
         "orth_residual": sens.orth_residual,
     }

@@ -380,8 +380,10 @@ def solve_bordered(op: TridiagOperator, lam: float, border: np.ndarray,
         r -= np.multiply(x, lam, out=q)
         r += np.multiply(b, mu, out=q)
         r -= rhs
-        resid = np.hypot(np.linalg.norm(r), b @ x)
-        rel = resid / (scale * (np.hypot(np.linalg.norm(x), mu) + np.linalg.norm(rhs) / scale + 1.0))
+        # dnrm2 scales its sum of squares, which overflows on a short
+        # interval's large entries
+        resid = np.hypot(blas.dnrm2(r), b @ x)
+        rel = resid / (scale * (np.hypot(blas.dnrm2(x), mu) + blas.dnrm2(rhs) / scale + 1.0))
     if not rel <= resid_cap:
         raise ConditioningError(f"bordered solve residual {rel:.3e} exceeds cap "
                                 f"{resid_cap:.3e} (eigenvalue nearly degenerate?)")

@@ -242,9 +242,9 @@ class TestFiniteDifferences:
         # derived step is 75 cells and reads 6 pi^2
         spec = make_potential("affine", c0=1e12)
         gs = solve_ground_state(spec, Domain(0.0, 1.0), 2001)
-        sens = compute_sensitivity(gs, spec)
-        assert sens.fd_step > 10 * gs.grid.h
-        assert sens.lambda_ddot_fd == pytest.approx(6 * PI2, rel=1e-3)
+        _, ldd, step = fd_derivatives(spec, gs, compute_sensitivity(gs, spec).u_dot)
+        assert step > 10 * gs.grid.h
+        assert ldd == pytest.approx(6 * PI2, rel=1e-3)
 
     def test_rounding_that_swamps_the_curvature_raises(self):
         # V = 1e15: the step that clears lambda's rounding is longer than the
@@ -279,12 +279,11 @@ class TestFiniteDifferences:
             return real(op, start)
 
         monkeypatch.setattr(sensitivity, "smallest_eigenpair", recording)
-        assert fd_derivatives(spec, gs, sens.u_dot) == (sens.lambda_dot_fd, sens.lambda_ddot_fd,
-                                                        sens.fd_step)
+        ld_fd, ldd_fd, fd_step = fd_derivatives(spec, gs, sens.u_dot)
         N, h, t, u, u_dot = gs.grid.n_interior, gs.grid.h, gs.t, gs.u[1:-1], sens.u_dot[1:-1]
-        m = round(sens.fd_step / h)
+        m = round(fd_step / h)
         step = m * h
-        assert m >= 1 and sens.fd_step == step
+        assert m >= 1 and fd_step == step
         (whole, hi_start), (block, lo_start) = calls
         assert whole.n == N + m and block.n == N - m
         assert np.array_equal(whole.d[:N], gs.op.d) and whole.c == gs.op.c
@@ -299,8 +298,8 @@ class TestFiniteDifferences:
         start = vec[:N - m] / (sign * math.sqrt(h)) - (2.0 * step) * u_dot[:N - m]
         assert np.array_equal(lo_start, start)
         lo = real(block, start)[0]
-        assert sens.lambda_dot_fd == (hi - lo) / (2.0 * step)
-        assert sens.lambda_ddot_fd == (hi - 2.0 * gs.lam + lo) / (step * step)
+        assert ld_fd == (hi - lo) / (2.0 * step)
+        assert ldd_fd == (hi - 2.0 * gs.lam + lo) / (step * step)
 
     @pytest.mark.parametrize("family, params, a, t, N", [
         ("affine", {}, 0.0, 1.0, 2001),
@@ -348,9 +347,9 @@ class TestFiniteDifferences:
         # the truncated and zero-padded centre vector: 8 factorisations
         spec = make_potential("quadratic", c2=1.0)
         gs = solve_ground_state(spec, Domain(NEG_INF, 0.0), 32001)
+        u_dot = compute_sensitivity(gs, spec).u_dot
         lapack_sizes.clear()
-        sens = compute_sensitivity(gs, spec)
-        m = round(sens.fd_step / gs.grid.h)
+        m = round(fd_derivatives(spec, gs, u_dot)[2] / gs.grid.h)
         assert m >= 1
         sides = [name for name, n in lapack_sizes if n in (32001 - m, 32001 + m)]
         assert set(sides) <= {"dptsv", "dpttrf"}
@@ -362,15 +361,17 @@ class TestFiniteDifferences:
         spec = make_tabulated([0.0, 0.37, 1.3], [1.0, 0.0, 1.0])
         for N in range(100, 1300, 7):
             gs = solve_ground_state(spec, Domain(0.0, 1.3), N)
-            sens = compute_sensitivity(gs, spec)
-            assert round(sens.fd_step / gs.grid.h) == 1, N
+            step = fd_derivatives(spec, gs, compute_sensitivity(gs, spec).u_dot)[2]
+            assert round(step / gs.grid.h) == 1, N
 
     def test_a_step_reaching_past_the_table_names_the_oracle(self):
+        # compute_sensitivity needs no V past t; the oracle does
         spec = make_tabulated([0.0, 0.5, 1.0], [1.0, 0.0, 1.0])
         gs = solve_ground_state(spec, Domain(0.0, 1.0), 4001)
+        sens = compute_sensitivity(gs, spec)
         with pytest.raises(RangeError, match=r"^the FD oracle's step 0\.0009995 at t = 1\.0 "
                                              r"needs V beyond the table: x outside"):
-            compute_sensitivity(gs, spec)
+            fd_derivatives(spec, gs, sens.u_dot)
 
     @pytest.mark.parametrize("family, params", [("abs_shift", {}),
                                                 ("neg_abs", {"slope": 2.0, "amp": 1.0})])
@@ -382,8 +383,8 @@ class TestFiniteDifferences:
         for wall in np.linspace(-13.0, -12.0, 11):
             gs = solve_ground_state(spec, Domain(NEG_INF, 1.0, float(wall)), 801)
             sens = compute_sensitivity(gs, spec)
-            assert abs(sens.lambda_ddot - sens.lambda_ddot_fd) <= \
-                1e-2 * abs(sens.lambda_ddot_fd), wall
+            ldd_fd = fd_derivatives(spec, gs, sens.u_dot)[1]
+            assert abs(sens.lambda_ddot - ldd_fd) <= 1e-2 * abs(ldd_fd), wall
 
     def test_bundle_runs_two_block_eigensolves(self, monkeypatch):
         import eigenshift.ground_state as ground_state
@@ -404,15 +405,25 @@ class TestFiniteDifferences:
         # solve_ground_state, however imported, builds its result from this name
         monkeypatch.setattr(ground_state, "GroundState", no_ground_state)
         sens = compute_sensitivity(gs, spec)
-        m = round(sens.fd_step / gs.grid.h)
+        assert rows == []
+        m = round(fd_derivatives(spec, gs, sens.u_dot)[2] / gs.grid.h)
         assert rows == [301 + m, 301 - m]
 
     def test_oracle_agreement_bundle(self, free_bundle):
-        _, _, sens = free_bundle
-        assert abs(sens.lambda_dot_flux - sens.lambda_dot_fd) <= \
-            max(1e-4 * abs(sens.lambda_dot_fd), 10 * sens.fd_step**2)
-        assert abs(sens.lambda_ddot - sens.lambda_ddot_fd) <= \
-            max(1e-2 * abs(sens.lambda_ddot_fd), 1e-4 * (1 + abs(sens.lam)))
+        spec, gs, sens = free_bundle
+        ld_fd, ldd_fd, fd_step = fd_derivatives(spec, gs, sens.u_dot)
+        assert abs(sens.lambda_dot_flux - ld_fd) <= max(1e-4 * abs(ld_fd), 10 * fd_step**2)
+        assert abs(sens.lambda_ddot - ldd_fd) <= \
+            max(1e-2 * abs(ldd_fd), 1e-4 * (1 + abs(sens.lam)))
+
+    def test_bundle_factors_only_its_own_grid(self, lapack_sizes):
+        # the bordered solve's two dpttrf and one dpttrs on N nodes are the
+        # only LAPACK calls: no side eigensolve on N + m or N - m nodes
+        spec = make_potential("quadratic", c2=1.0)
+        gs = solve_ground_state(spec, Domain(NEG_INF, 0.0), 2001)
+        lapack_sizes.clear()
+        compute_sensitivity(gs, spec)
+        assert lapack_sizes == [("dpttrf", 2001), ("dpttrf", 2001), ("dpttrs", 2001)]
 
 
 class TestSensitivityBundle:
@@ -421,8 +432,7 @@ class TestSensitivityBundle:
         _, _, sens = free_bundle
         assert set(sensitivity_metadata(sens)) == {
             "t", "lambda", "lambda_dot_flux", "lambda_dot_integral",
-            "lambda_ddot", "lambda_dot_fd", "lambda_ddot_fd", "fd_step",
-            "t0", "orth_residual",
+            "lambda_ddot", "t0", "orth_residual",
         }
 
     def test_orthogonality_helper_matches(self, free_bundle):
@@ -528,4 +538,6 @@ def test_scale_law_maps_lambda_and_its_derivatives(pair):
     ldd = s**4 * s0.lambda_ddot
     assert abs(s1.lambda_ddot - ldd) <= 1e-9 * (1.0 + abs(ldd))
     # the FD step is scale-free in cells
-    assert s1.fd_step == pytest.approx(s0.fd_step / s, rel=1e-12)
+    step0, step1 = (fd_derivatives(v, gs, sens.u_dot)[2]
+                    for v, gs, sens in ((base, gs0, s0), (scaled, gs1, s1)))
+    assert step1 == pytest.approx(step0 / s, rel=1e-12)

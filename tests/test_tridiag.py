@@ -128,7 +128,8 @@ def test_oscillator_u_dot_orthogonal_at_fine_grid():
     assert sens.lam == pytest.approx(3.0, rel=1e-6, abs=0.0)
     exact = -4.0 / math.sqrt(math.pi)
     assert sens.lambda_dot_flux == pytest.approx(exact, rel=1e-4, abs=0.0)
-    assert sens.lambda_dot_fd == pytest.approx(exact, rel=1e-4, abs=0.0)
+    ld_fd = fd_derivatives(spec, gs, sens.u_dot)[0]
+    assert ld_fd == pytest.approx(exact, rel=1e-4, abs=0.0)
 
 
 def test_fine_grid_working_set(working_set):
@@ -138,7 +139,7 @@ def test_fine_grid_working_set(working_set):
     solve_ground_state(spec, domain, 64)   # first-call set-up is not counted
     gs, solve_peak = working_set(lambda: solve_ground_state(spec, domain, N), N)
     sens_peak = working_set(lambda: compute_sensitivity(gs, spec), N)[1]
-    assert solve_peak <= 7.1 and sens_peak <= 7.1, (solve_peak, sens_peak)
+    assert solve_peak <= 7.1 and sens_peak <= 6.1, (solve_peak, sens_peak)
 
 
 def test_sweep_working_set(working_set):
