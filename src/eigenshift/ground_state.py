@@ -105,6 +105,8 @@ class Grid:
         # np.linspace(a_eff, t, N + 2, retstep=True) bit for bit wherever
         # h != 0, in one array and without linspace's argument handling
         h = (t - a_eff) / (N + 1)
+        if not math.isfinite(h):
+            raise DomainError(f"interval length {t:.6g} - ({a_eff:.6g}) overflows a double")
         x = np.arange(N + 2, dtype=float)
         x *= h
         x += a_eff

@@ -163,19 +163,25 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
 
     Shifted inverse iteration.  A shift sigma is used only when ``ptsv``
     factors T - sigma as positive definite, which certifies sigma below the
-    spectrum; when it does not, sigma steps back toward the last certified
-    shift, by a half, then a quarter, an eighth, ... of the distance while
-    failures run on.  Each step reads the Rayleigh quotient rho and the
-    residual of its new vector w / |w| off the solve (T - sigma) w = v itself
-    (Parlett, The Symmetric Eigenvalue Problem, 4.3): rho = sigma +
-    v.w / |w|^2 and residual |v - (v.w / |w|^2) w| / |w|, so a step costs no
-    matvec.  The shift then moves up to the Weinstein bound rho - residual,
-    less a margin.  Iteration stops once rho no longer falls by more than a
-    margin, the residual is within twice that margin, and the step's shift
-    was the Weinstein bound of its own input or lies within a few margins of
-    rho.  The margin, 4 eps local, also keeps the shift below
-    rho - residual; it is scaled to the rows the vector occupies, because
-    graded operators from the wall probe carry diagonal entries near 1e266.
+    spectrum.  One rule recovers from a shift that does not factor.  sigma
+    steps back toward the highest shift known to lie below lambda_1: the
+    Gershgorin bound until a shift has factored, then the last one that did.
+    It steps by a half, then a quarter, a sixteenth, ... of the distance,
+    the fraction squaring while failures run on, and the cold vector below
+    is mixed into the iterate on its own side.  Only when that target fails
+    itself, the Gershgorin bound of a tight block, does sigma drop below it
+    instead, by the scale of the failing row, doubling.  Each step reads the
+    Rayleigh quotient rho and the residual of its new vector w / |w| off the
+    solve (T - sigma) w = v itself (Parlett, The Symmetric Eigenvalue
+    Problem, 4.3): rho = sigma + v.w / |w|^2 and residual
+    |v - (v.w / |w|^2) w| / |w|, so a step costs no matvec.  The shift then
+    moves up to the Weinstein bound rho - residual, less a margin.
+    Iteration stops once rho no longer falls by more than a margin, the
+    residual is within twice that margin, and the step's shift was the
+    Weinstein bound of its own input or lies within a few margins of rho.
+    The margin, 4 eps local, also keeps the shift below rho - residual; it
+    is scaled to the rows the vector occupies, because graded operators from
+    the wall probe carry diagonal entries near 1e266.
 
     A cold start begins at the Gershgorin lower bound from D 1, where
     D = diag(+-1) makes the off-diagonal of D T D equal to -|c|, so it
@@ -187,11 +193,10 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     after one factorisation: the well-extrapolated starts of a solve chain
     usually take one, a start whose residual is not yet at rounding level
     two.  That bound holds for some eigenvalue, not necessarily the lowest;
-    when its shift does not factor, the iteration drops to the Gershgorin
-    bound and starts over with no iterate 0.  A start with almost no weight
-    on the ground state heads for an excited pair, whose Weinstein bound then
-    passes lambda_1; each factorisation that fails above a certified shift
-    adds the cold vector back into the iterate, which restores that weight.
+    when its shift does not factor, the step-back above takes it toward the
+    Gershgorin bound.  A start with almost no weight on the ground state
+    heads for an excited pair, whose Weinstein bound then passes lambda_1;
+    the cold vector each failure mixes in restores that weight.
     Raises ValueError unless ``start`` is None or a finite vector of length
     n with a nonzero entry, and ConvergenceError when rho has not settled
     after a fixed number of factorisations, or when the pair fails its
@@ -217,13 +222,15 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     # one O(n) buffer serves every step: d - sigma for ptsv, which
     # overwrites it, and row_sum * vec for the margin
     work, row_sum = np.empty(op.n), row_sums(op)
-    gershgorin = sigma = _gershgorin_bound(op)
+    # certified, the highest shift known to lie below lambda_1: the Gershgorin
+    # bound until a shift factors, then the last shift that factored, which
+    # is also the highest, since a shift only fails above it
+    certified = sigma = _gershgorin_bound(op)
     # keeps every shift at least floor below the spectrum, so |w| <= 1/floor
     floor = drop = _TINY / _EPS
-    # tight: sigma is the Weinstein bound of the vector it is applied to.
-    # certified, the last shift that factored, is also the highest: a shift
-    # only fails above it, and the next one lies between the two
-    certified, lam, tight, failures = None, np.inf, False, 0
+    # tight: sigma is the Weinstein bound of the vector it is applied to;
+    # back, the fraction of the way to certified the next failure steps back
+    lam, tight, back = np.inf, False, 0.5
     # level-1 BLAS (ddot, and dscal and daxpy, which update in place) costs
     # a fraction of a numpy ufunc call at these sizes
     if start is None:
@@ -255,29 +262,30 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
         # [2:] frees the factor's off-diagonal at once
         w, info = lapack.dptsv(np.subtract(op.d, sigma, out=work), op._e, blas.dcopy(vec, spare),
                                overwrite_d=1, overwrite_b=1)[2:]
-        if info and certified is None:
-            if sigma > gershgorin:
-                # the start's Weinstein bound belongs to an excited eigenvalue:
-                # start over from the Gershgorin bound, with no iterate 0
-                sigma, lam, tight = gershgorin, np.inf, False
-                continue
-            # T - sigma is singular at the Gershgorin bound (a tight block):
-            # step down by the scale of the row whose pivot failed, doubling
-            drop = max(2.0 * drop, 4.0 * _EPS * float(row_sum[info - 1]))
-            sigma -= drop
-            continue
         if info:
-            # the shift passed lambda_1: step back toward the last certified
-            # shift, by 1/2, then 1/4, 1/8, ... of the way while failures run
-            # on, so a certified shift just below lambda_1 is reached in a few
-            # steps.  A vector with almost no weight on the ground state
-            # invites the overshoot: give it the cold vector's weight
-            failures += 1
-            sigma, tight = certified + (sigma - certified) * 0.5 ** failures, False
-            vec += _cold_vector(op)
+            if sigma > certified:
+                # the shift passed lambda_1: step back toward certified, by
+                # 1/2, then 1/4, 1/16, 1/256, ... of the way while failures
+                # run on, so a shift just below lambda_1 is reached in a few
+                # steps, and certified itself by the twelfth, where back
+                # has underflowed to 0
+                sigma, tight = certified + (sigma - certified) * back, False
+                back *= back
+            else:
+                # certified itself fails, so no shift has factored yet, and
+                # T - sigma is singular at the Gershgorin bound (a tight
+                # block): drop by the scale of the row whose pivot failed,
+                # doubling
+                drop = max(2.0 * drop, 4.0 * _EPS * float(row_sum[info - 1]))
+                sigma = certified = certified - drop
+            # a vector with almost no weight on the ground state invites the
+            # overshoot: give it the cold vector's weight, on its own side,
+            # since cold added to a start of -cold would leave 0
+            cold = _cold_vector(op)
+            vec += math.copysign(1.0, vec @ cold) * cold
             vec /= blas.dnrm2(vec)
             continue
-        certified, failures = sigma, 0
+        certified, back = sigma, 0.5
         # (T - sigma) w = vec; for the new vector w / |w| the solve gives
         # rho - sigma = vec.w / |w|^2, a small number near convergence, and
         # the residual without a matvec

@@ -43,6 +43,31 @@ def lapack_sizes(monkeypatch):
 
 
 @pytest.fixture
+def lapack_infos(monkeypatch):
+    """The ``info`` of each ``dptsv`` and ``dpttrf`` call while the test runs,
+    in order, as (routine, info); info != 0 marks a failed factorisation."""
+    import eigenshift.tridiag as tridiag
+
+    infos, lapack = [], tridiag.lapack
+
+    class Recording:
+        def __getattr__(self, name):
+            routine = getattr(lapack, name)
+            if name not in ("dptsv", "dpttrf"):
+                return routine
+
+            def call(*args, **kwargs):
+                result = routine(*args, **kwargs)
+                infos.append((name, int(result[-1])))
+                return result
+
+            return call
+
+    monkeypatch.setattr(tridiag, "lapack", Recording())
+    return infos
+
+
+@pytest.fixture
 def working_set():
     """``measure(call, n)``: call() and its traced peak above the memory held
     at entry, in n-vectors of 8 n bytes (tracemalloc alone, no profile hook),

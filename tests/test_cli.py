@@ -338,6 +338,12 @@ class TestExitCodes:
         # the wall probe of e^{1e300 |x|} is a few subnormals wide
         (["solve", "--potential", "exp_growth:amp=1,rate=-1e300", "--a", "-inf", "--t", "0",
           "--N", "64"], "grid spacing h = 1.4822e-323 is too small: 2/h^2 overflows"),
+        # t - a overflows a double, so h is inf before any node is placed
+        (["solve", "--potential", "affine", "--a", "-1e308", "--t", "1e308", "--N", "64"],
+         "interval length 1e+308 - (-1e+308) overflows a double"),
+        (["sweep", "--potential", "affine", "--a", "-1e308", "--t-range", "1e308:1.5e308:5",
+          "--N", "64"], "sweep failed at t=1e+308: interval length 1e+308 - (-1e+308) "
+                        "overflows a double"),
         # x^2 overflows on the grid: reported once, with no numpy warning
         (["sensitivity", "--potential", "quadratic:c2=1", "--a", "-1e300", "--t", "1e300",
           "--N", "64"], "potential is not finite on the working grid"),
@@ -350,7 +356,8 @@ class TestExitCodes:
          "lambda_ddot = inf is not finite on this interval"),
     ], ids=["infinite_left_of_t", "falls_past_1e40", "rounding_swamps_curvature",
             "h2_is_zero", "h2_is_zero_at_1e-300", "2_over_h2_is_inf", "sweep_h2_is_zero",
-            "probe_h2_is_zero", "V_overflows_on_the_grid", "u_dot_source_overflows",
+            "probe_h2_is_zero", "length_overflows", "sweep_length_overflows",
+            "V_overflows_on_the_grid", "u_dot_source_overflows",
             "lambda_ddot_overflows"])
     def test_error_is_1_with_one_line(self, tmp_path, capsys, args, line):
         with warnings.catch_warnings(record=True) as caught:

@@ -27,6 +27,7 @@ from eigenshift.tridiag import (
     smallest_eigenpair,
     solve_bordered,
 )
+from eigenshift.verify import run_battery
 
 ENTRY = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
@@ -149,6 +150,23 @@ def test_sweep_working_set(working_set):
     sweep(spec, -np.inf, -1.0, 2.0, 5, 64)   # first-call set-up is not counted
     result, peak = working_set(lambda: sweep(spec, -np.inf, -1.0, 2.0, 31, 8001), 8001)
     assert result.ok and peak <= 13.5, peak
+
+
+def test_benchmark_calls_factor_every_shift(lapack_infos):
+    # the kinds of call the benchmark makes: a warm sweep chain, the battery,
+    # and solve and sensitivity on half-lines at N = 32001.  Every shift the
+    # eigensolve tries factors, so none of them takes a recovery step, and
+    # every pttrf of the certificate and of the bordered solve factors too.
+    # A warm start that overshoots lambda_1 fails here rather than slowing
+    # these calls down unseen
+    assert sweep(make_potential("quadratic", c2=1.0), -np.inf, -1.0, 2.0, 31, 2001).ok
+    assert run_battery(N=801, n_t=11).ok
+    for spec, t in [(make_potential("affine", c1=-1.0), 0.5),
+                    (make_potential("quadratic", c2=1.0), 0.0),
+                    (make_potential("abs_shift", shift=0.0), 1.0)]:
+        compute_sensitivity(solve_ground_state(spec, Domain(-np.inf, t), 32001), spec)
+    assert len(lapack_infos) > 300
+    assert [call for call in lapack_infos if call[1] != 0] == []
 
 
 def test_no_call_overwrites_its_inputs(monkeypatch):
@@ -434,13 +452,29 @@ def test_excited_pair_of_a_graded_operator_is_rejected():
 @pytest.mark.parametrize("d, start", [
     ([1000.0, 1.0], [1.0, 0.0]),
     (np.logspace(19.0, 0.0, 7), [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
-], ids=["excited-start", "two-excited-blocks"])
+    ([0.0], [-1.0]),
+], ids=["excited-start", "two-excited-blocks", "minus-cold-start"])
 def test_start_without_ground_weight_on_decoupled_blocks(d, start):
     # c = 0 keeps every iterate off the ground block until the cold vector is
     # mixed in: a certified shift just below lambda_1 must be found back
-    # within the cap, and no step may stop from a shift stuck far below rho
+    # within the cap, and no step may stop from a shift stuck far below rho.
+    # The cold vector goes in on the iterate's side: -cold on diag(0) fails
+    # at the Gershgorin bound 0, and adding +cold to it would leave 0
     op = TridiagOperator(np.array(d), 0.0)
     assert_lowest_pair(op, *smallest_eigenpair(op, start=np.array(start)))
+
+
+def test_excited_start_of_the_free_particle_steps_back_in_few_solves(lapack_calls):
+    # the exact first excited vector of the free particle at n = 801: its
+    # Weinstein bound is lambda_2, where T - sigma does not factor.  Stepping
+    # back toward the Gershgorin bound finds a shift below lambda_1 in 7
+    # ptsv; a restart at that bound takes 9
+    n = 801
+    h2 = 1.0 / (n + 1) ** 2
+    op = TridiagOperator(np.full(n, 2.0 / h2), -1.0 / h2)
+    start = np.sin(2.0 * np.pi * np.arange(1, n + 1) / (n + 1))
+    assert_lowest_pair(op, *smallest_eigenpair(op, start=start))
+    assert lapack_calls["dptsv"] <= 9, lapack_calls
 
 
 @given(op=lowest_pair_operators(), above=st.booleans())
