@@ -58,39 +58,40 @@ def integrate_vprime_weighted(spec: PotentialSpec, grid: Grid, w: np.ndarray,
                               shift: float = 0.0) -> float:
     """Trapezoid quadrature of (V'(x) - shift) * w(x) on the grid.
 
-    V' may jump at kinks of a piecewise-C1 potential; each cell uses the
-    one-sided limits valid inside it, and a cell containing a kink strictly
-    inside is split at the kink with w interpolated linearly.  Away from kinks
-    this is the plain trapezoid rule.
+    V' may jump at the kinks of a piecewise-C1 potential.  One rule serves
+    every kink: a cell x[i] < x <= x[i+1] that holds kinks, one or many (a
+    table's knots can lie closer than h), is split at all of them, with w
+    interpolated linearly, w[i] + (s - x[i]) / h (w[i+1] - w[i]); each piece
+    takes V''s one-sided limits from inside it, and the pieces' trapezoids
+    replace the cell's.  Kink-free cells, and so every smooth potential,
+    take the plain trapezoid rule.
     """
     x, h = grid.x, grid.h
-    kinks = vprime_kinks(spec)
-    # V' once, as the right limit; a cell's right end takes the left one,
-    # which differs only where a kink sits on a node
+    # V' once, as the right limit, which every kink-free cell reads
     vr = eval_Vprime(spec, x, "right") - shift
-    ends = {j: eval_Vprime(spec, x[j], "left") - shift for xi in kinks
-            for j in range(max(np.searchsorted(x, xi), 1), np.searchsorted(x, xi, "right"))}
     cells = vr[1:] * w[1:]
-    for j, v in ends.items():
-        cells[j - 1] = v * w[j]
     cells += vr[:-1] * w[:-1]
     cells *= 0.5 * h
     total = float(np.sum(cells))
-
-    for xi in kinks:
-        if not x[0] < xi < x[-1]:
-            continue
-        i = int(np.searchsorted(x, xi, side="right")) - 1
-        if xi == x[i] or i + 1 >= len(x):
-            continue  # kink sits on a node: the sided limits above are exact
-        frac = (xi - x[i]) / h
-        w_xi = w[i] + frac * (w[i + 1] - w[i])
-        vm = eval_Vprime(spec, xi, "left") - shift
-        vp = eval_Vprime(spec, xi, "right") - shift
-        left = 0.5 * (xi - x[i]) * (vr[i] * w[i] + vm * w_xi)
-        right = 0.5 * (x[i + 1] - xi) * (vp * w_xi + ends.get(i + 1, vr[i + 1]) * w[i + 1])
-        total += left + right - float(cells[i])
-    return float(total)
+    s = np.sort(vprime_kinks(spec))
+    s = s[(x[0] < s) & (s <= x[-1])]
+    if s.size:
+        i = np.searchsorted(x, s) - 1   # x[i] < s <= x[i+1], ascending
+        split = i[np.diff(i, prepend=-1) > 0]
+        # each split cell's points in order, x[i], its kinks, x[i+1]: a
+        # stable sort on the cell keeps the order of the blocks within it
+        cell = np.concatenate((split, i, split))
+        p = np.concatenate((x[split], s, x[split + 1]))
+        wp = np.concatenate((w[split], w[i] + (s - x[i]) / h * (w[i + 1] - w[i]), w[split + 1]))
+        order = np.argsort(cell, kind="stable")
+        cell, p, wp = cell[order], p[order], wp[order]
+        # a piece joins two points of one cell: the right limit at its start,
+        # the left limit at its end
+        vp = (eval_Vprime(spec, p, "right") - shift) * wp
+        vm = (eval_Vprime(spec, p, "left") - shift) * wp
+        pieces = 0.5 * np.diff(p) * (vp[:-1] + vm[1:])
+        total += float(np.sum(pieces[cell[1:] == cell[:-1]])) - float(np.sum(cells[split]))
+    return total
 
 
 def solve_u_dot(gs: GroundState, lambda_dot: float) -> np.ndarray:

@@ -43,7 +43,8 @@ def _scipy_linalg_extension(name: str):
     library paths the extensions need on some platforms.  The module is
     registered in ``sys.modules`` under its own name, and an entry already
     there is reused, so a process that also imports ``scipy.linalg``, before
-    or after, holds one module object.
+    or after, holds one module object.  Imported after, that package gets
+    the module as its attribute ``name`` too (``_LinkToPackage``).
     """
     fullname = f"scipy.linalg.{name}"
     module = sys.modules.get(fullname)
@@ -57,7 +58,40 @@ def _scipy_linalg_extension(name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[fullname] = module
     spec.loader.exec_module(module)
+    if _LinkToPackage not in sys.meta_path:
+        sys.meta_path.insert(0, _LinkToPackage)
     return module
+
+
+class _LinkToPackage:
+    """A meta path finder, in place from the first extension loaded above
+    until ``scipy.linalg`` runs, that then sets those extensions as that
+    package's attributes: the import system binds a submodule to its
+    package only when it loads the submodule itself, and it finds these in
+    ``sys.modules``.  It finds the package's spec as the path finder does."""
+
+    @staticmethod
+    def find_spec(fullname, path=None, target=None):
+        if fullname != "scipy.linalg":
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(fullname, path, target)
+        if spec is None:
+            return None
+        run = spec.loader.exec_module
+
+        def exec_module(package):
+            del spec.loader.exec_module   # a reload runs the loader's own
+            sys.meta_path.remove(_LinkToPackage)
+            run(package)
+            # the package binds the submodules it loads; those it lacks were
+            # loaded before it
+            for key, module in list(sys.modules.items()):
+                parent, _, name = key.rpartition(".")
+                if parent == fullname and module is not None and not hasattr(package, name):
+                    setattr(package, name, module)
+
+        spec.loader.exec_module = exec_module
+        return spec
 
 
 lapack = _scipy_linalg_extension("_flapack")
@@ -151,6 +185,9 @@ def _cold_vector(op: TridiagOperator) -> np.ndarray:
     return vec
 
 
+# an overflowing d - sigma is a pivot beyond the double range, whose row the
+# solve decouples as its exact value would to working precision
+@np.errstate(over="ignore")
 def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
     """Lowest eigenpair of ``op``; returns (lam, vec, residual).
 
@@ -268,8 +305,10 @@ def smallest_eigenpair(op: TridiagOperator, start: np.ndarray = None) -> tuple:
                 # 1/2, then 1/4, 1/16, 1/256, ... of the way while failures
                 # run on, so a shift just below lambda_1 is reached in a few
                 # steps, and certified itself by the twelfth, where back
-                # has underflowed to 0
-                sigma, tight = certified + (sigma - certified) * back, False
+                # has underflowed to 0; halved first, since shifts at the two
+                # ends of the double range lie more than its width apart
+                sigma = certified + (0.5 * sigma - 0.5 * certified) * (2.0 * back)
+                tight = False
                 back *= back
             else:
                 # certified itself fails, so no shift has factored yet, and

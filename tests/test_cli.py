@@ -384,6 +384,32 @@ class TestExitCodes:
         scale = float(t) ** -4
         assert lambda_ddot_at(t) == pytest.approx(scale * lambda_ddot_at("1"), rel=1e-13)
 
+    def test_diagonal_spanning_the_double_range_solves_silently(self, tmp_path, capsys):
+        # V runs from -1e308 to 1e308, so d - sigma overflows on the right
+        # rows; those pivots are beyond the double range and decouple
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--potential", "affine:c1=1e307", "--a", "-10", "--t", "10",
+                         "--N", "64", "--out-dir", str(tmp_path)])
+        assert code == 0 and [str(w.message) for w in caught] == []
+        out = capsys.readouterr()
+        assert out.err == ""
+        lam = float(re.search(r"^lambda = (\S+)$", out.out, re.MULTILINE)[1])
+        # the ground state sits on the first node, at V(-10 + h), h = 20 / 65
+        assert lam == pytest.approx(1e307 * (-10.0 + 20.0 / 65.0), rel=1e-14)
+
+    def test_knots_closer_than_a_cell_keep_the_routes_together(self, tmp_path, capsys):
+        # nine knots within 0.004 share one cell of the N = 2001 grid
+        table = tmp_path / "fine_knots.csv"
+        rows = (f"{x!r},{abs(x) + 5.0 * max(x - 0.2, 0.0)!r}\n"
+                for x in [-2.0, *np.linspace(0.2, 0.204, 9).tolist(), 2.0])
+        table.write_text("x,V\n" + "".join(rows))
+        assert main(["sensitivity", "--potential", f"tabulated:file={table}", "--a", "-2",
+                     "--t", "1.5", "--N", "2001", "--out-dir", str(tmp_path / "out")]) == 0
+        out = dict(re.findall(r"^(\w+) = (\S+)$", capsys.readouterr().out, re.MULTILINE))
+        flux, integral = float(out["lambda_dot_flux"]), float(out["lambda_dot_integral"])
+        assert abs(flux - integral) <= 1e-5 * (1 + abs(flux))
+
     @pytest.mark.parametrize("args", [
         ["solve", "--potential", "affine:", "--a", "0", "--t", "1", "--N", str(10 ** 17)],
         ["sweep", "--potential", "affine:", "--a", "0", "--t-range", f"1:2:{10 ** 17}"],

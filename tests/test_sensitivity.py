@@ -9,7 +9,7 @@ from scipy.special import ai_zeros
 
 from eigenshift.errors import ConditioningError, RangeError, StructureError
 from eigenshift.ground_state import Domain, Grid, solve_ground_state
-from eigenshift.potentials import eval_V, make_potential, make_tabulated
+from eigenshift.potentials import eval_V, eval_Vprime, make_potential, make_tabulated, vprime_kinks
 from eigenshift.sensitivity import (
     compute_sensitivity,
     fd_derivatives,
@@ -113,6 +113,64 @@ class TestKinkAwareQuadrature:
         w = np.ones_like(grid.x)
         got = integrate_vprime_weighted(spec, grid, w)
         assert got == pytest.approx(1 - 2 * s, abs=1e-12)
+
+    @pytest.mark.parametrize("N", [64, 200, 2001])
+    def test_knots_closer_than_a_cell(self, N):
+        # h >= 0.00175 here, so some cell holds three of the knots or more
+        spec = fine_knots_table()
+        gs = solve_ground_state(spec, Domain(-2.0, 1.5), N)
+        w = gs.u * gs.u
+        got = integrate_vprime_weighted(spec, gs.grid, w)
+        assert got == pytest.approx(refined_trapezoid(spec, gs.grid, w)[0], rel=1e-12)
+
+    def test_knots_closer_than_a_cell_keep_the_routes_together(self):
+        spec = fine_knots_table()
+        sens = compute_sensitivity(solve_ground_state(spec, Domain(-2.0, 1.5), 2001), spec)
+        flux = sens.lambda_dot_flux
+        assert abs(flux - sens.lambda_dot_integral) <= 1e-5 * (1 + abs(flux))
+
+
+# nine knots 0.0005 apart: some share a cell wherever h > 0.0005
+FINE_KNOTS = np.r_[-2.0, np.linspace(0.2, 0.204, 9), 2.0]
+
+
+def fine_knots_table():
+    return make_tabulated(FINE_KNOTS, np.abs(FINE_KNOTS) + 5.0 * np.maximum(FINE_KNOTS - 0.2, 0.0))
+
+
+def refined_trapezoid(spec, grid, w, shift=0.0):
+    """The trapezoid rule for (V' - shift) w on the grid refined by every
+    kink inside it, V' one-sided within each piece and w linear between
+    nodes; returns the sum and the sum of its pieces' magnitudes."""
+    x, kinks = grid.x, vprime_kinks(spec)
+    p = np.union1d(x, kinks[(x[0] < kinks) & (kinks < x[-1])])
+    wp = np.interp(p, x, w)
+    pieces = 0.5 * np.diff(p) * ((eval_Vprime(spec, p[:-1], "right") - shift) * wp[:-1]
+                                 + (eval_Vprime(spec, p[1:], "left") - shift) * wp[1:])
+    return float(np.sum(pieces)), float(np.sum(np.abs(pieces)))
+
+
+@seed(38)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_kink_quadrature_is_the_refined_trapezoid(data):
+    # tables of 2 to 40 knots: some packed into one cell, some loose, some on
+    # nodes, two beyond the grid's ends
+    N = data.draw(st.integers(17, 400), label="N")
+    grid = Grid.build(0.0, 1.0, N)
+    packed = np.array(data.draw(st.lists(st.integers(1, 999), max_size=20))) / 1000
+    cell = data.draw(st.integers(0, N), label="cell")
+    loose = np.array(data.draw(st.lists(st.integers(1, 10 ** 6 - 1), max_size=15))) / 10 ** 6
+    nodes = data.draw(st.lists(st.integers(0, N + 1), max_size=3))
+    xs = np.unique(np.r_[-0.5, grid.x[cell] + packed * grid.h, loose, grid.x[nodes], 1.5])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="rng"))
+    spec = make_tabulated(xs, rng.uniform(-10.0, 10.0, len(xs)))
+    w, shift = rng.uniform(-1.0, 1.0, N + 2), rng.uniform(-5.0, 5.0)
+    want, scale = refined_trapezoid(spec, grid, w, shift)
+    # the rule sums the grid's cells before it replaces the split ones, so
+    # its rounding also scales with a steep piece's slope across its cell
+    scale += grid.h * float(np.sum(np.abs((eval_Vprime(spec, grid.x, "right") - shift) * w)))
+    assert abs(integrate_vprime_weighted(spec, grid, w, shift) - want) <= 1e-12 * scale
 
 
 class TestUDot:

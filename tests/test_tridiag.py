@@ -464,6 +464,16 @@ def test_start_without_ground_weight_on_decoupled_blocks(d, start):
     assert_lowest_pair(op, *smallest_eigenpair(op, start=np.array(start)))
 
 
+def test_diagonal_spanning_the_double_range_is_solved_silently():
+    # the excited start's shift sits near 1e308, its certified target at
+    # -1e308: the step back between them and d - sigma on the top row both
+    # pass the double range, and neither may warn or end in nan
+    op = TridiagOperator(np.array([1e308, -1e308]), 0.0)
+    lam, vec, resid = smallest_eigenpair(op, start=np.array([1.0, 0.0]))
+    assert lam == pytest.approx(-1e308, rel=1e-15)
+    assert abs(vec[1]) == 1.0 and vec[0] == 0.0 and resid == 0.0
+
+
 def test_excited_start_of_the_free_particle_steps_back_in_few_solves(lapack_calls):
     # the exact first excited vector of the free particle at n = 801: its
     # Weinstein bound is lambda_2, where T - sigma does not factor.  Stepping
@@ -552,6 +562,22 @@ for ours, name, public, routines in (
 print("same")
 """
     assert run_python(code) == "same"
+
+
+@pytest.mark.parametrize("first, then", [("scipy.linalg", "eigenshift.tridiag"),
+                                         ("eigenshift.tridiag", "scipy.linalg")])
+def test_scipy_linalg_has_its_extension_attributes(first, then):
+    # tridiag loads the extensions without running scipy.linalg/__init__;
+    # a scipy.linalg imported after it must still bind them as attributes
+    code = f"""
+import sys
+import {first}
+import {then}
+import scipy.linalg
+print(all(getattr(scipy.linalg, name) is sys.modules["scipy.linalg." + name]
+          for name in ("_flapack", "_fblas")))
+"""
+    assert run_python(code) == "True"
 
 
 def test_missing_extension_module_raises_import_error(monkeypatch):
