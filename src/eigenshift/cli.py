@@ -6,16 +6,12 @@ declared once, as a row of the ``_FLAGS`` table, which drives the parser,
 the config keys, the value readers and the required checks.
 
 This module owns every artifact; the numerical modules return values and
-payload dicts and write no file.  Column data (CSV / plot files) is fixed
-17-digit scientific notation, formatted by ``_row_blocks``, a numpy kernel
-that writes the characters of ``"%.16e" % v`` and hands the values it
-cannot decide (zeros, non-finite values, extreme magnitudes, near-ties, a
-``log10`` that rounds across a power of ten, a rounding that carries into
-an 18th digit) to that exact per-value call, a block of rows at a time.
-Every field's suffix word ends in a comma; the last field of a row swaps
-it for a newline.  ``_write_columns`` opens every CSV and plot file and
-writes each block as it comes, to the CSV file and, with spaces for commas,
-to its plot file.
+payload dicts and write no file.  Column data (CSV / plot files) is
+``"%.16e" % v`` text, formatted a block of rows at a time by
+``_row_blocks``, a numpy kernel with that exact per-value call as its
+fallback.  ``_write_columns`` opens every CSV and plot file and writes each
+block as it comes, to the CSV file and, with spaces for commas, to its plot
+file.
 ``write_json`` writes every JSON payload, with shortest round-trip floats.
 So identical configs produce byte-identical artifacts.
 
@@ -276,31 +272,29 @@ def parse_config(argv: list) -> RunConfig:
 # one fast path that detects what it cannot decide, and one exact fallback.
 # The range keeps every partial product of the split normal.
 #
-# Each field is laid out in four little-endian 64-bit words, _FILL where a
-# byte is unused: a prefix word (fill, sign, lead digit, '.') from
-# _prefix_words, two words of eight digits each from _digit_words, and a
-# suffix word ('e', exponent sign, 2-3 digits, then a comma) from
-# _suffix_words.  The last field of each row turns that comma into a
-# newline.  The fill bytes are removed once.
+# A field's slot is three little-endian 64-bit words: sign (_FILL if v >= 0),
+# lead digit, '.', digits 1-5 | digits 6-13 | digits 14-16, 'e', exponent
+# sign and digits, end byte (a comma, or a newline ending a row).  A
+# three-digit exponent or a 24-character arbiter text leaves no room for the
+# end byte: a block holding one gives each slot a 25th byte, that end byte or
+# _FILL.  One bytes.replace drops the filler.
 _VEC_MIN, _VEC_MAX = 1e-280, 1e280
 _E_LO, _E_HI = -283, 282          # decimal exponents the kernel may try
 _TIE_BAND = 1e-9
 _SPLIT = 134217729.0              # 2^27 + 1
 _BLOCK = 8192                     # values per block, bounding the temporaries
-_FIELD = 29                       # bytes of a field before its end bytes
 _FILL = b"\0"                     # filler byte, removed before writing
 _D_LO, _D_HI = 10 ** 16, 10 ** 17
 _WORD = np.dtype("<u8")
+_SLOT = 3 * _WORD.itemsize        # bytes of a field's slot
 _U = np.uint64                    # explicit, so no numpy version promotes to float
 
 
 @functools.cache
 def _pow10_table() -> tuple:
-    """hi, lo, and the Dekker halves of hi, for 10^p with p = 16 - e.
-
-    hi is 10^p correctly rounded and lo the rounded remainder, both from
-    exact integer arithmetic (int / int is correctly rounded).  Built on
-    first use.
+    """hi, lo, and the Dekker halves of hi, for 10^p with p = 16 - e: hi is
+    10^p correctly rounded and lo the rounded remainder, both from exact
+    integer arithmetic (int / int is correctly rounded).  Built on first use.
     """
     his, los = [], []
     for p in range(16 - _E_HI, 16 - _E_LO + 1):
@@ -322,20 +316,20 @@ def _pow10_table() -> tuple:
 
 @functools.cache
 def _prefix_words() -> np.ndarray:
-    """The prefix word for lead digit d, at d for v >= 0 and at 10 + d for
-    v < 0.  Built on first use."""
+    """Sign, lead digit d and '.' in the low bytes, at d for v >= 0 and at
+    10 + d for v < 0.  Built on first use."""
     return np.frombuffer(b"".join(
-        _FILL * 5 + sign + b"%d." % d for sign in (_FILL, b"-") for d in range(10)
+        (sign + b"%d." % d).ljust(8, b"\0") for sign in (_FILL, b"-") for d in range(10)
     ), _WORD)
 
 
 @functools.cache
 def _suffix_words() -> np.ndarray:
-    """The suffix word for exponent e, at e - _E_LO, whose last byte is a
-    comma, past the bytes that _exact_fields rewrites.  Built on first use."""
+    """'e', exponent e and end byte in the high bytes, at e - _E_LO with a
+    comma and past those with a newline.  Built on first use."""
     return np.frombuffer(b"".join(
-        (b"e%+03d" % e).ljust(_WORD.itemsize - 1, _FILL) + b","
-        for e in range(_E_LO, _E_HI + 1)
+        (b"\0\0\0e%+03d" % e + end)[:8]
+        for end in (b",", b"\n") for e in range(_E_LO, _E_HI + 1)
     ), _WORD)
 
 
@@ -410,15 +404,16 @@ def _scaled(a, e, work) -> tuple:
 
 
 def _exact_fields(values) -> np.ndarray:
-    """``"%.16e" % v`` for each value, as rows of _FIELD bytes padded with
+    """``"%.16e" % v`` for each value, as rows of _SLOT bytes padded with
     _FILL."""
-    text = "".join(("%.16e" % v).ljust(_FIELD, "\0") for v in values.tolist())
-    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _FIELD)
+    text = "".join(("%.16e" % v).ljust(_SLOT, "\0") for v in values.tolist())
+    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _SLOT)
 
 
 def _format_block(v, k, work) -> bytearray:
     """Rows of one block: ``v`` is the block's values row by row, ``k`` to a
     row; ``work`` is ``_scaled``'s workspace."""
+    n = v.size
     a = np.abs(v)
     fast = (a >= _VEC_MIN) & (a <= _VEC_MAX)
     a = np.where(fast, a, 1.0)   # a stand-in; the arbiter rewrites these rows
@@ -427,41 +422,53 @@ def _format_block(v, k, work) -> bytearray:
     fast &= (d >= _D_LO) & (d < _D_HI)   # else log10 rounded across a power of ten
     d += frac > 0.5
     fast &= d < _D_HI                    # else rounding carried into an 18th digit
+    exact = np.flatnonzero(~fast | (np.abs(frac - 0.5) < _TIE_BAND))
+    del a, fast
+    fields = _exact_fields(v[exact])
+    full = np.abs(e) > 99                # the slots with no room for the end byte
+    full[exact] = fields[:, -1] != ord(_FILL)
+    full = np.flatnonzero(full)
+    e -= _E_LO
+    e[exact] = -_E_LO                    # exponent 0, whose suffix holds the end byte
+    e.reshape(-1, k)[:, -1] += _E_HI - _E_LO + 1   # a newline ends each row
 
-    buf = bytearray(v.size * 4 * _WORD.itemsize)
-    out = np.frombuffer(buf, _WORD).reshape(v.size, 4)
     lead = d // 10 ** 16
     d -= lead * 10 ** 16
     d = d.view(_U)
-    halves = np.empty((2, v.size), _U)   # the 16 digits after the lead one
+    lead += np.signbit(v) * 10
+    halves = np.empty((2, n), _U)        # the 16 digits after the lead one
     np.floor_divide(d, _U(10 ** 8), out=halves[0])
     np.multiply(halves[0], _U(10 ** 8), out=halves[1])
     np.subtract(d, halves[1], out=halves[1])
-    out[:, 1], out[:, 2] = _digit_words(halves)
-    lead += np.signbit(v) * 10
+    hi, lo = _digit_words(halves)        # digits 1-8 and 9-16
+    width = _SLOT + (full.size > 0)
+    buf = bytearray(n * width)           # zeros, that is _FILL
+    out = np.frombuffer(buf, np.uint8).reshape(n, width)
+    words = out[:, :_SLOT].view(_WORD)
+    np.left_shift(hi, _U(24), out=words[:, 0])
+    np.right_shift(hi, _U(40), out=words[:, 1])
+    np.left_shift(lo, _U(24), out=hi)
+    words[:, 1] |= hi
+    np.right_shift(lo, _U(40), out=words[:, 2])
     # a row the arbiter rewrites may have a lead digit outside the table
-    out[:, 0] = _prefix_words().take(lead, mode="clip")
-    out[:, 3] = _suffix_words().take(e - _E_LO)
-    out.view(np.uint8).reshape(-1, k, 4 * _WORD.itemsize)[:, -1, -1] = ord("\n")
-
-    exact = np.flatnonzero(~fast | (np.abs(frac - 0.5) < _TIE_BAND))
-    if exact.size:
-        out.view(np.uint8)[exact, :_FIELD] = _exact_fields(v[exact])
-    return buf.translate(None, _FILL)
+    words[:, 0] |= _prefix_words().take(lead, out=hi, mode="clip")
+    words[:, 2] |= _suffix_words().take(e, out=lo, mode="clip")
+    del halves, hi, lo, lead, e, words
+    # a text shorter than the slot keeps the end byte of exponent 0
+    last = fields[:, -1]
+    out[exact, _SLOT - 1] = np.where(last == ord(_FILL), out[exact, _SLOT - 1], last)
+    out[exact, :_SLOT - 1] = fields[:, :-1]
+    out[full, -1] = np.where(full % k == k - 1, ord("\n"), ord(","))
+    del fields, last, out
+    return buf.replace(_FILL, b"")
 
 
 def _row_blocks(*cols):
     """Equal-length columns as CSV rows in ASCII bytes, a block of about
-    _BLOCK values (whole rows) at a time: each value in %.16e, a comma
-    between values, a newline after every row.
-
-    The characters are those of ``"%.16e" % v``, which equals
-    ``f"{v:.16e}"``, nan and infinities included.  Every field is built in
-    four 64-bit words (see the comment above _pow10_table), the comma in
-    the last of them, a newline in place of the comma on each row's last
-    field, and the filler bytes are removed once.  The few values the kernel
-    cannot decide are formatted one by one by _exact_fields, the exact
-    arbiter.
+    _BLOCK values (whole rows) at a time: each value as ``"%.16e" % v``
+    (which equals ``f"{v:.16e}"``, nan and infinities included), a comma
+    between values, a newline after every row.  See the comment above
+    _pow10_table.
     """
     n, k = len(cols[0]), len(cols)
     rows = max(_BLOCK // k, 1)
@@ -483,10 +490,9 @@ def _write_columns(cfg: RunConfig, blocks, csv_name: str = None, header: str = N
                    plot_name: str = None) -> None:
     """Write the CSV rows of ``blocks`` (from ``_row_blocks``) to the files
     of this call that ``cfg.formats`` asks for: ``csv_name`` under
-    ``header``, and ``plot_name`` with spaces for commas.  Each block is
-    formatted once and written to both as it comes, so neither file is ever
-    held whole in memory.  Every file is opened before any is written, and
-    when one cannot be opened those opened before it are removed."""
+    ``header``, and ``plot_name`` with spaces for commas, each block as it
+    comes.  Every file is opened before any is written, and when one cannot
+    be opened those opened before it are removed."""
     with contextlib.ExitStack() as stack:
         files = []   # (file, whether it is the plot file)
         for name, plot in ((csv_name, False), (plot_name, True)):

@@ -72,7 +72,7 @@ def integrate_vprime_weighted(spec: PotentialSpec, grid: Grid, w: np.ndarray,
     cells = vr[1:] * w[1:]
     cells += vr[:-1] * w[:-1]
     cells *= 0.5 * h
-    total = float(np.sum(cells))
+    total = 0.0
     s = np.sort(vprime_kinks(spec))
     s = s[(x[0] < s) & (s <= x[-1])]
     if s.size:
@@ -90,8 +90,9 @@ def integrate_vprime_weighted(spec: PotentialSpec, grid: Grid, w: np.ndarray,
         vp = (eval_Vprime(spec, p, "right") - shift) * wp
         vm = (eval_Vprime(spec, p, "left") - shift) * wp
         pieces = 0.5 * np.diff(p) * (vp[:-1] + vm[1:])
-        total += float(np.sum(pieces[cell[1:] == cell[:-1]])) - float(np.sum(cells[split]))
-    return total
+        total = float(np.sum(pieces[cell[1:] == cell[:-1]]))
+        cells[split] = 0.0   # the pieces replace these cells
+    return float(np.sum(cells)) + total
 
 
 def solve_u_dot(gs: GroundState, lambda_dot: float) -> np.ndarray:

@@ -167,10 +167,19 @@ def test_kink_quadrature_is_the_refined_trapezoid(data):
     spec = make_tabulated(xs, rng.uniform(-10.0, 10.0, len(xs)))
     w, shift = rng.uniform(-1.0, 1.0, N + 2), rng.uniform(-5.0, 5.0)
     want, scale = refined_trapezoid(spec, grid, w, shift)
-    # the rule sums the grid's cells before it replaces the split ones, so
-    # its rounding also scales with a steep piece's slope across its cell
-    scale += grid.h * float(np.sum(np.abs((eval_Vprime(spec, grid.x, "right") - shift) * w)))
     assert abs(integrate_vprime_weighted(spec, grid, w, shift) - want) <= 1e-12 * scale
+
+
+def test_steep_narrow_segment_is_rounded_on_its_own_scale():
+    # slope -4.6e6 on the first 1e-6 of cell 0, about 1.2e5 across the whole
+    # cell: a split cell must not enter the sum before its pieces replace it
+    grid = Grid.build(0.0, 1.0, 17)
+    xs = np.array([-0.5, 0.0, 1e-6, grid.x[1] + 0.001 * grid.h, 1.5])
+    rng = np.random.default_rng(0)
+    spec = make_tabulated(xs, rng.uniform(-10.0, 10.0, len(xs)))
+    w, shift = rng.uniform(-1.0, 1.0, len(grid.x)), rng.uniform(-5.0, 5.0)
+    want = refined_trapezoid(spec, grid, w, shift)[0]
+    assert abs(integrate_vprime_weighted(spec, grid, w, shift) - want) <= 1e-14 * abs(want)
 
 
 class TestUDot:

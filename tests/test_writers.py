@@ -274,3 +274,56 @@ def test_written_columns_are_fixed_points_of_the_format(tmp_path):
     assert len(dotted) == 2 * 32003
     assert [f for f in fields + swept + dotted if "%.16e" % float(f) != f] == []
     assert plot == csv.replace(",", " ")
+
+
+def test_three_digit_exponents_stay_on_the_kernel(monkeypatch):
+    # the ground state of 1e4 x^2 on (-10, 10) has 12,276 values below
+    # 1e-99, whose three-digit exponents fill their slots
+    gs = solve_ground_state(make_potential("quadratic", c2=1e4), Domain(-10.0, 10.0), 32001)
+    x, u = gs.grid.x, gs.u
+    assert np.sum((u != 0.0) & (np.abs(u) < 1e-99)) == 12_276
+    seen = []
+    exact_fields = cli._exact_fields
+
+    def spy(values):
+        seen.extend(values.tolist())
+        return exact_fields(values)
+
+    monkeypatch.setattr(cli, "_exact_fields", spy)
+    flipped = np.where(np.arange(len(u)) % 3 == 1, -u, u)
+    for cols in ((x, u), (x, flipped), (flipped, x)):
+        assert format_rows(*cols) == reference_rows(*cols)
+    # the Dirichlet zeros u(-10) = u(10) = 0 and the node x = 0, once per call
+    assert np.flatnonzero(u == 0.0).tolist() == [0, len(u) - 1]
+    assert np.flatnonzero(x == 0.0).tolist() == [(len(x) - 1) // 2]
+    assert sorted(seen) == [0.0] * 9
+
+
+def spread_values():
+    """Doubles of every kind the writer meets: any bit pattern (most have
+    three-digit exponents), values only the arbiter formats, three-digit
+    exponents on the kernel's range, and near-ties."""
+    bits = st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+    arbiter = st.sampled_from(SPECIAL + [1e-310, -2.5e-300, 1.7976931348623157e308])
+    wide = st.floats(1e-280, 1e-100) | st.floats(1e100, 1e280)
+    tie = st.sampled_from(ties(50).tolist())
+    return st.lists(st.one_of(bits, arbiter, wide, wide.map(lambda v: -v), tie),
+                    min_size=2, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 4), block=st.integers(1, 7), values=spread_values())
+def test_small_blocks_property(tmp_path_factory, k, block, values):
+    # blocks of a few values, so full slots, arbiter rows and row ends fall
+    # on block boundaries in every example
+    n = max(len(values) // k, block // k + 2)   # two blocks or more
+    flat = np.resize(np.array(values), n * k)
+    flat[0], flat[-1] = 0.0, -1e-200
+    cols = list(flat.reshape(n, k).T)
+    out = tmp_path_factory.mktemp("blocks")
+    cfg = RunConfig(mode="solve", out_dir=out, formats=("csv", "plot"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_BLOCK", block)
+        _write_columns(cfg, _row_blocks(*cols), "p.csv", "h", "p.dat")
+    assert (out / "p.csv").read_text() == "h\n" + reference_rows(*cols)
+    assert (out / "p.dat").read_text() == reference_rows(*cols, sep=" ")
